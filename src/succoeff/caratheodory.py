@@ -9,10 +9,11 @@ two-atom reconstruction used by the extremal functions.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import config
 from .errors import DegenerateError, DomainError, InfeasibleError
@@ -123,71 +124,50 @@ def to_series(rep: AtomicHerglotzRep, order: int) -> TruncatedSeries:
     return TruncatedSeries(c)
 
 
-def _sorted_atoms(weights, points) -> AtomicHerglotzRep:
-    # Deterministic output: atoms ordered by argument in [0, 2pi).
-    args = np.mod(np.angle(points), 2.0 * np.pi)
-    idx = np.argsort(args, kind="stable")
-    return AtomicHerglotzRep(weights[idx], points[idx])
-
-
 def solve_two_atom(c: float, x: complex) -> AtomicHerglotzRep:
     """Reconstruct the boundary two-atom measure with prescribed moments.
 
-    Finds weights g1 + g2 = 1 (both positive) and distinct unimodular
+    Returns weights w1 + w2 = 1 (both positive) and distinct unimodular
     eps1, eps2 with
 
-        g1 eps1 + g2 eps2   = c / 2,
-        g1 eps1^2 + g2 eps2^2 = (c^2 + (4 - c^2) x) / 4.
+        w1 eps1 + w2 eps2     = m1 = c / 2,
+        w1 eps1^2 + w2 eps2^2 = m2 = (c^2 + (4 - c^2) x) / 4.
 
     A solution exists exactly on the degenerate boundary |x| = 1 with
-    0 <= c < 2.  The four real equations in the three unknowns
-    (theta1, theta2, g1) are solved by damped least squares from a fixed
-    fan of starts; a result is accepted only if the final residual is
-    below config.MOMENT_RESIDUAL_TOL.
+    0 <= c < 2, and it is found in closed form.  With m0 = 1 and
+    m_{-1} = conj(m1) = m1, the moments of a two-atom measure obey the
+    recurrence m_{k+2} = s m_{k+1} - q m_k with s = eps1 + eps2 and
+    q = eps1 eps2.  Its steps k = -1 and k = 0 give q = -x and
+    s = (c/2)(1 - x), so the atoms are the roots
+
+        eps1,2 = (s +- sqrt(s^2 + 4x)) / 2   of   z^2 - s z - x,
+
+    the para-orthogonal polynomial at the step where the Schur algorithm
+    stops.  The roots are divided by their moduli, and the first moment
+    gives w1 = Re((c/2 - eps2) / (eps1 - eps2)).  Atoms are ordered by
+    argument in [0, 2pi); at x = 1 they are exactly 1 and -1.
     """
     if not 0.0 <= c <= 2.0:
         raise DomainError(f"c must lie in [0, 2], got {c}")
     if c >= 2.0 - config.DEGENERATE_C_TOL:
         raise DegenerateError("c = 2 collapses the measure to a single atom at 1")
-    if abs(x) > 1 + 1e-9:
+    if abs(x) > 1.0 + config.REP_ATOL:
         raise DomainError("|x| must be <= 1")
+    if abs(abs(x) - 1.0) > config.REP_ATOL:
+        raise InfeasibleError(
+            f"no two-atom measure matches (c={c}, x={x}); the pair must satisfy |x| = 1"
+        )
 
-    m1 = c / 2.0
-    m2 = (c * c + (4.0 - c * c) * x) / 4.0
-
-    def residuals(v):
-        t1, t2, w = v
-        e1 = np.exp(1j * t1)
-        e2 = np.exp(1j * t2)
-        r1 = w * e1 + (1.0 - w) * e2 - m1
-        r2 = w * e1 * e1 + (1.0 - w) * e2 * e2 - m2
-        return np.array([r1.real, r1.imag, r2.real, r2.imag])
-
-    starts = []
-    for i in range(6):
-        for j in range(i + 1, 7):
-            starts.append((2.0 * np.pi * i / 7.0 + 0.05, 2.0 * np.pi * j / 7.0 + 0.05, 0.5))
-
-    for start in starts:
-        sol = least_squares(residuals, start, method="lm", xtol=1e-15, ftol=1e-15, max_nfev=400)
-        t1, t2, w = sol.x
-        if not 1e-9 < w < 1.0 - 1e-9:
-            continue
-        e1 = np.exp(1j * t1)
-        e2 = np.exp(1j * t2)
-        if abs(e1 - e2) < 1e-8:
-            continue
-        weights = np.array([w, 1.0 - w])
-        points = np.array([e1, e2])
-        # Residual re-checked on the cleaned (exactly unimodular) atoms.
-        r1 = weights @ points - m1
-        r2 = weights @ points**2 - m2
-        if max(abs(r1), abs(r2)) < config.MOMENT_RESIDUAL_TOL:
-            return _sorted_atoms(weights, points)
-    raise InfeasibleError(
-        f"no two-atom measure matches (c={c}, x={x}) within "
-        f"{config.MOMENT_RESIDUAL_TOL:g}; the pair must satisfy |x| = 1"
-    )
+    s = c / 2.0 * (1.0 - x)
+    root = cmath.sqrt(s * s + 4.0 * x)
+    e1, e2 = (s + root) / 2.0, (s - root) / 2.0
+    e1, e2 = e1 / abs(e1), e2 / abs(e2)
+    w = ((c / 2.0 - e2) / (e1 - e2)).real
+    weights, points = [w, 1.0 - w], [e1, e2]
+    if cmath.phase(e1) % (2.0 * math.pi) > cmath.phase(e2) % (2.0 * math.pi):
+        weights.reverse()
+        points.reverse()
+    return AtomicHerglotzRep(np.array(weights), np.array(points))
 
 
 def _random_rep(rng: np.random.Generator, n_atoms: int) -> AtomicHerglotzRep:

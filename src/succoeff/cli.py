@@ -79,8 +79,8 @@ def parse_range(text: str) -> tuple[float, float, int]:
         count = int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad count in {text!r}") from exc
-    if count < 0:
-        raise argparse.ArgumentTypeError("count must be >= 0")
+    if count < 1:
+        raise argparse.ArgumentTypeError("count must be >= 1")
     return start, stop, count
 
 
@@ -493,11 +493,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, children = _build_parser()
     # Config file supplies defaults only; explicit flags always win.
-    if "--config" in argv:
-        try:
-            path = argv[argv.index("--config") + 1]
-        except IndexError:
-            parser.error("--config needs a path")
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is not None:
         try:
             defaults = _load_config_file(path)
         except (OSError, DomainError) as exc:

@@ -17,9 +17,6 @@ ROUNDTRIP_ATOL = 1e-11
 # Structural invariants of atomic Herglotz representations.
 REP_ATOL = 1e-12
 
-# Accepted residual for the boundary two-atom moment solve.
-MOMENT_RESIDUAL_TOL = 1e-10
-
 # c values within this distance of 2 are treated as the single-atom case.
 DEGENERATE_C_TOL = 1e-12
 

@@ -155,7 +155,7 @@ def test_criterion_6_two_atom_solver():
             atol=1e-9,
         )
     )
-    ok = worst < 1e-10 and atoms_ok
+    ok = worst < 1e-14 and atoms_ok
     assert report(
         6, "two-atom moment residuals on the lattice", ok,
         f"worst residual={worst:.2e}",

@@ -287,5 +287,5 @@ class TestTwoAtomParameters:
         rep = solve_two_atom(c, x)
         m1 = (rep.weights * rep.points).sum()
         m2 = (rep.weights * rep.points**2).sum()
-        assert abs(m1 - c / 2) < 1e-10
-        assert abs(m2 - (c * c + (4 - c * c) * x) / 4) < 1e-10
+        assert abs(m1 - c / 2) < 1e-14
+        assert abs(m2 - (c * c + (4 - c * c) * x) / 4) < 1e-14

@@ -184,10 +184,11 @@ class TestSolveTwoAtom:
             atol=1e-12,
         )
 
-    def test_symmetric_pair(self):
-        rep = solve_two_atom(0.0, 1.0)
-        np.testing.assert_allclose(rep.weights, [0.5, 0.5], atol=1e-12)
-        np.testing.assert_allclose(rep.points, [1.0, -1.0], atol=1e-12)
+    @pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 1.5, 1.99])
+    def test_symmetric_pair(self, c):
+        rep = solve_two_atom(c, 1.0)
+        np.testing.assert_array_equal(rep.points, [1.0, -1.0])
+        np.testing.assert_allclose(rep.weights, [(2 + c) / 4, (2 - c) / 4], atol=1e-12)
 
     def test_spirallike_parameters(self):
         a, g = 0.5, np.pi / 4
@@ -196,17 +197,17 @@ class TestSolveTwoAtom:
         x = -(1 + 2 * (1 - a) * np.cos(g) ** 2 + 1j * (1 - a) * np.sin(2 * g)) / t
         rep = solve_two_atom(c, x)
         m = moments(rep, 2) / 2.0
-        assert abs(m[0] - c / 2) < 1e-10
-        assert abs(m[1] - (c * c + (4 - c * c) * x) / 4) < 1e-10
+        assert abs(m[0] - c / 2) < 1e-14
+        assert abs(m[1] - (c * c + (4 - c * c) * x) / 4) < 1e-14
 
     def test_roundtrip_random_boundary(self, rng):
-        for _ in range(25):
-            c = rng.uniform(0.0, 1.95)
+        cs = [rng.uniform(0.0, 1.95) for _ in range(25)] + [2.0 - 1e-11]
+        for c in cs:
             x = np.exp(2j * np.pi * rng.random())
             rep = solve_two_atom(c, x)
             m = moments(rep, 2) / 2.0
-            assert abs(m[0] - c / 2) < 1e-10
-            assert abs(m[1] - (c * c + (4 - c * c) * x) / 4) < 1e-10
+            assert abs(m[0] - c / 2) < 1e-14
+            assert abs(m[1] - (c * c + (4 - c * c) * x) / 4) < 1e-14
 
     def test_atoms_sorted_by_argument(self, rng):
         for _ in range(10):
@@ -225,8 +226,9 @@ class TestSolveTwoAtom:
             solve_two_atom(2.5, 1.0)
 
     def test_interior_x_infeasible(self):
-        with pytest.raises(InfeasibleError):
-            solve_two_atom(1.0, 0.5 + 0j)
+        for x in (0.5 + 0j, 1.0 - 1e-9):
+            with pytest.raises(InfeasibleError):
+                solve_two_atom(1.0, x)
 
 
 class TestRandomRep:

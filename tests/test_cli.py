@@ -144,13 +144,13 @@ class TestSweep:
 
     def test_empty_lattice(self, tmp_path):
         out = tmp_path / "empty.csv"
-        code = main([
-            "sweep", "--family", "spirallike", "--alphas", "0,0.5,0",
-            "--format", "csv", "--out", str(out),
-        ])
-        assert code == 0
-        text = out.read_text(encoding="utf-8")
-        assert text.count("\n") == 1  # header only
+        with pytest.raises(SystemExit) as info:
+            main([
+                "sweep", "--family", "spirallike", "--alphas", "0,0.5,0",
+                "--format", "csv", "--out", str(out),
+            ])
+        assert info.value.code == 2
+        assert not out.exists()
 
 
 class TestExtremalAndSample:
@@ -210,7 +210,8 @@ class TestUsageErrors:
 
 
 class TestConfigFile:
-    def test_defaults_and_precedence(self, tmp_path, capsys):
+    @pytest.mark.parametrize("spelling", ["space", "equals"])
+    def test_defaults_and_precedence(self, tmp_path, capsys, spelling):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "# defaults for a study\n"
@@ -221,7 +222,8 @@ class TestConfigFile:
             encoding="utf-8",
         )
         # --gamma on the command line beats the file; family comes from it.
-        assert main(["bounds", "--config", str(cfg), "--gamma", "0"]) == 0
+        flag = ["--config", str(cfg)] if spelling == "space" else [f"--config={cfg}"]
+        assert main(["bounds", *flag, "--gamma", "0"]) == 0
         lines = capsys.readouterr().out.splitlines()
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert row["family"] == "convex"
@@ -243,3 +245,13 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("family,")
+
+
+def test_import_does_not_load_scipy():
+    # scipy may be installed alongside numpy; the package must not pull it in.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, succoeff.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
