@@ -2,8 +2,9 @@
 
 The package constructs class members from Carathéodory data, evaluates the
 closed-form sharp bounds for |a2|-|a1| and |a3|-|a2| together with their
-extremal functions, and re-derives every sharp constant by deterministic
-global optimization over the coefficient parametrization.
+extremal functions, and re-derives every sharp constant by exact
+optimization over the coefficient parametrization, eliminating the disk
+variable by the triangle inequality.
 """
 
 from .bounds import (

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: ``bounds`` (closed-form intervals), ``verify`` (grid optimizer
+Subcommands: ``bounds`` (closed-form intervals), ``verify`` (exact optimizer
 vs analytic endpoints, extremal attainment, case analysis), ``sweep``
 (verification over a parameter lattice), ``extremal`` (catalog coefficient
 table) and ``sample`` (randomized no-violation check).
@@ -30,7 +30,8 @@ from . import config
 from .bounds import Which, attainment, bound_d1, bound_d2, extremal_series, extremal_targets
 from .errors import DomainError, SuccoeffError
 from .families import ClassParams, Family
-from .verify import FunctionalSpec, case_boundary_check, grid_optimize, sample_no_violation
+from .verify import (FunctionalSpec, VerifyReport, case_boundary_check, grid_optimize,
+                     sample_no_violation)
 
 __all__ = ["main", "RunConfig"]
 
@@ -56,17 +57,15 @@ def parse_angle(text: str) -> float:
     return -value if m.group("sign") == "-" else value
 
 
-def parse_grid(text: str) -> tuple[int, int, int]:
-    parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid must be C,R,T")
+def parse_tol(text: str) -> float:
+    """A finite, nonnegative endpoint tolerance."""
     try:
-        n_c, n_r, n_t = (int(p) for p in parts)
+        value = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad grid {text!r}") from exc
-    if min(n_c, n_r, n_t) < 2:
-        raise argparse.ArgumentTypeError("grid sizes must be >= 2")
-    return n_c, n_r, n_t
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from exc
+    if not math.isfinite(value) or value < 0.0:
+        raise argparse.ArgumentTypeError("tolerance must be finite and >= 0")
+    return value
 
 
 def parse_range(text: str) -> tuple[float, float, int]:
@@ -94,7 +93,6 @@ class RunConfig:
     gamma: float = 0.0
     lam: float = 1.0
     order: int = config.DEFAULT_ORDER
-    grid: tuple[int, int, int] = config.DEFAULT_GRID
     tol: float = config.GRID_TOL
     seed: int = 0
     out: Optional[str] = None
@@ -192,10 +190,30 @@ def cmd_bounds(cfg: RunConfig) -> int:
     return 0
 
 
+def _endpoint_cells(report: VerifyReport, names: Sequence[str]) -> dict:
+    """Lower, upper, min, max and the two residuals of a report, under ``names``."""
+    return dict(zip(names, (
+        report.analytic.lower, report.analytic.upper,
+        report.numeric_min, report.numeric_max,
+        report.residual_min, report.residual_max,
+    )))
+
+
+def _sweep_endpoints(which: Which) -> list[str]:
+    key = which.value
+    return [f"{key}_{name}" for name in
+            ("lower", "upper", "min", "max", "residual_min", "residual_max")]
+
+
+_VERIFY_ENDPOINTS = [
+    "analytic_lower", "analytic_upper", "numeric_min", "numeric_max",
+    "residual_min", "residual_max",
+]
+
+
 def _verify_row(cfg: RunConfig, params: ClassParams, which: Which) -> dict:
     spec = FunctionalSpec(params, which)
-    n_c, n_r, n_t = cfg.grid
-    report = grid_optimize(spec, n_c=n_c, n_r=n_r, n_theta=n_t, tol=cfg.tol)
+    report = grid_optimize(spec, tol=cfg.tol)
     interval = report.analytic
     order = max(cfg.order, 4)
     att_lo = attainment(interval.lower_extremal, which, order)
@@ -205,12 +223,7 @@ def _verify_row(cfg: RunConfig, params: ClassParams, which: Which) -> dict:
     row = {
         **_param_columns(params),
         "which": which.value,
-        "analytic_lower": interval.lower,
-        "analytic_upper": interval.upper,
-        "numeric_min": report.numeric_min,
-        "numeric_max": report.numeric_max,
-        "residual_min": report.residual_min,
-        "residual_max": report.residual_max,
+        **_endpoint_cells(report, _VERIFY_ENDPOINTS),
         "argmin_c": report.argmin[0],
         "argmin_r": report.argmin[1],
         "argmin_theta": report.argmin[2],
@@ -227,7 +240,7 @@ def _verify_row(cfg: RunConfig, params: ClassParams, which: Which) -> dict:
                        and res_hi <= config.ATTAINMENT_ATOL),
     }
     if which is Which.D2:
-        case = case_boundary_check(spec, n_c=n_c, n_r=n_r, n_theta=n_t)
+        case = case_boundary_check(spec)
         row["case_check"] = "pass" if case.passed else "fail"
         row["passed"] = bool(row["passed"] and case.passed)
     return row
@@ -235,8 +248,7 @@ def _verify_row(cfg: RunConfig, params: ClassParams, which: Which) -> dict:
 
 _VERIFY_COLUMNS = [
     "family", "alpha", "gamma", "lambda", "which",
-    "analytic_lower", "analytic_upper", "numeric_min", "numeric_max",
-    "residual_min", "residual_max",
+    *_VERIFY_ENDPOINTS,
     "argmin_c", "argmin_r", "argmin_theta",
     "argmax_c", "argmax_r", "argmax_theta",
     "lower_attainment", "upper_attainment",
@@ -272,8 +284,7 @@ def _lattice(cfg: RunConfig) -> list[ClassParams]:
 
 _SWEEP_COLUMNS = [
     "family", "alpha", "gamma", "lambda",
-    "d1_lower", "d1_upper", "d1_min", "d1_max", "d1_residual_min", "d1_residual_max",
-    "d2_lower", "d2_upper", "d2_min", "d2_max", "d2_residual_min", "d2_residual_max",
+    *_sweep_endpoints(Which.D1), *_sweep_endpoints(Which.D2),
     "error", "passed",
 ]
 
@@ -281,7 +292,6 @@ _SWEEP_COLUMNS = [
 def cmd_sweep(cfg: RunConfig) -> int:
     rows = []
     all_passed = True
-    n_c, n_r, n_t = cfg.grid
     for params in _lattice(cfg):
         row = {**_param_columns(params), "error": "", "passed": False}
         for col in _SWEEP_COLUMNS[4:-2]:
@@ -289,15 +299,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         try:
             ok = True
             for which in (Which.D1, Which.D2):
-                rep = grid_optimize(FunctionalSpec(params, which),
-                                    n_c=n_c, n_r=n_r, n_theta=n_t, tol=cfg.tol)
-                key = which.value
-                row[f"{key}_lower"] = rep.analytic.lower
-                row[f"{key}_upper"] = rep.analytic.upper
-                row[f"{key}_min"] = rep.numeric_min
-                row[f"{key}_max"] = rep.numeric_max
-                row[f"{key}_residual_min"] = rep.residual_min
-                row[f"{key}_residual_max"] = rep.residual_max
+                rep = grid_optimize(FunctionalSpec(params, which), tol=cfg.tol)
+                row.update(_endpoint_cells(rep, _sweep_endpoints(which)))
                 ok = ok and rep.passed
             row["passed"] = bool(ok)
         except SuccoeffError as exc:
@@ -403,9 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="radians; fractions of pi accepted, e.g. pi/4")
     shared.add_argument("--lambda", dest="lam", type=float, default=1.0)
     shared.add_argument("--order", type=int, default=config.DEFAULT_ORDER)
-    shared.add_argument("--grid", type=parse_grid, default=config.DEFAULT_GRID,
-                        metavar="C,R,T")
-    shared.add_argument("--tol", type=float, default=config.GRID_TOL)
+    shared.add_argument("--tol", type=parse_tol, default=config.GRID_TOL)
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--out", type=str, default=None)
     shared.add_argument("--format", dest="fmt", choices=sorted(_RENDERERS), default="table")
@@ -440,8 +441,7 @@ _CONFIG_CONVERTERS = {
     "gamma": parse_angle,
     "lambda": float,
     "order": int,
-    "grid": parse_grid,
-    "tol": float,
+    "tol": parse_tol,
     "seed": int,
     "out": str,
     "format": str,
@@ -473,7 +473,7 @@ def _load_config_file(path: str) -> dict:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    for name in ("family", "alpha", "gamma", "lam", "order", "grid", "tol",
+    for name in ("family", "alpha", "gamma", "lam", "order", "tol",
                  "seed", "out", "fmt", "n_samples", "n_atoms_max",
                  "alphas", "gammas", "lambdas"):
         if hasattr(args, name):

@@ -31,11 +31,9 @@ MEMBERSHIP_ANGLES = 64
 # Extremal attainment agreement between series construction and bound value.
 ATTAINMENT_ATOL = 1e-9
 
-# Grid optimizer defaults: exhaustive scan sizes, endpoint tolerance, and
-# the number of step-halving refinement sweeps.
-DEFAULT_GRID = (201, 101, 256)
-GRID_TOL = 1e-3
-REFINE_ITERS = 40
+# Endpoint tolerance of the exact optimizer against the closed forms, and
+# of its minimizing c against the analytic c*.
+GRID_TOL = 1e-12
 
 # Slack allowed when random class members are tested against a BoundInterval.
 SAMPLE_SLACK = 1e-9

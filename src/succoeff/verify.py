@@ -3,14 +3,16 @@
 The two functionals |a2|-|a1| and |a3|-|a2| reduce, after rotating the
 generating Carathéodory function so that c1 = c >= 0, to explicit real
 functions of (c, x) with c in [0, 2] and x = r e^{i theta} in the closed
-unit disk.  This module evaluates those reductions, scans them on an
-exhaustive deterministic grid with coordinate-descent refinement, and
-cross-checks the optimizer against the closed-form bounds, the catalog
-extremals, and randomized class members.
+unit disk.  This module evaluates those reductions, eliminates x exactly
+by the triangle inequality, takes the extremes of the remaining piecewise
+quadratic in c at its candidate points, and cross-checks the result
+against the closed-form bounds, the catalog extremals, and randomized
+class members.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -86,7 +88,7 @@ def functional_value(spec: FunctionalSpec, c, x):
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Grid/refined extrema of one functional against its analytic interval."""
+    """Exact extrema of one functional against its analytic interval."""
 
     spec: FunctionalSpec
     analytic: BoundInterval
@@ -94,130 +96,63 @@ class VerifyReport:
     numeric_max: float
     argmin: tuple[float, float, float]
     argmax: tuple[float, float, float]
-    grid_min: float
-    grid_max: float
     residual_min: float
     residual_max: float
     passed: bool
-    grid: tuple[int, int, int]
+    grid: tuple[int, int, int]  # (candidate points evaluated, 1, 1)
     tol: float
     runtime: float
 
 
-def _scan_grid(spec: FunctionalSpec, n_c: int, n_r: int, n_theta: int):
-    """Exhaustive scan; ties broken toward lexicographically smallest (c, r, theta)."""
-    cs = np.linspace(0.0, 2.0, n_c)
-    rs = np.linspace(0.0, 1.0, n_r)
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    disk = rs[:, None] * np.exp(1j * thetas)[None, :]
+def _d2_argmin(params: ClassParams) -> tuple[float, float, float]:
+    """(c, r, theta) of the minimum of d2 over c in [0, 2] and |x| <= 1.
 
-    best_min = math.inf
-    best_max = -math.inf
-    arg_min = arg_max = (0.0, 0.0, 0.0)
-    # Bound the scan's working set to ~2M points per block.
-    chunk = max(1, 2_000_000 // (n_r * n_theta))
-    for lo in range(0, n_c, chunk):
-        cc = cs[lo : lo + chunk]
-        if spec.which is Which.D1:
-            col = _d1_slope(spec.params) * cc - 1.0
-            vals = np.broadcast_to(col[:, None, None], (cc.size, n_r, n_theta))
-        else:
-            pref, u, k = _d2_constants(spec.params)
-            a = (cc * cc)[:, None, None] * u
-            b = (4.0 - cc * cc)[:, None, None]
-            vals = pref * (np.abs(a + b * disk[None, :, :]) - k * cc[:, None, None])
-        i = int(np.argmin(vals))
-        if vals.flat[i] < best_min:
-            best_min = float(vals.flat[i])
-            ci, ri, ti = np.unravel_index(i, vals.shape)
-            arg_min = (float(cc[ci]), float(rs[ri]), float(thetas[ti]))
-        i = int(np.argmax(vals))
-        if vals.flat[i] > best_max:
-            best_max = float(vals.flat[i])
-            ci, ri, ti = np.unravel_index(i, vals.shape)
-            arg_max = (float(cc[ci]), float(rs[ri]), float(thetas[ti]))
-    return best_min, arg_min, best_max, arg_max
-
-
-def _refine(spec: FunctionalSpec, point, value, steps, sign: float, iters: int):
-    """Coordinate descent with step halving; never accepts a worse value.
-
-    ``sign`` is +1 to minimize and -1 to maximize.  The objective has
-    modulus kinks, so only function comparisons are used (no gradients).
-    The step is halved once a full coordinate sweep brings no improvement
-    (the minimizing valley runs diagonally in (c, r), so a fixed halving
-    schedule would stall mid-zigzag); ``iters`` bounds the halvings.
+    Over the disk, min |c^2 u + (4 - c^2) x| = max((m+1) c^2 - 4, 0) with
+    m = |u|, attained at x = -u/m once the maximum is positive.  So the
+    lower envelope is -p K c up to cb = 2/sqrt(m+1), then the convex
+    p((m+1) c^2 - 4 - K c), whose minimum on [cb, 2] is its vertex clamped
+    to that interval.  At c = 2 the x term vanishes and x = 0 is taken.
     """
-
-    def objective(c, r, th):
-        return sign * functional_value(spec, c, r * np.exp(1j * th))
-
-    # Axis directions first; the diagonal escapes matter because the
-    # modulus kink's valley runs diagonally in (c, r), where pure
-    # coordinate moves can block far from the bottom.
-    directions = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-    directions += [
-        (dc, dr, dt)
-        for dc in (-1, 0, 1)
-        for dr in (-1, 0, 1)
-        for dt in (-1, 0, 1)
-        if (dc, dr, dt).count(0) < 2 and any((dc, dr, dt))
-    ]
-
-    c, r, th = point
-    best = sign * value
-    steps = list(steps)
-    halvings = 0
-    sweeps = 0
-    while halvings < iters and sweeps < 40 * iters:
-        sweeps += 1
-        improved = False
-        for direction in directions:
-            for _ in range(8):
-                cand = [
-                    c + direction[0] * steps[0],
-                    r + direction[1] * steps[1],
-                    th + direction[2] * steps[2],
-                ]
-                cand[0] = min(max(cand[0], 0.0), 2.0)
-                cand[1] = min(max(cand[1], 0.0), 1.0)
-                cand[2] = cand[2] % (2.0 * np.pi)
-                if (cand[0], cand[1], cand[2]) == (c, r, th):
-                    break
-                v = objective(*cand)
-                if v < best:
-                    best = v
-                    c, r, th = cand
-                    improved = True
-                else:
-                    break
-        if not improved:
-            steps = [s / 2.0 for s in steps]
-            halvings += 1
-    return (c, r, th), sign * best
+    _, u, k = _d2_constants(params)
+    m = abs(u)
+    cb = 2.0 / math.sqrt(m + 1.0)
+    c = max(cb, min(k / (2.0 * (m + 1.0)), 2.0))
+    if c == 2.0:
+        return (2.0, 0.0, 0.0)
+    return (c, 1.0, cmath.phase(-u) % (2.0 * math.pi))
 
 
-def grid_optimize(
-    spec: FunctionalSpec,
-    n_c: int = config.DEFAULT_GRID[0],
-    n_r: int = config.DEFAULT_GRID[1],
-    n_theta: int = config.DEFAULT_GRID[2],
-    tol: float = config.GRID_TOL,
-    refine_iters: int = config.REFINE_ITERS,
-) -> VerifyReport:
-    """Exhaustive grid scan plus local refinement of both extrema.
+def _extreme_points(spec: FunctionalSpec) -> tuple[list, list]:
+    """Candidate points (c, r, theta) for the minimum and the maximum, by increasing c."""
+    if spec.which is Which.D1:
+        # s c - 1 with s > 0 does not depend on x.
+        return [(0.0, 0.0, 0.0)], [(2.0, 0.0, 0.0)]
+    # Over the disk, max |c^2 u + (4 - c^2) x| = c^2 m + 4 - c^2, so the
+    # upper envelope p((m-1) c^2 - K c + 4) is convex (m >= 1) or
+    # decreasing (m < 1) and peaks at an end: c = 0 with any unimodular x,
+    # or c = 2 with any x.
+    return [_d2_argmin(spec.params)], [(0.0, 1.0, 0.0), (2.0, 0.0, 0.0)]
 
-    Never raises on a mathematical mismatch; the report's ``passed`` flag
-    records whether both refined endpoints match the analytic interval
-    within ``tol``.
+
+def _values(spec: FunctionalSpec, points: list) -> np.ndarray:
+    c, r, theta = np.array(points).T
+    return functional_value(spec, c, r * np.exp(1j * theta))
+
+
+def grid_optimize(spec: FunctionalSpec, tol: float = config.GRID_TOL) -> VerifyReport:
+    """Exact minimum and maximum of the reduced functional over c and x.
+
+    The extremes over x for fixed c follow from the triangle inequality,
+    which leaves a piecewise quadratic in c with a few candidate points.
+    Ties go to the lexicographically smallest (c, r, theta).  Never raises
+    on a mathematical mismatch; the report's ``passed`` flag records
+    whether both endpoints match the analytic interval within ``tol``.
     """
-    if min(n_c, n_r, n_theta) < 2:
-        raise DomainError("grid sizes must be >= 2")
     start = time.perf_counter()
-    gmin, arg_min, gmax, arg_max = _scan_grid(spec, n_c, n_r, n_theta)
-    steps = (2.0 / (n_c - 1), 1.0 / (n_r - 1), 2.0 * np.pi / n_theta)
-    arg_min, vmin = _refine(spec, arg_min, gmin, steps, +1.0, refine_iters)
-    arg_max, vmax = _refine(spec, arg_max, gmax, steps, -1.0, refine_iters)
+    lows, highs = _extreme_points(spec)
+    low_values, high_values = _values(spec, lows), _values(spec, highs)
+    i, j = int(np.argmin(low_values)), int(np.argmax(high_values))
+    vmin, vmax = float(low_values[i]), float(high_values[j])
     analytic = bound_d1(spec.params) if spec.which is Which.D1 else bound_d2(spec.params)
     res_min = abs(vmin - analytic.lower)
     res_max = abs(vmax - analytic.upper)
@@ -226,14 +161,12 @@ def grid_optimize(
         analytic=analytic,
         numeric_min=vmin,
         numeric_max=vmax,
-        argmin=tuple(arg_min),
-        argmax=tuple(arg_max),
-        grid_min=gmin,
-        grid_max=gmax,
+        argmin=lows[i],
+        argmax=highs[j],
         residual_min=res_min,
         residual_max=res_max,
         passed=bool(res_min <= tol and res_max <= tol),
-        grid=(n_c, n_r, n_theta),
+        grid=(len(lows) + len(highs), 1, 1),
         tol=tol,
         runtime=time.perf_counter() - start,
     )
@@ -279,7 +212,7 @@ def sample_no_violation(
 ) -> SampleReport:
     """Draw random members and check both functionals against their intervals.
 
-    Unlike the grid optimizer this path exercises the unreduced functional:
+    Unlike the exact optimizer this path exercises the unreduced functional:
     members are built from un-normalized random measures, the coefficients
     are read off the constructed series, and each value must lie within
     [lower - slack, upper + slack].  Construction failures are counted,
@@ -287,6 +220,8 @@ def sample_no_violation(
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
+    if n_atoms_max < 1:
+        raise DomainError("n_atoms_max must be >= 1")
     d1 = bound_d1(params)
     d2 = bound_d2(params)
     rng = np.random.default_rng(seed)
@@ -340,7 +275,7 @@ class MonotonicityCheck:
     hi: float
     direction: str  # "increasing" | "decreasing"
     ok: bool
-    worst_step: float  # most violating signed finite difference
+    worst_step: float  # most violating signed slope at an end of [lo, hi]
 
 
 @dataclass(frozen=True)
@@ -357,31 +292,30 @@ class CaseBoundaryReport:
         return self.argmin_ok and all(ch.ok for ch in self.checks)
 
 
-def _fd_monotone(fun, lo: float, hi: float, direction: str, label: str, n: int = 1000) -> MonotonicityCheck:
-    xs = np.linspace(lo, hi, n)
-    vals = np.array([fun(x) for x in xs])
-    diffs = np.diff(vals)
-    scale = max(1.0, float(np.max(np.abs(vals))))
+def _end_slopes(a: float, b: float, lo: float, hi: float, direction: str,
+                label: str) -> MonotonicityCheck:
+    """Monotonicity of a c^2 + b c + const on [lo, hi].
+
+    The derivative 2 a c + b is linear, so its signs at the two ends fix
+    its sign on the whole interval.
+    """
+    slopes = (2.0 * a * lo + b, 2.0 * a * hi + b)
     if direction == "increasing":
-        worst = float(diffs.min())
-        ok = worst >= -1e-12 * scale
+        worst = min(slopes)
+        ok = worst >= -1e-12
     else:
-        worst = float(diffs.max())
-        ok = worst <= 1e-12 * scale
-    return MonotonicityCheck(label=label, lo=lo, hi=hi, direction=direction, ok=bool(ok), worst_step=worst)
+        worst = max(slopes)
+        ok = worst <= 1e-12
+    return MonotonicityCheck(label=label, lo=lo, hi=hi, direction=direction,
+                             ok=bool(ok), worst_step=worst)
 
 
-def case_boundary_check(
-    spec: FunctionalSpec,
-    n_c: int = config.DEFAULT_GRID[0],
-    n_r: int = config.DEFAULT_GRID[1],
-    n_theta: int = config.DEFAULT_GRID[2],
-) -> CaseBoundaryReport:
+def case_boundary_check(spec: FunctionalSpec) -> CaseBoundaryReport:
     """Check the one-dimensional case analysis behind the d2 lower bound.
 
-    Verifies by finite differences that the proof's minorants are monotone
-    on their stated intervals, and that the optimizer's minimizing c lands
-    on the analytic c* within one grid cell.
+    Verifies from end slopes that the proof's minorants are monotone on
+    their stated intervals, and that the exact minimizing c lands on the
+    analytic c* within ``config.GRID_TOL``.
     """
     if spec.which is not Which.D2:
         raise DomainError("case boundary analysis applies to the d2 functional only")
@@ -391,44 +325,30 @@ def case_boundary_check(
         lam = params.lam
         u2 = 2.0 / math.sqrt(2.0 - lam)
         c0 = 3.0 / (2.0 - lam)
-
-        def inner(c):
-            return -c * c * (2.0 - lam) + 4.0 - 6.0 * c
-
-        def outer(c):
-            return c * c * (2.0 - lam) - 4.0 - 6.0 * c
-
-        checks.append(_fd_monotone(inner, 0.0, u2, "decreasing", "4-(2-lam)c^2-6c on [0, 2/sqrt(2-lam)]"))
-        checks.append(_fd_monotone(outer, u2, min(c0, 2.0), "decreasing",
-                                   "(2-lam)c^2-4-6c on [2/sqrt(2-lam), min(3/(2-lam), 2)]"))
+        # inner: 4-(2-lam)c^2-6c; outer: (2-lam)c^2-4-6c.  For lam >= 1/2,
+        # c0 >= 2 and the second check already covers [u2, 2].
+        checks.append(_end_slopes(lam - 2.0, -6.0, 0.0, u2, "decreasing",
+                                  "4-(2-lam)c^2-6c on [0, 2/sqrt(2-lam)]"))
+        checks.append(_end_slopes(2.0 - lam, -6.0, u2, min(c0, 2.0), "decreasing",
+                                  "(2-lam)c^2-4-6c on [2/sqrt(2-lam), min(3/(2-lam), 2)]"))
         if lam <= 0.5:
-            checks.append(_fd_monotone(outer, c0, 2.0, "increasing", "(2-lam)c^2-4-6c on [3/(2-lam), 2]"))
-        if lam >= 0.5:
-            checks.append(_fd_monotone(outer, u2, 2.0, "decreasing", "(2-lam)c^2-4-6c on [2/sqrt(2-lam), 2]"))
+            checks.append(_end_slopes(2.0 - lam, -6.0, c0, 2.0, "increasing",
+                                      "(2-lam)c^2-4-6c on [3/(2-lam), 2]"))
     else:
         t = t_factor(params.alpha, params.gamma)
         k = 4.0 if params.family is Family.SPIRALLIKE else 6.0
         cb = 2.0 / math.sqrt(1.0 + t)
-
-        def inner(c):
-            return -c * c * (t + 1.0) + 4.0 - k * c
-
-        def outer(c):
-            return c * c * (t + 1.0) - 4.0 - k * c
-
-        checks.append(_fd_monotone(inner, 0.0, cb, "decreasing",
-                                   f"4-(T+1)c^2-{k:g}c on [0, 2/sqrt(1+T)]"))
-        checks.append(_fd_monotone(outer, cb, 2.0, "increasing",
-                                   f"(T+1)c^2-4-{k:g}c on [2/sqrt(1+T), 2]"))
+        checks.append(_end_slopes(-(t + 1.0), -k, 0.0, cb, "decreasing",
+                                  f"4-(T+1)c^2-{k:g}c on [0, 2/sqrt(1+T)]"))
+        checks.append(_end_slopes(t + 1.0, -k, cb, 2.0, "increasing",
+                                  f"(T+1)c^2-4-{k:g}c on [2/sqrt(1+T), 2]"))
     c_star = two_atom_parameters(params)[0]
-    report = grid_optimize(spec, n_c=n_c, n_r=n_r, n_theta=n_theta)
-    resolution = 2.0 / (n_c - 1)
-    argmin_c = report.argmin[0]
+    argmin_c = _d2_argmin(params)[0]
     return CaseBoundaryReport(
         spec=spec,
         c_star=c_star,
         argmin_c=argmin_c,
-        c_resolution=resolution,
-        argmin_ok=bool(abs(argmin_c - c_star) <= resolution),
+        c_resolution=config.GRID_TOL,
+        argmin_ok=bool(abs(argmin_c - c_star) <= config.GRID_TOL),
         checks=tuple(checks),
     )

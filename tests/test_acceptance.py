@@ -51,11 +51,10 @@ def report(criterion: int, label: str, ok: bool, detail: str = "") -> bool:
 
 def test_criterion_1_starlike_endpoints():
     spec = FunctionalSpec(ClassParams.spirallike(0.0, 0.0), Which.D2)
-    rep = grid_optimize(spec)  # default 201 x 101 x 256 grid
+    rep = grid_optimize(spec)
     res_max = abs(rep.numeric_max - 1.0)
     res_min = abs(rep.numeric_min + 1.0)
-    ok = res_max <= 1e-3 and res_min <= 1e-3
-    ok = ok and res_max <= 1e-4 and res_min <= 1e-4  # refined accuracy
+    ok = res_max <= 1e-12 and res_min <= 1e-12
     ok = ok and rep.runtime <= 60.0
     assert report(
         1, "starlike endpoint recovery", ok,
@@ -68,7 +67,7 @@ def test_criterion_2_convex_endpoints():
     rep = grid_optimize(spec)
     res_max = abs(rep.numeric_max - 1.0 / 3.0)
     res_min = abs(rep.numeric_min + 0.5)
-    ok = res_max <= 1e-3 and res_min <= 1e-3
+    ok = res_max <= 1e-12 and res_min <= 1e-12
     assert report(
         2, "convex endpoint recovery", ok,
         f"max_res={res_max:.2e}, min_res={res_min:.2e}",
@@ -78,13 +77,13 @@ def test_criterion_2_convex_endpoints():
 def test_criterion_3_ozaki_endpoints():
     checks = []
     rep = grid_optimize(FunctionalSpec(ClassParams.ozaki(1.0), Which.D2))
-    checks.append(abs(rep.numeric_min + 0.5) <= 1e-3)
-    checks.append(abs(rep.numeric_max - 1.0 / 6.0) <= 1e-3)
+    checks.append(abs(rep.numeric_min + 0.5) <= 1e-12)
+    checks.append(abs(rep.numeric_max - 1.0 / 6.0) <= 1e-12)
     rep = grid_optimize(FunctionalSpec(ClassParams.ozaki(0.5), Which.D2))
-    checks.append(abs(rep.numeric_min + 5.0 / 24.0) <= 1e-3)
+    checks.append(abs(rep.numeric_min + 5.0 / 24.0) <= 1e-12)
     rep = grid_optimize(FunctionalSpec(ClassParams.ozaki(0.25), Which.D2))
     expected = 0.25 * (4 * 0.25 - 17) / (24 * (2 - 0.25))  # = -4/42
-    checks.append(abs(rep.numeric_min - expected) <= 1e-3)
+    checks.append(abs(rep.numeric_min - expected) <= 1e-12)
     assert report(3, "ozaki endpoints (lam = 1, 1/2, 1/4)", all(checks))
 
 
@@ -109,7 +108,7 @@ def test_criterion_4_parameter_sweep():
             rep = grid_optimize(FunctionalSpec(params, Which.D2))
             worst = max(worst, abs(rep.numeric_min - lower), abs(rep.numeric_max - upper))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-3 and elapsed <= 1800.0
+    ok = worst <= 1e-12 and elapsed <= 1800.0
     assert report(
         4, "15-point sweep, spirallike + convex", ok,
         f"worst residual={worst:.2e}, total={elapsed:.1f}s",

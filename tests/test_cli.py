@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from succoeff.cli import main, parse_angle, parse_grid
+from succoeff.cli import main, parse_angle
 
 
 class TestParsing:
@@ -26,13 +26,6 @@ class TestParsing:
     def test_bad_angle(self):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_angle("tau/4")
-
-    def test_grid(self):
-        assert parse_grid("101,51,64") == (101, 51, 64)
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_grid("101,51")
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_grid("1,51,64")
 
 
 def read_csv(path):
@@ -73,7 +66,7 @@ class TestVerify:
     def test_pass_and_determinism(self, tmp_path):
         args = [
             "verify", "--family", "spirallike", "--alpha", "0", "--gamma", "pi/3",
-            "--grid", "101,51,64", "--format", "csv",
+            "--format", "csv",
         ]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--out", str(out1)]) == 0
@@ -83,7 +76,7 @@ class TestVerify:
     def test_json_determinism(self, tmp_path):
         args = [
             "verify", "--family", "ozaki", "--lambda", "0.25",
-            "--grid", "101,51,64", "--format", "json",
+            "--format", "json",
         ]
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert main(args + ["--out", str(out1)]) == 0
@@ -97,7 +90,7 @@ class TestVerify:
         out = tmp_path / "v.csv"
         main([
             "verify", "--family", "spirallike", "--gamma", "pi/6",
-            "--grid", "51,26,32", "--format", "csv", "--out", str(out),
+            "--format", "csv", "--out", str(out),
         ])
         _, rows = read_csv(out)
         assert float(rows[0]["gamma"]) == pytest.approx(math.pi / 6, rel=0, abs=1e-16)
@@ -107,7 +100,7 @@ class TestVerify:
         # endpoint by ~4e-6, which a 1e-7 tolerance must flag.
         code = main([
             "verify", "--family", "convex", "--alpha", "0.9", "--gamma", "0",
-            "--grid", "201,51,64", "--tol", "1e-7",
+            "--tol", "1e-7",
             "--format", "csv", "--out", str(tmp_path / "f.csv"),
         ])
         assert code == 1
@@ -119,7 +112,7 @@ class TestSweep:
         code = main([
             "sweep", "--family", "spirallike",
             "--alphas", "0,0.25,2", "--gammas=-pi/6,pi/6,3",
-            "--grid", "81,41,64", "--format", "csv", "--out", str(out),
+            "--format", "csv", "--out", str(out),
         ])
         assert code == 0
         header, rows = read_csv(out)
@@ -133,7 +126,7 @@ class TestSweep:
         out = tmp_path / "oz.csv"
         code = main([
             "sweep", "--family", "ozaki", "--lambdas", "0.1,1.0,10",
-            "--grid", "81,41,64", "--format", "csv", "--out", str(out),
+            "--format", "csv", "--out", str(out),
         ])
         assert code == 0
         _, rows = read_csv(out)
@@ -206,6 +199,16 @@ class TestUsageErrors:
     def test_missing_command(self):
         with pytest.raises(SystemExit) as info:
             main([])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--tol", "-1"],
+        ["verify", "--tol", "nan"],
+        ["verify", "--grid", "101,51,64"],
+    ])
+    def test_rejected_flag_values(self, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
         assert info.value.code == 2
 
 

@@ -1,4 +1,4 @@
-"""Reduced functionals, grid optimizer, sampling, case-analysis checks."""
+"""Reduced functionals, exact optimizer, sampling, case-analysis checks."""
 
 import math
 
@@ -110,7 +110,7 @@ class TestFunctionalValue:
 
 
 def naive_scan(spec, n_c, n_r, n_theta):
-    """Triple-loop oracle for the chunked scan, including tie-breaking."""
+    """Triple-loop scan of (c, r, theta), ties to the smallest point: a 3-D oracle."""
     best_min, best_max = math.inf, -math.inf
     arg_min = arg_max = None
     for c in np.linspace(0, 2, n_c):
@@ -124,20 +124,29 @@ def naive_scan(spec, n_c, n_r, n_theta):
     return best_min, arg_min, best_max, arg_max
 
 
+ORACLE_PARAMS = SANE_PARAMS + [ClassParams.convex(0.9, 0.0), ClassParams.ozaki(0.5)]
+
+
 class TestGridOptimize:
-    def test_matches_naive_scan(self):
-        spec = FunctionalSpec(ClassParams.spirallike(0.25, 0.4), Which.D2)
-        report = grid_optimize(spec, n_c=13, n_r=7, n_theta=16, refine_iters=0)
-        ref_min, ref_argmin, ref_max, ref_argmax = naive_scan(spec, 13, 7, 16)
-        assert report.grid_min == pytest.approx(ref_min, abs=1e-15)
-        assert report.grid_max == pytest.approx(ref_max, abs=1e-15)
-        np.testing.assert_allclose(report.argmin, ref_argmin, atol=1e-15)
-        np.testing.assert_allclose(report.argmax, ref_argmax, atol=1e-15)
+    @pytest.mark.parametrize("which", [Which.D1, Which.D2])
+    @pytest.mark.parametrize("params", ORACLE_PARAMS)
+    def test_exact_extremes_bound_naive_scan(self, params, which):
+        # The argmin and argmax give the reported values back, and no point
+        # of a 3-D scan lies outside [numeric_min, numeric_max].
+        spec = FunctionalSpec(params, which)
+        report = grid_optimize(spec)
+        for (c, r, th), value in ((report.argmin, report.numeric_min),
+                                  (report.argmax, report.numeric_max)):
+            assert functional_value(spec, c, r * np.exp(1j * th)) == pytest.approx(value, abs=1e-15)
+        scan_min, _, scan_max, _ = naive_scan(spec, 13, 7, 16)
+        assert scan_min >= report.numeric_min - 1e-15
+        assert scan_max <= report.numeric_max + 1e-15
+        if params == SPIRAL_00 and which is Which.D2:
+            assert report.argmax == (0.0, 1.0, 0.0)
+            assert report.numeric_max == 1.0
 
     def test_d1_argopt_tiebreak(self):
-        report = grid_optimize(
-            FunctionalSpec(SPIRAL_00, Which.D1), n_c=41, n_r=11, n_theta=16
-        )
+        report = grid_optimize(FunctionalSpec(SPIRAL_00, Which.D1))
         assert report.argmin == (0.0, 0.0, 0.0)
         assert report.argmax == (2.0, 0.0, 0.0)
         assert report.numeric_min == pytest.approx(-1.0)
@@ -145,42 +154,31 @@ class TestGridOptimize:
 
     def test_d2_argmax_tiebreak_prefers_small_c(self):
         # At alpha = gamma = 0 the maximum value 1 is attained both along
-        # c = 0, r = 1 (any theta) and at c = 2; the scan must settle in
-        # the c = 0, r = 1 ring (theta is free there up to roundoff).
-        report = grid_optimize(FunctionalSpec(SPIRAL_00, Which.D2), n_c=41, n_r=21, n_theta=32)
+        # c = 0, r = 1 (any theta) and at c = 2; the optimizer must settle
+        # in the c = 0, r = 1 ring.
+        report = grid_optimize(FunctionalSpec(SPIRAL_00, Which.D2))
         assert report.argmax[0] == 0.0
         assert report.argmax[1] == 1.0
 
-    def test_refinement_never_worsens(self):
-        for params in (ClassParams.spirallike(0.3, 0.8), ClassParams.ozaki(0.4)):
-            report = grid_optimize(FunctionalSpec(params, Which.D2), n_c=41, n_r=21, n_theta=32)
-            assert report.numeric_min <= report.grid_min + 1e-15
-            assert report.numeric_max >= report.grid_max - 1e-15
-
-    def test_refinement_reaches_off_grid_optimum(self):
-        # theta* and c* both fall off this coarse grid; refinement must
-        # still land on the analytic endpoints.
+    def test_exact_at_irrational_optimum(self):
+        # theta* and c* are irrational here; the endpoints are still exact.
         spec = FunctionalSpec(ClassParams.spirallike(0.25, math.pi / 6), Which.D2)
-        report = grid_optimize(spec, n_c=41, n_r=21, n_theta=32)
-        assert report.residual_min < 1e-8
-        assert report.residual_max < 1e-8
+        report = grid_optimize(spec)
+        assert report.residual_min < 1e-12
+        assert report.residual_max < 1e-12
         assert report.passed
 
     @pytest.mark.parametrize("params", SANE_PARAMS)
     def test_one_sided_safety(self, params):
         # The optimizer can never beat a sharp bound (in its regime of
         # validity) by more than roundoff slack.
-        report = grid_optimize(FunctionalSpec(params, Which.D2), n_c=81, n_r=41, n_theta=64)
+        report = grid_optimize(FunctionalSpec(params, Which.D2))
         scale = max(1.0, abs(report.analytic.lower), abs(report.analytic.upper))
-        assert report.numeric_min >= report.analytic.lower - 1e-9 * scale
-        assert report.numeric_max <= report.analytic.upper + 1e-9 * scale
-
-    def test_grid_size_validation(self):
-        with pytest.raises(DomainError):
-            grid_optimize(FunctionalSpec(SPIRAL_00, Which.D2), n_c=1)
+        assert report.numeric_min >= report.analytic.lower - 1e-12 * scale
+        assert report.numeric_max <= report.analytic.upper + 1e-12 * scale
 
     def test_report_passed_semantics(self):
-        report = grid_optimize(FunctionalSpec(SPIRAL_00, Which.D2), n_c=81, n_r=41, n_theta=64)
+        report = grid_optimize(FunctionalSpec(SPIRAL_00, Which.D2))
         assert report.passed == (
             report.residual_min <= report.tol and report.residual_max <= report.tol
         )
@@ -233,13 +231,13 @@ class TestSampling:
     def test_sample_count_validation(self):
         with pytest.raises(DomainError):
             sample_no_violation(SPIRAL_00, n_samples=0)
+        with pytest.raises(DomainError):
+            sample_no_violation(SPIRAL_00, n_samples=10, n_atoms_max=0)
 
 
 class TestCaseBoundary:
     def test_starlike_argmin(self):
-        report = case_boundary_check(
-            FunctionalSpec(SPIRAL_00, Which.D2), n_c=201, n_r=51, n_theta=64
-        )
+        report = case_boundary_check(FunctionalSpec(SPIRAL_00, Which.D2))
         assert report.c_star == pytest.approx(1.0)
         assert abs(report.argmin_c - 1.0) < 1e-6
         assert report.argmin_ok
@@ -247,16 +245,12 @@ class TestCaseBoundary:
         assert report.passed
 
     def test_ozaki_low_branch(self):
-        report = case_boundary_check(
-            FunctionalSpec(ClassParams.ozaki(0.25), Which.D2), n_c=201, n_r=51, n_theta=64
-        )
+        report = case_boundary_check(FunctionalSpec(ClassParams.ozaki(0.25), Which.D2))
         assert report.c_star == pytest.approx(12 / 7)
         assert report.passed
 
     def test_ozaki_high_branch(self):
-        report = case_boundary_check(
-            FunctionalSpec(ClassParams.ozaki(0.75), Which.D2), n_c=201, n_r=51, n_theta=64
-        )
+        report = case_boundary_check(FunctionalSpec(ClassParams.ozaki(0.75), Which.D2))
         assert report.c_star == pytest.approx(2.0)
         assert report.passed
 
@@ -287,19 +281,15 @@ class TestConvexSmallTRegime:
         pref = 0.1 / 12.0
         gap = pref * (2 * math.sqrt(t + 1) - 3) ** 2 / (t + 1)
         expected_min = -0.1 / math.sqrt(1 + t) - gap
-        report = grid_optimize(
-            FunctionalSpec(self.PARAMS, Which.D2), n_c=201, n_r=51, n_theta=64
-        )
-        assert report.numeric_min == pytest.approx(expected_min, abs=1e-7)
+        report = grid_optimize(FunctionalSpec(self.PARAMS, Which.D2))
+        assert report.numeric_min == pytest.approx(expected_min, abs=1e-12)
         assert report.numeric_min < report.analytic.lower - 1e-7
-        # the deviation is tiny, so the default 1e-3 tolerance still passes
-        assert report.residual_min == pytest.approx(gap, abs=1e-7)
-        assert report.passed
+        # the deviation is tiny, but the default tolerance exposes it
+        assert report.residual_min == pytest.approx(gap, abs=1e-12)
+        assert not report.passed
 
     def test_case_check_reports_failure(self):
-        report = case_boundary_check(
-            FunctionalSpec(self.PARAMS, Which.D2), n_c=201, n_r=51, n_theta=64
-        )
+        report = case_boundary_check(FunctionalSpec(self.PARAMS, Which.D2))
         increasing = [ch for ch in report.checks if ch.direction == "increasing"]
         assert len(increasing) == 1
         assert not increasing[0].ok
