@@ -1,25 +1,25 @@
 """Sharp two-sided bounds for |a2|-|a1| and |a3|-|a2|, with extremals.
 
 For each family the interval endpoints are closed-form in the class
-parameters; every endpoint is attained by a catalog function that can be
-reconstructed as a truncated series (see :func:`extremal_series`), which
-is how the package cross-checks each bound against an explicit member.
+parameters; every endpoint is attained by a catalog function, the class
+member generated by one Carathéodory measure (see :func:`extremal_series`),
+which is how the package cross-checks each bound against an explicit member.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from . import config
-from .caratheodory import AtomicHerglotzRep, solve_two_atom
+from .caratheodory import AtomicHerglotzRep, solve_two_atom, to_series
 from .errors import DomainError
-from .families import ClassParams, Family, alexander_inverse, mu
-from .series import TruncatedSeries, monomial, one
+from .families import ClassParams, Family, construct_member
+from .series import TruncatedSeries
 
 __all__ = [
     "Which",
@@ -55,7 +55,23 @@ class ExtremalName(str, Enum):
     F_OZAKI = "F_OZAKI"      # ozaki, lower d2 (two-atom, single atom at lam >= 1/2)
 
 
-_TWO_ATOM_NAMES = frozenset({ExtremalName.F_SPIRAL, ExtremalName.G_CONVEX, ExtremalName.F_OZAKI})
+_POINT_AT_1 = AtomicHerglotzRep(np.array([1.0]), np.array([1.0 + 0j]))
+_POINT_AT_MINUS_1 = AtomicHerglotzRep(np.array([1.0]), np.array([-1.0 + 0j]))
+_PAIR_AT_PM_1 = AtomicHerglotzRep(np.array([0.5, 0.5]), np.array([1.0 + 0j, -1.0 + 0j]))
+
+# Each extremal is the member of its family generated by one Carathéodory
+# measure; None marks the boundary two-atom measure the descriptor carries.
+_CATALOG = {
+    ExtremalName.K: (Family.SPIRALLIKE, _POINT_AT_1),
+    ExtremalName.H: (Family.SPIRALLIKE, _PAIR_AT_PM_1),
+    ExtremalName.F_SPIRAL: (Family.SPIRALLIKE, None),
+    ExtremalName.L: (Family.CONVEX_GAMMA, _POINT_AT_1),
+    ExtremalName.Q: (Family.CONVEX_GAMMA, _PAIR_AT_PM_1),
+    ExtremalName.G_CONVEX: (Family.CONVEX_GAMMA, None),
+    ExtremalName.G_OZAKI: (Family.OZAKI_G, _POINT_AT_MINUS_1),
+    ExtremalName.H_OZAKI: (Family.OZAKI_G, _PAIR_AT_PM_1),
+    ExtremalName.F_OZAKI: (Family.OZAKI_G, None),
+}
 
 
 @dataclass(frozen=True)
@@ -65,9 +81,10 @@ class ExtremalDescriptor:
     rep: Optional[AtomicHerglotzRep] = None
 
     def __post_init__(self):
-        if (self.rep is not None) != (self.name in _TWO_ATOM_NAMES):
+        two_atom = _CATALOG[self.name][1] is None
+        if (self.rep is not None) != two_atom:
             raise DomainError(f"extremal {self.name.value} "
-                              f"{'requires' if self.name in _TWO_ATOM_NAMES else 'does not take'} a rep")
+                              f"{'requires' if two_atom else 'does not take'} a rep")
 
 
 @dataclass(frozen=True)
@@ -112,7 +129,7 @@ def _lower_rep(params: ClassParams) -> AtomicHerglotzRep:
     c, x = two_atom_parameters(params)
     if c >= 2.0 - config.DEGENERATE_C_TOL:
         # Measure degenerates to the point mass at 1 (Koebe-type kernel).
-        return AtomicHerglotzRep(np.array([1.0]), np.array([1.0 + 0j]))
+        return _POINT_AT_1
     return solve_two_atom(c, x)
 
 
@@ -171,54 +188,21 @@ def bound_d2(params: ClassParams) -> BoundInterval:
     )
 
 
-def _one_minus(eps: complex, order: int) -> TruncatedSeries:
-    """The linear factor 1 - eps*z."""
-    return one(order) + monomial(1, order, -eps)
-
-
-def _atom_product_pow(rep: AtomicHerglotzRep, w: complex, order: int) -> TruncatedSeries:
-    """prod_j (1 - eps_j z)^(w * g_j), all factors on the principal branch."""
-    acc = None
-    for g, eps in rep.atoms():
-        term = complex(w * g) * _one_minus(eps, order).log()
-        acc = term if acc is None else acc + term
-    return acc.exp()
-
-
 def extremal_series(desc: ExtremalDescriptor, order: int) -> TruncatedSeries:
     """Taylor series (to ``order``) of a catalog extremal function.
 
-    The convex-family extremals are produced through the Alexander-type
-    relation from their spirallike counterparts (z l' = k, z q' = h,
-    z g' = f), keeping a single construction path.
+    The extremal is ``construct_member`` applied to its generating measure:
+    the point mass at 1 (K, L) or at -1 (G_OZAKI), the pair at +-1 with
+    weights 1/2 (H, Q, H_OZAKI), or the two-atom ``desc.rep`` (F_SPIRAL,
+    G_CONVEX, F_OZAKI).  The family comes from the name and alpha, gamma,
+    lam from ``desc.params``, so sampled members and extremals share one
+    construction path.
     """
     if order < 4:
         raise DomainError("order must be >= 4 to expose a2 and a3")
-    p = desc.params
-    name = desc.name
-    if name in (ExtremalName.K, ExtremalName.L):
-        w = -2.0 * (1.0 - p.alpha) * mu(p.gamma)
-        k = _one_minus(1.0, order).cpow(w).shift_up()
-        return k if name is ExtremalName.K else alexander_inverse(k)
-    if name in (ExtremalName.H, ExtremalName.Q):
-        w = -(1.0 - p.alpha) * mu(p.gamma)
-        sq = one(order) + monomial(2, order, -1.0)
-        h = sq.cpow(w).shift_up()
-        return h if name is ExtremalName.H else alexander_inverse(h)
-    if name in (ExtremalName.F_SPIRAL, ExtremalName.G_CONVEX):
-        w = -2.0 * (1.0 - p.alpha) * mu(p.gamma)
-        f = _atom_product_pow(desc.rep, w, order).shift_up()
-        return f if name is ExtremalName.F_SPIRAL else alexander_inverse(f)
-    if name is ExtremalName.G_OZAKI:
-        lam = p.lam
-        g = _one_minus(-1.0, order).cpow(1.0 + lam) - one(order)
-        return (1.0 / (1.0 + lam)) * g
-    if name is ExtremalName.H_OZAKI:
-        sq = one(order) + monomial(2, order, -1.0)
-        return sq.cpow(p.lam / 2.0).antiderivative()
-    if name is ExtremalName.F_OZAKI:
-        return _atom_product_pow(desc.rep, p.lam, order).antiderivative()
-    raise DomainError(f"unknown extremal {name}")  # pragma: no cover
+    family, measure = _CATALOG[desc.name]
+    params = replace(desc.params, family=family)
+    return construct_member(params, to_series(desc.rep if measure is None else measure, order))
 
 
 def attainment(desc: ExtremalDescriptor, which: Which, order: int = 8) -> float:

@@ -10,7 +10,12 @@ JSON carry the same fields in the same order; reals are printed with 17
 significant digits and complex quantities as separate re/im columns, so
 identical configurations produce byte-identical files.
 
-Exit status: 0 on success, 1 when a verification fails, 2 on usage errors.
+Every option is declared once, in the argparse table of
+:func:`_build_parser`; a ``--config`` file names the same long flags and
+its values pass the same conversions and checks.
+
+Exit status: 0 on success, 1 when a verification fails, 2 on usage errors
+(including an ``--out`` path that cannot be written).
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -33,7 +37,7 @@ from .families import ClassParams, Family
 from .verify import (FunctionalSpec, VerifyReport, case_boundary_check, grid_optimize,
                      sample_no_violation)
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 _PI_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d*)?|\.\d+)?\s*\*?\s*pi\s*(?:/\s*(?P<den>\d+(?:\.\d*)?|\.\d+))?$",
@@ -68,50 +72,34 @@ def parse_tol(text: str) -> float:
     return value
 
 
+def int_range(low: int, high: Optional[int] = None):
+    """An argparse type for integers in [low, high]; no upper limit when high is None."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+        if value < low or (high is not None and value > high):
+            span = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"{value} is not {span}")
+        return value
+    return parse
+
+
 def parse_range(text: str) -> tuple[float, float, int]:
     """START,STOP,COUNT lattice axis; START/STOP accept pi fractions."""
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("range must be START,STOP,COUNT")
-    start, stop = parse_angle(parts[0]), parse_angle(parts[1])
-    try:
-        count = int(parts[2])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad count in {text!r}") from exc
-    if count < 1:
-        raise argparse.ArgumentTypeError("count must be >= 1")
-    return start, stop, count
+    return parse_angle(parts[0]), parse_angle(parts[1]), int_range(1)(parts[2])
 
 
-@dataclass
-class RunConfig:
-    """Resolved options of one CLI invocation."""
-
-    command: str
-    family: str = "spirallike"
-    alpha: float = 0.0
-    gamma: float = 0.0
-    lam: float = 1.0
-    order: int = config.DEFAULT_ORDER
-    tol: float = config.GRID_TOL
-    seed: int = 0
-    out: Optional[str] = None
-    fmt: str = "table"
-    n_samples: int = 500
-    n_atoms_max: int = 6
-    alphas: Optional[tuple[float, float, int]] = None
-    gammas: Optional[tuple[float, float, int]] = None
-    lambdas: Optional[tuple[float, float, int]] = None
-
-    def class_params(self, alpha=None, gamma=None, lam=None) -> ClassParams:
-        fam = Family(self.family)
-        if fam is Family.OZAKI_G:
-            return ClassParams(fam, lam=self.lam if lam is None else lam)
-        return ClassParams(
-            fam,
-            alpha=self.alpha if alpha is None else alpha,
-            gamma=self.gamma if gamma is None else gamma,
-        )
+def _class_params(args: argparse.Namespace) -> ClassParams:
+    """The class named by ``--family``, at the flags' parameter values."""
+    family = Family(args.family)
+    if family is Family.OZAKI_G:
+        return ClassParams(family, lam=args.lam)
+    return ClassParams(family, alpha=args.alpha, gamma=args.gamma)
 
 
 # ---------------------------------------------------------------- rendering
@@ -152,13 +140,9 @@ def render_table(columns: Sequence[str], rows: Sequence[dict]) -> str:
 
 _RENDERERS = {"csv": render_csv, "json": render_json, "table": render_table}
 
-
-def _emit(cfg: RunConfig, columns: Sequence[str], rows: Sequence[dict]) -> None:
-    text = _RENDERERS[cfg.fmt](columns, rows)
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
+# What a command hands back for rendering: columns, rows, and whether
+# every check passed.
+Outcome = tuple[Sequence[str], list[dict], bool]
 
 
 def _param_columns(params: ClassParams) -> dict:
@@ -172,8 +156,8 @@ def _param_columns(params: ClassParams) -> dict:
 
 # ----------------------------------------------------------------- commands
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    params = cfg.class_params()
+def cmd_bounds(args: argparse.Namespace) -> Outcome:
+    params = _class_params(args)
     columns = ["family", "alpha", "gamma", "lambda", "which",
                "lower", "upper", "lower_extremal", "upper_extremal"]
     rows = []
@@ -186,8 +170,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
             "lower_extremal": interval.lower_extremal.name.value,
             "upper_extremal": interval.upper_extremal.name.value,
         })
-    _emit(cfg, columns, rows)
-    return 0
+    return columns, rows, True
 
 
 def _endpoint_cells(report: VerifyReport, names: Sequence[str]) -> dict:
@@ -211,13 +194,12 @@ _VERIFY_ENDPOINTS = [
 ]
 
 
-def _verify_row(cfg: RunConfig, params: ClassParams, which: Which) -> dict:
+def _verify_row(args: argparse.Namespace, params: ClassParams, which: Which) -> dict:
     spec = FunctionalSpec(params, which)
-    report = grid_optimize(spec, tol=cfg.tol)
+    report = grid_optimize(spec, tol=args.tol)
     interval = report.analytic
-    order = max(cfg.order, 4)
-    att_lo = attainment(interval.lower_extremal, which, order)
-    att_hi = attainment(interval.upper_extremal, which, order)
+    att_lo = attainment(interval.lower_extremal, which, args.order)
+    att_hi = attainment(interval.upper_extremal, which, args.order)
     res_lo = abs(att_lo - interval.lower)
     res_hi = abs(att_hi - interval.upper)
     row = {
@@ -257,29 +239,29 @@ _VERIFY_COLUMNS = [
 ]
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    params = cfg.class_params()
-    rows = [_verify_row(cfg, params, Which.D1), _verify_row(cfg, params, Which.D2)]
-    _emit(cfg, _VERIFY_COLUMNS, rows)
-    return 0 if all(r["passed"] for r in rows) else 1
+def cmd_verify(args: argparse.Namespace) -> Outcome:
+    params = _class_params(args)
+    rows = [_verify_row(args, params, Which.D1), _verify_row(args, params, Which.D2)]
+    return _VERIFY_COLUMNS, rows, all(r["passed"] for r in rows)
 
 
-def _lattice(cfg: RunConfig) -> list[ClassParams]:
+def _lattice(args: argparse.Namespace) -> list[ClassParams]:
     def axis(rng, fallback):
         if rng is None:
             return [fallback]
         start, stop, count = rng
-        return [float(v) for v in np.linspace(start, stop, int(count))]
+        return sorted(float(v) for v in np.linspace(start, stop, count))
 
-    points = []
-    if Family(cfg.family) is Family.OZAKI_G:
-        for lam in sorted(axis(cfg.lambdas, cfg.lam)):
-            points.append(cfg.class_params(lam=lam))
-    else:
-        for alpha in sorted(axis(cfg.alphas, cfg.alpha)):
-            for gamma in sorted(axis(cfg.gammas, cfg.gamma)):
-                points.append(cfg.class_params(alpha=alpha, gamma=gamma))
-    return points
+    family = Family(args.family)
+    foreign = ("alphas", "gammas") if family is Family.OZAKI_G else ("lambdas",)
+    for name in foreign:
+        if getattr(args, name) is not None:
+            raise DomainError(f"--{name} does not apply to the {family.value} family")
+    if family is Family.OZAKI_G:
+        return [ClassParams(family, lam=lam) for lam in axis(args.lambdas, args.lam)]
+    return [ClassParams(family, alpha=alpha, gamma=gamma)
+            for alpha in axis(args.alphas, args.alpha)
+            for gamma in axis(args.gammas, args.gamma)]
 
 
 _SWEEP_COLUMNS = [
@@ -289,17 +271,17 @@ _SWEEP_COLUMNS = [
 ]
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace) -> Outcome:
     rows = []
     all_passed = True
-    for params in _lattice(cfg):
+    for params in _lattice(args):
         row = {**_param_columns(params), "error": "", "passed": False}
         for col in _SWEEP_COLUMNS[4:-2]:
             row[col] = math.nan
         try:
             ok = True
             for which in (Which.D1, Which.D2):
-                rep = grid_optimize(FunctionalSpec(params, which), tol=cfg.tol)
+                rep = grid_optimize(FunctionalSpec(params, which), tol=args.tol)
                 row.update(_endpoint_cells(rep, _sweep_endpoints(which)))
                 ok = ok and rep.passed
             row["passed"] = bool(ok)
@@ -308,8 +290,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             row["passed"] = False
         all_passed = all_passed and row["passed"]
         rows.append(row)
-    _emit(cfg, _SWEEP_COLUMNS, rows)
-    return 0 if all_passed else 1
+    return _SWEEP_COLUMNS, rows, all_passed
 
 
 _EXTREMAL_COLUMNS = [
@@ -319,13 +300,12 @@ _EXTREMAL_COLUMNS = [
 ]
 
 
-def cmd_extremal(cfg: RunConfig) -> int:
-    params = cfg.class_params()
-    order = max(cfg.order, 4)
+def cmd_extremal(args: argparse.Namespace) -> Outcome:
+    params = _class_params(args)
     rows = []
     all_passed = True
     for desc, which, target in extremal_targets(params):
-        f = extremal_series(desc, order)
+        f = extremal_series(desc, args.order)
         a2, a3 = f[2], f[3]
         d1 = abs(a2) - abs(f[1])
         d2 = abs(a3) - abs(a2)
@@ -344,8 +324,7 @@ def cmd_extremal(cfg: RunConfig) -> int:
             "residual": residual,
             "passed": passed,
         })
-    _emit(cfg, _EXTREMAL_COLUMNS, rows)
-    return 0 if all_passed else 1
+    return _EXTREMAL_COLUMNS, rows, all_passed
 
 
 _SAMPLE_COLUMNS = [
@@ -357,14 +336,14 @@ _SAMPLE_COLUMNS = [
 ]
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    params = cfg.class_params()
+def cmd_sample(args: argparse.Namespace) -> Outcome:
+    params = _class_params(args)
     report = sample_no_violation(
         params,
-        n_samples=cfg.n_samples,
-        n_atoms_max=cfg.n_atoms_max,
-        seed=cfg.seed,
-        order=max(cfg.order, 4),
+        n_samples=args.samples,
+        n_atoms_max=args.atoms_max,
+        seed=args.seed,
+        order=args.order,
     )
     rows = [{
         **_param_columns(params),
@@ -381,8 +360,7 @@ def cmd_sample(cfg: RunConfig) -> int:
         "d2_high_margin": report.d2_high.margin,
         "passed": report.passed,
     }]
-    _emit(cfg, _SAMPLE_COLUMNS, rows)
-    return 0 if report.passed else 1
+    return _SAMPLE_COLUMNS, rows, report.passed
 
 
 _COMMANDS = {
@@ -396,7 +374,7 @@ _COMMANDS = {
 
 # ------------------------------------------------------------------ parsing
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", type=str, default=None,
                         help="flat KEY=VALUE file supplying defaults")
@@ -405,11 +383,12 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--gamma", type=parse_angle, default=0.0,
                         help="radians; fractions of pi accepted, e.g. pi/4")
     shared.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    shared.add_argument("--order", type=int, default=config.DEFAULT_ORDER)
+    shared.add_argument("--order", type=int_range(4, config.MAX_ORDER),
+                        default=config.DEFAULT_ORDER)
     shared.add_argument("--tol", type=parse_tol, default=config.GRID_TOL)
-    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--seed", type=int_range(0), default=0)
     shared.add_argument("--out", type=str, default=None)
-    shared.add_argument("--format", dest="fmt", choices=sorted(_RENDERERS), default="table")
+    shared.add_argument("--format", choices=sorted(_RENDERERS), default="table")
 
     parser = argparse.ArgumentParser(
         prog="succoeff",
@@ -429,29 +408,23 @@ def _build_parser() -> argparse.ArgumentParser:
     children.append(sub.add_parser("extremal", parents=[shared],
                                    help="extremal coefficient table"))
     sample = sub.add_parser("sample", parents=[shared], help="randomized no-violation check")
-    sample.add_argument("--samples", dest="n_samples", type=int, default=500)
-    sample.add_argument("--atoms-max", dest="n_atoms_max", type=int, default=6)
+    sample.add_argument("--samples", type=int, default=500)
+    sample.add_argument("--atoms-max", type=int, default=6)
     children.append(sample)
     return parser, children
 
 
-_CONFIG_CONVERTERS = {
-    "family": str,
-    "alpha": float,
-    "gamma": parse_angle,
-    "lambda": float,
-    "order": int,
-    "tol": parse_tol,
-    "seed": int,
-    "out": str,
-    "format": str,
-    "samples": int,
-    "atoms_max": int,
-}
-_CONFIG_DESTS = {"lambda": "lam", "format": "fmt", "samples": "n_samples", "atoms_max": "n_atoms_max"}
+def _load_config_file(path: str, children: Sequence[argparse.ArgumentParser]) -> dict:
+    """Defaults from a KEY=VALUE file whose keys are the long flags.
 
-
-def _load_config_file(path: str) -> dict:
+    ``KEY`` names the flag ``--KEY`` (``_`` read as ``-``) of any subcommand;
+    the value goes through that flag's own type and choices.
+    """
+    # argparse has no public way to list a parser's actions.  Flags that
+    # take no value (--help) and --config itself are not keys.
+    actions = {flag: action for child in children for action in child._actions
+               for flag in action.option_strings
+               if flag.startswith("--") and action.nargs != 0 and action.dest != "config"}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -459,34 +432,21 @@ def _load_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise DomainError(f"{path}:{lineno}: expected KEY=VALUE, got {raw!r}")
-        key, _, value = line.partition("=")
+        key, _, text = line.partition("=")
         key = key.strip().lower()
-        if key not in _CONFIG_CONVERTERS:
+        action = actions.get("--" + key.replace("_", "-"))
+        if action is None:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+        text = text.strip()
         try:
-            converted = _CONFIG_CONVERTERS[key](value.strip())
+            value = text if action.type is None else action.type(text)
         except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise DomainError(f"{path}:{lineno}: {exc}") from exc
-        values[_CONFIG_DESTS.get(key, key)] = converted
+            raise DomainError(f"{path}:{lineno}: {key}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise DomainError(f"{path}:{lineno}: {key}: invalid choice {text!r} "
+                              f"(choose from {', '.join(map(str, action.choices))})")
+        values[action.dest] = value
     return values
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("family", "alpha", "gamma", "lam", "order", "tol",
-                 "seed", "out", "fmt", "n_samples", "n_atoms_max",
-                 "alphas", "gammas", "lambdas"):
-        if hasattr(args, name):
-            value = getattr(args, name)
-            if value is not None or name in ("out", "alphas", "gammas", "lambdas"):
-                setattr(cfg, name, value)
-    if cfg.alphas is not None:
-        cfg.alphas = tuple(cfg.alphas)
-    if cfg.gammas is not None:
-        cfg.gammas = tuple(cfg.gammas)
-    if cfg.lambdas is not None:
-        cfg.lambdas = tuple(cfg.lambdas)
-    return cfg
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -498,7 +458,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     path = pre.parse_known_args(argv)[0].config
     if path is not None:
         try:
-            defaults = _load_config_file(path)
+            defaults = _load_config_file(path, children)
         except (OSError, DomainError) as exc:
             print(f"succoeff: {exc}", file=sys.stderr)
             return 2
@@ -507,14 +467,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             child.set_defaults(**defaults)
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[args.command](cfg)
+        columns, rows, passed = _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"succoeff: usage error: {exc}", file=sys.stderr)
         return 2
     except SuccoeffError as exc:
         print(f"succoeff: {exc}", file=sys.stderr)
         return 1
+    text = _RENDERERS[args.format](columns, rows)
+    if not args.out:
+        sys.stdout.write(text)
+    else:
+        try:
+            Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+        except OSError as exc:
+            print(f"succoeff: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -22,9 +22,7 @@ from succoeff import (
     mu,
     one,
     solve_two_atom,
-    spirallike_from_p,
     t_factor,
-    to_series,
     two_atom_parameters,
 )
 from conftest import assert_series_close
@@ -44,6 +42,14 @@ PARAM_GRID = [
     ClassParams.ozaki(0.75),
     ClassParams.ozaki(1.0),
 ]
+
+
+def atom_product(rep, w, order):
+    """prod_j (1 - eps_j z)^(w g_j), each factor a principal-branch cpow."""
+    acc = one(order)
+    for g, eps in rep.atoms():
+        acc = acc * (one(order) + monomial(1, order, -eps)).cpow(w * g)
+    return acc
 
 
 class TestTFactor:
@@ -177,11 +183,27 @@ class TestExtremalSeries:
         assert abs(f[3]) < 1e-10
 
     def test_f_spiral_matches_p_construction(self):
+        # f = z prod_j (1 - eps_j z)^(-2(1-a) mu g_j) over the two atoms.
         params = ClassParams.spirallike(0.25, 0.5)
         desc = bound_d2(params).lower_extremal
-        direct = extremal_series(desc, 10)
-        via_p = spirallike_from_p(to_series(desc.rep, 10), 0.25, 0.5)
-        assert_series_close(direct, via_p.coeffs, atol=1e-10)
+        assert desc.rep.n_atoms == 2
+        product = atom_product(desc.rep, -2 * (1 - 0.25) * mu(0.5), 10).shift_up()
+        assert_series_close(extremal_series(desc, 10), product.coeffs, atol=1e-12)
+
+    def test_g_convex_matches_atom_product(self):
+        # z g' = f, so g' is the spirallike atom product itself.
+        params = ClassParams.convex(0.25, 0.5)
+        desc = bound_d2(params).lower_extremal
+        assert desc.rep.n_atoms == 2
+        product = atom_product(desc.rep, -2 * (1 - 0.25) * mu(0.5), 10).antiderivative()
+        assert_series_close(extremal_series(desc, 10), product.coeffs, atol=1e-12)
+
+    def test_f_ozaki_two_atom_matches_atom_product(self):
+        # lam < 1/2 keeps both atoms: F' = prod_j (1 - eps_j z)^(lam g_j).
+        desc = bound_d2(ClassParams.ozaki(0.25)).lower_extremal
+        assert desc.rep.n_atoms == 2
+        product = atom_product(desc.rep, 0.25, 10).antiderivative()
+        assert_series_close(extremal_series(desc, 10), product.coeffs, atol=1e-12)
 
     def test_f_spiral_proof_coefficients(self):
         for params in (SPIRAL_00, ClassParams.spirallike(0.4, -0.8)):

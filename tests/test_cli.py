@@ -3,8 +3,11 @@
 import argparse
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +148,18 @@ class TestSweep:
         assert info.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "ozaki", "--alphas", "0,0.5,2"],
+        ["--family", "ozaki", "--gammas=-pi/6,pi/6,3"],
+        ["--family", "spirallike", "--lambdas", "0.1,1,3"],
+        ["--family", "convex", "--lambdas", "0.1,1,3"],
+    ])
+    def test_axis_of_another_family_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--format", "csv", "--out", str(out)]) == 2
+        assert "does not apply" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExtremalAndSample:
     def test_extremal_rows_pass(self, tmp_path):
@@ -205,11 +220,20 @@ class TestUsageErrors:
         ["verify", "--tol", "-1"],
         ["verify", "--tol", "nan"],
         ["verify", "--grid", "101,51,64"],
+        ["sample", "--seed", "-1"],
+        ["extremal", "--order", "3"],
+        ["extremal", "--order", "-5"],
+        ["extremal", "--order", "1025"],
     ])
     def test_rejected_flag_values(self, argv):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "bounds.csv"
+        assert main(["bounds", "--format", "csv", "--out", str(out)]) == 2
+        assert "succoeff: cannot write" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -235,9 +259,43 @@ class TestConfigFile:
 
     def test_bad_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("volume=11\n", encoding="utf-8")
+        for line in ("volume=11", "help=1", "config=other.cfg"):
+            cfg.write_text(line + "\n", encoding="utf-8")
+            assert main(["bounds", "--config", str(cfg)]) == 2
+            assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "format=xml", "family=elliptic", "seed=-1", "order=2", "tol=-1",
+    ])
+    def test_bad_value_rejected(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# checked like the flag\n{line}\n", encoding="utf-8")
         assert main(["bounds", "--config", str(cfg)]) == 2
-        assert "unknown key" in capsys.readouterr().err
+        assert f"{cfg}:2:" in capsys.readouterr().err
+
+    def test_key_of_another_subcommand_accepted(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples=7\n", encoding="utf-8")
+        assert main(["bounds", "--config", str(cfg)]) == 0
+
+    def test_keys_are_long_flags(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alphas=0,0.25,2\ngammas=-pi/6,pi/6,3\natoms_max=3\n", encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--format", "csv", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 6
+
+
+def test_readme_examples(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+    commands = [shlex.split(line, comments=True) for block in blocks
+                for line in block.splitlines() if line.startswith("succoeff ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
 
 
 def test_module_entry_point():
