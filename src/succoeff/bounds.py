@@ -111,7 +111,8 @@ def t_factor(alpha: float, gamma: float) -> float:
 def two_atom_parameters(params: ClassParams) -> tuple[float, complex]:
     """(c, x) generating the lower-endpoint extremal of |a3|-|a2|.
 
-    spirallike/convex: c = 2/sqrt(T+1), x = -(1 + 2(1-a)cos^2 g + i(1-a)sin 2g)/T
+    spirallike/convex: x = -(1 + 2(1-a)cos^2 g + i(1-a)sin 2g)/T, c = 2/sqrt(T+1),
+                       except c = 3/(T+1) for convex with T < 5/4
     ozaki:             x = -1, c = 3/(2-lam) for lam <= 1/2, c = 2 above.
     """
     if params.family is Family.OZAKI_G:
@@ -120,7 +121,10 @@ def two_atom_parameters(params: ClassParams) -> tuple[float, complex]:
         return c, -1.0 + 0j
     a, g = params.alpha, params.gamma
     t = t_factor(a, g)
-    c = 2.0 / math.sqrt(t + 1.0)
+    if params.family is Family.CONVEX_GAMMA and t < 1.25:
+        c = 3.0 / (t + 1.0)
+    else:
+        c = 2.0 / math.sqrt(t + 1.0)
     x = -(1.0 + 2.0 * (1.0 - a) * math.cos(g) ** 2 + 1j * (1.0 - a) * math.sin(2.0 * g)) / t
     return c, x
 
@@ -162,6 +166,21 @@ def ozaki_lower_d2(lam: float) -> float:
     return -lam * (lam + 2.0) / 6.0
 
 
+def convex_lower_d2(alpha: float, gamma: float) -> float:
+    """Branch formula for the convex lower endpoint of |a3| - |a2|.
+
+    The lower envelope is p((T+1)c^2 - 4 - 6c) on [2/sqrt(T+1), 2], with
+    p = (1-a)cos(g)/12.  Its vertex c0 = 3/(T+1) lies inside that interval
+    exactly when T < 5/4, and the minimum is taken there; otherwise at the
+    left end.  The two branches agree at T = 5/4 (both give -(2/3)(1-a)cos g).
+    """
+    t = t_factor(alpha, gamma)
+    scale = (1.0 - alpha) * math.cos(gamma)
+    if t < 1.25:
+        return -scale * (4.0 * (t + 1.0) + 9.0) / (12.0 * (t + 1.0))
+    return -scale / math.sqrt(1.0 + t)
+
+
 def bound_d2(params: ClassParams) -> BoundInterval:
     """Sharp interval for |a3| - |a2|, with two-atom lower extremals."""
     if params.family is Family.OZAKI_G:
@@ -177,7 +196,7 @@ def bound_d2(params: ClassParams) -> BoundInterval:
             upper = (1.0 - a) * cosg
             lo, hi = ExtremalName.F_SPIRAL, ExtremalName.H
         else:
-            lower = -(1.0 - a) * cosg / math.sqrt(1.0 + t)
+            lower = convex_lower_d2(a, g)
             upper = (1.0 - a) * cosg / 3.0
             lo, hi = ExtremalName.G_CONVEX, ExtremalName.Q
     return BoundInterval(

@@ -338,10 +338,19 @@ def case_boundary_check(spec: FunctionalSpec) -> CaseBoundaryReport:
         t = t_factor(params.alpha, params.gamma)
         k = 4.0 if params.family is Family.SPIRALLIKE else 6.0
         cb = 2.0 / math.sqrt(1.0 + t)
+        c0 = k / (2.0 * (t + 1.0))
         checks.append(_end_slopes(-(t + 1.0), -k, 0.0, cb, "decreasing",
                                   f"4-(T+1)c^2-{k:g}c on [0, 2/sqrt(1+T)]"))
-        checks.append(_end_slopes(t + 1.0, -k, cb, 2.0, "increasing",
-                                  f"(T+1)c^2-4-{k:g}c on [2/sqrt(1+T), 2]"))
+        if c0 > cb:
+            # Convex with T < 5/4: the vertex lies inside [cb, 2], so the
+            # outer quadratic falls to it before it rises.
+            checks.append(_end_slopes(t + 1.0, -k, cb, c0, "decreasing",
+                                      f"(T+1)c^2-4-{k:g}c on [2/sqrt(1+T), {k/2:g}/(T+1)]"))
+            checks.append(_end_slopes(t + 1.0, -k, c0, 2.0, "increasing",
+                                      f"(T+1)c^2-4-{k:g}c on [{k/2:g}/(T+1), 2]"))
+        else:
+            checks.append(_end_slopes(t + 1.0, -k, cb, 2.0, "increasing",
+                                      f"(T+1)c^2-4-{k:g}c on [2/sqrt(1+T), 2]"))
     c_star = two_atom_parameters(params)[0]
     argmin_c = _d2_argmin(params)[0]
     return CaseBoundaryReport(

@@ -1,6 +1,7 @@
 """CLI behavior: parsing, formats, determinism, exit codes."""
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import succoeff.verify as verify_module
+from succoeff import bound_d2
 from succoeff.cli import main, parse_angle
 
 
@@ -98,9 +101,14 @@ class TestVerify:
         _, rows = read_csv(out)
         assert float(rows[0]["gamma"]) == pytest.approx(math.pi / 6, rel=0, abs=1e-16)
 
-    def test_failure_exit_code(self, tmp_path):
-        # The convex family with T < 5/4 dips below its closed-form lower
-        # endpoint by ~4e-6, which a 1e-7 tolerance must flag.
+    def test_failure_exit_code(self, tmp_path, monkeypatch):
+        # A closed-form lower endpoint of d2 that sits 1e-6 above the true
+        # minimum must be flagged by a 1e-7 tolerance.
+        def shifted(params):
+            interval = bound_d2(params)
+            return dataclasses.replace(interval, lower=interval.lower + 1e-6)
+
+        monkeypatch.setattr(verify_module, "bound_d2", shifted)
         code = main([
             "verify", "--family", "convex", "--alpha", "0.9", "--gamma", "0",
             "--tol", "1e-7",

@@ -260,14 +260,13 @@ class TestCaseBoundary:
 
 
 class TestConvexSmallTRegime:
-    """Documentation of a regime where the convex case analysis breaks.
+    """The convex regime T(alpha, gamma) < 5/4, where the paper's endpoint fails.
 
-    For T(alpha, gamma) < 5/4 the quadratic minorant (T+1)c^2 - 4 - 6c has
-    its vertex c0 = 3/(T+1) to the RIGHT of c* = 2/sqrt(1+T), so it is not
-    increasing on [c*, 2] and the parametrized functional dips below the
-    closed-form lower endpoint by (pref) (2 sqrt(T+1) - 3)^2 / (T+1).
-    The acceptance lattice (alpha <= 1/2, |gamma| <= pi/3) never enters
-    this regime; here the verifier is required to report it honestly.
+    There the outer minorant (T+1)c^2 - 4 - 6c has its vertex
+    c0 = 3/(T+1) to the RIGHT of 2/sqrt(1+T), so the minimum over c is
+    taken at c0 and lies below the paper's -(1-a)cos(g)/sqrt(1+T) by
+    (pref) (2 sqrt(T+1) - 3)^2 / (T+1).  The package's closed form,
+    extremal and case analysis follow the vertex branch.
     """
 
     PARAMS = ClassParams.convex(0.9, 0.0)  # T = 1.2 exactly
@@ -276,24 +275,48 @@ class TestConvexSmallTRegime:
         assert t_factor(0.9, 0.0) == pytest.approx(1.2, abs=1e-14)
         assert t_factor(0.9, 0.0) < 1.25
 
-    def test_minimum_dips_below_closed_form(self):
+    def test_closed_form_is_vertex_minimum(self):
         t = 1.2
         pref = 0.1 / 12.0
         gap = pref * (2 * math.sqrt(t + 1) - 3) ** 2 / (t + 1)
         expected_min = -0.1 / math.sqrt(1 + t) - gap
+        assert expected_min == pytest.approx(-0.1 * (4 * (t + 1) + 9) / (12 * (t + 1)), abs=1e-15)
         report = grid_optimize(FunctionalSpec(self.PARAMS, Which.D2))
         assert report.numeric_min == pytest.approx(expected_min, abs=1e-12)
-        assert report.numeric_min < report.analytic.lower - 1e-7
-        # the deviation is tiny, but the default tolerance exposes it
-        assert report.residual_min == pytest.approx(gap, abs=1e-12)
-        assert not report.passed
+        assert report.analytic.lower == pytest.approx(expected_min, abs=1e-15)
+        assert report.residual_min <= 1e-15
+        assert report.passed
+        c_star, x_star = two_atom_parameters(self.PARAMS)
+        assert c_star == pytest.approx(3 / 2.2, abs=1e-15)
+        desc = report.analytic.lower_extremal
+        assert attainment(desc, Which.D2) == pytest.approx(expected_min, abs=1e-14)
 
-    def test_case_check_reports_failure(self):
+    def test_case_check_passes_at_vertex(self):
         report = case_boundary_check(FunctionalSpec(self.PARAMS, Which.D2))
-        increasing = [ch for ch in report.checks if ch.direction == "increasing"]
-        assert len(increasing) == 1
-        assert not increasing[0].ok
-        # optimizer argmin sits at the vertex 3/(T+1), not at c*
-        assert report.argmin_c == pytest.approx(3 / 2.2, abs=1e-6)
-        assert not report.argmin_ok
-        assert not report.passed
+        directions = [ch.direction for ch in report.checks]
+        assert directions == ["decreasing", "decreasing", "increasing"]
+        assert report.checks[1].hi == pytest.approx(3 / 2.2, abs=1e-15)
+        assert report.checks[2].lo == report.checks[1].hi
+        assert all(ch.ok for ch in report.checks)
+        # the exact argmin and the analytic c* both sit at the vertex 3/(T+1)
+        assert report.argmin_c == pytest.approx(3 / 2.2, abs=1e-15)
+        assert report.c_star == pytest.approx(3 / 2.2, abs=1e-15)
+        assert report.argmin_ok
+        assert report.passed
+
+    @pytest.mark.parametrize("alpha,gamma", [(0.5, 1.4), (0.9, 0.0), (0.3, 1.3), (0.99, -0.5)])
+    def test_branch_matches_exact_minimum(self, alpha, gamma):
+        params = ClassParams.convex(alpha, gamma)
+        assert t_factor(alpha, gamma) < 1.25
+        report = grid_optimize(FunctionalSpec(params, Which.D2))
+        assert report.passed
+        assert case_boundary_check(FunctionalSpec(params, Which.D2)).passed
+
+    def test_branches_meet_at_five_quarters(self):
+        # T = 5/4 exactly at cos^2 g = 9/64 / ((1-a)(2-a)); both branches give -(2/3)(1-a)cos g.
+        alpha = 0.0
+        gamma = math.acos(math.sqrt(9 / 128))
+        assert t_factor(alpha, gamma) == pytest.approx(1.25, abs=1e-14)
+        for g in (math.nextafter(gamma, 0.0), gamma, math.nextafter(gamma, 2.0)):
+            lower = bound_d2(ClassParams.convex(alpha, g)).lower
+            assert lower == pytest.approx(-2 / 3 * math.cos(gamma), abs=1e-14)
