@@ -52,7 +52,7 @@ from .families import (
     mu,
     spirallike_from_p,
 )
-from .series import TruncatedSeries, monomial, one, zero
+from .series import TruncatedSeries
 from .verify import (
     CaseBoundaryReport,
     FunctionalSpec,

@@ -13,8 +13,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from . import config
 from .caratheodory import AtomicHerglotzRep, solve_two_atom, to_series
 from .errors import DomainError
@@ -55,9 +53,9 @@ class ExtremalName(str, Enum):
     F_OZAKI = "F_OZAKI"      # ozaki, lower d2 (two-atom, single atom at lam >= 1/2)
 
 
-_POINT_AT_1 = AtomicHerglotzRep(np.array([1.0]), np.array([1.0 + 0j]))
-_POINT_AT_MINUS_1 = AtomicHerglotzRep(np.array([1.0]), np.array([-1.0 + 0j]))
-_PAIR_AT_PM_1 = AtomicHerglotzRep(np.array([0.5, 0.5]), np.array([1.0 + 0j, -1.0 + 0j]))
+_POINT_AT_1 = AtomicHerglotzRep((1.0,), (1.0 + 0j,))
+_POINT_AT_MINUS_1 = AtomicHerglotzRep((1.0,), (-1.0 + 0j,))
+_PAIR_AT_PM_1 = AtomicHerglotzRep((0.5, 0.5), (1.0 + 0j, -1.0 + 0j))
 
 # Each extremal is the member of its family generated by one Carathéodory
 # measure; None marks the boundary two-atom measure the descriptor carries.

@@ -12,8 +12,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate, repeat
+from operator import add, mul
+from typing import Sequence
 
 from . import config
 from .errors import DegenerateError, DomainError, InfeasibleError
@@ -33,21 +34,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AtomicHerglotzRep:
-    """Convex combination sum_j w_j (1+eps_j z)/(1-eps_j z), |eps_j| = 1."""
+    """Convex combination sum_j w_j (1+eps_j z)/(1-eps_j z), |eps_j| = 1.
 
-    weights: np.ndarray
-    points: np.ndarray
+    Any sequences are accepted; they are stored as tuples of float and
+    complex.
+    """
+
+    weights: Sequence[float]
+    points: Sequence[complex]
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        e = np.asarray(self.points, dtype=complex)
-        if w.size == 0 or w.shape != e.shape:
-            raise DomainError("need matching, nonempty weight/point arrays")
-        if np.any(w <= 0) or np.any(w > 1 + config.REP_ATOL):
+        w = tuple(map(float, self.weights))
+        e = tuple(map(complex, self.points))
+        if not w or len(w) != len(e):
+            raise DomainError("need matching, nonempty weight/point sequences")
+        if not all(0.0 < v <= 1 + config.REP_ATOL for v in w):
             raise DomainError("weights must lie in (0, 1]")
-        if abs(w.sum() - 1.0) > config.REP_ATOL:
+        if abs(math.fsum(w) - 1.0) > config.REP_ATOL:
             raise DomainError("weights must sum to 1")
-        if np.any(np.abs(np.abs(e) - 1.0) > config.REP_ATOL):
+        if not all(abs(abs(v) - 1.0) <= config.REP_ATOL for v in e):
             raise DomainError("atom points must lie on the unit circle")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "points", e)
@@ -55,14 +60,14 @@ class AtomicHerglotzRep:
     @classmethod
     def from_atoms(cls, atoms) -> "AtomicHerglotzRep":
         w, e = zip(*atoms)
-        return cls(np.array(w, dtype=float), np.array(e, dtype=complex))
+        return cls(w, e)
 
     @property
     def n_atoms(self) -> int:
-        return self.weights.size
+        return len(self.weights)
 
     def atoms(self):
-        return list(zip(self.weights.tolist(), self.points.tolist()))
+        return list(zip(self.weights, self.points))
 
 
 @dataclass(frozen=True)
@@ -107,21 +112,23 @@ def lz_c3(c: float, x: complex, y: complex) -> complex:
     return (c**3 + 2.0 * b * c * x - b * c * x * x + 2.0 * b * (1.0 - abs(x) ** 2) * y) / 4.0
 
 
-def moments(rep: AtomicHerglotzRep, k_max: int) -> np.ndarray:
-    """Taylor coefficients c_1..c_kmax of p; c_k = 2 sum_j w_j eps_j^k."""
+def moments(rep: AtomicHerglotzRep, k_max: int) -> list[complex]:
+    """Taylor coefficients c_1..c_kmax of p; c_k = 2 sum_j w_j eps_j^k.
+
+    eps^k is taken by repeated multiplication, eps^k = eps^(k-1) * eps.
+    """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
-    k = np.arange(1, k_max + 1)
-    return 2.0 * (rep.weights[None, :] * rep.points[None, :] ** k[:, None]).sum(axis=1)
+    out = [0j] * k_max
+    for w, e in zip(rep.weights, rep.points):
+        powers = accumulate(repeat(e, k_max), mul)
+        out = list(map(add, out, map(mul, powers, repeat(w))))
+    return list(map(mul, out, repeat(2.0)))
 
 
 def to_series(rep: AtomicHerglotzRep, order: int) -> TruncatedSeries:
     """p as a truncated series 1 + c_1 z + ... + c_order z^order."""
-    c = np.empty(order + 1, dtype=complex)
-    c[0] = 1.0
-    if order >= 1:
-        c[1:] = moments(rep, order)
-    return TruncatedSeries(c)
+    return TruncatedSeries([1 + 0j] + (moments(rep, order) if order >= 1 else []))
 
 
 def solve_two_atom(c: float, x: complex) -> AtomicHerglotzRep:
@@ -167,19 +174,24 @@ def solve_two_atom(c: float, x: complex) -> AtomicHerglotzRep:
     if cmath.phase(e1) % (2.0 * math.pi) > cmath.phase(e2) % (2.0 * math.pi):
         weights.reverse()
         points.reverse()
-    return AtomicHerglotzRep(np.array(weights), np.array(points))
+    return AtomicHerglotzRep(weights, points)
 
 
-def _random_rep(rng: np.random.Generator, n_atoms: int) -> AtomicHerglotzRep:
+def _random_rep(rng, n_atoms: int) -> AtomicHerglotzRep:
     if n_atoms < 1:
         raise DomainError("n_atoms must be >= 1")
     # Weights bounded away from zero so invariants hold after normalization.
-    w = rng.uniform(0.05, 1.0, size=n_atoms)
-    w /= w.sum()
-    e = np.exp(2j * np.pi * rng.random(n_atoms))
-    return AtomicHerglotzRep(w, e)
+    w = rng.uniform(0.05, 1.0, size=n_atoms).tolist()
+    total = 0.0
+    for v in w:
+        total += v
+    angles = rng.random(n_atoms).tolist()
+    return AtomicHerglotzRep([v / total for v in w],
+                             [cmath.exp(2j * math.pi * a) for a in angles])
 
 
 def random_rep(n_atoms: int, seed: int) -> AtomicHerglotzRep:
     """Reproducible pseudo-random atomic representation."""
+    import numpy as np
+
     return _random_rep(np.random.default_rng(seed), n_atoms)

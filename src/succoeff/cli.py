@@ -28,8 +28,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import config
 from .bounds import Which, attainment, bound_d1, bound_d2, extremal_series, extremal_targets
 from .errors import DomainError, SuccoeffError
@@ -250,7 +248,11 @@ def _lattice(args: argparse.Namespace) -> list[ClassParams]:
         if rng is None:
             return [fallback]
         start, stop, count = rng
-        return sorted(float(v) for v in np.linspace(start, stop, count))
+        if count == 1:
+            return [start]
+        # start + i*step with the last point exactly stop, as np.linspace.
+        step = (stop - start) / (count - 1)
+        return sorted([start + i * step for i in range(count - 1)] + [stop])
 
     family = Family(args.family)
     foreign = ("alphas", "gammas") if family is Family.OZAKI_G else ("lambdas",)

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from . import config
 from .errors import DomainError, EvaluationError
 from .series import TruncatedSeries
@@ -144,10 +142,8 @@ def gclass_from_p(p: TruncatedSeries, lam: float) -> TruncatedSeries:
 
 def alexander_inverse(g: TruncatedSeries) -> TruncatedSeries:
     """The f with z f' = g, i.e. a_n(f) = a_n(g)/n (a_0 passes through)."""
-    c = g.coeffs.copy()
-    if g.order >= 1:
-        c[1:] = c[1:] / np.arange(1, g.order + 1)
-    return TruncatedSeries(c)
+    c = g.coeffs
+    return TruncatedSeries([c[0]] + [c[k] / k for k in range(1, len(c))])
 
 
 def construct_member(params: ClassParams, p: TruncatedSeries) -> TruncatedSeries:
@@ -218,34 +214,31 @@ def membership_check(
     if n_angles < 1:
         raise DomainError("need at least one angle")
 
-    theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    z = (np.asarray(radii, dtype=float)[:, None] * np.exp(1j * theta)[None, :]).ravel()
-
-    fz = f.eval(z)
-    fpz = f.derivative().eval(z)
-
-    if params.family is Family.SPIRALLIKE:
-        bad = np.abs(fz) < 1e-13
-        if np.any(bad):
-            raise EvaluationError(f"f vanishes at sample point z={z[bad][0]:.6g}")
-        values = (np.exp(-1j * params.gamma) * z * fpz / fz).real
-        margins = values - params.alpha * math.cos(params.gamma)
-    else:
-        bad = np.abs(fpz) < 1e-13
-        if np.any(bad):
-            raise EvaluationError(f"f' vanishes at sample point z={z[bad][0]:.6g}")
-        fppz = f.derivative().derivative().eval(z)
-        curv = 1.0 + z * fppz / fpz
-        if params.family is Family.CONVEX_GAMMA:
-            values = (np.exp(-1j * params.gamma) * curv).real
-            margins = values - params.alpha * math.cos(params.gamma)
-        else:
-            margins = (1.0 + params.lam / 2.0) - curv.real
-
-    worst = int(np.argmin(margins))
-    worst_margin = float(margins[worst])
+    fprime = f.derivative()
+    fsecond = None if params.family is Family.SPIRALLIKE else fprime.derivative()
+    tilt = cmath.exp(-1j * params.gamma)
+    floor = params.alpha * math.cos(params.gamma)
+    worst_margin, worst_z = math.inf, 0j
+    for r in radii:
+        for k in range(n_angles):
+            z = r * cmath.exp(1j * (2.0 * math.pi * k / n_angles))
+            fz, fpz = f.eval(z), fprime.eval(z)
+            if params.family is Family.SPIRALLIKE:
+                if abs(fz) < 1e-13:
+                    raise EvaluationError(f"f vanishes at sample point z={z:.6g}")
+                margin = (tilt * z * fpz / fz).real - floor
+            else:
+                if abs(fpz) < 1e-13:
+                    raise EvaluationError(f"f' vanishes at sample point z={z:.6g}")
+                curv = 1.0 + z * fsecond.eval(z) / fpz
+                if params.family is Family.CONVEX_GAMMA:
+                    margin = (tilt * curv).real - floor
+                else:
+                    margin = (1.0 + params.lam / 2.0) - curv.real
+            if margin < worst_margin:
+                worst_margin, worst_z = margin, z
     return MembershipReport(
         passed=worst_margin >= tol,
         worst_margin=worst_margin,
-        worst_z=complex(z[worst]),
+        worst_z=worst_z,
     )

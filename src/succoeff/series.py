@@ -1,24 +1,34 @@
 """Truncated complex power-series (jet) arithmetic on the unit disk.
 
 A :class:`TruncatedSeries` stores the Taylor coefficients a_0..a_N of an
-analytic function.  Products are Cauchy products truncated at order N
-(coefficients above N are silently dropped — standard jet arithmetic).
-exp/log/complex powers use the usual first-order ODE recurrences and the
-principal branch; the preconditions f(0)=0 for exp arguments and f(0)=1
-for log/pow arguments remove any branch ambiguity by construction.
+analytic function as a tuple of Python complex numbers.  Products are
+Cauchy products truncated at order N (coefficients above N are silently
+dropped — standard jet arithmetic).  exp uses the first-order ODE
+recurrence; its precondition f(0) = 0 removes any branch ambiguity.
+
+Every sum of products is accumulated left to right, acc += a*b, so results
+do not depend on the summation algorithm of a library or of the builtin
+``sum``.  ``_dot`` runs that loop through ``functools.reduce`` and
+``operator``, which performs exactly the same operations in C.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
+import cmath
+from functools import reduce
+from itertools import repeat
+from numbers import Complex
+from operator import add, mul, truediv
+from typing import Iterable
 
 from .errors import DomainError, OrderMismatchError
 
-__all__ = ["TruncatedSeries", "zero", "one", "monomial"]
+__all__ = ["TruncatedSeries"]
 
-_Scalar = (int, float, complex, np.integer, np.floating, np.complexfloating)
+
+def _dot(a: Iterable[complex], b: Iterable[complex]) -> complex:
+    """a_0 b_0 + a_1 b_1 + ..., accumulated left to right from 0j."""
+    return reduce(add, map(mul, a, b), 0j)
 
 
 class TruncatedSeries:
@@ -26,34 +36,34 @@ class TruncatedSeries:
 
     __slots__ = ("_coeffs",)
 
-    # Make numpy scalars defer to __rmul__ instead of iterating the series.
+    # Scalars of array libraries defer to __rmul__ instead of iterating the series.
     __array_priority__ = 1000
 
-    def __init__(self, coeffs: Sequence[complex] | np.ndarray):
-        arr = np.asarray(coeffs, dtype=complex)
-        if arr.ndim != 1 or arr.size < 1:
-            raise DomainError("coefficients must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(arr.view(float))):
+    def __init__(self, coeffs: Iterable[complex]):
+        c = tuple(map(complex, coeffs))
+        if not c:
+            raise DomainError("coefficients must be a nonempty sequence")
+        if not all(map(cmath.isfinite, c)):
             raise DomainError("coefficients must be finite")
-        self._coeffs = arr.copy()
-        self._coeffs.flags.writeable = False
+        self._coeffs = c
 
     @property
-    def coeffs(self) -> np.ndarray:
+    def coeffs(self) -> tuple[complex, ...]:
         return self._coeffs
 
     @property
     def order(self) -> int:
-        return self._coeffs.size - 1
+        return len(self._coeffs) - 1
 
     def __len__(self) -> int:
-        return self._coeffs.size
+        return len(self._coeffs)
 
     def __getitem__(self, k: int) -> complex:
-        return complex(self._coeffs[k])
+        return self._coeffs[k]
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries(order={self.order}, coeffs={np.array2string(self._coeffs, precision=6)})"
+        body = ", ".join(f"{c:.6g}" for c in self._coeffs)
+        return f"TruncatedSeries(order={self.order}, coeffs=({body}))"
 
     # -- ring operations ---------------------------------------------------
 
@@ -67,30 +77,30 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        return TruncatedSeries(self._coeffs + other._coeffs)
+        return TruncatedSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        return TruncatedSeries(self._coeffs - other._coeffs)
+        return TruncatedSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-self._coeffs)
+        return TruncatedSeries([-a for a in self._coeffs])
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
             # Cauchy product truncated at order N.
-            prod = np.convolve(self._coeffs, other._coeffs)[: self.order + 1]
-            return TruncatedSeries(prod)
-        if isinstance(other, _Scalar):
-            return TruncatedSeries(self._coeffs * complex(other))
+            f, g = self._coeffs, other._coeffs
+            return TruncatedSeries([_dot(f, g[k::-1]) for k in range(len(f))])
+        if isinstance(other, Complex):
+            return TruncatedSeries(map(mul, self._coeffs, repeat(complex(other))))
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, _Scalar):
-            return TruncatedSeries(self._coeffs * complex(other))
+        if isinstance(other, Complex):
+            return self * other
         return NotImplemented
 
     # -- analytic operations -----------------------------------------------
@@ -100,34 +110,12 @@ class TruncatedSeries:
         f = self._coeffs
         if abs(f[0]) > 1e-14:
             raise DomainError("exp requires a series with zero constant term")
-        n = self.order
-        g = np.zeros(n + 1, dtype=complex)
-        g[0] = 1.0
         # (exp f)' = f' exp f  =>  k g_k = sum_{j=1}^{k} j f_j g_{k-j}
-        for k in range(1, n + 1):
-            j = np.arange(1, k + 1)
-            g[k] = np.sum(j * f[1 : k + 1] * g[k - 1 :: -1][: k]) / k
+        df = list(map(mul, range(1, len(f)), f[1:]))
+        g = [1 + 0j]
+        for k in range(1, len(f)):
+            g.append(_dot(df, reversed(g)) / k)
         return TruncatedSeries(g)
-
-    def log(self) -> "TruncatedSeries":
-        """Series of log(f) with log(1) = 0; requires f(0) = 1."""
-        f = self._coeffs
-        if abs(f[0] - 1.0) > 1e-14:
-            raise DomainError("log requires constant term 1 (principal branch)")
-        n = self.order
-        h = np.zeros(n + 1, dtype=complex)
-        # (log f)' = f'/f  =>  k h_k = k f_k - sum_{j=1}^{k-1} j h_j f_{k-j}
-        for k in range(1, n + 1):
-            acc = k * f[k]
-            if k > 1:
-                j = np.arange(1, k)
-                acc -= np.sum(j * h[1:k] * f[k - 1 : 0 : -1])
-            h[k] = acc / k
-        return TruncatedSeries(h)
-
-    def cpow(self, w: complex) -> "TruncatedSeries":
-        """Principal-branch f**w = exp(w log f); requires f(0) = 1."""
-        return (complex(w) * self.log()).exp()
 
     def integrate_kernel(self) -> "TruncatedSeries":
         """Series of the Herglotz transport integral of p: c_k/k at z^k.
@@ -139,50 +127,25 @@ class TruncatedSeries:
         p = self._coeffs
         if abs(p[0] - 1.0) > 1e-14:
             raise DomainError("kernel integral requires constant term 1")
-        out = np.zeros_like(p)
-        k = np.arange(1, self.order + 1)
-        out[1:] = p[1:] / k
-        return TruncatedSeries(out)
+        return TruncatedSeries([0j, *map(truediv, p[1:], range(1, len(p)))])
 
     def antiderivative(self) -> "TruncatedSeries":
         """Termwise antiderivative with value 0 at the origin (same order)."""
-        out = np.zeros_like(self._coeffs)
-        k = np.arange(1, self.order + 1)
-        out[1:] = self._coeffs[:-1] / k
-        return TruncatedSeries(out)
+        c = self._coeffs
+        return TruncatedSeries([0j, *map(truediv, c[:-1], range(1, len(c)))])
 
     def derivative(self) -> "TruncatedSeries":
         """Termwise derivative, zero-padded to keep the order (top is lost)."""
-        out = np.zeros_like(self._coeffs)
-        k = np.arange(1, self.order + 1)
-        out[:-1] = self._coeffs[1:] * k
-        return TruncatedSeries(out)
+        c = self._coeffs
+        return TruncatedSeries([*map(mul, range(1, len(c)), c[1:]), 0j])
 
     def shift_up(self) -> "TruncatedSeries":
         """Multiply by z, dropping the overflowing top coefficient."""
-        out = np.zeros_like(self._coeffs)
-        out[1:] = self._coeffs[:-1]
-        return TruncatedSeries(out)
+        return TruncatedSeries((0j,) + self._coeffs[:-1])
 
     def eval(self, z):
-        """Horner evaluation of the truncated polynomial at z (scalar or array)."""
-        return np.polyval(self._coeffs[::-1], z)
-
-
-def zero(order: int) -> TruncatedSeries:
-    return TruncatedSeries(np.zeros(order + 1, dtype=complex))
-
-
-def one(order: int) -> TruncatedSeries:
-    c = np.zeros(order + 1, dtype=complex)
-    c[0] = 1.0
-    return TruncatedSeries(c)
-
-
-def monomial(k: int, order: int, value: complex = 1.0) -> TruncatedSeries:
-    """value * z**k as a truncated series."""
-    if not 0 <= k <= order:
-        raise DomainError(f"monomial degree {k} outside order {order}")
-    c = np.zeros(order + 1, dtype=complex)
-    c[k] = value
-    return TruncatedSeries(c)
+        """Horner evaluation of the truncated polynomial at z."""
+        acc = 0j
+        for a in reversed(self._coeffs):
+            acc = acc * z + a
+        return acc

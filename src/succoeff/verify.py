@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from . import config
 from .bounds import BoundInterval, Which, bound_d1, bound_d2, t_factor, two_atom_parameters
@@ -69,21 +66,16 @@ def _d1_slope(params: ClassParams) -> float:
     return params.lam / 4.0
 
 
-def functional_value(spec: FunctionalSpec, c, x):
-    """Value of the reduced functional at (c, x); accepts scalars or arrays."""
-    c = np.asarray(c, dtype=float)
-    x = np.asarray(x, dtype=complex)
-    if np.any(c < -1e-12) or np.any(c > 2 + 1e-12):
+def functional_value(spec: FunctionalSpec, c: float, x: complex) -> float:
+    """Value of the reduced functional at one point (c, x)."""
+    if not -1e-12 <= c <= 2 + 1e-12:
         raise DomainError("c must lie in [0, 2]")
-    if np.any(np.abs(x) > 1 + 1e-9):
+    if not abs(x) <= 1 + 1e-9:
         raise DomainError("|x| must be <= 1")
     if spec.which is Which.D1:
-        out = _d1_slope(spec.params) * c - 1.0
-        out = np.broadcast_arrays(out, x.real)[0]
-    else:
-        pref, u, k = _d2_constants(spec.params)
-        out = pref * (np.abs(c * c * u + (4.0 - c * c) * x) - k * c)
-    return float(out) if out.ndim == 0 else out
+        return _d1_slope(spec.params) * c - 1.0
+    pref, u, k = _d2_constants(spec.params)
+    return pref * (abs(c * c * u + (4.0 - c * c) * x) - k * c)
 
 
 @dataclass(frozen=True)
@@ -101,7 +93,6 @@ class VerifyReport:
     passed: bool
     grid: tuple[int, int, int]  # (candidate points evaluated, 1, 1)
     tol: float
-    runtime: float
 
 
 def _d2_argmin(params: ClassParams) -> tuple[float, float, float]:
@@ -134,9 +125,8 @@ def _extreme_points(spec: FunctionalSpec) -> tuple[list, list]:
     return [_d2_argmin(spec.params)], [(0.0, 1.0, 0.0), (2.0, 0.0, 0.0)]
 
 
-def _values(spec: FunctionalSpec, points: list) -> np.ndarray:
-    c, r, theta = np.array(points).T
-    return functional_value(spec, c, r * np.exp(1j * theta))
+def _values(spec: FunctionalSpec, points: list) -> list[float]:
+    return [functional_value(spec, c, r * cmath.exp(1j * theta)) for c, r, theta in points]
 
 
 def grid_optimize(spec: FunctionalSpec, tol: float = config.GRID_TOL) -> VerifyReport:
@@ -148,11 +138,12 @@ def grid_optimize(spec: FunctionalSpec, tol: float = config.GRID_TOL) -> VerifyR
     on a mathematical mismatch; the report's ``passed`` flag records
     whether both endpoints match the analytic interval within ``tol``.
     """
-    start = time.perf_counter()
     lows, highs = _extreme_points(spec)
     low_values, high_values = _values(spec, lows), _values(spec, highs)
-    i, j = int(np.argmin(low_values)), int(np.argmax(high_values))
-    vmin, vmax = float(low_values[i]), float(high_values[j])
+    # min and max return the first of equal values.
+    i = min(range(len(lows)), key=low_values.__getitem__)
+    j = max(range(len(highs)), key=high_values.__getitem__)
+    vmin, vmax = low_values[i], high_values[j]
     analytic = bound_d1(spec.params) if spec.which is Which.D1 else bound_d2(spec.params)
     res_min = abs(vmin - analytic.lower)
     res_max = abs(vmax - analytic.upper)
@@ -168,7 +159,6 @@ def grid_optimize(spec: FunctionalSpec, tol: float = config.GRID_TOL) -> VerifyR
         passed=bool(res_min <= tol and res_max <= tol),
         grid=(len(lows) + len(highs), 1, 1),
         tol=tol,
-        runtime=time.perf_counter() - start,
     )
 
 
@@ -224,6 +214,8 @@ def sample_no_violation(
         raise DomainError("n_atoms_max must be >= 1")
     d1 = bound_d1(params)
     d2 = bound_d2(params)
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     worst = {
         ("d1", "low"): (math.inf, -1, None),

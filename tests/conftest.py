@@ -42,7 +42,7 @@ def fft_taylor_coeffs(fn, n_coeffs: int, radius: float = 0.5, n_samples: int = 4
 
 def rotate_rep(rep: AtomicHerglotzRep, phi: float) -> AtomicHerglotzRep:
     """The representation of p(e^{i phi} z): every atom rotates by phi."""
-    return AtomicHerglotzRep(rep.weights.copy(), rep.points * np.exp(1j * phi))
+    return AtomicHerglotzRep(rep.weights, [e * np.exp(1j * phi) for e in rep.points])
 
 
 def normalize_rotation(rep: AtomicHerglotzRep) -> tuple[AtomicHerglotzRep, float]:

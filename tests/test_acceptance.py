@@ -24,8 +24,6 @@ from succoeff import (
     lz_c3,
     membership_check,
     moments,
-    monomial,
-    one,
     random_rep,
     sample_no_violation,
     solve_two_atom,
@@ -34,6 +32,7 @@ from succoeff import (
     two_atom_parameters,
 )
 from conftest import lz_invert_x, normalize_rotation, random_series
+from jets import cpow, log, monomial, one
 
 LATTICE = [
     (alpha, gamma)
@@ -51,14 +50,16 @@ def report(criterion: int, label: str, ok: bool, detail: str = "") -> bool:
 
 def test_criterion_1_starlike_endpoints():
     spec = FunctionalSpec(ClassParams.spirallike(0.0, 0.0), Which.D2)
+    start = time.perf_counter()
     rep = grid_optimize(spec)
+    runtime = time.perf_counter() - start
     res_max = abs(rep.numeric_max - 1.0)
     res_min = abs(rep.numeric_min + 1.0)
     ok = res_max <= 1e-12 and res_min <= 1e-12
-    ok = ok and rep.runtime <= 60.0
+    ok = ok and runtime <= 60.0
     assert report(
         1, "starlike endpoint recovery", ok,
-        f"max_res={res_max:.2e}, min_res={res_min:.2e}, runtime={rep.runtime:.2f}s",
+        f"max_res={res_max:.2e}, min_res={res_min:.2e}, runtime={runtime:.2f}s",
     )
 
 
@@ -142,8 +143,9 @@ def test_criterion_6_two_atom_solver():
     for alpha, gamma in LATTICE:
         c, x = two_atom_parameters(ClassParams.spirallike(alpha, gamma))
         rep = solve_two_atom(c, x)
-        m1 = (rep.weights * rep.points).sum()
-        m2 = (rep.weights * rep.points**2).sum()
+        w, e = np.asarray(rep.weights), np.asarray(rep.points)
+        m1 = (w * e).sum()
+        m2 = (w * e**2).sum()
         worst = max(worst, abs(m1 - c / 2), abs(m2 - (c * c + (4 - c * c) * x) / 4))
     pair = solve_two_atom(*two_atom_parameters(ClassParams.spirallike(0.0, 0.0)))
     atoms_ok = (
@@ -219,10 +221,10 @@ def test_criterion_8c_series_roundtrips():
     for order in (12, 24):
         for _ in range(25):
             f = random_series(rng, order, constant=1.0, scale=0.5)
-            worst = max(worst, float(np.abs(f.log().exp().coeffs - f.coeffs).max()))
+            worst = max(worst, float(np.abs(np.subtract(log(f).exp().coeffs, f.coeffs)).max()))
             a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             b = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            diff = (f.cpow(a) * f.cpow(b)).coeffs - f.cpow(a + b).coeffs
+            diff = np.subtract((cpow(f, a) * cpow(f, b)).coeffs, cpow(f, a + b).coeffs)
             worst = max(worst, float(np.abs(diff).max()))
     ok = worst <= 1e-11
     assert report(8, "8c: exp/log and power-additivity round trips", ok,
@@ -244,8 +246,8 @@ def test_criterion_8d_membership():
             ok = ok and membership_check(member, params).passed
     # the tilted examples: spirallike/convex at tilt |pi/4| but not at 0
     n = 64
-    spiral_example = (one(n) + monomial(1, n, -1j)).cpow(1j - 1).shift_up()
-    convex_example = 1j * (one(n) + monomial(1, n, -1.0)).cpow(1j) - 1j * one(n)
+    spiral_example = cpow(one(n) + monomial(1, n, -1j), 1j - 1).shift_up()
+    convex_example = 1j * cpow(one(n) + monomial(1, n, -1.0), 1j) - 1j * one(n)
     ok = ok and membership_check(spiral_example, ClassParams.spirallike(0.0, -math.pi / 4)).passed
     ok = ok and not membership_check(spiral_example, ClassParams.spirallike(0.0, 0.0)).passed
     ok = ok and membership_check(convex_example, ClassParams.convex(0.0, -math.pi / 4)).passed

@@ -27,9 +27,10 @@ from conftest import (
 
 def herglotz_eval(rep, z):
     z = np.asarray(z)
-    num = 1.0 + rep.points[None, :] * z[..., None]
-    den = 1.0 - rep.points[None, :] * z[..., None]
-    return (rep.weights[None, :] * num / den).sum(axis=-1)
+    w, e = np.asarray(rep.weights), np.asarray(rep.points)
+    num = 1.0 + e[None, :] * z[..., None]
+    den = 1.0 - e[None, :] * z[..., None]
+    return (w[None, :] * num / den).sum(axis=-1)
 
 
 class TestRepInvariants:
@@ -196,7 +197,7 @@ class TestSolveTwoAtom:
         c = 2 / np.sqrt(t + 1)
         x = -(1 + 2 * (1 - a) * np.cos(g) ** 2 + 1j * (1 - a) * np.sin(2 * g)) / t
         rep = solve_two_atom(c, x)
-        m = moments(rep, 2) / 2.0
+        m = np.asarray(moments(rep, 2)) / 2.0
         assert abs(m[0] - c / 2) < 1e-14
         assert abs(m[1] - (c * c + (4 - c * c) * x) / 4) < 1e-14
 
@@ -205,7 +206,7 @@ class TestSolveTwoAtom:
         for c in cs:
             x = np.exp(2j * np.pi * rng.random())
             rep = solve_two_atom(c, x)
-            m = moments(rep, 2) / 2.0
+            m = np.asarray(moments(rep, 2)) / 2.0
             assert abs(m[0] - c / 2) < 1e-14
             assert abs(m[1] - (c * c + (4 - c * c) * x) / 4) < 1e-14
 

@@ -25,6 +25,7 @@ from succoeff import (
     to_series,
     two_atom_parameters,
 )
+from jets import functional_values
 
 SPIRAL_00 = ClassParams.spirallike(0.0, 0.0)
 CONVEX_00 = ClassParams.convex(0.0, 0.0)
@@ -102,11 +103,18 @@ class TestFunctionalValue:
                 )
                 assert plus == pytest.approx(minus, abs=1e-12)
 
-    def test_vectorized(self):
+    @pytest.mark.parametrize("params", SANE_PARAMS)
+    @pytest.mark.parametrize("which", [Which.D1, Which.D2])
+    def test_vectorized(self, params, which, rng):
+        # The array formula of the tests agrees with the scalar function.
+        spec = FunctionalSpec(params, which)
+        c = rng.uniform(0, 2, 50)
+        x = rng.uniform(0, 1, 50) * np.exp(2j * np.pi * rng.random(50))
+        scalar = [functional_value(spec, float(ci), complex(xi)) for ci, xi in zip(c, x)]
+        np.testing.assert_allclose(functional_values(spec, c, x), scalar, rtol=0, atol=1e-15)
         spec = FunctionalSpec(SPIRAL_00, Which.D2)
-        c = np.array([0.0, 1.0])
-        x = np.array([1.0, -1.0])
-        np.testing.assert_allclose(functional_value(spec, c, x), [1.0, -1.0], atol=1e-14)
+        np.testing.assert_allclose(functional_values(spec, [0.0, 1.0], [1.0, -1.0]),
+                                   [1.0, -1.0], atol=1e-14)
 
 
 def naive_scan(spec, n_c, n_r, n_theta):
