@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add, index, mul
 from typing import Sequence
 
 from . import config
@@ -177,21 +178,31 @@ def solve_two_atom(c: float, x: complex) -> AtomicHerglotzRep:
     return AtomicHerglotzRep(weights, points)
 
 
-def _random_rep(rng, n_atoms: int) -> AtomicHerglotzRep:
+def _seeded_stream(seed: int) -> random.Random:
+    """The pseudo-random stream of ``seed``.
+
+    Only ``random()`` is drawn from it: Python keeps the sequence of
+    ``random.Random(seed).random()`` the same across versions, which it
+    does not promise for ``randrange`` or ``uniform``.
+    """
+    seed = index(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed)
+
+
+def _random_rep(rng: random.Random, n_atoms: int) -> AtomicHerglotzRep:
     if n_atoms < 1:
         raise DomainError("n_atoms must be >= 1")
     # Weights bounded away from zero so invariants hold after normalization.
-    w = rng.uniform(0.05, 1.0, size=n_atoms).tolist()
+    w = [0.05 + 0.95 * rng.random() for _ in range(n_atoms)]
     total = 0.0
     for v in w:
         total += v
-    angles = rng.random(n_atoms).tolist()
-    return AtomicHerglotzRep([v / total for v in w],
-                             [cmath.exp(2j * math.pi * a) for a in angles])
+    angles = [2.0 * math.pi * rng.random() for _ in range(n_atoms)]
+    return AtomicHerglotzRep([v / total for v in w], [cmath.rect(1.0, a) for a in angles])
 
 
 def random_rep(n_atoms: int, seed: int) -> AtomicHerglotzRep:
     """Reproducible pseudo-random atomic representation."""
-    import numpy as np
-
-    return _random_rep(np.random.default_rng(seed), n_atoms)
+    return _random_rep(_seeded_stream(seed), n_atoms)

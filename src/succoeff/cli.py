@@ -410,8 +410,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     children.append(sub.add_parser("extremal", parents=[shared],
                                    help="extremal coefficient table"))
     sample = sub.add_parser("sample", parents=[shared], help="randomized no-violation check")
-    sample.add_argument("--samples", type=int, default=500)
-    sample.add_argument("--atoms-max", type=int, default=6)
+    sample.add_argument("--samples", type=int_range(1), default=500)
+    sample.add_argument("--atoms-max", type=int_range(1, config.MAX_ATOMS), default=6)
     children.append(sample)
     return parser, children
 

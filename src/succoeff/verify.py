@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import config
 from .bounds import BoundInterval, Which, bound_d1, bound_d2, t_factor, two_atom_parameters
-from .caratheodory import AtomicHerglotzRep, _random_rep, to_series
+from .caratheodory import AtomicHerglotzRep, _random_rep, _seeded_stream, to_series
 from .errors import DomainError, SuccoeffError
 from .families import ClassParams, Family, coeffs_from_series, construct_member, mu
 
@@ -192,6 +192,14 @@ class SampleReport:
         return self.n_violations == 0
 
 
+def _atom_count(r: float, n_max: int) -> int:
+    """An atom count in [1, n_max] from one draw r in [0, 1).
+
+    The min guards against r * n_max rounding up to n_max.
+    """
+    return 1 + min(int(r * n_max), n_max - 1)
+
+
 def sample_no_violation(
     params: ClassParams,
     n_samples: int,
@@ -207,6 +215,10 @@ def sample_no_violation(
     are read off the constructed series, and each value must lie within
     [lower - slack, upper + slack].  Construction failures are counted,
     never fatal.
+
+    Every draw is ``random.Random(seed).random()``: per member an atom
+    count ``1 + min(int(r * n_atoms_max), n_atoms_max - 1)``, then weights
+    ``0.05 + 0.95 r`` (normalized to sum 1) and angles ``2 pi r``.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
@@ -214,9 +226,7 @@ def sample_no_violation(
         raise DomainError("n_atoms_max must be >= 1")
     d1 = bound_d1(params)
     d2 = bound_d2(params)
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    rng = _seeded_stream(seed)
     worst = {
         ("d1", "low"): (math.inf, -1, None),
         ("d1", "high"): (math.inf, -1, None),
@@ -225,8 +235,7 @@ def sample_no_violation(
     }
     n_constructed = n_failures = n_violations = 0
     for i in range(n_samples):
-        n_atoms = int(rng.integers(1, n_atoms_max + 1))
-        rep = _random_rep(rng, n_atoms)
+        rep = _random_rep(rng, _atom_count(rng.random(), n_atoms_max))
         try:
             f = construct_member(params, to_series(rep, order))
             triple = coeffs_from_series(f)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import succoeff.verify as verify_module
-from succoeff import bound_d2
+from succoeff import bound_d2, config
 from succoeff.cli import main, parse_angle
 
 
@@ -232,6 +232,9 @@ class TestUsageErrors:
         ["extremal", "--order", "3"],
         ["extremal", "--order", "-5"],
         ["extremal", "--order", "1025"],
+        ["sample", "--samples", "0"],
+        ["sample", "--atoms-max", "0"],
+        ["sample", "--atoms-max", str(config.MAX_ATOMS + 1)],
     ])
     def test_rejected_flag_values(self, argv):
         with pytest.raises(SystemExit) as info:
@@ -274,6 +277,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line", [
         "format=xml", "family=elliptic", "seed=-1", "order=2", "tol=-1",
+        "samples=0", "atoms_max=0", f"atoms_max={config.MAX_ATOMS + 1}",
     ])
     def test_bad_value_rejected(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
@@ -314,6 +318,34 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("family,")
+
+
+def test_sample_accepts_the_largest_atom_count(tmp_path):
+    out = tmp_path / "s.csv"
+    argv = ["sample", "--samples", "3", "--atoms-max", str(config.MAX_ATOMS)]
+    assert main([*argv, "--format", "csv", "--out", str(out)]) == 0
+    assert read_csv(out)[1][0]["n_atoms_max"] == str(config.MAX_ATOMS)
+
+
+def test_commands_load_only_the_standard_library():
+    # Every module a command loads beyond the interpreter's start-up ones
+    # is in the standard library or in the package.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from succoeff.cli import main\n"
+        "for argv in ([], ['--family', 'ozaki', '--lambda', '0.3']):\n"
+        "    for cmd in ('bounds', 'verify', 'extremal'):\n"
+        "        main([cmd, *argv, '--format', 'csv'])\n"
+        "main(['sweep', '--alphas', '0,0.5,2', '--format', 'csv'])\n"
+        "main(['sample', '--samples', '20', '--order', '16', '--format', 'csv'])\n"
+        "loaded = set(sys.modules) - before\n"
+        "print(sorted(m for m in loaded if m.split('.')[0] not in sys.stdlib_module_names\n"
+        "             and m.split('.')[0] != 'succoeff'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_import_does_not_load_scipy():

@@ -1,6 +1,8 @@
 """Reduced functionals, exact optimizer, sampling, case-analysis checks."""
 
+import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from succoeff import (
     two_atom_parameters,
 )
 from jets import functional_values
+from succoeff.verify import _atom_count
 
 SPIRAL_00 = ClassParams.spirallike(0.0, 0.0)
 CONVEX_00 = ClassParams.convex(0.0, 0.0)
@@ -328,3 +331,31 @@ class TestConvexSmallTRegime:
         for g in (math.nextafter(gamma, 0.0), gamma, math.nextafter(gamma, 2.0)):
             lower = bound_d2(ClassParams.convex(alpha, g)).lower
             assert lower == pytest.approx(-2 / 3 * math.cos(gamma), abs=1e-14)
+
+
+class TestStdlibStream:
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 6, 7, 64, 1000, 2**31 - 1, 2**53, 2**53 + 1])
+    def test_atom_count_stays_in_range(self, n_max):
+        # The largest double below 1 must not give n_max + 1 atoms.
+        assert 1 <= _atom_count(1.0 - 2.0**-53, n_max) <= n_max
+        assert _atom_count(0.0, n_max) == 1
+
+    def test_atom_count_is_uniform_on_a_fine_grid(self):
+        counts = [_atom_count(k / 600, 6) for k in range(600)]
+        assert [counts.count(n) for n in range(1, 7)] == [100] * 6
+
+    def test_random_rep_draws_only_random(self):
+        # weights 0.05 + 0.95 r normalized, angles 2 pi r, from random() alone.
+        stream = random.Random(123)
+        draws = [stream.random() for _ in range(6)]
+        rep = random_rep(3, seed=123)
+        raw = [0.05 + 0.95 * r for r in draws[:3]]
+        total = raw[0] + raw[1] + raw[2]
+        assert rep.weights == tuple(v / total for v in raw)
+        assert rep.points == tuple(cmath.rect(1.0, 2 * math.pi * r) for r in draws[3:])
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError):
+            random_rep(2, seed=-1)
+        with pytest.raises(DomainError):
+            sample_no_violation(SPIRAL_00, n_samples=5, seed=-3)
