@@ -106,15 +106,16 @@ class TestFunctionalValue:
                 )
                 assert plus == pytest.approx(minus, abs=1e-12)
 
-    @pytest.mark.parametrize("params", SANE_PARAMS)
-    @pytest.mark.parametrize("which", [Which.D1, Which.D2])
-    def test_vectorized(self, params, which, rng):
+    def test_vectorized(self, rng):
         # The array formula of the tests agrees with the scalar function.
-        spec = FunctionalSpec(params, which)
-        c = rng.uniform(0, 2, 50)
-        x = rng.uniform(0, 1, 50) * np.exp(2j * np.pi * rng.random(50))
-        scalar = [functional_value(spec, float(ci), complex(xi)) for ci, xi in zip(c, x)]
-        np.testing.assert_allclose(functional_values(spec, c, x), scalar, rtol=0, atol=1e-15)
+        for params in SANE_PARAMS:
+            for which in (Which.D1, Which.D2):
+                spec = FunctionalSpec(params, which)
+                c = rng.uniform(0, 2, 50)
+                x = rng.uniform(0, 1, 50) * np.exp(2j * np.pi * rng.random(50))
+                scalar = [functional_value(spec, float(ci), complex(xi)) for ci, xi in zip(c, x)]
+                np.testing.assert_allclose(functional_values(spec, c, x), scalar,
+                                           rtol=0, atol=1e-15)
         spec = FunctionalSpec(SPIRAL_00, Which.D2)
         np.testing.assert_allclose(functional_values(spec, [0.0, 1.0], [1.0, -1.0]),
                                    [1.0, -1.0], atol=1e-14)
