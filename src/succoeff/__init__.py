@@ -22,9 +22,7 @@ from .bounds import (
 )
 from .caratheodory import (
     AtomicHerglotzRep,
-    LZParams,
     lz_c2,
-    lz_c3,
     moments,
     random_rep,
     solve_two_atom,

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Optional
 
 from . import config
-from .caratheodory import AtomicHerglotzRep, solve_two_atom, to_series
+from .caratheodory import AtomicHerglotzRep, solve_two_atom
 from .errors import DomainError
 from .families import ClassParams, Family, construct_member
 from .series import TruncatedSeries
@@ -219,7 +219,7 @@ def extremal_series(desc: ExtremalDescriptor, order: int) -> TruncatedSeries:
         raise DomainError("order must be >= 4 to expose a2 and a3")
     family, measure = _CATALOG[desc.name]
     params = replace(desc.params, family=family)
-    return construct_member(params, to_series(desc.rep if measure is None else measure, order))
+    return construct_member(params, desc.rep if measure is None else measure, order)
 
 
 def attainment(desc: ExtremalDescriptor, which: Which, order: int = 8) -> float:

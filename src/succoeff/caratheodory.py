@@ -2,9 +2,9 @@
 
 A function p with p(0)=1 and positive real part on the disk is represented
 here as a finite convex combination of Herglotz kernels (1+eps z)/(1-eps z)
-with unimodular eps.  The module provides the coefficient parametrization
-of (c2, c3) in terms of (c1, x, y), moment extraction, and the boundary
-two-atom reconstruction used by the extremal functions.
+with unimodular eps.  The module provides the parametrization of c2 in
+terms of (c1, x), moment extraction, and the boundary two-atom
+reconstruction used by the extremal functions.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from .series import TruncatedSeries
 
 __all__ = [
     "AtomicHerglotzRep",
-    "LZParams",
     "lz_c2",
-    "lz_c3",
     "moments",
     "to_series",
     "solve_two_atom",
@@ -71,46 +69,16 @@ class AtomicHerglotzRep:
         return list(zip(self.weights, self.points))
 
 
-@dataclass(frozen=True)
-class LZParams:
-    """Disk parameters (c, x, y) for the (c2, c3) coefficient map."""
-
-    c: float
-    x: complex
-    y: complex = 0j
-
-    def __post_init__(self):
-        if not 0.0 <= self.c <= 2.0:
-            raise DomainError(f"c must lie in [0, 2], got {self.c}")
-        if abs(self.x) > 1 + config.REP_ATOL:
-            raise DomainError("|x| must be <= 1")
-        if abs(self.y) > 1 + config.REP_ATOL:
-            raise DomainError("|y| must be <= 1")
-
-
-def _check_cx(c: float, x: complex, y: complex = 0j) -> None:
-    LZParams(c, x, y)
-
-
 def lz_c2(c: float, x: complex) -> complex:
     """c2 of a Carathéodory function with c1 = c >= 0 and disk parameter x.
 
     2 c2 = c^2 + (4 - c^2) x.
     """
-    _check_cx(c, x)
+    if not 0.0 <= c <= 2.0:
+        raise DomainError(f"c must lie in [0, 2], got {c}")
+    if abs(x) > 1 + config.REP_ATOL:
+        raise DomainError("|x| must be <= 1")
     return (c * c + (4.0 - c * c) * x) / 2.0
-
-
-def lz_c3(c: float, x: complex, y: complex) -> complex:
-    """c3 in terms of (c, x, y).
-
-    4 c3 = c^3 + 2 (4 - c^2) c x - (4 - c^2) c x^2 + 2 (4 - c^2)(1 - |x|^2) y.
-    The middle term is linear in x; see the validating moment oracle in the
-    test suite.
-    """
-    _check_cx(c, x, y)
-    b = 4.0 - c * c
-    return (c**3 + 2.0 * b * c * x - b * c * x * x + 2.0 * b * (1.0 - abs(x) ** 2) * y) / 4.0
 
 
 def moments(rep: AtomicHerglotzRep, k_max: int) -> list[complex]:

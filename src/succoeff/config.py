@@ -8,15 +8,18 @@ contract of the package can be audited (and tightened) in one place.
 # a2/a3 only need order >= 4; larger orders support round-trip identities.
 DEFAULT_ORDER = 12
 
-# Largest truncation order the CLI accepts.  exp is O(N^2) Python work: one
-# construct_member takes about 0.8 ms at order 128, 41 ms at 1024 and 0.72 s
-# at 4096 on a 2-vCPU Xeon with Python 3.11.
+# Largest truncation order the CLI accepts.  Every member a command builds
+# comes from an atomic measure, at O(atoms * order) Python work: one
+# construct_member with 1 atom takes about 0.03 ms at order 12, 0.2 ms at 128,
+# 2 ms at 1024 and 9 ms at 4096 on a 2-vCPU Xeon with Python 3.11.  The
+# series form, construct_member(params, to_series(rep, N)), runs the O(N^2)
+# exp instead: about 43 ms at 1024 and 0.75 s at 4096.
 MAX_ORDER = 1024
 
-# Largest atom count `sample --atoms-max` accepts.  The moments cost
-# O(atoms * N) on top of exp: a member with 64 atoms costs about 0.22 ms at
-# order 12, 2.2 ms at 128 and 60 ms at 1024 on the same machine (6 atoms:
-# 0.08, 0.9 and 50 ms).
+# Largest atom count `sample --atoms-max` accepts.  The running atom sums cost
+# O(atoms) per coefficient: a member with 64 atoms costs about 0.2 ms at
+# order 12, 1.7 ms at 128 and 12 ms at 1024 on the same machine (6 atoms:
+# 0.05, 0.4 and 3.3 ms).
 MAX_ATOMS = 64
 
 # Series-level identities (ring axioms, termwise comparisons).

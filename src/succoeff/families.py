@@ -10,9 +10,9 @@ Families covered (all normalized f(z) = z + a2 z^2 + a3 z^3 + ...):
 * the Ozaki-type class with parameter lam:
       Re(1 + z f''(z)/f'(z)) < 1 + lam/2.
 
-Members are built from a Carathéodory function p through the exponential
-representations; the low-order coefficient maps are available in closed
-form through :func:`coeffs_from_c`.
+Members are built from a Carathéodory function p, given by its atoms or
+by its series, through the exponential representations; the low-order
+coefficient maps are available in closed form through :func:`coeffs_from_c`.
 """
 
 from __future__ import annotations
@@ -21,9 +21,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import reduce
+from itertools import repeat
+from operator import add, mul, truediv
+from typing import Optional, Sequence, Union
 
 from . import config
+from .caratheodory import AtomicHerglotzRep
 from .errors import DomainError, EvaluationError
 from .series import TruncatedSeries
 
@@ -120,12 +124,54 @@ def _check_p(p: TruncatedSeries) -> None:
         raise DomainError("Carathéodory series must have constant term 1")
 
 
+def _exponent(params: ClassParams) -> complex:
+    """The v of the member's exponential factor exp{v int (p(t)-1)/t dt}."""
+    if params.family is Family.OZAKI_G:
+        return -0.5 * params.lam
+    return (1.0 - params.alpha) * mu(params.gamma)
+
+
+def _atom_jet(rep: AtomicHerglotzRep, order: int, v: complex) -> list[complex]:
+    """g_0..g_order of g = exp{v int (p(t)-1)/t dt} for p given by its atoms.
+
+    With p - 1 = sum_i w_i 2 eps_i z/(1 - eps_i z), z g' = v (p-1) g gives
+    k g_k = 2 v sum_i w_i S_i(k), where S_i(k) = sum_{j=1}^{k} eps_i^j g_{k-j}
+    obeys S_i(k) = eps_i (S_i(k-1) + g_{k-1}).  That is O(atoms * order)
+    work, against O(order^2) for exp of the series; |eps_i| = 1, so the
+    running sums do not amplify rounding.
+    """
+    w, eps = rep.weights, rep.points
+    two_v = 2.0 * v
+    s = [0j] * len(w)
+    gk = 1 + 0j
+    g = [gk]
+    for k in range(1, order + 1):
+        s = list(map(mul, eps, map(add, s, repeat(gk))))
+        # series._dot(w, s), inlined to save a call per coefficient.
+        gk = two_v / k * reduce(add, map(mul, w, s), 0j)
+        g.append(gk)
+    return g
+
+
+def _member(params: ClassParams, g: Sequence[complex]) -> TruncatedSeries:
+    """The member of order len(g) whose exponential factor begins g_0..g_{N-1}.
+
+    Spirallike: z g.  Convex: the Alexander inverse of z g, and Ozaki: the
+    antiderivative of g; both give a_n = g_{n-1}/n.
+    """
+    if params.family is Family.SPIRALLIKE:
+        return TruncatedSeries([0j, *g])
+    return TruncatedSeries([0j, *map(truediv, g, range(1, len(g) + 1))])
+
+
+def _series_member(params: ClassParams, p: TruncatedSeries) -> TruncatedSeries:
+    _check_p(p)
+    return _member(params, (_exponent(params) * p.integrate_kernel()).exp().coeffs[:-1])
+
+
 def spirallike_from_p(p: TruncatedSeries, alpha: float, gamma: float) -> TruncatedSeries:
     """Spirallike member z exp{(1-alpha) mu int (p(t)-1)/t dt} as a series."""
-    ClassParams.spirallike(alpha, gamma)
-    _check_p(p)
-    w = (1.0 - alpha) * mu(gamma)
-    return (w * p.integrate_kernel()).exp().shift_up()
+    return _series_member(ClassParams.spirallike(alpha, gamma), p)
 
 
 def gclass_from_p(p: TruncatedSeries, lam: float) -> TruncatedSeries:
@@ -134,10 +180,7 @@ def gclass_from_p(p: TruncatedSeries, lam: float) -> TruncatedSeries:
     The sign follows the defining substitution p = (lam - 2 z f''/f')/lam,
     which gives a2 = -lam c1 / 4.
     """
-    ClassParams.ozaki(lam)
-    _check_p(p)
-    fprime = (-0.5 * lam * p.integrate_kernel()).exp()
-    return fprime.antiderivative()
+    return _series_member(ClassParams.ozaki(lam), p)
 
 
 def alexander_inverse(g: TruncatedSeries) -> TruncatedSeries:
@@ -146,13 +189,28 @@ def alexander_inverse(g: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries([c[0]] + [c[k] / k for k in range(1, len(c))])
 
 
-def construct_member(params: ClassParams, p: TruncatedSeries) -> TruncatedSeries:
-    """Build the member of params' class generated by the Carathéodory p."""
-    if params.family is Family.SPIRALLIKE:
-        return spirallike_from_p(p, params.alpha, params.gamma)
-    if params.family is Family.CONVEX_GAMMA:
-        return alexander_inverse(spirallike_from_p(p, params.alpha, params.gamma))
-    return gclass_from_p(p, params.lam)
+def construct_member(
+    params: ClassParams,
+    p: Union[TruncatedSeries, AtomicHerglotzRep],
+    order: Optional[int] = None,
+) -> TruncatedSeries:
+    """Build the member of params' class generated by the Carathéodory p.
+
+    p is either a truncated series, whose order the member keeps, or an
+    atomic measure together with the truncation ``order``.  Both forms
+    share the family wrapping (z g for spirallike, its Alexander inverse
+    for convex, the antiderivative of g for Ozaki); they differ only in how
+    they get the exponential factor g: exp of the series (O(order^2)), or
+    one running sum per atom (O(atoms * order)).  params is not validated
+    again: a ClassParams is checked when it is made.
+    """
+    if isinstance(p, AtomicHerglotzRep):
+        if order is None or order < 1:
+            raise DomainError(f"an atomic measure needs an order >= 1, got {order}")
+        return _member(params, _atom_jet(p, order - 1, _exponent(params)))
+    if order is not None:
+        raise DomainError("a series carries its own order; pass order only with a measure")
+    return _series_member(params, p)
 
 
 def coeffs_from_c(params: ClassParams, c1: complex, c2: complex) -> CoeffTriple:

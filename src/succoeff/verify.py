@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import config
 from .bounds import BoundInterval, Which, bound_d1, bound_d2, t_factor, two_atom_parameters
-from .caratheodory import AtomicHerglotzRep, _random_rep, _seeded_stream, to_series
+from .caratheodory import AtomicHerglotzRep, _random_rep, _seeded_stream
 from .errors import DomainError, SuccoeffError
 from .families import ClassParams, Family, coeffs_from_series, construct_member, mu
 
@@ -237,7 +237,7 @@ def sample_no_violation(
     for i in range(n_samples):
         rep = _random_rep(rng, _atom_count(rng.random(), n_atoms_max))
         try:
-            f = construct_member(params, to_series(rep, order))
+            f = construct_member(params, rep, order)
             triple = coeffs_from_series(f)
         except SuccoeffError:
             n_failures += 1

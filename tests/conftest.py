@@ -5,10 +5,12 @@ Taylor coefficients are recovered by contour integration (FFT on a circle),
 and the (x, y) disk parameters are inverted directly from raw moments.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from succoeff import AtomicHerglotzRep, TruncatedSeries, moments
+from succoeff import AtomicHerglotzRep, DomainError, TruncatedSeries, config, moments
 
 
 def assert_series_close(f: TruncatedSeries, expected, atol=1e-12):
@@ -51,6 +53,34 @@ def normalize_rotation(rep: AtomicHerglotzRep) -> tuple[AtomicHerglotzRep, float
     phi = 0.0 if abs(c1) < 1e-15 else -np.angle(c1)
     rotated = rotate_rep(rep, phi)
     return rotated, abs(c1)
+
+
+@dataclass(frozen=True)
+class LZParams:
+    """Disk parameters (c, x, y) for the (c2, c3) coefficient map."""
+
+    c: float
+    x: complex
+    y: complex = 0j
+
+    def __post_init__(self):
+        if not 0.0 <= self.c <= 2.0:
+            raise DomainError(f"c must lie in [0, 2], got {self.c}")
+        if abs(self.x) > 1 + config.REP_ATOL:
+            raise DomainError("|x| must be <= 1")
+        if abs(self.y) > 1 + config.REP_ATOL:
+            raise DomainError("|y| must be <= 1")
+
+
+def lz_c3(c: float, x: complex, y: complex) -> complex:
+    """c3 in terms of (c, x, y).
+
+    4 c3 = c^3 + 2 (4 - c^2) c x - (4 - c^2) c x^2 + 2 (4 - c^2)(1 - |x|^2) y.
+    The middle term is linear in x; the moment oracles of the suite check it.
+    """
+    LZParams(c, x, y)
+    b = 4.0 - c * c
+    return (c**3 + 2.0 * b * c * x - b * c * x * x + 2.0 * b * (1.0 - abs(x) ** 2) * y) / 4.0
 
 
 def lz_invert_x(c1: float, c2: complex) -> complex:

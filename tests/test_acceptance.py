@@ -21,7 +21,6 @@ from succoeff import (
     extremal_targets,
     grid_optimize,
     lz_c2,
-    lz_c3,
     membership_check,
     moments,
     random_rep,
@@ -31,7 +30,7 @@ from succoeff import (
     to_series,
     two_atom_parameters,
 )
-from conftest import lz_invert_x, normalize_rotation, random_series
+from conftest import lz_c3, lz_invert_x, normalize_rotation, random_series
 from jets import cpow, log, monomial, one
 
 LATTICE = [

@@ -8,17 +8,17 @@ from succoeff import (
     DegenerateError,
     DomainError,
     InfeasibleError,
-    LZParams,
     lz_c2,
-    lz_c3,
     moments,
     random_rep,
     solve_two_atom,
     to_series,
 )
 from conftest import (
+    LZParams,
     assert_series_close,
     fft_taylor_coeffs,
+    lz_c3,
     lz_invert_x,
     lz_invert_y,
     normalize_rotation,

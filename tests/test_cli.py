@@ -308,6 +308,11 @@ def test_readme_examples(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv[1:]) == 0, argv
+    # The Python quickstart runs as written.
+    snippets = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert snippets
+    for code in snippets:
+        exec(compile(code, "README.md", "exec"), {})
 
 
 def test_module_entry_point():

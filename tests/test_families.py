@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from succoeff import (
+    AtomicHerglotzRep,
     ClassParams,
     CoeffTriple,
     DomainError,
@@ -180,6 +181,73 @@ class TestCoeffMaps:
     def test_coeffs_from_series_validates(self):
         with pytest.raises(DomainError):
             coeffs_from_series(one(8))
+
+
+ATOM_PATH_PARAMS = [
+    ClassParams.spirallike(0.0, 0.0),
+    ClassParams.spirallike(0.25, 0.5),
+    ClassParams.convex(0.0, 0.0),
+    ClassParams.convex(0.25, -0.5),
+    ClassParams.ozaki(0.6),
+    ClassParams.ozaki(1.0),
+]
+
+
+def _atom_path_tol(order: int) -> float:
+    """Agreement of two float constructions, as a fraction of the largest
+    coefficient.  At order 1024 with alpha = 0 the O(N^2) exp of the series
+    errs by up to 1.5e-14 against a 200-bit reference (the atom sums by
+    3e-15), and the binomial product recurrence with complex v by 3e-14."""
+    return 1e-14 if order <= 128 else 5e-14
+
+
+def _rel_diff(got: TruncatedSeries, ref) -> float:
+    ref = np.asarray(ref, dtype=complex)
+    return np.max(np.abs(np.asarray(got.coeffs) - ref)) / np.max(np.abs(ref))
+
+
+class TestAtomPath:
+    """construct_member from an atomic measure against the series form."""
+
+    @pytest.mark.parametrize("params", ATOM_PATH_PARAMS)
+    @pytest.mark.parametrize("order", [12, 128, 1024])
+    @pytest.mark.parametrize("n_atoms", [1, 6, 64])
+    def test_agrees_with_series_path(self, params, order, n_atoms, rng):
+        rep = random_rep(n_atoms, int(rng.integers(0, 2**31)))
+        got = construct_member(params, rep, order)
+        ref = construct_member(params, to_series(rep, order))
+        assert got.order == order
+        assert _rel_diff(got, ref.coeffs) <= _atom_path_tol(order)
+
+    @pytest.mark.parametrize("params", ATOM_PATH_PARAMS)
+    @pytest.mark.parametrize("order", [12, 128, 1024])
+    def test_point_mass_is_binomial_series(self, params, order):
+        # One atom at eps: the exponential factor is (1 - eps z)^{-2v},
+        # b_k = b_{k-1} eps (2v + k - 1)/k, with v = (1-a) mu(g) or -lam/2.
+        if params.family is Family.OZAKI_G:
+            v = -params.lam / 2.0
+        else:
+            v = (1.0 - params.alpha) * mu(params.gamma)
+        for eps in (1.0 + 0j, -1.0 + 0j, np.exp(0.7j)):
+            b = [1.0 + 0j]
+            for k in range(1, order):
+                b.append(b[-1] * eps * (2.0 * v + k - 1) / k)
+            if params.family is Family.SPIRALLIKE:
+                ref = [0j, *b]                                    # z g
+            else:
+                ref = [0j, *(bk / (k + 1) for k, bk in enumerate(b))]  # a_n = b_{n-1}/n
+            got = construct_member(params, AtomicHerglotzRep((1.0,), (eps,)), order)
+            assert _rel_diff(got, ref) <= _atom_path_tol(order)
+
+    def test_argument_errors(self):
+        params = ClassParams.convex(0.25, 0.5)
+        rep = random_rep(3, 7)
+        with pytest.raises(DomainError):
+            construct_member(params, rep)
+        with pytest.raises(DomainError):
+            construct_member(params, rep, 0)
+        with pytest.raises(DomainError):
+            construct_member(params, to_series(rep, 8), 8)
 
 
 class TestMembership:

@@ -240,6 +240,22 @@ class TestSampling:
         assert report.d2_low.sample_index >= 0
         assert report.d2_low.rep is not None
 
+    @pytest.mark.parametrize("params", [
+        ClassParams.spirallike(0.25, 0.5), ClassParams.convex(0.25, -0.5), ClassParams.ozaki(0.6),
+    ])
+    def test_independent_of_order(self, params):
+        # a2 and a3 come from g_1..g_3, which the atom sums compute by the
+        # same operations at any truncation order.
+        reports = [sample_no_violation(params, n_samples=200, seed=5, order=order)
+                   for order in (4, 12, 128)]
+        first = reports[0]
+        for report in reports[1:]:
+            assert (report.n_constructed, report.n_failures, report.n_violations) == (
+                first.n_constructed, first.n_failures, first.n_violations)
+            for name in ("d1_low", "d1_high", "d2_low", "d2_high"):
+                got, ref = getattr(report, name), getattr(first, name)
+                assert (got.margin, got.sample_index) == (ref.margin, ref.sample_index)
+
     def test_sample_count_validation(self):
         with pytest.raises(DomainError):
             sample_no_violation(SPIRAL_00, n_samples=0)
