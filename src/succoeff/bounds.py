@@ -16,7 +16,7 @@ from typing import Optional
 from . import config
 from .caratheodory import AtomicHerglotzRep, solve_two_atom
 from .errors import DomainError
-from .families import ClassParams, Family, construct_member
+from .families import ClassParams, Family, coeffs_from_series, construct_member
 from .series import TruncatedSeries
 
 __all__ = [
@@ -95,9 +95,6 @@ class BoundInterval:
     def __post_init__(self):
         if not self.lower <= self.upper:
             raise DomainError(f"empty interval [{self.lower}, {self.upper}]")
-
-    def contains(self, value: float, slack: float = 0.0) -> bool:
-        return self.lower - slack <= value <= self.upper + slack
 
 
 def t_factor(alpha: float, gamma: float) -> float:
@@ -224,11 +221,8 @@ def extremal_series(desc: ExtremalDescriptor, order: int) -> TruncatedSeries:
 
 def attainment(desc: ExtremalDescriptor, which: Which, order: int = 8) -> float:
     """|a2|-|a1| (resp. |a3|-|a2|) of the reconstructed extremal."""
-    f = extremal_series(desc, order)
-    a2, a3 = f[2], f[3]
-    if which is Which.D1:
-        return abs(a2) - abs(f[1])
-    return abs(a3) - abs(a2)
+    triple = coeffs_from_series(extremal_series(desc, order))
+    return triple.d1() if which is Which.D1 else triple.d2()
 
 
 def extremal_targets(params: ClassParams) -> list[tuple[ExtremalDescriptor, Which, float]]:

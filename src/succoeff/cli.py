@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from . import config
 from .bounds import Which, attainment, bound_d1, bound_d2, extremal_series, extremal_targets
 from .errors import DomainError, SuccoeffError
-from .families import ClassParams, Family
+from .families import ClassParams, Family, coeffs_from_series
 from .verify import (FunctionalSpec, VerifyReport, case_boundary_check, grid_optimize,
                      sample_no_violation)
 
@@ -55,7 +55,10 @@ def parse_angle(text: str) -> float:
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}")
     value = float(m.group("coef") or 1.0) * math.pi
     if m.group("den"):
-        value /= float(m.group("den"))
+        den = float(m.group("den"))
+        if den == 0.0:
+            raise argparse.ArgumentTypeError(f"zero denominator in angle {text!r}")
+        value /= den
     return -value if m.group("sign") == "-" else value
 
 
@@ -307,10 +310,8 @@ def cmd_extremal(args: argparse.Namespace) -> Outcome:
     rows = []
     all_passed = True
     for desc, which, target in extremal_targets(params):
-        f = extremal_series(desc, args.order)
-        a2, a3 = f[2], f[3]
-        d1 = abs(a2) - abs(f[1])
-        d2 = abs(a3) - abs(a2)
+        triple = coeffs_from_series(extremal_series(desc, args.order))
+        a2, a3, d1, d2 = triple.a2, triple.a3, triple.d1(), triple.d2()
         value = d1 if which is Which.D1 else d2
         residual = abs(value - target)
         passed = residual <= config.ATTAINMENT_ATOL

@@ -119,11 +119,6 @@ class CoeffTriple:
         return abs(self.a3) - abs(self.a2)
 
 
-def _check_p(p: TruncatedSeries) -> None:
-    if abs(p[0] - 1.0) > 1e-12:
-        raise DomainError("Carathéodory series must have constant term 1")
-
-
 def _exponent(params: ClassParams) -> complex:
     """The v of the member's exponential factor exp{v int (p(t)-1)/t dt}."""
     if params.family is Family.OZAKI_G:
@@ -165,7 +160,6 @@ def _member(params: ClassParams, g: Sequence[complex]) -> TruncatedSeries:
 
 
 def _series_member(params: ClassParams, p: TruncatedSeries) -> TruncatedSeries:
-    _check_p(p)
     return _member(params, (_exponent(params) * p.integrate_kernel()).exp().coeffs[:-1])
 
 

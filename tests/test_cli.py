@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import succoeff.verify as verify_module
-from succoeff import bound_d2, config
+from succoeff import ClassParams, Which, bound_d2, config
 from succoeff.cli import main, parse_angle
 
 
@@ -30,8 +30,9 @@ class TestParsing:
         assert parse_angle("PI/6") == pytest.approx(math.pi / 6)
 
     def test_bad_angle(self):
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_angle("tau/4")
+        for text in ("tau/4", "pi/0", "-2pi/0.0", "pi/.0"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_angle(text)
 
 
 def read_csv(path):
@@ -115,6 +116,37 @@ class TestVerify:
             "--format", "csv", "--out", str(tmp_path / "f.csv"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("params,point", [
+        (ClassParams.spirallike(0.25, math.pi / 6),
+         ["--family", "spirallike", "--alpha", "0.25", "--gamma", "pi/6"]),
+        (ClassParams.convex(0.9, 0.0), ["--family", "convex", "--alpha", "0.9", "--gamma", "0"]),
+        (ClassParams.ozaki(0.25), ["--family", "ozaki", "--lambda", "0.25"]),
+        (ClassParams.ozaki(0.75), ["--family", "ozaki", "--lambda", "0.75"]),
+    ])
+    def test_case_check_failure(self, monkeypatch, capsys, params, point):
+        # A c* 1e-9 off the exact argmin fails the case check and nothing else.
+        def rows(code):
+            assert main(["verify", *point, "--format", "csv"]) == code
+            lines = capsys.readouterr().out.splitlines()
+            return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+        spec = verify_module.FunctionalSpec(params, Which.D2)
+        assert verify_module.case_boundary_check(spec).passed
+        before = rows(0)
+        assert [r["case_check"] for r in before] == ["", "pass"]
+        exact = verify_module.two_atom_parameters
+
+        def shifted(p):
+            c_star, x_star = exact(p)
+            return c_star + 1e-9, x_star
+
+        monkeypatch.setattr(verify_module, "two_atom_parameters", shifted)
+        assert not verify_module.case_boundary_check(spec).passed
+        after = rows(1)
+        assert after[0] == before[0]
+        # every endpoint, argmin and attainment cell is unchanged
+        assert after[1] == {**before[1], "case_check": "fail", "passed": "false"}
 
 
 class TestSweep:
@@ -235,6 +267,8 @@ class TestUsageErrors:
         ["sample", "--samples", "0"],
         ["sample", "--atoms-max", "0"],
         ["sample", "--atoms-max", str(config.MAX_ATOMS + 1)],
+        ["bounds", "--gamma", "pi/0"],
+        ["sweep", "--gammas=0,pi/0,3"],
     ])
     def test_rejected_flag_values(self, argv):
         with pytest.raises(SystemExit) as info:
@@ -278,6 +312,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("line", [
         "format=xml", "family=elliptic", "seed=-1", "order=2", "tol=-1",
         "samples=0", "atoms_max=0", f"atoms_max={config.MAX_ATOMS + 1}",
+        "gamma=pi/0",
     ])
     def test_bad_value_rejected(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"

@@ -268,8 +268,6 @@ class TestCaseBoundary:
         report = case_boundary_check(FunctionalSpec(SPIRAL_00, Which.D2))
         assert report.c_star == pytest.approx(1.0)
         assert abs(report.argmin_c - 1.0) < 1e-6
-        assert report.argmin_ok
-        assert all(ch.ok for ch in report.checks)
         assert report.passed
 
     def test_ozaki_low_branch(self):
@@ -321,15 +319,9 @@ class TestConvexSmallTRegime:
 
     def test_case_check_passes_at_vertex(self):
         report = case_boundary_check(FunctionalSpec(self.PARAMS, Which.D2))
-        directions = [ch.direction for ch in report.checks]
-        assert directions == ["decreasing", "decreasing", "increasing"]
-        assert report.checks[1].hi == pytest.approx(3 / 2.2, abs=1e-15)
-        assert report.checks[2].lo == report.checks[1].hi
-        assert all(ch.ok for ch in report.checks)
         # the exact argmin and the analytic c* both sit at the vertex 3/(T+1)
         assert report.argmin_c == pytest.approx(3 / 2.2, abs=1e-15)
         assert report.c_star == pytest.approx(3 / 2.2, abs=1e-15)
-        assert report.argmin_ok
         assert report.passed
 
     @pytest.mark.parametrize("alpha,gamma", [(0.5, 1.4), (0.9, 0.0), (0.3, 1.3), (0.99, -0.5)])
