@@ -21,7 +21,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 from itertools import repeat
 from operator import add, mul, truediv
 from typing import Optional, Sequence, Union
@@ -126,26 +125,50 @@ def _exponent(params: ClassParams) -> complex:
     return (1.0 - params.alpha) * mu(params.gamma)
 
 
-def _atom_jet(rep: AtomicHerglotzRep, order: int, v: complex) -> list[complex]:
-    """g_0..g_order of g = exp{v int (p(t)-1)/t dt} for p given by its atoms.
+def _atom_jets(
+    reps: Sequence[AtomicHerglotzRep], order: int, v: complex
+) -> list[tuple[complex, ...]]:
+    """g_0..g_order of g = exp{v int (p(t)-1)/t dt} for each p in reps, given by its atoms.
 
     With p - 1 = sum_i w_i 2 eps_i z/(1 - eps_i z), z g' = v (p-1) g gives
     k g_k = 2 v sum_i w_i S_i(k), where S_i(k) = sum_{j=1}^{k} eps_i^j g_{k-j}
     obeys S_i(k) = eps_i (S_i(k-1) + g_{k-1}).  That is O(atoms * order)
     work, against O(order^2) for exp of the series; |eps_i| = 1, so the
     running sums do not amplify rounding.
+
+    The measures advance side by side.  Sorted by atom count, largest
+    first, slot i holds atom i of every measure that has one, and those
+    measures form a prefix of the batch, so each coefficient costs two list
+    passes in C per slot, not a Python step per measure.  Each measure gets
+    the operations of a batch of one in the same order (acc from 0j, adding
+    w_i S_i(k) by increasing i), so its jet does not depend on its batch.
     """
-    w, eps = rep.weights, rep.points
+    by_size = sorted(range(len(reps)), key=lambda m: reps[m].n_atoms, reverse=True)
+    weights: list[list[float]] = []
+    points: list[list[complex]] = []
+    for m in by_size:
+        for i, (w, e) in enumerate(zip(reps[m].weights, reps[m].points)):
+            if i == len(weights):
+                weights.append([])
+                points.append([])
+            weights[i].append(w)
+            points[i].append(e)
     two_v = 2.0 * v
-    s = [0j] * len(w)
-    gk = 1 + 0j
-    g = [gk]
+    zeros = [0j] * len(reps)
+    s = [zeros[: len(w)] for w in weights]
+    gk = [1 + 0j] * len(reps)
+    cols = [gk]
     for k in range(1, order + 1):
-        s = list(map(mul, eps, map(add, s, repeat(gk))))
-        # series._dot(w, s), inlined to save a call per coefficient.
-        gk = two_v / k * reduce(add, map(mul, w, s), 0j)
-        g.append(gk)
-    return g
+        acc = zeros.copy()
+        for i, (w, eps) in enumerate(zip(weights, points)):
+            s[i] = si = list(map(mul, eps, map(add, s[i], gk)))
+            acc[: len(si)] = map(add, acc, map(mul, w, si))
+        gk = list(map(mul, repeat(two_v / k), acc))
+        cols.append(gk)
+    jets: list = [None] * len(reps)
+    for m, g in zip(by_size, zip(*cols)):
+        jets[m] = g
+    return jets
 
 
 def _member(params: ClassParams, g: Sequence[complex]) -> TruncatedSeries:
@@ -201,7 +224,7 @@ def construct_member(
     if isinstance(p, AtomicHerglotzRep):
         if order is None or order < 1:
             raise DomainError(f"an atomic measure needs an order >= 1, got {order}")
-        return _member(params, _atom_jet(p, order - 1, _exponent(params)))
+        return _member(params, _atom_jets([p], order - 1, _exponent(params))[0])
     if order is not None:
         raise DomainError("a series carries its own order; pass order only with a measure")
     return _series_member(params, p)
@@ -214,7 +237,7 @@ def coeffs_from_c(params: ClassParams, c1: complex, c2: complex) -> CoeffTriple:
     convex:      2 a2 = (1-a) mu c1,      6 a3 = (1-a)^2 mu^2 c1^2 + (1-a) mu c2
     ozaki:       a2 = -lam c1 / 4,        a3 = (lam^2 c1^2 - 2 lam c2) / 24
     """
-    if abs(c1) > 2 + 1e-9 or abs(c2) > 2 + 1e-9:
+    if abs(c1) > 2 + config.REP_ATOL or abs(c2) > 2 + config.REP_ATOL:
         raise DomainError("Carathéodory coefficients satisfy |c_k| <= 2")
     if params.family is Family.OZAKI_G:
         lam = params.lam
@@ -230,7 +253,8 @@ def coeffs_from_series(f: TruncatedSeries) -> CoeffTriple:
     """Extract (a2, a3) from a constructed member; validates normalization."""
     if f.order < 3:
         raise DomainError("need order >= 3 to read off a2 and a3")
-    if abs(f[0]) > 1e-12 or abs(f[1] - 1.0) > 1e-12:
+    tol = config.NORMALIZATION_ATOL
+    if abs(f[0]) > tol or abs(f[1] - 1.0) > tol:
         raise DomainError("member must be normalized: f(0) = 0, f'(0) = 1")
     return CoeffTriple(a2=f[2], a3=f[3])
 
@@ -276,11 +300,11 @@ def membership_check(
             z = r * cmath.exp(1j * (2.0 * math.pi * k / n_angles))
             fz, fpz = f.eval(z), fprime.eval(z)
             if params.family is Family.SPIRALLIKE:
-                if abs(fz) < 1e-13:
+                if abs(fz) < config.VANISHING_ATOL:
                     raise EvaluationError(f"f vanishes at sample point z={z:.6g}")
                 margin = (tilt * z * fpz / fz).real - floor
             else:
-                if abs(fpz) < 1e-13:
+                if abs(fpz) < config.VANISHING_ATOL:
                     raise EvaluationError(f"f' vanishes at sample point z={z:.6g}")
                 curv = 1.0 + z * fsecond.eval(z) / fpz
                 if params.family is Family.CONVEX_GAMMA:

@@ -21,6 +21,7 @@ from numbers import Complex
 from operator import add, mul, truediv
 from typing import Iterable
 
+from . import config
 from .errors import DomainError, OrderMismatchError
 
 __all__ = ["TruncatedSeries"]
@@ -108,7 +109,7 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         """Series of exp(f); requires f(0) = 0."""
         f = self._coeffs
-        if abs(f[0]) > 1e-14:
+        if abs(f[0]) > config.CONSTANT_TERM_ATOL:
             raise DomainError("exp requires a series with zero constant term")
         # (exp f)' = f' exp f  =>  k g_k = sum_{j=1}^{k} j f_j g_{k-j}
         df = list(map(mul, range(1, len(f)), f[1:]))
@@ -125,7 +126,7 @@ class TruncatedSeries:
         Requires p(0) = 1.
         """
         p = self._coeffs
-        if abs(p[0] - 1.0) > 1e-14:
+        if abs(p[0] - 1.0) > config.CONSTANT_TERM_ATOL:
             raise DomainError("kernel integral requires constant term 1")
         return TruncatedSeries([0j, *map(truediv, p[1:], range(1, len(p)))])
 

@@ -2,15 +2,25 @@
 
 The oracles here deliberately avoid the code paths they are used to check:
 Taylor coefficients are recovered by contour integration (FFT on a circle),
-and the (x, y) disk parameters are inverted directly from raw moments.
+the (x, y) disk parameters are inverted directly from raw moments, and
+members are built one at a time by the per-member loop that the batch
+kernel ``families._atom_jets`` must match bit for bit.
 """
 
+import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import add, mul
 
 import numpy as np
 import pytest
 
-from succoeff import AtomicHerglotzRep, DomainError, TruncatedSeries, config, moments
+from succoeff import (AtomicHerglotzRep, ClassParams, DomainError, SuccoeffError, TruncatedSeries,
+                      bound_d1, bound_d2, coeffs_from_series, config, moments)
+from succoeff.caratheodory import _random_rep, _seeded_stream
+from succoeff.families import _exponent, _member
+from succoeff.verify import SampleReport, WorstMargin, _atom_count
 
 
 def assert_series_close(f: TruncatedSeries, expected, atol=1e-12):
@@ -93,6 +103,62 @@ def lz_invert_y(c1: float, x: complex, c3: complex) -> complex:
     b = 4.0 - c1 * c1
     num = 4.0 * c3 - c1**3 - 2.0 * b * c1 * x + b * c1 * x * x
     return num / (2.0 * b * (1.0 - abs(x) ** 2))
+
+
+def atom_jet_reference(rep: AtomicHerglotzRep, order: int, v: complex) -> list[complex]:
+    """g_0..g_order of g = exp{v int (p(t)-1)/t dt} for one measure, one step per coefficient.
+
+    S_i <- eps_i (S_i + g_{k-1}) for every atom, then g_k = (2v/k) sum_i w_i S_i
+    accumulated left to right from 0j.
+    """
+    w, eps = rep.weights, rep.points
+    two_v = 2.0 * v
+    s = [0j] * len(w)
+    gk = 1 + 0j
+    g = [gk]
+    for k in range(1, order + 1):
+        s = list(map(mul, eps, map(add, s, repeat(gk))))
+        gk = two_v / k * reduce(add, map(mul, w, s), 0j)
+        g.append(gk)
+    return g
+
+
+def sample_reference(params: ClassParams, n_samples: int, n_atoms_max: int = 6, seed: int = 0,
+                     order: int = config.DEFAULT_ORDER,
+                     slack: float = config.SAMPLE_SLACK) -> SampleReport:
+    """sample_no_violation one member at a time: draw, build, check, in sample order."""
+    d1, d2 = bound_d1(params), bound_d2(params)
+    rng = _seeded_stream(seed)
+    v = _exponent(params)
+    worst = {name: (math.inf, -1, None) for name in ("d1_low", "d1_high", "d2_low", "d2_high")}
+    n_constructed = n_failures = n_violations = 0
+    for i in range(n_samples):
+        rep = _random_rep(rng, _atom_count(rng.random(), n_atoms_max))
+        try:
+            triple = coeffs_from_series(_member(params, atom_jet_reference(rep, order - 1, v)))
+        except SuccoeffError:
+            n_failures += 1
+            continue
+        n_constructed += 1
+        for key, value, bound in (("d1", triple.d1(), d1), ("d2", triple.d2(), d2)):
+            lo_margin = value - bound.lower
+            hi_margin = bound.upper - value
+            if lo_margin < -slack or hi_margin < -slack:
+                n_violations += 1
+            if lo_margin < worst[key + "_low"][0]:
+                worst[key + "_low"] = (lo_margin, i, rep)
+            if hi_margin < worst[key + "_high"][0]:
+                worst[key + "_high"] = (hi_margin, i, rep)
+    return SampleReport(
+        params=params, n_samples=n_samples, n_atoms_max=n_atoms_max, seed=seed, order=order,
+        slack=slack, n_constructed=n_constructed, n_failures=n_failures,
+        n_violations=n_violations, **{k: WorstMargin(*t) for k, t in worst.items()},
+    )
+
+
+def float_bits(coeffs) -> list[tuple[str, str]]:
+    """Exact bit patterns of complex coefficients (-0.0 differs from 0.0)."""
+    return [(complex(c).real.hex(), complex(c).imag.hex()) for c in coeffs]
 
 
 @pytest.fixture

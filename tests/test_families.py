@@ -24,7 +24,8 @@ from succoeff import (
     spirallike_from_p,
     to_series,
 )
-from conftest import assert_series_close
+from conftest import assert_series_close, atom_jet_reference, float_bits
+from succoeff.families import _atom_jets, _exponent, _member
 from jets import cpow, monomial, one
 
 
@@ -156,6 +157,8 @@ class TestCoeffMaps:
     def test_rejects_oversized_moments(self):
         with pytest.raises(DomainError):
             coeffs_from_c(ClassParams.ozaki(1.0), 2.5, 0.0)
+        with pytest.raises(DomainError):
+            coeffs_from_c(ClassParams.ozaki(1.0), 0.0, 2 + 5e-10)
 
     @pytest.mark.parametrize(
         "params",
@@ -238,6 +241,19 @@ class TestAtomPath:
                 ref = [0j, *(bk / (k + 1) for k, bk in enumerate(b))]  # a_n = b_{n-1}/n
             got = construct_member(params, AtomicHerglotzRep((1.0,), (eps,)), order)
             assert _rel_diff(got, ref) <= _atom_path_tol(order)
+
+    @pytest.mark.parametrize("params", ATOM_PATH_PARAMS)
+    @pytest.mark.parametrize("order", [4, 12, 128, 1024])
+    def test_batch_matches_lone_members_bitwise(self, params, order):
+        # Mixed atom counts, with ties, in no particular order: every member
+        # of the batch is bitwise the lone member and the per-member loop.
+        counts = (3, 64, 1, 17, 64, 2, 1, 6) if order < 1024 else (3, 64, 1, 6, 1)
+        reps = [random_rep(n, seed) for seed, n in enumerate(counts)]
+        v = _exponent(params)
+        for rep, g in zip(reps, _atom_jets(reps, order - 1, v)):
+            got = float_bits(_member(params, g).coeffs)
+            assert got == float_bits(construct_member(params, rep, order).coeffs)
+            assert got == float_bits(_member(params, atom_jet_reference(rep, order - 1, v)).coeffs)
 
     def test_argument_errors(self):
         params = ClassParams.convex(0.25, 0.5)

@@ -1,8 +1,10 @@
 """Reduced functionals, exact optimizer, sampling, case-analysis checks."""
 
 import cmath
+import csv
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +29,10 @@ from succoeff import (
     to_series,
     two_atom_parameters,
 )
+from conftest import sample_reference
 from jets import functional_values
+from succoeff.cli import main
+from succoeff.families import _atom_jets
 from succoeff.verify import _atom_count
 
 SPIRAL_00 = ClassParams.spirallike(0.0, 0.0)
@@ -75,6 +80,8 @@ class TestFunctionalValue:
             functional_value(spec, 2.5, 0.0)
         with pytest.raises(DomainError):
             functional_value(spec, 1.0, 1.5)
+        with pytest.raises(DomainError):
+            functional_value(spec, 1.0, 1 + 5e-10)
 
     @pytest.mark.parametrize("params", SANE_PARAMS)
     def test_matches_coefficient_map(self, params, rng):
@@ -255,6 +262,61 @@ class TestSampling:
             for name in ("d1_low", "d1_high", "d2_low", "d2_high"):
                 got, ref = getattr(report, name), getattr(first, name)
                 assert (got.margin, got.sample_index) == (ref.margin, ref.sample_index)
+
+    @pytest.mark.parametrize("n_samples", [255, 256, 257, 600])
+    @pytest.mark.parametrize("params, n_atoms_max", [
+        (CONVEX_00, 6), (ClassParams.spirallike(0.25, 0.5), 1), (ClassParams.ozaki(0.6), 64),
+    ])
+    def test_matches_per_member_loop(self, params, n_atoms_max, n_samples):
+        # Chunk edges fall inside, at and just past a chunk; one atom gives
+        # exact ties in the d1 upper margin, which go to the lowest index.
+        got = sample_no_violation(params, n_samples, n_atoms_max, seed=9)
+        assert got == sample_reference(params, n_samples, n_atoms_max, seed=9)
+
+    def test_no_member_built_does_not_pass(self, monkeypatch, tmp_path):
+        # An infinite exponent makes every jet non-finite: each member is a
+        # construction failure, and a run that checked nothing fails.
+        monkeypatch.setattr("succoeff.verify._exponent", lambda params: math.inf)
+        report = sample_no_violation(ClassParams.convex(0.3, 0.2), n_samples=50)
+        assert (report.n_constructed, report.n_failures, report.n_violations) == (0, 50, 0)
+        assert report.d2_low == report.d1_high
+        assert report.d2_low.margin == math.inf and report.d2_low.rep is None
+        assert not report.passed
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--family", "convex", "--alpha", "0.3", "--gamma", "0.2",
+                     "--samples", "50", "--format", "csv", "--out", str(out)]) == 1
+        with out.open(newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["constructed"], row["failures"], row["passed"]) == ("0", "50", "false")
+
+    @pytest.mark.parametrize("order", [12, 128])
+    def test_peak_memory_flat_in_n_samples(self, order, monkeypatch):
+        # Members are built in chunks of 256, so 32 chunks must peak where 2
+        # do.  Tracing costs microseconds per allocation, so the traced runs
+        # cut the chunk to 8 (512 and 8192 members become 16 and 256).
+        # Unchunked, the 256 members add about 0.2 MB at order 12 and 1.5 MB
+        # at order 128.  The untraced first run also fills the free lists of
+        # small tuples, which would otherwise grow the traced peak.
+        batches = []
+
+        def spy(reps, order, v):
+            batches.append(len(reps))
+            return _atom_jets(reps, order, v)
+
+        monkeypatch.setattr("succoeff.verify._atom_jets", spy)
+        sample_no_violation(CONVEX_00, 600, n_atoms_max=1, seed=1, order=order)
+        assert batches == [256, 256, 88]
+        monkeypatch.setattr("succoeff.verify._CHUNK", 8)
+
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                sample_no_violation(CONVEX_00, n_samples, n_atoms_max=1, seed=4, order=order)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(256) <= peak(16) + 64 * 1024
 
     def test_sample_count_validation(self):
         with pytest.raises(DomainError):
