@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import count
 from typing import Optional
 
 from . import config
@@ -247,7 +246,7 @@ def sample_no_violation(
     for start in range(0, n_samples, _CHUNK):
         reps = [_random_rep(rng, _atom_count(rng.random(), n_atoms_max))
                 for _ in range(min(_CHUNK, n_samples - start))]
-        for i, rep, g in zip(count(start), reps, _atom_jets(reps, order - 1, v)):
+        for i, (rep, g) in enumerate(zip(reps, _atom_jets(reps, order - 1, v)), start):
             try:
                 triple = coeffs_from_series(_member(params, g))
             except SuccoeffError:

@@ -33,7 +33,7 @@ from conftest import sample_reference
 from jets import functional_values
 from succoeff.cli import main
 from succoeff.families import _atom_jets
-from succoeff.verify import _atom_count
+from succoeff.verify import WorstMargin, _atom_count
 
 SPIRAL_00 = ClassParams.spirallike(0.0, 0.0)
 CONVEX_00 = ClassParams.convex(0.0, 0.0)
@@ -279,8 +279,8 @@ class TestSampling:
         monkeypatch.setattr("succoeff.verify._exponent", lambda params: math.inf)
         report = sample_no_violation(ClassParams.convex(0.3, 0.2), n_samples=50)
         assert (report.n_constructed, report.n_failures, report.n_violations) == (0, 50, 0)
-        assert report.d2_low == report.d1_high
-        assert report.d2_low.margin == math.inf and report.d2_low.rep is None
+        for name in ("d1_low", "d1_high", "d2_low", "d2_high"):
+            assert getattr(report, name) == WorstMargin(math.inf, -1, None)
         assert not report.passed
         out = tmp_path / "s.csv"
         assert main(["sample", "--family", "convex", "--alpha", "0.3", "--gamma", "0.2",
@@ -299,9 +299,9 @@ class TestSampling:
         # small tuples, which would otherwise grow the traced peak.
         batches = []
 
-        def spy(reps, order, v):
+        def spy(reps, *args):
             batches.append(len(reps))
-            return _atom_jets(reps, order, v)
+            return _atom_jets(reps, *args)
 
         monkeypatch.setattr("succoeff.verify._atom_jets", spy)
         sample_no_violation(CONVEX_00, 600, n_atoms_max=1, seed=1, order=order)
