@@ -13,8 +13,8 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import add, index, mul
+from itertools import accumulate, chain, repeat
+from operator import add, index, mul, sub
 from typing import Sequence
 
 from . import config
@@ -45,14 +45,7 @@ class AtomicHerglotzRep:
     def __post_init__(self):
         w = tuple(map(float, self.weights))
         e = tuple(map(complex, self.points))
-        if not w or len(w) != len(e):
-            raise DomainError("need matching, nonempty weight/point sequences")
-        if not all(0.0 < v <= 1 + config.REP_ATOL for v in w):
-            raise DomainError("weights must lie in (0, 1]")
-        if abs(math.fsum(w) - 1.0) > config.REP_ATOL:
-            raise DomainError("weights must sum to 1")
-        if not all(abs(abs(v) - 1.0) <= config.REP_ATOL for v in e):
-            raise DomainError("atom points must lie on the unit circle")
+        _check_atoms([(w, e)])
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "points", e)
 
@@ -67,6 +60,31 @@ class AtomicHerglotzRep:
 
     def atoms(self):
         return list(zip(self.weights, self.points))
+
+
+def _check_atoms(measures: Sequence[tuple[Sequence[float], Sequence[complex]]]) -> None:
+    """Raise DomainError unless every (weights, points) pair is a valid measure.
+
+    The invariants of :class:`AtomicHerglotzRep`, checked for a whole batch
+    of float weights and complex points in C-level passes: matching
+    nonempty sequences, weights in (0, 1] summing to 1, and unimodular
+    points, each within ``config.REP_ATOL``.  Each predicate is tried over
+    the whole batch before the next, so a batch with one bad measure raises
+    the error that measure raises alone.  A NaN or an infinity is
+    rejected by the predicate of the sequence that holds it.
+    """
+    tol = config.REP_ATOL
+    weights, points = zip(*measures)
+    if not all(map(len, weights)) or list(map(len, weights)) != list(map(len, points)):
+        raise DomainError("need matching, nonempty weight/point sequences")
+    w = list(chain.from_iterable(weights))
+    if not (all(map(math.isfinite, w)) and min(w) > 0.0 and max(w) <= 1.0 + tol):
+        raise DomainError("weights must lie in (0, 1]")
+    if max(map(abs, map(sub, map(math.fsum, weights), repeat(1.0)))) > tol:
+        raise DomainError("weights must sum to 1")
+    r = list(map(abs, chain.from_iterable(points)))
+    if not all(map(math.isfinite, r)) or max(map(abs, map(sub, r, repeat(1.0)))) > tol:
+        raise DomainError("atom points must lie on the unit circle")
 
 
 def lz_c2(c: float, x: complex) -> complex:
@@ -159,7 +177,12 @@ def _seeded_stream(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def _random_rep(rng: random.Random, n_atoms: int) -> AtomicHerglotzRep:
+def _draw_atoms(rng: random.Random, n_atoms: int) -> tuple[list[float], list[complex]]:
+    """The (weights, points) of a random measure: n_atoms weight draws, then n_atoms angles.
+
+    Weights ``0.05 + 0.95 r`` are summed left to right and divided by the
+    sum; points are ``cmath.rect(1, 2 pi r)``.  The pair is not validated.
+    """
     if n_atoms < 1:
         raise DomainError("n_atoms must be >= 1")
     # Weights bounded away from zero so invariants hold after normalization.
@@ -168,7 +191,11 @@ def _random_rep(rng: random.Random, n_atoms: int) -> AtomicHerglotzRep:
     for v in w:
         total += v
     angles = [2.0 * math.pi * rng.random() for _ in range(n_atoms)]
-    return AtomicHerglotzRep([v / total for v in w], [cmath.rect(1.0, a) for a in angles])
+    return [v / total for v in w], [cmath.rect(1.0, a) for a in angles]
+
+
+def _random_rep(rng: random.Random, n_atoms: int) -> AtomicHerglotzRep:
+    return AtomicHerglotzRep(*_draw_atoms(rng, n_atoms))
 
 
 def random_rep(n_atoms: int, seed: int) -> AtomicHerglotzRep:

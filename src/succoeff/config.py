@@ -8,23 +8,24 @@ contract of the package can be audited (and tightened) in one place.
 # a2/a3 only need order >= 4; larger orders support round-trip identities.
 DEFAULT_ORDER = 12
 
-# Largest truncation order the CLI accepts.  Every member a command builds
-# comes from an atomic measure, at O(atoms * order) Python work.  On a 2-vCPU
+# Largest truncation order the CLI accepts.  `sample` builds g_0..g_2 of each
+# member whatever the order, so its cost does not depend on it: on a 2-vCPU
 # Xeon with Python 3.11, a sampled member (built in a chunk of 256) costs
-# about 0.02 ms at order 12, 0.09 ms at 128 and 0.7 ms at 1024 with
-# `--atoms-max 1`, and 0.03, 0.17 and 1.4 ms with the default 6.  A lone
-# construct_member (a batch of one) with 1 atom takes about 0.04 ms at
-# order 12, 0.3 ms at 128, 2.3 ms at 1024 and 9 ms at 4096.  The series form,
+# about 0.005 ms with `--atoms-max 1` and 0.015 ms with the default 6, at
+# orders 12, 128 and 1024 alike.  The extremals are built to the full order
+# from their atoms, at O(atoms * order) Python work: a lone construct_member
+# (a batch of one) with 1 atom takes about 0.03-0.04 ms at order 12, 0.3-0.4 ms
+# at 128, 2.2-3.3 ms at 1024 and 13 ms at 4096.  The series form,
 # construct_member(params, to_series(rep, N)), runs the O(N^2) exp instead:
-# about 43 ms at 1024 and 0.75 s at 4096.
+# about 42 ms at 1024 and 0.78 s at 4096.
 MAX_ORDER = 1024
 
 # Largest atom count `sample --atoms-max` accepts.  The running atom sums cost
 # O(atoms) per coefficient: with `--atoms-max 64` a sampled member costs
-# about 0.14 ms at order 12, 1.3 ms at 128 and 10 ms at 1024 on the same
-# machine.  A lone member pays two list passes per atom and coefficient: with
-# 64 atoms about 1 ms at order 12, 8 ms at 128 and 73 ms at 1024 (6 atoms:
-# 0.1, 1.1 and 7.5 ms).
+# about 0.05 ms at any order on the same machine.  A lone member pays two
+# list passes per atom and coefficient: with 64 atoms about 1.1 ms at order
+# 12, 11-13 ms at 128 and 74-81 ms at 1024 (6 atoms: 0.09-0.14, 0.9-1.4 and
+# 9-11 ms).
 MAX_ATOMS = 64
 
 # Series-level identities (ring axioms, termwise comparisons).

@@ -126,15 +126,18 @@ def _exponent(params: ClassParams) -> complex:
 
 
 def _atom_jets(
-    reps: Sequence[AtomicHerglotzRep], order: int, v: complex
+    measures: Sequence[tuple[Sequence[float], Sequence[complex]]], order: int, v: complex
 ) -> list[tuple[complex, ...]]:
-    """g_0..g_order of g = exp{v int (p(t)-1)/t dt} for each p in reps, given by its atoms.
+    """g_0..g_order of g = exp{v int (p(t)-1)/t dt} for each p, given by its (weights, points).
 
     With p - 1 = sum_i w_i 2 eps_i z/(1 - eps_i z), z g' = v (p-1) g gives
     k g_k = 2 v sum_i w_i S_i(k), where S_i(k) = sum_{j=1}^{k} eps_i^j g_{k-j}
     obeys S_i(k) = eps_i (S_i(k-1) + g_{k-1}).  That is O(atoms * order)
     work, against O(order^2) for exp of the series; |eps_i| = 1, so the
-    running sums do not amplify rounding.
+    running sums do not amplify rounding.  g_k is computed by the same
+    operations whatever ``order`` is, so a shorter jet is a bitwise prefix
+    of a longer one: ``sample`` asks for order 2 only, since a2 and a3 read
+    g_1 and g_2.  The measures are not validated here.
 
     The measures advance side by side.  Sorted by atom count, largest
     first, slot i holds atom i of every measure that has one, and those
@@ -143,20 +146,20 @@ def _atom_jets(
     the operations of a batch of one in the same order (acc from 0j, adding
     w_i S_i(k) by increasing i), so its jet does not depend on its batch.
     """
-    by_size = sorted(range(len(reps)), key=lambda m: reps[m].n_atoms, reverse=True)
+    by_size = sorted(range(len(measures)), key=lambda m: len(measures[m][0]), reverse=True)
     weights: list[list[float]] = []
     points: list[list[complex]] = []
     for m in by_size:
-        for i, (w, e) in enumerate(zip(reps[m].weights, reps[m].points)):
+        for i, (w, e) in enumerate(zip(*measures[m])):
             if i == len(weights):
                 weights.append([])
                 points.append([])
             weights[i].append(w)
             points[i].append(e)
     two_v = 2.0 * v
-    zeros = [0j] * len(reps)
+    zeros = [0j] * len(measures)
     s = [zeros[: len(w)] for w in weights]
-    gk = [1 + 0j] * len(reps)
+    gk = [1 + 0j] * len(measures)
     cols = [gk]
     for k in range(1, order + 1):
         acc = zeros.copy()
@@ -165,7 +168,7 @@ def _atom_jets(
             acc[: len(si)] = map(add, acc, map(mul, w, si))
         gk = list(map(mul, repeat(two_v / k), acc))
         cols.append(gk)
-    jets: list = [None] * len(reps)
+    jets: list = [None] * len(measures)
     for m, g in zip(by_size, zip(*cols)):
         jets[m] = g
     return jets
@@ -224,7 +227,8 @@ def construct_member(
     if isinstance(p, AtomicHerglotzRep):
         if order is None or order < 1:
             raise DomainError(f"an atomic measure needs an order >= 1, got {order}")
-        return _member(params, _atom_jets([p], order - 1, _exponent(params))[0])
+        jet = _atom_jets([(p.weights, p.points)], order - 1, _exponent(params))[0]
+        return _member(params, jet)
     if order is not None:
         raise DomainError("a series carries its own order; pass order only with a measure")
     return _series_member(params, p)

@@ -20,9 +20,9 @@ from typing import Optional
 
 from . import config
 from .bounds import BoundInterval, Which, bound_d1, bound_d2, two_atom_parameters
-from .caratheodory import AtomicHerglotzRep, _random_rep, _seeded_stream
-from .errors import DomainError, SuccoeffError
-from .families import ClassParams, Family, _atom_jets, _exponent, _member, coeffs_from_series, mu
+from .caratheodory import AtomicHerglotzRep, _check_atoms, _draw_atoms, _seeded_stream
+from .errors import DomainError
+from .families import ClassParams, Family, _atom_jets, _exponent, mu
 
 __all__ = [
     "FunctionalSpec",
@@ -217,12 +217,25 @@ def sample_no_violation(
     """Draw random members and check both functionals against their intervals.
 
     Unlike the exact optimizer this path exercises the unreduced functional:
-    members are built from un-normalized random measures, the coefficients
-    are read off the constructed series, and each value must lie within
-    [lower - slack, upper + slack].  Construction failures (a member with
-    a coefficient that is not finite) are counted, never fatal.  Members
-    are drawn and built in chunks, one batch-kernel call per chunk; ties
-    in a worst margin go to the lowest sample index.
+    members are built from un-normalized random measures, and each value
+    must lie within [lower - slack, upper + slack].  Both functionals read
+    only a2 and a3, which are g_1 and g_2 of the member's exponential factor
+    g (a_n = g_{n-1} for spirallike, g_{n-1}/n otherwise), so each member
+    is built to g_0..g_2 only.  ``order`` (at least 4, as for the
+    extremals) is validated and echoed in the report; it changes no other
+    field, since g_1 and g_2 take the same operations at every truncation.
+
+    A member with g_1 or g_2 not finite is a construction failure, counted,
+    never fatal.  This is the rule "some coefficient up to ``order`` is not
+    finite": g = prod_i (1 - eps_i z)^{-2 v w_i} is majorized coefficientwise
+    by (1 - z)^{-2|v|}, and |v| <= 1 in every family, so |g_k| <= k + 1
+    (Duren, *Univalent Functions*, 1983, §2).  A finite v never overflows at
+    any order, and a non-finite v already shows at g_1.
+
+    Members are drawn and built in chunks: per chunk, one check of the
+    drawn measures against the invariants of AtomicHerglotzRep and one
+    batch-kernel call.  Ties in a worst margin go to the lowest sample
+    index; only the witnesses become AtomicHerglotzReps.
 
     Every draw is ``random.Random(seed).random()``: per member an atom
     count ``1 + min(int(r * n_atoms_max), n_atoms_max - 1)``, then weights
@@ -232,9 +245,12 @@ def sample_no_violation(
         raise DomainError("n_samples must be >= 1")
     if n_atoms_max < 1:
         raise DomainError("n_atoms_max must be >= 1")
+    if order < 4:
+        raise DomainError(f"order must be >= 4 to expose a2 and a3, got {order}")
     d1 = bound_d1(params)
     d2 = bound_d2(params)
     rng = _seeded_stream(seed)
+    spirallike = params.family is Family.SPIRALLIKE
     worst = {
         ("d1", "low"): (math.inf, -1, None),
         ("d1", "high"): (math.inf, -1, None),
@@ -244,24 +260,24 @@ def sample_no_violation(
     n_constructed = n_failures = n_violations = 0
     v = _exponent(params)
     for start in range(0, n_samples, _CHUNK):
-        reps = [_random_rep(rng, _atom_count(rng.random(), n_atoms_max))
-                for _ in range(min(_CHUNK, n_samples - start))]
-        for i, (rep, g) in enumerate(zip(reps, _atom_jets(reps, order - 1, v)), start):
-            try:
-                triple = coeffs_from_series(_member(params, g))
-            except SuccoeffError:
+        chunk = [_draw_atoms(rng, _atom_count(rng.random(), n_atoms_max))
+                 for _ in range(min(_CHUNK, n_samples - start))]
+        _check_atoms(chunk)
+        for i, (atoms, (_, g1, g2)) in enumerate(zip(chunk, _atom_jets(chunk, 2, v)), start):
+            if not (cmath.isfinite(g1) and cmath.isfinite(g2)):
                 n_failures += 1
                 continue
             n_constructed += 1
-            for key, value, bound in (("d1", triple.d1(), d1), ("d2", triple.d2(), d2)):
+            a2, a3 = (g1, g2) if spirallike else (g1 / 2, g2 / 3)
+            for key, value, bound in (("d1", abs(a2) - 1.0, d1), ("d2", abs(a3) - abs(a2), d2)):
                 lo_margin = value - bound.lower
                 hi_margin = bound.upper - value
                 if lo_margin < -slack or hi_margin < -slack:
                     n_violations += 1
                 if lo_margin < worst[(key, "low")][0]:
-                    worst[(key, "low")] = (lo_margin, i, rep)
+                    worst[(key, "low")] = (lo_margin, i, atoms)
                 if hi_margin < worst[(key, "high")][0]:
-                    worst[(key, "high")] = (hi_margin, i, rep)
+                    worst[(key, "high")] = (hi_margin, i, atoms)
     return SampleReport(
         params=params,
         n_samples=n_samples,
@@ -272,10 +288,9 @@ def sample_no_violation(
         n_constructed=n_constructed,
         n_failures=n_failures,
         n_violations=n_violations,
-        d1_low=WorstMargin(*worst[("d1", "low")]),
-        d1_high=WorstMargin(*worst[("d1", "high")]),
-        d2_low=WorstMargin(*worst[("d2", "low")]),
-        d2_high=WorstMargin(*worst[("d2", "high")]),
+        **{f"{key}_{side}": WorstMargin(
+            margin, i, None if atoms is None else AtomicHerglotzRep(*atoms))
+           for (key, side), (margin, i, atoms) in worst.items()},
     )
 
 

@@ -1,5 +1,8 @@
 """Atomic representations, the (c2, c3) parametrization, two-atom solving."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from conftest import (
     lz_invert_y,
     normalize_rotation,
 )
+from succoeff.caratheodory import _check_atoms, _draw_atoms
 
 
 def herglotz_eval(rep, z):
@@ -47,6 +51,33 @@ class TestRepInvariants:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             AtomicHerglotzRep(np.array([]), np.array([]))
+
+    # (weights, points, the error AtomicHerglotzRep raises for them)
+    BAD_MEASURES = {
+        "zero-weight": ((0.5, 0.0, 0.5), (1 + 0j, 1j, -1 + 0j), "weights must lie in (0, 1]"),
+        "sum-off-1e-9": ((0.5, 0.5 + 1e-9), (1 + 0j, -1 + 0j), "weights must sum to 1"),
+        "eps-1e-9-out": ((1.0,), (1 + 1e-9 + 0j,), "atom points must lie on the unit circle"),
+        "nan-weight": ((0.5, math.nan), (1j, -1j), "weights must lie in (0, 1]"),
+        "nan-point": ((1.0,), (complex(math.nan, 0.0),), "atom points must lie on the unit circle"),
+        "mismatched": ((0.5, 0.5), (1 + 0j,), "need matching, nonempty weight/point sequences"),
+        "empty": ((), (), "need matching, nonempty weight/point sequences"),
+    }
+
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    @pytest.mark.parametrize("weights, points, message", BAD_MEASURES.values(), ids=BAD_MEASURES)
+    def test_batch_check_raises_what_the_class_raises(self, weights, points, message, position):
+        # One bad measure among valid ones: the batch check of sample's
+        # chunks raises the DomainError of the lone AtomicHerglotzRep.
+        rng = random.Random(17)
+        chunk = [_draw_atoms(rng, n) for n in (1, 6, 2, 3, 64, 1)]
+        _check_atoms(chunk)
+        with pytest.raises(DomainError) as lone:
+            AtomicHerglotzRep(weights, points)
+        assert str(lone.value) == message
+        chunk.insert(position, (weights, points))
+        with pytest.raises(DomainError) as batch:
+            _check_atoms(chunk)
+        assert str(batch.value) == message
 
 
 class TestMoments:

@@ -231,6 +231,23 @@ class TestExtremalAndSample:
         assert abs(complex(float(f["a3_re"]), float(f["a3_im"]))) < 1e-10
         assert float(f["d2"]) == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("point", [
+        ["--family", "convex", "--alpha", "0.5", "--gamma", "1.4"],
+        ["--family", "spirallike", "--alpha", "0.25", "--gamma", "0.5"],
+        ["--family", "ozaki", "--lambda", "0.6"],
+    ])
+    def test_sample_order_is_only_echoed(self, tmp_path, point):
+        # The verdicts read a2 and a3 only, so --order changes no other column.
+        rows = {}
+        for order in ("4", "12", "1024"):
+            out = tmp_path / f"s{order}.csv"
+            assert main(["sample", *point, "--samples", "300", "--seed", "3", "--order", order,
+                         "--format", "csv", "--out", str(out)]) == 0
+            _, (row,) = read_csv(out)
+            assert row.pop("order") == order
+            rows[order] = row
+        assert rows["4"] == rows["12"] == rows["1024"]
+
     def test_sample_passes(self, tmp_path):
         code = main([
             "sample", "--family", "ozaki", "--lambda", "1", "--samples", "100",

@@ -250,7 +250,8 @@ class TestAtomPath:
         counts = (3, 64, 1, 17, 64, 2, 1, 6) if order < 1024 else (3, 64, 1, 6, 1)
         reps = [random_rep(n, seed) for seed, n in enumerate(counts)]
         v = _exponent(params)
-        for rep, g in zip(reps, _atom_jets(reps, order - 1, v)):
+        jets = _atom_jets([(rep.weights, rep.points) for rep in reps], order - 1, v)
+        for rep, g in zip(reps, jets):
             got = float_bits(_member(params, g).coeffs)
             assert got == float_bits(construct_member(params, rep, order).coeffs)
             assert got == float_bits(_member(params, atom_jet_reference(rep, order - 1, v)).coeffs)

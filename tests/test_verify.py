@@ -2,6 +2,7 @@
 
 import cmath
 import csv
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -31,6 +32,7 @@ from succoeff import (
 )
 from conftest import sample_reference
 from jets import functional_values
+from succoeff.caratheodory import _draw_atoms
 from succoeff.cli import main
 from succoeff.families import _atom_jets
 from succoeff.verify import WorstMargin, _atom_count
@@ -251,27 +253,27 @@ class TestSampling:
         ClassParams.spirallike(0.25, 0.5), ClassParams.convex(0.25, -0.5), ClassParams.ozaki(0.6),
     ])
     def test_independent_of_order(self, params):
-        # a2 and a3 come from g_1..g_3, which the atom sums compute by the
-        # same operations at any truncation order.
+        # a2 and a3 come from g_1 and g_2, which are the only coefficients
+        # built: order is validated and echoed, and changes nothing else.
         reports = [sample_no_violation(params, n_samples=200, seed=5, order=order)
-                   for order in (4, 12, 128)]
-        first = reports[0]
+                   for order in (4, 12, 128, 1024)]
+        assert [report.order for report in reports] == [4, 12, 128, 1024]
         for report in reports[1:]:
-            assert (report.n_constructed, report.n_failures, report.n_violations) == (
-                first.n_constructed, first.n_failures, first.n_violations)
-            for name in ("d1_low", "d1_high", "d2_low", "d2_high"):
-                got, ref = getattr(report, name), getattr(first, name)
-                assert (got.margin, got.sample_index) == (ref.margin, ref.sample_index)
+            assert dataclasses.replace(report, order=4) == reports[0]
 
-    @pytest.mark.parametrize("n_samples", [255, 256, 257, 600])
+    @pytest.mark.parametrize("n_samples, order", [
+        (255, 12), (256, 12), (257, 12), (600, 12), (257, 1024),
+    ])
     @pytest.mark.parametrize("params, n_atoms_max", [
         (CONVEX_00, 6), (ClassParams.spirallike(0.25, 0.5), 1), (ClassParams.ozaki(0.6), 64),
     ])
-    def test_matches_per_member_loop(self, params, n_atoms_max, n_samples):
+    def test_matches_per_member_loop(self, params, n_atoms_max, n_samples, order):
         # Chunk edges fall inside, at and just past a chunk; one atom gives
         # exact ties in the d1 upper margin, which go to the lowest index.
-        got = sample_no_violation(params, n_samples, n_atoms_max, seed=9)
-        assert got == sample_reference(params, n_samples, n_atoms_max, seed=9)
+        # The reference builds every member to the full order and fails it
+        # on any non-finite coefficient.
+        got = sample_no_violation(params, n_samples, n_atoms_max, seed=9, order=order)
+        assert got == sample_reference(params, n_samples, n_atoms_max, seed=9, order=order)
 
     def test_no_member_built_does_not_pass(self, monkeypatch, tmp_path):
         # An infinite exponent makes every jet non-finite: each member is a
@@ -289,6 +291,20 @@ class TestSampling:
             (row,) = csv.DictReader(fh)
         assert (row["constructed"], row["failures"], row["passed"]) == ("0", "50", "false")
 
+    @pytest.mark.parametrize("order", [4, 12, 1024])
+    def test_verdicts_build_order_two_jets(self, order, monkeypatch, tmp_path):
+        # Whatever --order says, each chunk's jets stop at g_2.
+        calls = []
+
+        def spy(measures, jet_order, v):
+            calls.append((len(measures), jet_order))
+            return _atom_jets(measures, jet_order, v)
+
+        monkeypatch.setattr("succoeff.verify._atom_jets", spy)
+        assert main(["sample", "--samples", "600", "--order", str(order), "--format", "csv",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert calls == [(256, 2), (256, 2), (88, 2)]
+
     @pytest.mark.parametrize("order", [12, 128])
     def test_peak_memory_flat_in_n_samples(self, order, monkeypatch):
         # Members are built in chunks of 256, so 32 chunks must peak where 2
@@ -299,13 +315,13 @@ class TestSampling:
         # small tuples, which would otherwise grow the traced peak.
         batches = []
 
-        def spy(reps, *args):
-            batches.append(len(reps))
-            return _atom_jets(reps, *args)
+        def spy(measures, jet_order, v):
+            batches.append((len(measures), jet_order))
+            return _atom_jets(measures, jet_order, v)
 
         monkeypatch.setattr("succoeff.verify._atom_jets", spy)
         sample_no_violation(CONVEX_00, 600, n_atoms_max=1, seed=1, order=order)
-        assert batches == [256, 256, 88]
+        assert batches == [(256, 2), (256, 2), (88, 2)]
         monkeypatch.setattr("succoeff.verify._CHUNK", 8)
 
         def peak(n_samples):
@@ -318,11 +334,30 @@ class TestSampling:
 
         assert peak(256) <= peak(16) + 64 * 1024
 
+    def test_drawn_measures_are_checked(self, monkeypatch):
+        # Each chunk goes through the invariants of AtomicHerglotzRep
+        # before it is built: a bad draw in the second chunk is an error.
+        draws = []
+
+        def bad_300th(rng, n_atoms):
+            weights, points = _draw_atoms(rng, n_atoms)
+            draws.append(n_atoms)
+            if len(draws) == 300:
+                weights[0] += 1e-9
+            return weights, points
+
+        monkeypatch.setattr("succoeff.verify._draw_atoms", bad_300th)
+        with pytest.raises(DomainError, match="weights must sum to 1"):
+            sample_no_violation(CONVEX_00, n_samples=600, seed=2)
+
     def test_sample_count_validation(self):
         with pytest.raises(DomainError):
             sample_no_violation(SPIRAL_00, n_samples=0)
         with pytest.raises(DomainError):
             sample_no_violation(SPIRAL_00, n_samples=10, n_atoms_max=0)
+        for order in (-1, 0, 1, 2, 3):
+            with pytest.raises(DomainError, match="order must be >= 4"):
+                sample_no_violation(SPIRAL_00, n_samples=10, order=order)
 
 
 class TestCaseBoundary:
