@@ -269,6 +269,7 @@ def sample_no_violation(
                 continue
             n_constructed += 1
             a2, a3 = (g1, g2) if spirallike else (g1 / 2, g2 / 3)
+            # CoeffTriple(a2, a3).d1()/.d2() with a1 = 1, without the object.
             for key, value, bound in (("d1", abs(a2) - 1.0, d1), ("d2", abs(a3) - abs(a2), d2)):
                 lo_margin = value - bound.lower
                 hi_margin = bound.upper - value
