@@ -5,61 +5,53 @@ closed-form sharp bounds for |a2|-|a1| and |a3|-|a2| together with their
 extremal functions, and re-derives every sharp constant by exact
 optimization over the coefficient parametrization, eliminating the disk
 variable by the triangle inequality.
+
+Every public name is loaded from its submodule on first access (PEP 562),
+so a program that needs one submodule does not import the others.
 """
 
-from .bounds import (
-    BoundInterval,
-    ExtremalDescriptor,
-    ExtremalName,
-    Which,
-    attainment,
-    bound_d1,
-    bound_d2,
-    extremal_series,
-    extremal_targets,
-    t_factor,
-    two_atom_parameters,
-)
-from .caratheodory import (
-    AtomicHerglotzRep,
-    lz_c2,
-    moments,
-    random_rep,
-    solve_two_atom,
-    to_series,
-)
-from .errors import (
-    DegenerateError,
-    DomainError,
-    EvaluationError,
-    InfeasibleError,
-    OrderMismatchError,
-    SuccoeffError,
-)
-from .families import (
-    ClassParams,
-    CoeffTriple,
-    Family,
-    MembershipReport,
-    alexander_inverse,
-    coeffs_from_c,
-    coeffs_from_series,
-    construct_member,
-    gclass_from_p,
-    membership_check,
-    mu,
-    spirallike_from_p,
-)
-from .series import TruncatedSeries
-from .verify import (
-    CaseBoundaryReport,
-    FunctionalSpec,
-    SampleReport,
-    VerifyReport,
-    case_boundary_check,
-    functional_value,
-    grid_optimize,
-    sample_no_violation,
-)
+from importlib import import_module
 
+_EXPORTS = {
+    "bounds": (
+        "BoundInterval", "ExtremalDescriptor", "ExtremalName", "Which", "attainment",
+        "bound_d1", "bound_d2", "extremal_series", "extremal_targets", "t_factor",
+        "two_atom_parameters",
+    ),
+    "caratheodory": (
+        "AtomicHerglotzRep", "lz_c2", "moments", "random_rep", "solve_two_atom", "to_series",
+    ),
+    "errors": (
+        "DegenerateError", "DomainError", "EvaluationError", "InfeasibleError",
+        "OrderMismatchError", "SuccoeffError",
+    ),
+    "families": (
+        "ClassParams", "CoeffTriple", "Family", "MembershipReport", "alexander_inverse",
+        "coeffs_from_c", "coeffs_from_series", "construct_member", "gclass_from_p",
+        "membership_check", "mu", "spirallike_from_p",
+    ),
+    "series": ("TruncatedSeries",),
+    "verify": (
+        "CaseBoundaryReport", "FunctionalSpec", "SampleReport", "VerifyReport",
+        "case_boundary_check", "functional_value", "grid_optimize", "sample_no_violation",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "config"})
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups do not come back here
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

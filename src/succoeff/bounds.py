@@ -9,7 +9,7 @@ which is how the package cross-checks each bound against an explicit member.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from enum import Enum
 from typing import Optional
 
@@ -72,29 +72,31 @@ _CATALOG = {
 }
 
 
-@dataclass(frozen=True)
-class ExtremalDescriptor:
-    name: ExtremalName
-    params: ClassParams
-    rep: Optional[AtomicHerglotzRep] = None
+class ExtremalDescriptor(namedtuple("ExtremalDescriptor", "name params rep")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        two_atom = _CATALOG[self.name][1] is None
-        if (self.rep is not None) != two_atom:
-            raise DomainError(f"extremal {self.name.value} "
+    def __new__(cls, name: ExtremalName, params: ClassParams,
+                rep: Optional[AtomicHerglotzRep] = None):
+        two_atom = _CATALOG[name][1] is None
+        if (rep is not None) != two_atom:
+            raise DomainError(f"extremal {name.value} "
                               f"{'requires' if two_atom else 'does not take'} a rep")
+        return super().__new__(cls, name, params, rep)
+
+    # _replace builds through _make; route it through the checks above.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class BoundInterval:
-    lower: float
-    upper: float
-    lower_extremal: ExtremalDescriptor
-    upper_extremal: ExtremalDescriptor
+class BoundInterval(namedtuple("BoundInterval", "lower upper lower_extremal upper_extremal")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lower <= self.upper:
-            raise DomainError(f"empty interval [{self.lower}, {self.upper}]")
+    def __new__(cls, lower: float, upper: float, lower_extremal: ExtremalDescriptor,
+                upper_extremal: ExtremalDescriptor):
+        if not lower <= upper:
+            raise DomainError(f"empty interval [{lower}, {upper}]")
+        return super().__new__(cls, lower, upper, lower_extremal, upper_extremal)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def t_factor(alpha: float, gamma: float) -> float:
@@ -215,7 +217,7 @@ def extremal_series(desc: ExtremalDescriptor, order: int) -> TruncatedSeries:
     if order < 4:
         raise DomainError("order must be >= 4 to expose a2 and a3")
     family, measure = _CATALOG[desc.name]
-    params = replace(desc.params, family=family)
+    params = ClassParams(family, desc.params.alpha, desc.params.gamma, desc.params.lam)
     return construct_member(params, desc.rep if measure is None else measure, order)
 
 

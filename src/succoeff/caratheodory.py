@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, chain, repeat
 from operator import add, index, mul, sub
 from typing import Sequence
@@ -31,23 +31,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AtomicHerglotzRep:
+class AtomicHerglotzRep(namedtuple("AtomicHerglotzRep", "weights points")):
     """Convex combination sum_j w_j (1+eps_j z)/(1-eps_j z), |eps_j| = 1.
 
     Any sequences are accepted; they are stored as tuples of float and
     complex.
     """
 
-    weights: Sequence[float]
-    points: Sequence[complex]
+    __slots__ = ()
 
-    def __post_init__(self):
-        w = tuple(map(float, self.weights))
-        e = tuple(map(complex, self.points))
+    def __new__(cls, weights: Sequence[float], points: Sequence[complex]):
+        w = tuple(map(float, weights))
+        e = tuple(map(complex, points))
         _check_atoms([(w, e)])
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "points", e)
+        return super().__new__(cls, w, e)
+
+    # _replace builds through _make; route it through the checks above.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_atoms(cls, atoms) -> "AtomicHerglotzRep":

@@ -16,24 +16,28 @@ its values pass the same conversions and checks.
 
 Exit status: 0 on success, 1 when a verification fails, 2 on usage errors
 (including an ``--out`` path that cannot be written).
+
+A command imports only what it runs: ``verify``, ``sweep`` and ``sample``
+import :mod:`succoeff.verify` when they start, and ``--format json``
+imports :mod:`json` when it renders.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import config
 from .bounds import Which, attainment, bound_d1, bound_d2, extremal_series, extremal_targets
 from .errors import DomainError, SuccoeffError
 from .families import ClassParams, Family, coeffs_from_series
-from .verify import (FunctionalSpec, VerifyReport, case_boundary_check, grid_optimize,
-                     sample_no_violation)
+
+if TYPE_CHECKING:
+    from .verify import VerifyReport
 
 __all__ = ["main"]
 
@@ -121,6 +125,8 @@ def render_csv(columns: Sequence[str], rows: Sequence[dict]) -> str:
 
 
 def render_json(columns: Sequence[str], rows: Sequence[dict]) -> str:
+    import json
+
     def clean(v):
         # NaN marks a field missing after a per-row failure; JSON gets null.
         return None if isinstance(v, float) and math.isnan(v) else v
@@ -196,6 +202,8 @@ _VERIFY_ENDPOINTS = [
 
 
 def _verify_row(args: argparse.Namespace, params: ClassParams, which: Which) -> dict:
+    from .verify import FunctionalSpec, case_boundary_check, grid_optimize
+
     spec = FunctionalSpec(params, which)
     report = grid_optimize(spec, tol=args.tol)
     interval = report.analytic
@@ -277,6 +285,8 @@ _SWEEP_COLUMNS = [
 
 
 def cmd_sweep(args: argparse.Namespace) -> Outcome:
+    from .verify import FunctionalSpec, grid_optimize
+
     rows = []
     all_passed = True
     for params in _lattice(args):
@@ -340,6 +350,8 @@ _SAMPLE_COLUMNS = [
 
 
 def cmd_sample(args: argparse.Namespace) -> Outcome:
+    from .verify import sample_no_violation
+
     params = _class_params(args)
     report = sample_no_violation(
         params,

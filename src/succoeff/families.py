@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections import namedtuple
 from enum import Enum
-from itertools import repeat
+from itertools import repeat, zip_longest
 from operator import add, mul, truediv
 from typing import Optional, Sequence, Union
 
@@ -52,34 +53,34 @@ class Family(str, Enum):
     OZAKI_G = "ozaki"
 
 
-@dataclass(frozen=True)
-class ClassParams:
+class ClassParams(namedtuple("ClassParams", "family alpha gamma lam")):
     """Identifies one concrete function class.
 
     alpha/gamma apply to the spirallike and convex families, lam to the
     Ozaki-type class; the unused parameters must stay at their defaults.
     """
 
-    family: Family
-    alpha: float = 0.0
-    gamma: float = 0.0
-    lam: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family in (Family.SPIRALLIKE, Family.CONVEX_GAMMA):
-            if not 0.0 <= self.alpha < 1.0:
-                raise DomainError(f"alpha must lie in [0, 1), got {self.alpha}")
-            if not -math.pi / 2 < self.gamma < math.pi / 2:
-                raise DomainError(f"gamma must lie in (-pi/2, pi/2), got {self.gamma}")
-            if self.lam != 0.0:
+    def __new__(cls, family: Family, alpha: float = 0.0, gamma: float = 0.0, lam: float = 0.0):
+        if family in (Family.SPIRALLIKE, Family.CONVEX_GAMMA):
+            if not 0.0 <= alpha < 1.0:
+                raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
+            if not -math.pi / 2 < gamma < math.pi / 2:
+                raise DomainError(f"gamma must lie in (-pi/2, pi/2), got {gamma}")
+            if lam != 0.0:
                 raise DomainError("lam is meaningful only for the ozaki family")
-        elif self.family is Family.OZAKI_G:
-            if not 0.0 < self.lam <= 1.0:
-                raise DomainError(f"lam must lie in (0, 1], got {self.lam}")
-            if self.alpha != 0.0 or self.gamma != 0.0:
+        elif family is Family.OZAKI_G:
+            if not 0.0 < lam <= 1.0:
+                raise DomainError(f"lam must lie in (0, 1], got {lam}")
+            if alpha != 0.0 or gamma != 0.0:
                 raise DomainError("alpha/gamma are meaningful only for spirallike/convex")
         else:  # pragma: no cover - enum exhausts the cases
-            raise DomainError(f"unknown family {self.family}")
+            raise DomainError(f"unknown family {family}")
+        return super().__new__(cls, family, alpha, gamma, lam)
+
+    # _replace builds through _make; route it through the checks above.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def spirallike(cls, alpha: float = 0.0, gamma: float = 0.0) -> "ClassParams":
@@ -99,17 +100,17 @@ def mu(gamma: float) -> complex:
     return cmath.exp(1j * gamma) * math.cos(gamma)
 
 
-@dataclass(frozen=True)
-class CoeffTriple:
+class CoeffTriple(namedtuple("CoeffTriple", "a2 a3 a1")):
     """Initial coefficients of a normalized member; a1 is identically 1."""
 
-    a2: complex
-    a3: complex
-    a1: complex = 1.0 + 0j
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a1 != 1:
+    def __new__(cls, a2: complex, a3: complex, a1: complex = 1.0 + 0j):
+        if a1 != 1:
             raise DomainError("normalized members have a1 = 1")
+        return super().__new__(cls, a2, a3, a1)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def d1(self) -> float:
         return abs(self.a2) - abs(self.a1)
@@ -147,15 +148,13 @@ def _atom_jets(
     w_i S_i(k) by increasing i), so its jet does not depend on its batch.
     """
     by_size = sorted(range(len(measures)), key=lambda m: len(measures[m][0]), reverse=True)
-    weights: list[list[float]] = []
-    points: list[list[complex]] = []
-    for m in by_size:
-        for i, (w, e) in enumerate(zip(*measures[m])):
-            if i == len(weights):
-                weights.append([])
-                points.append([])
-            weights[i].append(w)
-            points[i].append(e)
+    sizes = sorted(len(w) for w, _ in measures)
+    # Slot i is column i of the size-sorted batch, cut before the measures
+    # with at most i atoms (zip_longest pads them).
+    weights, points = (
+        [col[: len(sizes) - bisect_right(sizes, i)]
+         for i, col in enumerate(zip_longest(*[measures[m][k] for m in by_size]))]
+        for k in (0, 1))
     two_v = 2.0 * v
     zeros = [0j] * len(measures)
     s = [zeros[: len(w)] for w in weights]
@@ -263,11 +262,8 @@ def coeffs_from_series(f: TruncatedSeries) -> CoeffTriple:
     return CoeffTriple(a2=f[2], a3=f[3])
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    passed: bool
-    worst_margin: float
-    worst_z: complex
+class MembershipReport(namedtuple("MembershipReport", "passed worst_margin worst_z")):
+    __slots__ = ()
 
 
 def membership_check(

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from . import config
-from .bounds import BoundInterval, Which, bound_d1, bound_d2, two_atom_parameters
+from .bounds import Which, bound_d1, bound_d2, two_atom_parameters
 from .caratheodory import AtomicHerglotzRep, _check_atoms, _draw_atoms, _seeded_stream
 from .errors import DomainError
 from .families import ClassParams, Family, _atom_jets, _exponent, mu
@@ -36,12 +35,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FunctionalSpec:
+class FunctionalSpec(namedtuple("FunctionalSpec", "params which")):
     """A coefficient functional restricted to one function class."""
 
-    params: ClassParams
-    which: Which
+    __slots__ = ()
 
 
 def _d2_constants(params: ClassParams) -> tuple[float, complex, float]:
@@ -78,21 +75,16 @@ def functional_value(spec: FunctionalSpec, c: float, x: complex) -> float:
     return pref * (abs(c * c * u + (4.0 - c * c) * x) - k * c)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Exact extrema of one functional against its analytic interval."""
+class VerifyReport(namedtuple("VerifyReport", [
+        "spec", "analytic", "numeric_min", "numeric_max", "argmin", "argmax",
+        "residual_min", "residual_max", "passed", "grid", "tol"])):
+    """Exact extrema of one functional against its analytic interval.
 
-    spec: FunctionalSpec
-    analytic: BoundInterval
-    numeric_min: float
-    numeric_max: float
-    argmin: tuple[float, float, float]
-    argmax: tuple[float, float, float]
-    residual_min: float
-    residual_max: float
-    passed: bool
-    grid: tuple[int, int, int]  # (candidate points evaluated, 1, 1)
-    tol: float
+    ``argmin`` and ``argmax`` are (c, r, theta); ``grid`` is (candidate
+    points evaluated, 1, 1).
+    """
+
+    __slots__ = ()
 
 
 def _d2_argmin(params: ClassParams) -> tuple[float, float, float]:
@@ -162,30 +154,17 @@ def grid_optimize(spec: FunctionalSpec, tol: float = config.GRID_TOL) -> VerifyR
     )
 
 
-@dataclass(frozen=True)
-class WorstMargin:
-    """Smallest observed slack to one side of a bound, with its witness."""
+class WorstMargin(namedtuple("WorstMargin", "margin sample_index rep")):
+    """Smallest observed slack to one side of a bound, with its witness (or None)."""
 
-    margin: float
-    sample_index: int
-    rep: Optional[AtomicHerglotzRep]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SampleReport:
-    params: ClassParams
-    n_samples: int
-    n_atoms_max: int
-    seed: int
-    order: int
-    slack: float
-    n_constructed: int
-    n_failures: int
-    n_violations: int
-    d1_low: WorstMargin
-    d1_high: WorstMargin
-    d2_low: WorstMargin
-    d2_high: WorstMargin
+class SampleReport(namedtuple("SampleReport", [
+        "params", "n_samples", "n_atoms_max", "seed", "order", "slack",
+        "n_constructed", "n_failures", "n_violations",
+        "d1_low", "d1_high", "d2_low", "d2_high"])):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -295,12 +274,8 @@ def sample_no_violation(
     )
 
 
-@dataclass(frozen=True)
-class CaseBoundaryReport:
-    spec: FunctionalSpec
-    c_star: float
-    argmin_c: float
-    passed: bool
+class CaseBoundaryReport(namedtuple("CaseBoundaryReport", "spec c_star argmin_c passed")):
+    __slots__ = ()
 
 
 def case_boundary_check(spec: FunctionalSpec) -> CaseBoundaryReport:

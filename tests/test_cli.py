@@ -1,7 +1,7 @@
 """CLI behavior: parsing, formats, determinism, exit codes."""
 
 import argparse
-import dataclasses
+import ast
 import json
 import math
 import re
@@ -107,7 +107,7 @@ class TestVerify:
         # minimum must be flagged by a 1e-7 tolerance.
         def shifted(params):
             interval = bound_d2(params)
-            return dataclasses.replace(interval, lower=interval.lower + 1e-6)
+            return interval._replace(lower=interval.lower + 1e-6)
 
         monkeypatch.setattr(verify_module, "bound_d2", shifted)
         code = main([
@@ -403,6 +403,45 @@ def test_commands_load_only_the_standard_library():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _modules_loaded_by(code: str) -> list:
+    """The modules that ``code``, run in a fresh interpreter, adds to sys.modules."""
+    script = f"import sys\nbefore = set(sys.modules)\n{code}\nprint(sorted(set(sys.modules) - before))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+_COMMAND_ARGV = {
+    "bounds": [], "extremal": [], "verify": [],
+    "sweep": ["--alphas", "0,0.5,2"], "sample": ["--samples", "20"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGV))
+def test_commands_load_only_what_they_run(command, fmt, tmp_path):
+    out = tmp_path / f"out.{fmt}"
+    argv = [command, *_COMMAND_ARGV[command], "--format", fmt, "--out", str(out)]
+    loaded = _modules_loaded_by(f"from succoeff.cli import main\nassert main({argv!r}) == 0")
+    assert not {"dataclasses", "inspect"} & set(loaded)
+    if command in ("bounds", "extremal"):
+        assert "succoeff.verify" not in loaded
+    if fmt == "json":
+        assert len(json.loads(out.read_text(encoding="utf-8"))) >= 1
+    else:
+        assert "json" not in loaded
+
+
+def test_package_import_is_lazy():
+    # `import succoeff` loads no submodule; resolving every public name
+    # loads them all, and still neither dataclasses nor inspect.
+    assert _modules_loaded_by("import succoeff") == ["succoeff"]
+    assert "succoeff.verify" in _modules_loaded_by("import succoeff\nsuccoeff.verify.grid_optimize")
+    loaded = _modules_loaded_by("import succoeff\nfor name in succoeff.__all__: getattr(succoeff, name)")
+    assert "succoeff.verify" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 def test_import_does_not_load_scipy():

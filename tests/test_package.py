@@ -1,4 +1,4 @@
-"""Package surface: every name a module exports resolves."""
+"""Package surface: every name a module exports resolves, and only those."""
 
 import importlib
 import pkgutil
@@ -22,3 +22,15 @@ def test_all_names_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        succoeff.no_such_name
+    # A private name of a submodule is not part of the package surface.
+    assert not hasattr(succoeff, "_atom_jets")
+
+
+def test_dir_lists_all():
+    assert set(succoeff.__all__) <= set(dir(succoeff))
+    assert "__version__" in dir(succoeff)

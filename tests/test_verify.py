@@ -2,7 +2,6 @@
 
 import cmath
 import csv
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -265,7 +264,7 @@ class TestSampling:
                    for order in (4, 12, 128, 1024)]
         assert [report.order for report in reports] == [4, 12, 128, 1024]
         for report in reports[1:]:
-            assert dataclasses.replace(report, order=4) == reports[0]
+            assert report._replace(order=4) == reports[0]
 
     @pytest.mark.parametrize("n_samples", [255, 256, 257, 600])
     @pytest.mark.parametrize("params, n_atoms_max", SAMPLED_POINTS)
