@@ -5,14 +5,16 @@ vs analytic endpoints, extremal attainment, case analysis), ``sweep``
 (verification over a parameter lattice), ``extremal`` (catalog coefficient
 table) and ``sample`` (randomized no-violation check).
 
-Output formats: an aligned text table (default), CSV, or JSON.  CSV and
-JSON carry the same fields in the same order; reals are printed with 17
+Output formats: an aligned text table (default), CSV, or JSON.  A command
+builds each row in column order, so the row carries its header: CSV, JSON
+and the table share the first row's keys.  Reals are printed with 17
 significant digits and complex quantities as separate re/im columns, so
 identical configurations produce byte-identical files.
 
-Every option is declared once, in the argparse table of
-:func:`_build_parser`; a ``--config`` file names the same long flags and
-its values pass the same conversions and checks.
+Every option is declared once, in :func:`_build_parser`, and a subcommand
+takes only the flags it reads; any other flag is a usage error.  A
+``--config`` file names the long flags of any subcommand, and its values
+pass the same conversions and checks.
 
 Exit status: 0 on success, 1 when a verification fails, 2 on usage errors
 (including an ``--out`` path that cannot be written).
@@ -117,28 +119,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_csv(columns: Sequence[str], rows: Sequence[dict]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+def render_csv(rows: Sequence[dict]) -> str:
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(map(_fmt, row.values())) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def render_json(columns: Sequence[str], rows: Sequence[dict]) -> str:
+def render_json(rows: Sequence[dict]) -> str:
     import json
 
     def clean(v):
         # NaN marks a field missing after a per-row failure; JSON gets null.
         return None if isinstance(v, float) and math.isnan(v) else v
 
-    payload = [{c: clean(row[c]) for c in columns} for row in rows]
+    payload = [{c: clean(v) for c, v in row.items()} for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
-def render_table(columns: Sequence[str], rows: Sequence[dict]) -> str:
-    cells = [[_fmt(row[c]) for c in columns] for row in rows]
-    widths = [max(len(c), *(len(r[i]) for r in cells)) if cells else len(c)
-              for i, c in enumerate(columns)]
+def render_table(rows: Sequence[dict]) -> str:
+    columns = list(rows[0])
+    cells = [list(map(_fmt, row.values())) for row in rows]
+    widths = [max(len(c), *(len(r[i]) for r in cells)) for i, c in enumerate(columns)]
     out = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
     for r in cells:
         out.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
@@ -147,9 +148,9 @@ def render_table(columns: Sequence[str], rows: Sequence[dict]) -> str:
 
 _RENDERERS = {"csv": render_csv, "json": render_json, "table": render_table}
 
-# What a command hands back for rendering: columns, rows, and whether
-# every check passed.
-Outcome = tuple[Sequence[str], list[dict], bool]
+# What a command hands back for rendering: at least one row, each built in
+# column order, and whether every check passed.
+Outcome = tuple[list[dict], bool]
 
 
 def _param_columns(params: ClassParams) -> dict:
@@ -165,8 +166,6 @@ def _param_columns(params: ClassParams) -> dict:
 
 def cmd_bounds(args: argparse.Namespace) -> Outcome:
     params = _class_params(args)
-    columns = ["family", "alpha", "gamma", "lambda", "which",
-               "lower", "upper", "lower_extremal", "upper_extremal"]
     rows = []
     for which, interval in (("d1", bound_d1(params)), ("d2", bound_d2(params))):
         rows.append({
@@ -177,7 +176,7 @@ def cmd_bounds(args: argparse.Namespace) -> Outcome:
             "lower_extremal": interval.lower_extremal.name.value,
             "upper_extremal": interval.upper_extremal.name.value,
         })
-    return columns, rows, True
+    return rows, True
 
 
 def _endpoint_cells(report: VerifyReport, names: Sequence[str]) -> dict:
@@ -189,16 +188,15 @@ def _endpoint_cells(report: VerifyReport, names: Sequence[str]) -> dict:
     )))
 
 
-def _sweep_endpoints(which: Which) -> list[str]:
-    key = which.value
-    return [f"{key}_{name}" for name in
-            ("lower", "upper", "min", "max", "residual_min", "residual_max")]
-
-
 _VERIFY_ENDPOINTS = [
     "analytic_lower", "analytic_upper", "numeric_min", "numeric_max",
     "residual_min", "residual_max",
 ]
+_SWEEP_ENDPOINTS = {
+    which: tuple(f"{which.value}_{name}" for name in
+                 ("lower", "upper", "min", "max", "residual_min", "residual_max"))
+    for which in Which
+}
 
 
 def _verify_row(args: argparse.Namespace, params: ClassParams, which: Which) -> dict:
@@ -237,21 +235,10 @@ def _verify_row(args: argparse.Namespace, params: ClassParams, which: Which) -> 
     return row
 
 
-_VERIFY_COLUMNS = [
-    "family", "alpha", "gamma", "lambda", "which",
-    *_VERIFY_ENDPOINTS,
-    "argmin_c", "argmin_r", "argmin_theta",
-    "argmax_c", "argmax_r", "argmax_theta",
-    "lower_attainment", "upper_attainment",
-    "lower_attainment_residual", "upper_attainment_residual",
-    "case_check", "passed",
-]
-
-
 def cmd_verify(args: argparse.Namespace) -> Outcome:
     params = _class_params(args)
     rows = [_verify_row(args, params, Which.D1), _verify_row(args, params, Which.D2)]
-    return _VERIFY_COLUMNS, rows, all(r["passed"] for r in rows)
+    return rows, all(r["passed"] for r in rows)
 
 
 def _lattice(args: argparse.Namespace) -> list[ClassParams]:
@@ -277,42 +264,28 @@ def _lattice(args: argparse.Namespace) -> list[ClassParams]:
             for gamma in axis(args.gammas, args.gamma)]
 
 
-_SWEEP_COLUMNS = [
-    "family", "alpha", "gamma", "lambda",
-    *_sweep_endpoints(Which.D1), *_sweep_endpoints(Which.D2),
-    "error", "passed",
-]
-
-
 def cmd_sweep(args: argparse.Namespace) -> Outcome:
     from .verify import FunctionalSpec, grid_optimize
 
     rows = []
     all_passed = True
     for params in _lattice(args):
-        row = {**_param_columns(params), "error": "", "passed": False}
-        for col in _SWEEP_COLUMNS[4:-2]:
-            row[col] = math.nan
+        # A point that fails keeps NaN in the cells it did not reach.
+        row = {**_param_columns(params),
+               **dict.fromkeys(_SWEEP_ENDPOINTS[Which.D1] + _SWEEP_ENDPOINTS[Which.D2], math.nan),
+               "error": "", "passed": False}
         try:
             ok = True
             for which in (Which.D1, Which.D2):
                 rep = grid_optimize(FunctionalSpec(params, which), tol=args.tol)
-                row.update(_endpoint_cells(rep, _sweep_endpoints(which)))
+                row.update(_endpoint_cells(rep, _SWEEP_ENDPOINTS[which]))
                 ok = ok and rep.passed
             row["passed"] = bool(ok)
         except SuccoeffError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
-            row["passed"] = False
         all_passed = all_passed and row["passed"]
         rows.append(row)
-    return _SWEEP_COLUMNS, rows, all_passed
-
-
-_EXTREMAL_COLUMNS = [
-    "family", "alpha", "gamma", "lambda", "extremal", "which",
-    "a2_re", "a2_im", "a3_re", "a3_im", "d1", "d2",
-    "target", "residual", "passed",
-]
+    return rows, all_passed
 
 
 def cmd_extremal(args: argparse.Namespace) -> Outcome:
@@ -337,16 +310,7 @@ def cmd_extremal(args: argparse.Namespace) -> Outcome:
             "residual": residual,
             "passed": passed,
         })
-    return _EXTREMAL_COLUMNS, rows, all_passed
-
-
-_SAMPLE_COLUMNS = [
-    "family", "alpha", "gamma", "lambda",
-    "n_samples", "n_atoms_max", "seed", "order",
-    "constructed", "failures", "violations",
-    "d1_low_margin", "d1_high_margin", "d2_low_margin", "d2_high_margin",
-    "passed",
-]
+    return rows, all_passed
 
 
 def cmd_sample(args: argparse.Namespace) -> Outcome:
@@ -375,22 +339,15 @@ def cmd_sample(args: argparse.Namespace) -> Outcome:
         "d2_high_margin": report.d2_high.margin,
         "passed": report.passed,
     }]
-    return _SAMPLE_COLUMNS, rows, report.passed
-
-
-_COMMANDS = {
-    "bounds": cmd_bounds,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-    "extremal": cmd_extremal,
-    "sample": cmd_sample,
-}
+    return rows, report.passed
 
 
 # ------------------------------------------------------------------ parsing
 
 def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    # One -h serves every child: add_help would build a help formatter per child.
     shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("-h", "--help", action="help", help="show this help message and exit")
     shared.add_argument("--config", type=str, default=None,
                         help="flat KEY=VALUE file supplying defaults")
     shared.add_argument("--family", choices=[f.value for f in Family], default="spirallike")
@@ -398,35 +355,37 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     shared.add_argument("--gamma", type=parse_angle, default=0.0,
                         help="radians; fractions of pi accepted, e.g. pi/4")
     shared.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    shared.add_argument("--order", type=int_range(4, config.MAX_ORDER),
-                        default=config.DEFAULT_ORDER)
-    shared.add_argument("--tol", type=parse_tol, default=config.GRID_TOL)
-    shared.add_argument("--seed", type=int_range(0), default=0)
     shared.add_argument("--out", type=str, default=None)
     shared.add_argument("--format", choices=sorted(_RENDERERS), default="table")
+    # A flag that several subcommands read has a parent of its own.
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--order", type=int_range(4, config.MAX_ORDER), default=config.DEFAULT_ORDER)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=parse_tol, default=config.GRID_TOL)
 
     parser = argparse.ArgumentParser(
         prog="succoeff",
         description="Sharp successive-coefficient bounds: compute, attain, re-derive.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    children = [
-        sub.add_parser("bounds", parents=[shared], help="print the analytic intervals"),
-        sub.add_parser("verify", parents=[shared], help="optimizer vs analytic endpoints"),
-    ]
-    sweep = sub.add_parser("sweep", parents=[shared], help="verify over a parameter lattice")
+
+    def command(name, run, summary, *parents):
+        child = sub.add_parser(name, parents=[shared, *parents], help=summary, add_help=False)
+        child.set_defaults(run=run)
+        return child
+
+    command("bounds", cmd_bounds, "print the analytic intervals")
+    command("verify", cmd_verify, "optimizer vs analytic endpoints", order, tol)
+    sweep = command("sweep", cmd_sweep, "verify over a parameter lattice", tol)
     # Values starting with a minus need the = form: --gammas=-pi/6,pi/6,3
-    sweep.add_argument("--alphas", type=parse_range, default=None, metavar="START,STOP,COUNT")
-    sweep.add_argument("--gammas", type=parse_range, default=None, metavar="START,STOP,COUNT")
-    sweep.add_argument("--lambdas", type=parse_range, default=None, metavar="START,STOP,COUNT")
-    children.append(sweep)
-    children.append(sub.add_parser("extremal", parents=[shared],
-                                   help="extremal coefficient table"))
-    sample = sub.add_parser("sample", parents=[shared], help="randomized no-violation check")
+    for axis in ("--alphas", "--gammas", "--lambdas"):
+        sweep.add_argument(axis, type=parse_range, default=None, metavar="START,STOP,COUNT")
+    command("extremal", cmd_extremal, "extremal coefficient table", order)
+    sample = command("sample", cmd_sample, "randomized no-violation check", order)
+    sample.add_argument("--seed", type=int_range(0), default=0)
     sample.add_argument("--samples", type=int_range(1), default=500)
     sample.add_argument("--atoms-max", type=int_range(1, config.MAX_ATOMS), default=6)
-    children.append(sample)
-    return parser, children
+    return parser, list(sub.choices.values())
 
 
 def _load_config_file(path: str, children: Sequence[argparse.ArgumentParser]) -> dict:
@@ -482,14 +441,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             child.set_defaults(**defaults)
     args = parser.parse_args(argv)
     try:
-        columns, rows, passed = _COMMANDS[args.command](args)
+        rows, passed = args.run(args)
     except DomainError as exc:
         print(f"succoeff: usage error: {exc}", file=sys.stderr)
         return 2
     except SuccoeffError as exc:
         print(f"succoeff: {exc}", file=sys.stderr)
         return 1
-    text = _RENDERERS[args.format](columns, rows)
+    text = _RENDERERS[args.format](rows)
     if not args.out:
         sys.stdout.write(text)
     else:

@@ -28,12 +28,6 @@ MAX_ORDER = 1024
 # 9-11 ms).
 MAX_ATOMS = 64
 
-# Series-level identities (ring axioms, termwise comparisons).
-SERIES_ATOL = 1e-12
-
-# exp/log and complex-power round trips accumulate a little more noise.
-ROUNDTRIP_ATOL = 1e-11
-
 # Structural invariants of atomic Herglotz representations, and the slack
 # on the constraints their coefficients and disk parameters meet:
 # |c_k| <= 2, c in [0, 2] and |x| <= 1.

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import importlib.util
 import json
 import math
 import re
@@ -14,7 +15,8 @@ import pytest
 
 import succoeff.verify as verify_module
 from succoeff import ClassParams, Which, bound_d2, config
-from succoeff.cli import main, parse_angle
+from succoeff.cli import _build_parser, main, parse_angle
+from succoeff.errors import InfeasibleError
 
 
 class TestParsing:
@@ -292,6 +294,32 @@ class TestUsageErrors:
             main(argv)
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--seed", "3"],
+        ["bounds", "--tol", "1e-9"],
+        ["bounds", "--order", "16"],
+        ["sweep", "--seed", "3"],
+        ["sweep", "--order", "16"],
+        ["verify", "--seed", "3"],
+        ["extremal", "--seed", "3"],
+        ["extremal", "--tol", "1e-9"],
+        ["sample", "--tol", "1e-9"],
+    ])
+    def test_flag_the_command_does_not_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--order", "16", "--tol", "1e-9"],
+        ["extremal", "--order", "16"],
+        ["sweep", "--tol", "1e-9"],
+        ["sample", "--order", "16", "--seed", "3"],
+    ])
+    def test_flags_the_command_reads(self, argv, tmp_path):
+        assert main([*argv, "--format", "csv", "--out", str(tmp_path / "out.csv")]) == 0
+
     def test_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "bounds.csv"
         assert main(["bounds", "--format", "csv", "--out", str(out)]) == 2
@@ -432,6 +460,86 @@ def test_commands_load_only_what_they_run(command, fmt, tmp_path):
         assert len(json.loads(out.read_text(encoding="utf-8"))) >= 1
     else:
         assert "json" not in loaded
+
+
+# Each table's columns, in order, as its CSV header prints them.
+_HEADERS = {
+    "bounds": "family,alpha,gamma,lambda,which,lower,upper,lower_extremal,upper_extremal",
+    "verify": "family,alpha,gamma,lambda,which,"
+              "analytic_lower,analytic_upper,numeric_min,numeric_max,residual_min,residual_max,"
+              "argmin_c,argmin_r,argmin_theta,argmax_c,argmax_r,argmax_theta,"
+              "lower_attainment,upper_attainment,"
+              "lower_attainment_residual,upper_attainment_residual,case_check,passed",
+    "sweep": "family,alpha,gamma,lambda,"
+             "d1_lower,d1_upper,d1_min,d1_max,d1_residual_min,d1_residual_max,"
+             "d2_lower,d2_upper,d2_min,d2_max,d2_residual_min,d2_residual_max,error,passed",
+    "extremal": "family,alpha,gamma,lambda,extremal,which,"
+                "a2_re,a2_im,a3_re,a3_im,d1,d2,target,residual,passed",
+    "sample": "family,alpha,gamma,lambda,n_samples,n_atoms_max,seed,order,"
+              "constructed,failures,violations,"
+              "d1_low_margin,d1_high_margin,d2_low_margin,d2_high_margin,passed",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HEADERS))
+def test_table_headers(command, tmp_path):
+    # CSV, JSON and the table name the same columns in the same order.
+    columns = _HEADERS[command].split(",")
+    text = {}
+    for fmt in ("csv", "json", "table"):
+        out = tmp_path / f"out.{fmt}"
+        assert main([command, *_COMMAND_ARGV[command], "--format", fmt, "--out", str(out)]) == 0
+        text[fmt] = out.read_text(encoding="utf-8")
+    assert text["csv"].splitlines()[0] == _HEADERS[command]
+    assert all(list(row) == columns for row in json.loads(text["json"]))
+    assert text["table"].splitlines()[0].split() == columns
+
+
+def test_sweep_error_row_keeps_the_columns(tmp_path, monkeypatch):
+    # A point whose d2 optimization fails keeps every column in place: its
+    # d1 cells are filled, its d2 cells NaN (null in JSON), its error named.
+    optimize = verify_module.grid_optimize
+
+    def failing(spec, **kwargs):
+        if spec.which is Which.D2:
+            raise InfeasibleError("no d2 here")
+        return optimize(spec, **kwargs)
+
+    monkeypatch.setattr(verify_module, "grid_optimize", failing)
+    argv = ["sweep", *_COMMAND_ARGV["sweep"]]
+    csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main([*argv, "--format", "csv", "--out", str(csv_out)]) == 1
+    assert main([*argv, "--format", "json", "--out", str(json_out)]) == 1
+    header, rows = read_csv(csv_out)
+    assert ",".join(header) == _HEADERS["sweep"]
+    assert len(rows) == 2
+    for row, record in zip(rows, json.loads(json_out.read_text(encoding="utf-8"))):
+        assert list(record) == header
+        assert row["error"] == record["error"] == "InfeasibleError: no d2 here"
+        assert row["passed"] == "false" and record["passed"] is False
+        assert math.isfinite(float(row["d1_lower"])) and row["d2_lower"] == "nan"
+        assert record["d2_lower"] is None
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_command_lines_parse(tmp_path):
+    # Every command line the benchmark builds (it adds --format csv --out
+    # PATH) parses; nothing is run.
+    workloads = _perfbench_workloads()
+    parser, _ = _build_parser()
+    out = str(tmp_path / "out.csv")
+    argvs = [argv for build in workloads.WORKLOADS.values() for argv in build(7)]
+    assert {argv[0] for argv in argvs} == set(_HEADERS)
+    for argv in argvs:
+        args = parser.parse_args([*argv, "--format", "csv", "--out", out])
+        assert (args.command, args.format, args.out) == (argv[0], "csv", out)
 
 
 def test_package_import_is_lazy():
