@@ -26,9 +26,8 @@ _EXPORTS = {
         "OrderMismatchError", "SuccoeffError",
     ),
     "families": (
-        "ClassParams", "CoeffTriple", "Family", "MembershipReport", "alexander_inverse",
-        "coeffs_from_c", "coeffs_from_series", "construct_member", "gclass_from_p",
-        "membership_check", "mu", "spirallike_from_p",
+        "ClassParams", "CoeffTriple", "Family", "MembershipReport", "coeffs_from_c",
+        "coeffs_from_series", "construct_member", "membership_check", "mu",
     ),
     "series": ("TruncatedSeries",),
     "verify": (

@@ -426,20 +426,18 @@ def _load_config_file(path: str, children: Sequence[argparse.ArgumentParser]) ->
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, children = _build_parser()
+    args = parser.parse_args(argv)
     # Config file supplies defaults only; explicit flags always win.
-    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
-    if path is not None:
+    if args.config is not None:
         try:
-            defaults = _load_config_file(path, children)
+            defaults = _load_config_file(args.config, children)
         except (OSError, DomainError) as exc:
             print(f"succoeff: {exc}", file=sys.stderr)
             return 2
         # Subparsers hold their own defaults, so update every one of them.
         for child in children:
             child.set_defaults(**defaults)
-    args = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     try:
         rows, passed = args.run(args)
     except DomainError as exc:

@@ -10,9 +10,10 @@ Families covered (all normalized f(z) = z + a2 z^2 + a3 z^3 + ...):
 * the Ozaki-type class with parameter lam:
       Re(1 + z f''(z)/f'(z)) < 1 + lam/2.
 
-Members are built from a Carathéodory function p, given by its atoms or
-by its series, through the exponential representations; the low-order
-coefficient maps are available in closed form through :func:`coeffs_from_c`.
+Every member comes from g = exp{v int (p(t)-1)/t dt} of a Carathéodory
+function p, given by its atoms or by its series.  The families differ in
+the exponent v and in the coefficient rule only: f = z g (spirallike) or
+f' = g (convex, Ozaki); :func:`coeffs_from_c` derives a2 and a3 from both.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ __all__ = [
     "ClassParams",
     "CoeffTriple",
     "mu",
-    "spirallike_from_p",
-    "gclass_from_p",
-    "alexander_inverse",
     "construct_member",
     "coeffs_from_c",
     "coeffs_from_series",
@@ -100,30 +98,40 @@ def mu(gamma: float) -> complex:
     return cmath.exp(1j * gamma) * math.cos(gamma)
 
 
-class CoeffTriple(namedtuple("CoeffTriple", "a2 a3 a1")):
-    """Initial coefficients of a normalized member; a1 is identically 1."""
+class CoeffTriple(namedtuple("CoeffTriple", "a2 a3")):
+    """Initial coefficients a2, a3 of a normalized member, whose a1 is 1."""
 
     __slots__ = ()
 
-    def __new__(cls, a2: complex, a3: complex, a1: complex = 1.0 + 0j):
-        if a1 != 1:
-            raise DomainError("normalized members have a1 = 1")
-        return super().__new__(cls, a2, a3, a1)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
     def d1(self) -> float:
-        return abs(self.a2) - abs(self.a1)
+        return abs(self.a2) - 1.0
 
     def d2(self) -> float:
         return abs(self.a3) - abs(self.a2)
 
 
 def _exponent(params: ClassParams) -> complex:
-    """The v of the member's exponential factor exp{v int (p(t)-1)/t dt}."""
+    """The v of exp{v int (p(t)-1)/t dt}; Ozaki's sign is from p = (lam - 2 z f''/f')/lam."""
     if params.family is Family.OZAKI_G:
         return -0.5 * params.lam
     return (1.0 - params.alpha) * mu(params.gamma)
+
+
+def _abs_exponent(params: ClassParams) -> float:
+    """|v| in closed form; abs(v) goes through hypot and may differ in the last bit."""
+    if params.family is Family.OZAKI_G:
+        return 0.5 * params.lam
+    return (1.0 - params.alpha) * math.cos(params.gamma)
+
+
+def _f_prime_is_g(params: ClassParams) -> bool:
+    """The coefficient rule: f' = g (convex, Ozaki) or f = z g (spirallike)."""
+    return params.family is not Family.SPIRALLIKE
+
+
+def _divisors(params: ClassParams) -> tuple[int, int]:
+    """(n2, n3) with a2 = g_1/n2 and a3 = g_2/n3."""
+    return (2, 3) if _f_prime_is_g(params) else (1, 1)
 
 
 def _atom_jets(
@@ -179,33 +187,9 @@ def _member(params: ClassParams, g: Sequence[complex]) -> TruncatedSeries:
     Spirallike: z g.  Convex: the Alexander inverse of z g, and Ozaki: the
     antiderivative of g; both give a_n = g_{n-1}/n.
     """
-    if params.family is Family.SPIRALLIKE:
-        return TruncatedSeries([0j, *g])
-    return TruncatedSeries([0j, *map(truediv, g, range(1, len(g) + 1))])
-
-
-def _series_member(params: ClassParams, p: TruncatedSeries) -> TruncatedSeries:
-    return _member(params, (_exponent(params) * p.integrate_kernel()).exp().coeffs[:-1])
-
-
-def spirallike_from_p(p: TruncatedSeries, alpha: float, gamma: float) -> TruncatedSeries:
-    """Spirallike member z exp{(1-alpha) mu int (p(t)-1)/t dt} as a series."""
-    return _series_member(ClassParams.spirallike(alpha, gamma), p)
-
-
-def gclass_from_p(p: TruncatedSeries, lam: float) -> TruncatedSeries:
-    """Ozaki-class member with f' = exp{-(lam/2) int (p(t)-1)/t dt}.
-
-    The sign follows the defining substitution p = (lam - 2 z f''/f')/lam,
-    which gives a2 = -lam c1 / 4.
-    """
-    return _series_member(ClassParams.ozaki(lam), p)
-
-
-def alexander_inverse(g: TruncatedSeries) -> TruncatedSeries:
-    """The f with z f' = g, i.e. a_n(f) = a_n(g)/n (a_0 passes through)."""
-    c = g.coeffs
-    return TruncatedSeries([c[0]] + [c[k] / k for k in range(1, len(c))])
+    if _f_prime_is_g(params):
+        return TruncatedSeries([0j, *map(truediv, g, range(1, len(g) + 1))])
+    return TruncatedSeries([0j, *g])
 
 
 def construct_member(
@@ -217,11 +201,11 @@ def construct_member(
 
     p is either a truncated series, whose order the member keeps, or an
     atomic measure together with the truncation ``order``.  Both forms
-    share the family wrapping (z g for spirallike, its Alexander inverse
-    for convex, the antiderivative of g for Ozaki); they differ only in how
-    they get the exponential factor g: exp of the series (O(order^2)), or
-    one running sum per atom (O(atoms * order)).  params is not validated
-    again: a ClassParams is checked when it is made.
+    share the family wrapping (z g for spirallike, the antiderivative of g
+    for convex and Ozaki); they differ only in how they get the exponential
+    factor g: exp of the series (O(order^2)), or one running sum per atom
+    (O(atoms * order)).  params is not validated again: a ClassParams is
+    checked when it is made.
     """
     if isinstance(p, AtomicHerglotzRep):
         if order is None or order < 1:
@@ -230,26 +214,20 @@ def construct_member(
         return _member(params, jet)
     if order is not None:
         raise DomainError("a series carries its own order; pass order only with a measure")
-    return _series_member(params, p)
+    return _member(params, (_exponent(params) * p.integrate_kernel()).exp().coeffs[:-1])
 
 
 def coeffs_from_c(params: ClassParams, c1: complex, c2: complex) -> CoeffTriple:
     """Closed-form (a2, a3) of the member generated by p = 1 + c1 z + c2 z^2 + ...
 
-    spirallike:  a2 = (1-a) mu c1,        2 a3 = (1-a)^2 mu^2 c1^2 + (1-a) mu c2
-    convex:      2 a2 = (1-a) mu c1,      6 a3 = (1-a)^2 mu^2 c1^2 + (1-a) mu c2
-    ozaki:       a2 = -lam c1 / 4,        a3 = (lam^2 c1^2 - 2 lam c2) / 24
+    z g' = v (p - 1) g gives g1 = v c1 and g2 = (v^2 c1^2 + v c2)/2; then
+    a2 = g1/n2 and a3 = g2/n3 by the family's coefficient rule.
     """
     if abs(c1) > 2 + config.REP_ATOL or abs(c2) > 2 + config.REP_ATOL:
         raise DomainError("Carathéodory coefficients satisfy |c_k| <= 2")
-    if params.family is Family.OZAKI_G:
-        lam = params.lam
-        return CoeffTriple(a2=-lam * c1 / 4.0, a3=(lam * lam * c1 * c1 - 2.0 * lam * c2) / 24.0)
-    w = (1.0 - params.alpha) * mu(params.gamma)
-    quad = w * w * c1 * c1 + w * c2
-    if params.family is Family.SPIRALLIKE:
-        return CoeffTriple(a2=w * c1, a3=quad / 2.0)
-    return CoeffTriple(a2=w * c1 / 2.0, a3=quad / 6.0)
+    v = _exponent(params)
+    n2, n3 = _divisors(params)
+    return CoeffTriple(a2=v * c1 / n2, a3=(v * v * c1 * c1 + v * c2) / 2.0 / n3)
 
 
 def coeffs_from_series(f: TruncatedSeries) -> CoeffTriple:

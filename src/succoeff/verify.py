@@ -21,7 +21,7 @@ from . import config
 from .bounds import Which, bound_d1, bound_d2, two_atom_parameters
 from .caratheodory import AtomicHerglotzRep, _check_atoms, _draw_atoms, _seeded_stream
 from .errors import DomainError
-from .families import ClassParams, Family, _atom_jets, _exponent, mu
+from .families import ClassParams, _abs_exponent, _atom_jets, _divisors, _exponent
 
 __all__ = [
     "FunctionalSpec",
@@ -45,22 +45,17 @@ def _d2_constants(params: ClassParams) -> tuple[float, complex, float]:
     """(prefactor, quadratic weight u, linear weight K) of the d2 reduction.
 
     value = prefactor * (|c^2 u + (4 - c^2) x| - K c).
+
+    From g1 = v c1, g2 = (v^2 c1^2 + v c2)/2, a2 = g1/n2 and a3 = g2/n3: with
+    c1 = c and c2 = (c^2 + (4 - c^2) x)/2, g2 = (v/4)(c^2 u + (4 - c^2) x) where
+    u = 1 + 2v, so prefactor = |v|/(4 n3) and K = 4 n3/n2; |a2| - 1 = (|v|/n2) c - 1.
     """
-    if params.family is Family.OZAKI_G:
-        return params.lam / 24.0, 1.0 - params.lam + 0j, 6.0
-    w = 1.0 + 2.0 * (1.0 - params.alpha) * mu(params.gamma)
-    cosg = math.cos(params.gamma)
-    if params.family is Family.SPIRALLIKE:
-        return (1.0 - params.alpha) * cosg / 4.0, w, 4.0
-    return (1.0 - params.alpha) * cosg / 12.0, w, 6.0
+    n2, n3 = _divisors(params)
+    return _abs_exponent(params) / (4 * n3), 1.0 + 2.0 * _exponent(params), 4 * n3 / n2
 
 
 def _d1_slope(params: ClassParams) -> float:
-    if params.family is Family.SPIRALLIKE:
-        return (1.0 - params.alpha) * math.cos(params.gamma)
-    if params.family is Family.CONVEX_GAMMA:
-        return (1.0 - params.alpha) * math.cos(params.gamma) / 2.0
-    return params.lam / 4.0
+    return _abs_exponent(params) / _divisors(params)[0]
 
 
 def functional_value(spec: FunctionalSpec, c: float, x: complex) -> float:
@@ -229,7 +224,7 @@ def sample_no_violation(
     d1 = bound_d1(params)
     d2 = bound_d2(params)
     rng = _seeded_stream(seed)
-    spirallike = params.family is Family.SPIRALLIKE
+    n2, n3 = _divisors(params)
     worst = {
         ("d1", "low"): (math.inf, -1, None),
         ("d1", "high"): (math.inf, -1, None),
@@ -247,8 +242,8 @@ def sample_no_violation(
                 n_failures += 1
                 continue
             n_constructed += 1
-            a2, a3 = (g1, g2) if spirallike else (g1 / 2, g2 / 3)
-            # CoeffTriple(a2, a3).d1()/.d2() with a1 = 1, without the object.
+            a2, a3 = g1 / n2, g2 / n3
+            # CoeffTriple(a2, a3).d1()/.d2(), without the object.
             for key, value, bound in (("d1", abs(a2) - 1.0, d1), ("d2", abs(a3) - abs(a2), d2)):
                 lo_margin = value - bound.lower
                 hi_margin = bound.upper - value

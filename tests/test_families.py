@@ -1,5 +1,6 @@
 """Class constructors, coefficient maps, and membership sampling."""
 
+import cmath
 import math
 
 import numpy as np
@@ -13,19 +14,17 @@ from succoeff import (
     EvaluationError,
     Family,
     TruncatedSeries,
-    alexander_inverse,
     coeffs_from_c,
     coeffs_from_series,
     construct_member,
-    gclass_from_p,
     membership_check,
     mu,
     random_rep,
-    spirallike_from_p,
     to_series,
 )
 from conftest import assert_series_close, atom_jet_reference, float_bits
 from succoeff.families import _atom_jets, _exponent, _member
+from succoeff.verify import _d1_slope, _d2_constants
 from jets import cpow, monomial, one
 
 
@@ -40,6 +39,14 @@ def even_herglotz_series(order):
     c[0] = 1.0
     c[2::2] = 2.0
     return TruncatedSeries(c)
+
+
+def spirallike_member(p, alpha=0.0, gamma=0.0):
+    return construct_member(ClassParams.spirallike(alpha, gamma), p)
+
+
+def ozaki_member(p, lam):
+    return construct_member(ClassParams.ozaki(lam), p)
 
 
 def conj_reflect(f: TruncatedSeries) -> TruncatedSeries:
@@ -69,41 +76,44 @@ class TestParams:
             ClassParams(Family.SPIRALLIKE, lam=0.5)
 
     def test_coeff_triple_normalization(self):
-        with pytest.raises(DomainError):
-            CoeffTriple(a2=0.0, a3=0.0, a1=2.0)
+        # a1 is 1 by normalization, so it is not a field.
+        assert CoeffTriple._fields == ("a2", "a3")
+        with pytest.raises(TypeError):
+            CoeffTriple(a2=0.0, a3=0.0, a1=1.0)
+        assert CoeffTriple(-0.75 + 1j, 0.0).d1() == 0.25
 
 
 class TestSpirallikeConstruction:
     def test_trivial_p(self):
-        f = spirallike_from_p(one(8), 0.3, 0.4)
+        f = spirallike_member(one(8), 0.3, 0.4)
         assert_series_close(f, monomial(1, 8).coeffs)
 
     def test_koebe(self):
-        f = spirallike_from_p(herglotz_series(8), 0.0, 0.0)
+        f = spirallike_member(herglotz_series(8), 0.0, 0.0)
         assert_series_close(f, [0, 1, 2, 3, 4, 5, 6, 7, 8], atol=1e-12)
 
     @pytest.mark.parametrize("alpha,gamma", [(0.0, 0.0), (0.25, 0.6), (0.5, -0.9)])
     def test_even_kernel_coefficients(self, alpha, gamma):
         # p = (1+z^2)/(1-z^2) produces a2 = 0 and a3 = (1-alpha) mu.
-        f = spirallike_from_p(even_herglotz_series(8), alpha, gamma)
+        f = spirallike_member(even_herglotz_series(8), alpha, gamma)
         assert abs(f[2]) < 1e-14
         assert f[3] == pytest.approx((1 - alpha) * mu(gamma), abs=1e-14)
 
     def test_rejects_bad_p(self):
         with pytest.raises(DomainError):
-            spirallike_from_p(monomial(1, 6), 0.0, 0.0)
+            spirallike_member(monomial(1, 6), 0.0, 0.0)
 
 
 class TestOzakiConstruction:
     def test_trivial_p(self):
-        f = gclass_from_p(one(8), 0.5)
+        f = ozaki_member(one(8), 0.5)
         assert_series_close(f, monomial(1, 8).coeffs)
 
     @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
     def test_even_kernel_gives_h(self, lam):
         # The even kernel generates int_0^z (1-t^2)^{lam/2} dt: a2 = 0 and
         # a3 = -lam/6 (modulus lam/6).
-        f = gclass_from_p(even_herglotz_series(10), lam)
+        f = ozaki_member(even_herglotz_series(10), lam)
         h = cpow(one(10) + monomial(2, 10, -1.0), lam / 2).antiderivative()
         assert_series_close(f, h.coeffs, atol=1e-13)
         assert abs(f[2]) < 1e-14
@@ -112,30 +122,21 @@ class TestOzakiConstruction:
 
     def test_full_mass_atom(self):
         # c1 = 2 gives a2 = -lam/2.
-        f = gclass_from_p(herglotz_series(8), 0.8)
+        f = ozaki_member(herglotz_series(8), 0.8)
         assert f[2] == pytest.approx(-0.4, abs=1e-14)
 
 
 class TestAlexander:
-    def test_identity(self):
-        assert_series_close(alexander_inverse(monomial(1, 6)), monomial(1, 6).coeffs)
-
-    def test_koebe_maps_to_half_plane_function(self):
-        koebe = TruncatedSeries(np.arange(9, dtype=complex))
-        assert_series_close(alexander_inverse(koebe), [0] + [1] * 8)
-
-    def test_even_kernel_maps_h_to_q(self):
-        alpha, gamma = 0.3, -0.5
-        h = spirallike_from_p(even_herglotz_series(8), alpha, gamma)
-        q = alexander_inverse(h)
-        assert q[3] == pytest.approx((1 - alpha) * mu(gamma) / 3, abs=1e-14)
-
-    def test_roundtrip(self, rng):
-        g = TruncatedSeries(
-            np.r_[0.0, 1.0, rng.uniform(-1, 1, 8) + 1j * rng.uniform(-1, 1, 8)]
-        )
-        f = alexander_inverse(g)
-        assert_series_close(f.derivative().shift_up(), g.coeffs, atol=1e-14)
+    @pytest.mark.parametrize("order", [8, 128])
+    def test_convex_member_is_alexander_inverse(self, order):
+        # z f' of the convex member is the spirallike member of the same p,
+        # from its atoms and from its series.
+        rep = AtomicHerglotzRep((0.2, 0.5, 0.3), (1j, cmath.exp(2.1j), -1.0))
+        for p, n in ((rep, order), (to_series(rep, order), None)):
+            for alpha, gamma in ((0.0, 0.0), (0.3, -0.5), (0.6, 1.2)):
+                f = construct_member(ClassParams.convex(alpha, gamma), p, n)
+                g = construct_member(ClassParams.spirallike(alpha, gamma), p, n)
+                assert_series_close(f.derivative().shift_up(), g.coeffs, atol=1e-13)
 
 
 class TestCoeffMaps:
@@ -184,6 +185,43 @@ class TestCoeffMaps:
     def test_coeffs_from_series_validates(self):
         with pytest.raises(DomainError):
             coeffs_from_series(one(8))
+
+
+def per_family_formulas(params):
+    """(d1 slope, d2 constants, (c1, c2) -> (a2, a3)), written out family by family.
+
+    These are the forms the derivation from the exponent v replaced; they
+    pin v and the coefficient rule, which the derived code shares.
+    """
+    a, g, lam = params.alpha, params.gamma, params.lam
+    if params.family is Family.OZAKI_G:
+        return (lam / 4.0, (lam / 24.0, 1.0 - lam + 0j, 6.0),
+                lambda c1, c2: (-lam * c1 / 4.0, (lam * lam * c1 * c1 - 2.0 * lam * c2) / 24.0))
+    w = (1.0 - a) * mu(g)
+    u = 1.0 + 2.0 * (1.0 - a) * mu(g)
+    cosg = math.cos(g)
+    if params.family is Family.SPIRALLIKE:
+        return ((1.0 - a) * cosg, ((1.0 - a) * cosg / 4.0, u, 4.0),
+                lambda c1, c2: (w * c1, (w * w * c1 * c1 + w * c2) / 2.0))
+    return ((1.0 - a) * cosg / 2.0, ((1.0 - a) * cosg / 12.0, u, 6.0),
+            lambda c1, c2: (w * c1 / 2.0, (w * w * c1 * c1 + w * c2) / 6.0))
+
+
+@pytest.mark.parametrize("params", [
+    ClassParams.spirallike(0.3, 0.7),
+    ClassParams.spirallike(0.0, -1.1),
+    ClassParams.convex(0.5, -0.4),
+    ClassParams.convex(0.2, 1.3),
+    ClassParams.ozaki(0.3),
+    ClassParams.ozaki(0.5),
+    ClassParams.ozaki(1.0),
+])
+def test_derived_constants_match_per_family_formulas(params):
+    slope, constants, coeffs = per_family_formulas(params)
+    assert _d1_slope(params) == slope
+    assert _d2_constants(params) == constants
+    for c1, c2 in ((2.0, 2.0), (0.0, -2.0), (1.3 - 0.4j, -0.7 + 1.1j), (-0.9j, 1.9 + 0.1j)):
+        assert tuple(coeffs_from_c(params, c1, c2)) == coeffs(c1, c2)
 
 
 ATOM_PATH_PARAMS = [
@@ -329,12 +367,12 @@ class TestMembership:
         # At the default order the check is necessary-style only: the jet of
         # the full-mass-atom (Koebe-type) member misreports the functional
         # already at r = 0.6, because the dropped tail dominates there.
-        koebe_jet = spirallike_from_p(herglotz_series(12), 0.0, 0.0)
+        koebe_jet = spirallike_member(herglotz_series(12), 0.0, 0.0)
         report = membership_check(
             koebe_jet, ClassParams.spirallike(0.0, 0.0), radii=[0.6]
         )
         assert not report.passed  # false negative, documented limitation
-        deep = spirallike_from_p(herglotz_series(128), 0.0, 0.0)
+        deep = spirallike_member(herglotz_series(128), 0.0, 0.0)
         assert membership_check(deep, ClassParams.spirallike(0.0, 0.0)).passed
 
     def test_grid_validation(self):

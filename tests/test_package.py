@@ -24,6 +24,18 @@ def test_all_names_resolve(name):
     assert set(exported) <= set(namespace)
 
 
+@pytest.mark.parametrize("module_name", sorted(succoeff._EXPORTS))
+def test_exports_match_module(module_name):
+    # The lazy surface lists each module's names by hand: every listed name
+    # exists, and where the module declares __all__ the two lists agree.
+    module = importlib.import_module(f"succoeff.{module_name}")
+    names = succoeff._EXPORTS[module_name]
+    assert [n for n in names if not hasattr(module, n)] == []
+    if hasattr(module, "__all__"):
+        assert sorted(names) == sorted(module.__all__)
+        assert len(set(names)) == len(names)
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         succoeff.no_such_name

@@ -71,7 +71,7 @@ class TestValueSemantics:
 def test_defaults_and_keywords():
     assert ClassParams(Family.OZAKI_G, lam=0.5) == ClassParams(Family.OZAKI_G, 0.0, 0.0, 0.5)
     assert ClassParams(family=Family.SPIRALLIKE) == ClassParams.spirallike()
-    assert CoeffTriple(a3=2j, a2=1.0) == CoeffTriple(1.0, 2j, 1.0 + 0j)
+    assert CoeffTriple(a3=2j, a2=1.0) == CoeffTriple(1.0, 2j)
     assert ExtremalDescriptor(ExtremalName.K, PARAMS).rep is None
     assert repr(ClassParams.ozaki(0.5)) == (
         "ClassParams(family=<Family.OZAKI_G: 'ozaki'>, alpha=0.0, gamma=0.0, lam=0.5)")
@@ -99,7 +99,6 @@ INVALID = [
     (ClassParams.ozaki(0.5), {"lam": 1.5}),
     (ClassParams.ozaki(0.5), {"alpha": 0.1}),
     (ClassParams.ozaki(0.5), {"gamma": 0.1}),
-    (CoeffTriple(0.5, 0.25), {"a1": 2.0}),
     (REP, {"weights": (0.5, 0.6)}),
     (REP, {"weights": (0.0, 1.0)}),
     (REP, {"weights": (1.0,)}),

@@ -263,7 +263,7 @@ class TestNumpyReference:
     @pytest.mark.parametrize("order", ORDERS)
     def test_exp(self, order, rng):
         p, _ = self.member_series(order, int(rng.integers(0, 2**31)))
-        # The argument spirallike_from_p exponentiates, then a random one.
+        # The argument the spirallike construction exponentiates, then a random one.
         for arg in ((0.75 * mu(0.5)) * p.integrate_kernel(),
                     random_series(rng, order, constant=0.0, scale=0.5)):
             got, ref = arg.exp().coeffs, np_exp(arg.coeffs)
