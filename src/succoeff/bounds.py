@@ -2,8 +2,9 @@
 
 For each family the interval endpoints are closed-form in the class
 parameters; every endpoint is attained by a catalog function, the class
-member generated by one Carathéodory measure (see :func:`extremal_series`),
-which is how the package cross-checks each bound against an explicit member.
+member generated by one Carathéodory measure (see :func:`extremal_coeffs`
+and :func:`extremal_series`), which is how the package cross-checks each
+bound against an explicit member.
 """
 
 from __future__ import annotations
@@ -11,13 +12,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
-from typing import Optional
 
 from . import config
 from .caratheodory import AtomicHerglotzRep, solve_two_atom
 from .errors import DomainError
-from .families import ClassParams, Family, coeffs_from_series, construct_member
-from .series import TruncatedSeries
+from .families import ClassParams, CoeffTriple, Family, _initial_coeffs, construct_member
 
 __all__ = [
     "Which",
@@ -28,6 +27,7 @@ __all__ = [
     "two_atom_parameters",
     "bound_d1",
     "bound_d2",
+    "extremal_coeffs",
     "extremal_series",
     "attainment",
     "extremal_targets",
@@ -76,8 +76,12 @@ class ExtremalDescriptor(namedtuple("ExtremalDescriptor", "name params rep")):
     __slots__ = ()
 
     def __new__(cls, name: ExtremalName, params: ClassParams,
-                rep: Optional[AtomicHerglotzRep] = None):
-        two_atom = _CATALOG[name][1] is None
+                rep: AtomicHerglotzRep | None = None):
+        family, measure = _CATALOG[name]
+        if params.family is not family:
+            raise DomainError(f"extremal {name.value} belongs to the {family.value} family, "
+                              f"not {params.family.value}")
+        two_atom = measure is None
         if (rep is not None) != two_atom:
             raise DomainError(f"extremal {name.value} "
                               f"{'requires' if two_atom else 'does not take'} a rep")
@@ -204,26 +208,42 @@ def bound_d2(params: ClassParams) -> BoundInterval:
     )
 
 
+def _measure(desc: ExtremalDescriptor) -> AtomicHerglotzRep:
+    """The generating measure of a catalog extremal.
+
+    The point mass at 1 (K, L) or at -1 (G_OZAKI), the pair at +-1 with
+    weights 1/2 (H, Q, H_OZAKI), or the two-atom ``desc.rep`` (F_SPIRAL,
+    G_CONVEX, F_OZAKI).
+    """
+    measure = _CATALOG[desc.name][1]
+    return desc.rep if measure is None else measure
+
+
+def extremal_coeffs(desc: ExtremalDescriptor) -> CoeffTriple:
+    """(a2, a3) of a catalog extremal, read from g_1 and g_2 of its measure.
+
+    The way ``sample`` reads its members; bitwise equal to
+    ``coeffs_from_series(extremal_series(desc, order))`` at every order.
+    """
+    return CoeffTriple(*_initial_coeffs(desc.params, [_measure(desc)])[0])
+
+
 def extremal_series(desc: ExtremalDescriptor, order: int) -> TruncatedSeries:
     """Taylor series (to ``order``) of a catalog extremal function.
 
-    The extremal is ``construct_member`` applied to its generating measure:
-    the point mass at 1 (K, L) or at -1 (G_OZAKI), the pair at +-1 with
-    weights 1/2 (H, Q, H_OZAKI), or the two-atom ``desc.rep`` (F_SPIRAL,
-    G_CONVEX, F_OZAKI).  The family comes from the name and alpha, gamma,
-    lam from ``desc.params``, so sampled members and extremals share one
-    construction path.
+    The extremal is ``construct_member`` applied to its generating measure
+    at ``desc.params``, so sampled members and extremals share one
+    construction path.  The series is the library's reference form; the
+    commands read a2 and a3 through :func:`extremal_coeffs`.
     """
     if order < 4:
         raise DomainError("order must be >= 4 to expose a2 and a3")
-    family, measure = _CATALOG[desc.name]
-    params = ClassParams(family, desc.params.alpha, desc.params.gamma, desc.params.lam)
-    return construct_member(params, desc.rep if measure is None else measure, order)
+    return construct_member(desc.params, _measure(desc), order)
 
 
-def attainment(desc: ExtremalDescriptor, which: Which, order: int = 8) -> float:
-    """|a2|-|a1| (resp. |a3|-|a2|) of the reconstructed extremal."""
-    triple = coeffs_from_series(extremal_series(desc, order))
+def attainment(desc: ExtremalDescriptor, which: Which) -> float:
+    """|a2|-|a1| (resp. |a3|-|a2|) of the catalog extremal."""
+    triple = extremal_coeffs(desc)
     return triple.d1() if which is Which.D1 else triple.d2()
 
 

@@ -13,13 +13,12 @@ import cmath
 import math
 import random
 from collections import namedtuple
+from collections.abc import Sequence
 from itertools import accumulate, chain, repeat
 from operator import add, index, mul, sub
-from typing import Sequence
 
 from . import config
 from .errors import DegenerateError, DomainError, InfeasibleError
-from .series import TruncatedSeries
 
 __all__ = [
     "AtomicHerglotzRep",
@@ -115,6 +114,9 @@ def moments(rep: AtomicHerglotzRep, k_max: int) -> list[complex]:
 
 def to_series(rep: AtomicHerglotzRep, order: int) -> TruncatedSeries:
     """p as a truncated series 1 + c_1 z + ... + c_order z^order."""
+    # The series algebra is library-only; no command builds p's series.
+    from .series import TruncatedSeries
+
     return TruncatedSeries([1 + 0j] + (moments(rep, order) if order >= 1 else []))
 
 

@@ -30,16 +30,12 @@ import argparse
 import math
 import re
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from collections.abc import Sequence
 
 from . import config
-from .bounds import Which, attainment, bound_d1, bound_d2, extremal_series, extremal_targets
+from .bounds import Which, attainment, bound_d1, bound_d2, extremal_coeffs, extremal_targets
 from .errors import DomainError, SuccoeffError
-from .families import ClassParams, Family, coeffs_from_series
-
-if TYPE_CHECKING:
-    from .verify import VerifyReport
+from .families import ClassParams, Family
 
 __all__ = ["main"]
 
@@ -79,7 +75,7 @@ def parse_tol(text: str) -> float:
     return value
 
 
-def int_range(low: int, high: Optional[int] = None):
+def int_range(low: int, high: int | None = None):
     """An argparse type for integers in [low, high]; no upper limit when high is None."""
     def parse(text: str) -> int:
         try:
@@ -205,8 +201,8 @@ def _verify_row(args: argparse.Namespace, params: ClassParams, which: Which) -> 
     spec = FunctionalSpec(params, which)
     report = grid_optimize(spec, tol=args.tol)
     interval = report.analytic
-    att_lo = attainment(interval.lower_extremal, which, args.order)
-    att_hi = attainment(interval.upper_extremal, which, args.order)
+    att_lo = attainment(interval.lower_extremal, which)
+    att_hi = attainment(interval.upper_extremal, which)
     res_lo = abs(att_lo - interval.lower)
     res_hi = abs(att_hi - interval.upper)
     row = {
@@ -293,7 +289,7 @@ def cmd_extremal(args: argparse.Namespace) -> Outcome:
     rows = []
     all_passed = True
     for desc, which, target in extremal_targets(params):
-        triple = coeffs_from_series(extremal_series(desc, args.order))
+        triple = extremal_coeffs(desc)
         a2, a3, d1, d2 = triple.a2, triple.a3, triple.d1(), triple.d2()
         value = d1 if which is Which.D1 else d2
         residual = abs(value - target)
@@ -358,8 +354,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     shared.add_argument("--out", type=str, default=None)
     shared.add_argument("--format", choices=sorted(_RENDERERS), default="table")
     # A flag that several subcommands read has a parent of its own.
-    order = argparse.ArgumentParser(add_help=False)
-    order.add_argument("--order", type=int_range(4, config.MAX_ORDER), default=config.DEFAULT_ORDER)
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=parse_tol, default=config.GRID_TOL)
 
@@ -375,13 +369,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
         return child
 
     command("bounds", cmd_bounds, "print the analytic intervals")
-    command("verify", cmd_verify, "optimizer vs analytic endpoints", order, tol)
+    command("verify", cmd_verify, "optimizer vs analytic endpoints", tol)
     sweep = command("sweep", cmd_sweep, "verify over a parameter lattice", tol)
     # Values starting with a minus need the = form: --gammas=-pi/6,pi/6,3
     for axis in ("--alphas", "--gammas", "--lambdas"):
         sweep.add_argument(axis, type=parse_range, default=None, metavar="START,STOP,COUNT")
-    command("extremal", cmd_extremal, "extremal coefficient table", order)
-    sample = command("sample", cmd_sample, "randomized no-violation check", order)
+    command("extremal", cmd_extremal, "extremal coefficient table")
+    sample = command("sample", cmd_sample, "randomized no-violation check")
+    sample.add_argument("--order", type=int_range(4, config.MAX_ORDER), default=config.DEFAULT_ORDER)
     sample.add_argument("--seed", type=int_range(0), default=0)
     sample.add_argument("--samples", type=int_range(1), default=500)
     sample.add_argument("--atoms-max", type=int_range(1, config.MAX_ATOMS), default=6)
@@ -400,7 +395,9 @@ def _load_config_file(path: str, children: Sequence[argparse.ArgumentParser]) ->
                for flag in action.option_strings
                if flag.startswith("--") and action.nargs != 0 and action.dest != "config"}
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -423,7 +420,7 @@ def _load_config_file(path: str, children: Sequence[argparse.ArgumentParser]) ->
     return values
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, children = _build_parser()
     args = parser.parse_args(argv)
@@ -451,7 +448,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.write(text)
     else:
         try:
-            Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
         except OSError as exc:
             print(f"succoeff: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return 2

@@ -8,12 +8,14 @@ contract of the package can be audited (and tightened) in one place.
 # a2/a3 only need order >= 4; larger orders support round-trip identities.
 DEFAULT_ORDER = 12
 
-# Largest truncation order the CLI accepts.  `sample` builds g_0..g_2 of each
-# member whatever the order, so its cost does not depend on it: on a 2-vCPU
-# Xeon with Python 3.11, a sampled member (built in a chunk of 256) costs
-# about 0.005 ms with `--atoms-max 1` and 0.015 ms with the default 6, at
-# orders 12, 128 and 1024 alike.  The extremals are built to the full order
-# from their atoms, at O(atoms * order) Python work: a lone construct_member
+# Largest truncation order `sample --order` accepts.  No command builds a jet
+# beyond g_2 (`sample` of each member, `extremal` and `verify` of each
+# extremal), so no command's cost depends on the order: on a 2-vCPU Xeon with
+# Python 3.11, a sampled member (built in a chunk of 256) costs about
+# 0.005 ms with `--atoms-max 1` and 0.015 ms with the default 6, at orders
+# 12, 128 and 1024 alike.  In the library, construct_member and
+# extremal_series build the full order from the atoms, at O(atoms * order)
+# Python work: a lone construct_member
 # (a batch of one) with 1 atom takes about 0.03-0.04 ms at order 12, 0.3-0.4 ms
 # at 128, 2.2-3.3 ms at 1024 and 13 ms at 4096.  The series form,
 # construct_member(params, to_series(rep, N)), runs the O(N^2) exp instead:

@@ -22,15 +22,14 @@ import cmath
 import math
 from bisect import bisect_right
 from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
 from itertools import repeat, zip_longest
 from operator import add, mul, truediv
-from typing import Optional, Sequence, Union
 
 from . import config
 from .caratheodory import AtomicHerglotzRep
 from .errors import DomainError, EvaluationError
-from .series import TruncatedSeries
 
 __all__ = [
     "Family",
@@ -145,8 +144,8 @@ def _atom_jets(
     work, against O(order^2) for exp of the series; |eps_i| = 1, so the
     running sums do not amplify rounding.  g_k is computed by the same
     operations whatever ``order`` is, so a shorter jet is a bitwise prefix
-    of a longer one: ``sample`` asks for order 2 only, since a2 and a3 read
-    g_1 and g_2.  The measures are not validated here.
+    of a longer one: :func:`_initial_coeffs` asks for order 2 only, since
+    a2 and a3 read g_1 and g_2.  The measures are not validated here.
 
     The measures advance side by side.  Sorted by atom count, largest
     first, slot i holds atom i of every measure that has one, and those
@@ -181,12 +180,28 @@ def _atom_jets(
     return jets
 
 
+def _initial_coeffs(
+    params: ClassParams, measures: Sequence[tuple[Sequence[float], Sequence[complex]]]
+) -> list[tuple[complex, complex]]:
+    """(a2, a3) of the member of params' class generated by each (weights, points).
+
+    a2 = g_1/n2 and a3 = g_2/n3 of order-2 jets: bitwise f[2] and f[3] of
+    ``construct_member(params, rep, order)`` at every order.  The measures
+    are not validated here.
+    """
+    n2, n3 = _divisors(params)
+    return [(g1 / n2, g2 / n3) for _, g1, g2 in _atom_jets(measures, 2, _exponent(params))]
+
+
 def _member(params: ClassParams, g: Sequence[complex]) -> TruncatedSeries:
     """The member of order len(g) whose exponential factor begins g_0..g_{N-1}.
 
     Spirallike: z g.  Convex: the Alexander inverse of z g, and Ozaki: the
     antiderivative of g; both give a_n = g_{n-1}/n.
     """
+    # The series algebra is library-only; no command builds a member.
+    from .series import TruncatedSeries
+
     if _f_prime_is_g(params):
         return TruncatedSeries([0j, *map(truediv, g, range(1, len(g) + 1))])
     return TruncatedSeries([0j, *g])
@@ -194,8 +209,8 @@ def _member(params: ClassParams, g: Sequence[complex]) -> TruncatedSeries:
 
 def construct_member(
     params: ClassParams,
-    p: Union[TruncatedSeries, AtomicHerglotzRep],
-    order: Optional[int] = None,
+    p: TruncatedSeries | AtomicHerglotzRep,
+    order: int | None = None,
 ) -> TruncatedSeries:
     """Build the member of params' class generated by the Carathéodory p.
 

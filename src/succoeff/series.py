@@ -15,11 +15,11 @@ do not depend on the summation algorithm of a library or of the builtin
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterable
 from functools import reduce
 from itertools import repeat
 from numbers import Complex
 from operator import add, mul, truediv
-from typing import Iterable
 
 from . import config
 from .errors import DomainError, OrderMismatchError

@@ -21,7 +21,7 @@ from . import config
 from .bounds import Which, bound_d1, bound_d2, two_atom_parameters
 from .caratheodory import AtomicHerglotzRep, _check_atoms, _draw_atoms, _seeded_stream
 from .errors import DomainError
-from .families import ClassParams, _abs_exponent, _atom_jets, _divisors, _exponent
+from .families import ClassParams, _abs_exponent, _divisors, _exponent, _initial_coeffs
 
 __all__ = [
     "FunctionalSpec",
@@ -195,13 +195,14 @@ def sample_no_violation(
     must lie within [lower - slack, upper + slack].  Both functionals read
     only a2 and a3, which are g_1 and g_2 of the member's exponential factor
     g (a_n = g_{n-1} for spirallike, g_{n-1}/n otherwise), so each member
-    is built to g_0..g_2 only.  ``order`` (at least 4, as for the
-    extremals) is validated and echoed in the report; it changes no other
+    is built to g_0..g_2 only.  ``order`` (at least 4, as ``extremal_series``
+    asks) is validated and echoed in the report; it changes no other
     field, since g_1 and g_2 take the same operations at every truncation.
 
-    A member with g_1 or g_2 not finite is a construction failure, counted,
-    never fatal.  This is the rule "some coefficient up to ``order`` is not
-    finite": g = prod_i (1 - eps_i z)^{-2 v w_i} is majorized coefficientwise
+    A member with a2 or a3 not finite is a construction failure, counted,
+    never fatal; dividing g_1 or g_2 by 1, 2 or 3 keeps finiteness.  This
+    is the rule "some coefficient up to ``order`` is not finite":
+    g = prod_i (1 - eps_i z)^{-2 v w_i} is majorized coefficientwise
     by (1 - z)^{-2|v|}, and |v| <= 1 in every family, so |g_k| <= k + 1
     (Duren, *Univalent Functions*, 1983, §2).  A finite v never overflows at
     any order, and a non-finite v already shows at g_1.
@@ -224,7 +225,6 @@ def sample_no_violation(
     d1 = bound_d1(params)
     d2 = bound_d2(params)
     rng = _seeded_stream(seed)
-    n2, n3 = _divisors(params)
     worst = {
         ("d1", "low"): (math.inf, -1, None),
         ("d1", "high"): (math.inf, -1, None),
@@ -232,18 +232,15 @@ def sample_no_violation(
         ("d2", "high"): (math.inf, -1, None),
     }
     n_constructed = n_failures = n_violations = 0
-    v = _exponent(params)
     for start in range(0, n_samples, _CHUNK):
         chunk = [_draw_atoms(rng, _atom_count(rng.random(), n_atoms_max))
                  for _ in range(min(_CHUNK, n_samples - start))]
         _check_atoms(chunk)
-        for i, (atoms, (_, g1, g2)) in enumerate(zip(chunk, _atom_jets(chunk, 2, v)), start):
-            if not (cmath.isfinite(g1) and cmath.isfinite(g2)):
+        for i, (atoms, (a2, a3)) in enumerate(zip(chunk, _initial_coeffs(params, chunk)), start):
+            if not (cmath.isfinite(a2) and cmath.isfinite(a3)):
                 n_failures += 1
                 continue
             n_constructed += 1
-            a2, a3 = g1 / n2, g2 / n3
-            # CoeffTriple(a2, a3).d1()/.d2(), without the object.
             for key, value, bound in (("d1", abs(a2) - 1.0, d1), ("d2", abs(a3) - abs(a2), d2)):
                 lo_margin = value - bound.lower
                 hi_margin = bound.upper - value

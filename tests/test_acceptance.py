@@ -129,7 +129,7 @@ def test_criterion_5_extremal_attainment():
     for params in families:
         for desc, which, target in extremal_targets(params):
             names.add(desc.name)
-            worst = max(worst, abs(attainment(desc, which, order=8) - target))
+            worst = max(worst, abs(attainment(desc, which) - target))
     ok = worst <= 1e-9 and len(names) == 9
     assert report(
         5, "nine extremals attain their endpoints", ok,

@@ -16,6 +16,8 @@ from succoeff import (
     attainment,
     bound_d1,
     bound_d2,
+    coeffs_from_series,
+    extremal_coeffs,
     extremal_series,
     extremal_targets,
     mu,
@@ -130,6 +132,14 @@ class TestDescriptors:
         with pytest.raises(DomainError):
             extremal_series(ExtremalDescriptor(ExtremalName.K, SPIRAL_00), order=3)
 
+    def test_name_of_another_family(self):
+        # The catalog fixes each name's family; params of another family
+        # would report one class and build the member of another.
+        with pytest.raises(DomainError, match="L belongs to the convex family, not spirallike"):
+            ExtremalDescriptor(ExtremalName.L, ClassParams.spirallike(0.3, 0.2))
+        with pytest.raises(DomainError, match="K belongs to the spirallike family, not ozaki"):
+            ExtremalDescriptor(ExtremalName.K, ClassParams.ozaki(0.5))
+
 
 class TestExtremalSeries:
     def test_koebe(self):
@@ -145,7 +155,7 @@ class TestExtremalSeries:
     def test_l_closed_form(self):
         # l = [(1-z)^{1-2(1-a)mu} - 1]/(2(1-a)mu - 1), cross-checked against
         # the Alexander-path construction.
-        params = ClassParams.spirallike(0.2, -0.4)
+        params = ClassParams.convex(0.2, -0.4)
         s = 2 * (1 - 0.2) * mu(-0.4) - 1
         closed = (1 / s) * (cpow(one(10) + monomial(1, 10, -1.0), -s) - one(10))
         f = extremal_series(ExtremalDescriptor(ExtremalName.L, params), 10)
@@ -155,12 +165,12 @@ class TestExtremalSeries:
         # 2(1-alpha)mu = 1 at alpha = 1/2, gamma = 0: the closed form has a
         # removable 0/0 but the Alexander path is regular and gives the
         # logarithmic series with a_n = 1/n.
-        params = ClassParams.spirallike(0.5, 0.0)
+        params = ClassParams.convex(0.5, 0.0)
         f = extremal_series(ExtremalDescriptor(ExtremalName.L, params), 8)
         assert_series_close(f, [0] + [1 / n for n in range(1, 9)], atol=1e-13)
 
     def test_q_closed_form(self):
-        params = ClassParams.spirallike(0.35, 0.5)
+        params = ClassParams.convex(0.35, 0.5)
         closed = cpow(one(10) + monomial(2, 10, -1.0), -(1 - 0.35) * mu(0.5)).antiderivative()
         f = extremal_series(ExtremalDescriptor(ExtremalName.Q, params), 10)
         assert_series_close(f, closed.coeffs, atol=1e-13)
@@ -168,11 +178,12 @@ class TestExtremalSeries:
     def test_alexander_relations(self):
         # z l' = k and z q' = h.
         params = ClassParams.spirallike(0.25, 0.75)
+        convex = ClassParams.convex(0.25, 0.75)
         k = extremal_series(ExtremalDescriptor(ExtremalName.K, params), 10)
-        l = extremal_series(ExtremalDescriptor(ExtremalName.L, params), 10)
+        l = extremal_series(ExtremalDescriptor(ExtremalName.L, convex), 10)
         assert_series_close(l.derivative().shift_up(), k.coeffs, atol=1e-12)
         h = extremal_series(ExtremalDescriptor(ExtremalName.H, params), 10)
-        q = extremal_series(ExtremalDescriptor(ExtremalName.Q, params), 10)
+        q = extremal_series(ExtremalDescriptor(ExtremalName.Q, convex), 10)
         assert_series_close(q.derivative().shift_up(), h.coeffs, atol=1e-12)
 
     def test_f_spiral_starlike_case(self):
@@ -245,7 +256,7 @@ class TestAttainment:
     @pytest.mark.parametrize("params", PARAM_GRID)
     def test_all_targets_attained(self, params):
         for desc, which, target in extremal_targets(params):
-            assert attainment(desc, which, order=8) == pytest.approx(target, abs=1e-9), (
+            assert attainment(desc, which) == pytest.approx(target, abs=1e-9), (
                 f"{desc.name.value} misses its {which.value} endpoint"
             )
 
@@ -273,6 +284,21 @@ class TestAttainment:
                 assert abs(g[3]) - abs(g[2]) == pytest.approx(
                     abs(f[3]) - abs(f[2]), abs=1e-12
                 )
+
+    @pytest.mark.parametrize("params", [
+        ClassParams.spirallike(0.25, 0.5), ClassParams.spirallike(0.4, -0.8),
+        ClassParams.convex(0.25, -0.5), ClassParams.convex(0.5, 1.4),  # T >= 5/4 and T < 5/4
+        ClassParams.ozaki(0.3), ClassParams.ozaki(0.75),               # two atoms and one
+    ])
+    def test_coeffs_match_series_reference(self, params):
+        # The commands read a2 and a3 from order-2 jets; the series form
+        # builds the same g_1 and g_2 by the same operations at any order.
+        # repr tells -0.0 from 0.0, which == does not.
+        for desc, _, _ in extremal_targets(params):
+            got = extremal_coeffs(desc)
+            for order in (4, 12, 128):
+                want = coeffs_from_series(extremal_series(desc, order))
+                assert got == want and repr(got) == repr(want), (desc.name, order)
 
     def test_nine_catalog_names(self):
         names = set()

@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import succoeff
 import succoeff.verify as verify_module
 from succoeff import ClassParams, Which, bound_d2, config
 from succoeff.cli import _build_parser, main, parse_angle
@@ -280,9 +282,9 @@ class TestUsageErrors:
         ["verify", "--tol", "nan"],
         ["verify", "--grid", "101,51,64"],
         ["sample", "--seed", "-1"],
-        ["extremal", "--order", "3"],
-        ["extremal", "--order", "-5"],
-        ["extremal", "--order", "1025"],
+        ["sample", "--order", "3"],
+        ["sample", "--order", "-5"],
+        ["sample", "--order", "1025"],
         ["sample", "--samples", "0"],
         ["sample", "--atoms-max", "0"],
         ["sample", "--atoms-max", str(config.MAX_ATOMS + 1)],
@@ -304,6 +306,8 @@ class TestUsageErrors:
         ["extremal", "--seed", "3"],
         ["extremal", "--tol", "1e-9"],
         ["sample", "--tol", "1e-9"],
+        ["verify", "--order", "16"],
+        ["extremal", "--order", "16"],
     ])
     def test_flag_the_command_does_not_read(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
@@ -312,10 +316,10 @@ class TestUsageErrors:
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--order", "16", "--tol", "1e-9"],
-        ["extremal", "--order", "16"],
+        ["verify", "--tol", "1e-9"],
         ["sweep", "--tol", "1e-9"],
         ["sample", "--order", "16", "--seed", "3"],
+        ["sample", "--samples", "20", "--atoms-max", "2"],
     ])
     def test_flags_the_command_reads(self, argv, tmp_path):
         assert main([*argv, "--format", "csv", "--out", str(tmp_path / "out.csv")]) == 0
@@ -433,10 +437,16 @@ def test_commands_load_only_the_standard_library():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def _modules_loaded_by(code: str) -> list:
-    """The modules that ``code``, run in a fresh interpreter, adds to sys.modules."""
+# The directory that holds the package under test: a -S interpreter skips
+# site-packages, so it finds the package only through PYTHONPATH.
+_PACKAGE_ROOT = str(Path(succoeff.__file__).resolve().parent.parent)
+
+
+def _modules_loaded_by(code: str, *flags: str) -> list:
+    """The modules that ``code``, run in a fresh interpreter with ``flags``, adds to sys.modules."""
     script = f"import sys\nbefore = set(sys.modules)\n{code}\nprint(sorted(set(sys.modules) - before))\n"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": _PACKAGE_ROOT})
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
@@ -452,14 +462,20 @@ _COMMAND_ARGV = {
 def test_commands_load_only_what_they_run(command, fmt, tmp_path):
     out = tmp_path / f"out.{fmt}"
     argv = [command, *_COMMAND_ARGV[command], "--format", fmt, "--out", str(out)]
-    loaded = _modules_loaded_by(f"from succoeff.cli import main\nassert main({argv!r}) == 0")
-    assert not {"dataclasses", "inspect"} & set(loaded)
-    if command in ("bounds", "extremal"):
-        assert "succoeff.verify" not in loaded
-    if fmt == "json":
-        assert len(json.loads(out.read_text(encoding="utf-8"))) >= 1
-    else:
-        assert "json" not in loaded
+    code = f"from succoeff.cli import main\nassert main({argv!r}) == 0"
+    # With site, a .pth file may import stdlib modules before the command
+    # starts, which hides them here; -S shows every one the command loads.
+    for flags in ((), ("-S",)):
+        loaded = set(_modules_loaded_by(code, *flags))
+        assert not {"dataclasses", "inspect", "succoeff.series"} & loaded
+        if flags:
+            assert not {"pathlib", "typing"} & loaded
+        if command in ("bounds", "extremal"):
+            assert "succoeff.verify" not in loaded
+        if fmt == "json":
+            assert len(json.loads(out.read_text(encoding="utf-8"))) >= 1
+        else:
+            assert "json" not in loaded
 
 
 # Each table's columns, in order, as its CSV header prints them.

@@ -284,7 +284,7 @@ class TestSampling:
     def test_no_member_built_does_not_pass(self, monkeypatch, tmp_path):
         # An infinite exponent makes every jet non-finite: each member is a
         # construction failure, and a run that checked nothing fails.
-        monkeypatch.setattr("succoeff.verify._exponent", lambda params: math.inf)
+        monkeypatch.setattr("succoeff.families._exponent", lambda params: math.inf)
         report = sample_no_violation(ClassParams.convex(0.3, 0.2), n_samples=50)
         assert (report.n_constructed, report.n_failures, report.n_violations) == (0, 50, 0)
         for name in ("d1_low", "d1_high", "d2_low", "d2_high"):
@@ -299,17 +299,23 @@ class TestSampling:
 
     @pytest.mark.parametrize("order", [4, 12, 1024])
     def test_verdicts_build_order_two_jets(self, order, monkeypatch, tmp_path):
-        # Whatever --order says, each chunk's jets stop at g_2.
+        # Whatever --order says, each chunk's jets stop at g_2, and so do
+        # those of the four extremals of each extremal or verify row set.
         calls = []
 
         def spy(measures, jet_order, v):
             calls.append((len(measures), jet_order))
             return _atom_jets(measures, jet_order, v)
 
-        monkeypatch.setattr("succoeff.verify._atom_jets", spy)
+        monkeypatch.setattr("succoeff.families._atom_jets", spy)
         assert main(["sample", "--samples", "600", "--order", str(order), "--format", "csv",
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert calls == [(256, 2), (256, 2), (88, 2)]
+        calls.clear()
+        for command in ("extremal", "verify"):
+            assert main([command, "--family", "convex", "--alpha", "0.5", "--gamma", "1.4",
+                         "--format", "csv", "--out", str(tmp_path / f"{command}.csv")]) == 0
+        assert calls == [(1, 2)] * 8
 
     @pytest.mark.parametrize("order", [12, 128])
     def test_peak_memory_flat_in_n_samples(self, order, monkeypatch):
@@ -325,7 +331,7 @@ class TestSampling:
             batches.append((len(measures), jet_order))
             return _atom_jets(measures, jet_order, v)
 
-        monkeypatch.setattr("succoeff.verify._atom_jets", spy)
+        monkeypatch.setattr("succoeff.families._atom_jets", spy)
         sample_no_violation(CONVEX_00, 600, n_atoms_max=1, seed=1, order=order)
         assert batches == [(256, 2), (256, 2), (88, 2)]
         monkeypatch.setattr("succoeff.verify._CHUNK", 8)
