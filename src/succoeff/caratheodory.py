@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import accumulate, chain, repeat
@@ -171,8 +170,11 @@ def _seeded_stream(seed: int) -> random.Random:
 
     Only ``random()`` is drawn from it: Python keeps the sequence of
     ``random.Random(seed).random()`` the same across versions, which it
-    does not promise for ``randrange`` or ``uniform``.
+    does not promise for ``randrange`` or ``uniform``.  ``random`` is
+    imported here, so only the commands that draw load it.
     """
+    import random
+
     seed = index(seed)
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")

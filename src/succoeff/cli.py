@@ -64,17 +64,6 @@ def parse_angle(text: str) -> float:
     return -value if m.group("sign") == "-" else value
 
 
-def parse_tol(text: str) -> float:
-    """A finite, nonnegative endpoint tolerance."""
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from exc
-    if not math.isfinite(value) or value < 0.0:
-        raise argparse.ArgumentTypeError("tolerance must be finite and >= 0")
-    return value
-
-
 def int_range(low: int, high: int | None = None):
     """An argparse type for integers in [low, high]; no upper limit when high is None."""
     def parse(text: str) -> int:
@@ -195,11 +184,11 @@ _SWEEP_ENDPOINTS = {
 }
 
 
-def _verify_row(args: argparse.Namespace, params: ClassParams, which: Which) -> dict:
+def _verify_row(params: ClassParams, which: Which) -> dict:
     from .verify import FunctionalSpec, case_boundary_check, grid_optimize
 
     spec = FunctionalSpec(params, which)
-    report = grid_optimize(spec, tol=args.tol)
+    report = grid_optimize(spec)
     interval = report.analytic
     att_lo = attainment(interval.lower_extremal, which)
     att_hi = attainment(interval.upper_extremal, which)
@@ -221,8 +210,8 @@ def _verify_row(args: argparse.Namespace, params: ClassParams, which: Which) -> 
         "upper_attainment_residual": res_hi,
         "case_check": "",
         "passed": bool(report.passed
-                       and res_lo <= config.ATTAINMENT_ATOL
-                       and res_hi <= config.ATTAINMENT_ATOL),
+                       and res_lo <= config.gate(interval.lower)
+                       and res_hi <= config.gate(interval.upper)),
     }
     if which is Which.D2:
         case = case_boundary_check(spec)
@@ -233,7 +222,7 @@ def _verify_row(args: argparse.Namespace, params: ClassParams, which: Which) -> 
 
 def cmd_verify(args: argparse.Namespace) -> Outcome:
     params = _class_params(args)
-    rows = [_verify_row(args, params, Which.D1), _verify_row(args, params, Which.D2)]
+    rows = [_verify_row(params, Which.D1), _verify_row(params, Which.D2)]
     return rows, all(r["passed"] for r in rows)
 
 
@@ -273,7 +262,7 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
         try:
             ok = True
             for which in (Which.D1, Which.D2):
-                rep = grid_optimize(FunctionalSpec(params, which), tol=args.tol)
+                rep = grid_optimize(FunctionalSpec(params, which))
                 row.update(_endpoint_cells(rep, _SWEEP_ENDPOINTS[which]))
                 ok = ok and rep.passed
             row["passed"] = bool(ok)
@@ -293,7 +282,7 @@ def cmd_extremal(args: argparse.Namespace) -> Outcome:
         a2, a3, d1, d2 = triple.a2, triple.a3, triple.d1(), triple.d2()
         value = d1 if which is Which.D1 else d2
         residual = abs(value - target)
-        passed = residual <= config.ATTAINMENT_ATOL
+        passed = residual <= config.gate(target)
         all_passed = all_passed and passed
         rows.append({
             **_param_columns(params),
@@ -353,9 +342,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     shared.add_argument("--lambda", dest="lam", type=float, default=1.0)
     shared.add_argument("--out", type=str, default=None)
     shared.add_argument("--format", choices=sorted(_RENDERERS), default="table")
-    # A flag that several subcommands read has a parent of its own.
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=parse_tol, default=config.GRID_TOL)
 
     parser = argparse.ArgumentParser(
         prog="succoeff",
@@ -363,14 +349,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, *parents):
-        child = sub.add_parser(name, parents=[shared, *parents], help=summary, add_help=False)
+    def command(name, run, summary):
+        child = sub.add_parser(name, parents=[shared], help=summary, add_help=False)
         child.set_defaults(run=run)
         return child
 
     command("bounds", cmd_bounds, "print the analytic intervals")
-    command("verify", cmd_verify, "optimizer vs analytic endpoints", tol)
-    sweep = command("sweep", cmd_sweep, "verify over a parameter lattice", tol)
+    command("verify", cmd_verify, "optimizer vs analytic endpoints")
+    sweep = command("sweep", cmd_sweep, "verify over a parameter lattice")
     # Values starting with a minus need the = form: --gammas=-pi/6,pi/6,3
     for axis in ("--alphas", "--gammas", "--lambdas"):
         sweep.add_argument(axis, type=parse_range, default=None, metavar="START,STOP,COUNT")

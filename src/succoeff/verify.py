@@ -72,7 +72,7 @@ def functional_value(spec: FunctionalSpec, c: float, x: complex) -> float:
 
 class VerifyReport(namedtuple("VerifyReport", [
         "spec", "analytic", "numeric_min", "numeric_max", "argmin", "argmax",
-        "residual_min", "residual_max", "passed", "grid", "tol"])):
+        "residual_min", "residual_max", "passed", "grid"])):
     """Exact extrema of one functional against its analytic interval.
 
     ``argmin`` and ``argmax`` are (c, r, theta); ``grid`` is (candidate
@@ -116,14 +116,15 @@ def _values(spec: FunctionalSpec, points: list) -> list[float]:
     return [functional_value(spec, c, r * cmath.exp(1j * theta)) for c, r, theta in points]
 
 
-def grid_optimize(spec: FunctionalSpec, tol: float = config.GRID_TOL) -> VerifyReport:
+def grid_optimize(spec: FunctionalSpec) -> VerifyReport:
     """Exact minimum and maximum of the reduced functional over c and x.
 
     The extremes over x for fixed c follow from the triangle inequality,
     which leaves a piecewise quadratic in c with a few candidate points.
     Ties go to the lexicographically smallest (c, r, theta).  Never raises
     on a mathematical mismatch; the report's ``passed`` flag records
-    whether both endpoints match the analytic interval within ``tol``.
+    whether each endpoint matches the analytic one within
+    ``config.gate`` of that endpoint.
     """
     lows, highs = _extreme_points(spec)
     low_values, high_values = _values(spec, lows), _values(spec, highs)
@@ -143,9 +144,9 @@ def grid_optimize(spec: FunctionalSpec, tol: float = config.GRID_TOL) -> VerifyR
         argmax=highs[j],
         residual_min=res_min,
         residual_max=res_max,
-        passed=bool(res_min <= tol and res_max <= tol),
+        passed=bool(res_min <= config.gate(analytic.lower)
+                    and res_max <= config.gate(analytic.upper)),
         grid=(len(lows) + len(highs), 1, 1),
-        tol=tol,
     )
 
 
@@ -156,7 +157,7 @@ class WorstMargin(namedtuple("WorstMargin", "margin sample_index rep")):
 
 
 class SampleReport(namedtuple("SampleReport", [
-        "params", "n_samples", "n_atoms_max", "seed", "order", "slack",
+        "params", "n_samples", "n_atoms_max", "seed", "order",
         "n_constructed", "n_failures", "n_violations",
         "d1_low", "d1_high", "d2_low", "d2_high"])):
     __slots__ = ()
@@ -186,13 +187,13 @@ def sample_no_violation(
     n_atoms_max: int = 6,
     seed: int = 0,
     order: int = config.DEFAULT_ORDER,
-    slack: float = config.SAMPLE_SLACK,
 ) -> SampleReport:
     """Draw random members and check both functionals against their intervals.
 
     Unlike the exact optimizer this path exercises the unreduced functional:
-    members are built from un-normalized random measures, and each value
-    must lie within [lower - slack, upper + slack].  Both functionals read
+    members are built from un-normalized random measures, and a value
+    violates an endpoint when it is beyond it by more than
+    ``config.gate`` of that endpoint.  Both functionals read
     only a2 and a3, which are g_1 and g_2 of the member's exponential factor
     g (a_n = g_{n-1} for spirallike, g_{n-1}/n otherwise), so each member
     is built to g_0..g_2 only.  ``order`` (at least 4, as ``extremal_series``
@@ -222,8 +223,9 @@ def sample_no_violation(
         raise DomainError("n_atoms_max must be >= 1")
     if order < 4:
         raise DomainError(f"order must be >= 4 to expose a2 and a3, got {order}")
-    d1 = bound_d1(params)
-    d2 = bound_d2(params)
+    # Each functional's endpoints and the most negative margin each one forgives.
+    sides = [(key, bound.lower, bound.upper, -config.gate(bound.lower), -config.gate(bound.upper))
+             for key, bound in (("d1", bound_d1(params)), ("d2", bound_d2(params)))]
     rng = _seeded_stream(seed)
     worst = {
         ("d1", "low"): (math.inf, -1, None),
@@ -241,10 +243,11 @@ def sample_no_violation(
                 n_failures += 1
                 continue
             n_constructed += 1
-            for key, value, bound in (("d1", abs(a2) - 1.0, d1), ("d2", abs(a3) - abs(a2), d2)):
-                lo_margin = value - bound.lower
-                hi_margin = bound.upper - value
-                if lo_margin < -slack or hi_margin < -slack:
+            for (key, lower, upper, lo_floor, hi_floor), value in zip(
+                    sides, (abs(a2) - 1.0, abs(a3) - abs(a2))):
+                lo_margin = value - lower
+                hi_margin = upper - value
+                if lo_margin < lo_floor or hi_margin < hi_floor:
                     n_violations += 1
                 if lo_margin < worst[(key, "low")][0]:
                     worst[(key, "low")] = (lo_margin, i, atoms)
@@ -256,7 +259,6 @@ def sample_no_violation(
         n_atoms_max=n_atoms_max,
         seed=seed,
         order=order,
-        slack=slack,
         n_constructed=n_constructed,
         n_failures=n_failures,
         n_violations=n_violations,
@@ -277,7 +279,7 @@ def case_boundary_check(spec: FunctionalSpec) -> CaseBoundaryReport:
     4 - (m+1) c^2 - K c falls for every c >= 0, and each outer piece
     (m+1) c^2 - 4 - K c ends at its own vertex or at c = 2.  What can
     fail is the location, so this compares the analytic c* of the lower
-    extremal with the exact minimizing c within ``config.GRID_TOL``.
+    extremal with the exact minimizing c within ``config.gate(c*)``.
     """
     if spec.which is not Which.D2:
         raise DomainError("case boundary analysis applies to the d2 functional only")
@@ -287,5 +289,5 @@ def case_boundary_check(spec: FunctionalSpec) -> CaseBoundaryReport:
         spec=spec,
         c_star=c_star,
         argmin_c=argmin_c,
-        passed=bool(abs(argmin_c - c_star) <= config.GRID_TOL),
+        passed=bool(abs(argmin_c - c_star) <= config.gate(c_star)),
     )

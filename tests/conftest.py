@@ -124,9 +124,11 @@ def atom_jet_reference(rep: AtomicHerglotzRep, order: int, v: complex) -> list[c
 
 
 def sample_reference(params: ClassParams, n_samples: int, n_atoms_max: int = 6, seed: int = 0,
-                     order: int = config.DEFAULT_ORDER,
-                     slack: float = config.SAMPLE_SLACK) -> SampleReport:
-    """sample_no_violation one member at a time: draw, build, check, in sample order."""
+                     order: int = config.DEFAULT_ORDER) -> SampleReport:
+    """sample_no_violation one member at a time: draw, build, check, in sample order.
+
+    A margin violates when it is below minus ``config.gate`` of its endpoint.
+    """
     d1, d2 = bound_d1(params), bound_d2(params)
     rng = _seeded_stream(seed)
     v = _exponent(params)
@@ -143,7 +145,7 @@ def sample_reference(params: ClassParams, n_samples: int, n_atoms_max: int = 6, 
         for key, value, bound in (("d1", triple.d1(), d1), ("d2", triple.d2(), d2)):
             lo_margin = value - bound.lower
             hi_margin = bound.upper - value
-            if lo_margin < -slack or hi_margin < -slack:
+            if lo_margin < -config.gate(bound.lower) or hi_margin < -config.gate(bound.upper):
                 n_violations += 1
             if lo_margin < worst[key + "_low"][0]:
                 worst[key + "_low"] = (lo_margin, i, rep)
@@ -151,7 +153,7 @@ def sample_reference(params: ClassParams, n_samples: int, n_atoms_max: int = 6, 
                 worst[key + "_high"] = (hi_margin, i, rep)
     return SampleReport(
         params=params, n_samples=n_samples, n_atoms_max=n_atoms_max, seed=seed, order=order,
-        slack=slack, n_constructed=n_constructed, n_failures=n_failures,
+        n_constructed=n_constructed, n_failures=n_failures,
         n_violations=n_violations, **{k: WorstMargin(*t) for k, t in worst.items()},
     )
 

@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import succoeff
+import succoeff.bounds as bounds_module
+import succoeff.cli as cli_module
 import succoeff.verify as verify_module
 from succoeff import ClassParams, Which, bound_d2, config
 from succoeff.cli import _build_parser, main, parse_angle
@@ -108,7 +110,7 @@ class TestVerify:
 
     def test_failure_exit_code(self, tmp_path, monkeypatch):
         # A closed-form lower endpoint of d2 that sits 1e-6 above the true
-        # minimum must be flagged by a 1e-7 tolerance.
+        # minimum must be flagged.
         def shifted(params):
             interval = bound_d2(params)
             return interval._replace(lower=interval.lower + 1e-6)
@@ -116,7 +118,6 @@ class TestVerify:
         monkeypatch.setattr(verify_module, "bound_d2", shifted)
         code = main([
             "verify", "--family", "convex", "--alpha", "0.9", "--gamma", "0",
-            "--tol", "1e-7",
             "--format", "csv", "--out", str(tmp_path / "f.csv"),
         ])
         assert code == 1
@@ -151,6 +152,53 @@ class TestVerify:
         assert after[0] == before[0]
         # every endpoint, argmin and attainment cell is unchanged
         assert after[1] == {**before[1], "case_check": "fail", "passed": "false"}
+
+
+class TestGates:
+    """A closed-form endpoint moved by 1e-12 fails every command that can see it.
+
+    The bounds are sharp, so each verdict forgives roundoff only: 1e-12 is
+    about 70 gates at these points.
+    """
+
+    POINTS = [
+        ["--family", "spirallike", "--alpha", "0.25", "--gamma", "0.5"],
+        ["--family", "convex", "--alpha", "0.3", "--gamma", "0.2"],
+        ["--family", "ozaki", "--lambda", "0.3"],
+    ]
+
+    @staticmethod
+    def shift(monkeypatch, bound, **deltas):
+        # Every module that reads the closed form sees the shifted one.
+        exact = getattr(bounds_module, bound)
+
+        def shifted(params):
+            interval = exact(params)
+            return interval._replace(**{k: getattr(interval, k) + d for k, d in deltas.items()})
+
+        for module in (bounds_module, verify_module, cli_module):
+            monkeypatch.setattr(module, bound, shifted)
+
+    @staticmethod
+    def codes(point, tmp_path):
+        out = str(tmp_path / "out.csv")
+        return {command: main([command, *point, "--format", "csv", "--out", out])
+                for command in ("verify", "extremal", "sample")}
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_d1_upper_shift_fails_every_command(self, monkeypatch, tmp_path, point):
+        assert self.codes(point, tmp_path) == {"verify": 0, "extremal": 0, "sample": 0}
+        # Every one-atom member attains d1 upper, so the default sample meets it.
+        self.shift(monkeypatch, "bound_d1", upper=-1e-12)
+        assert self.codes(point, tmp_path) == {"verify": 1, "extremal": 1, "sample": 1}
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_d2_lower_shift_fails_verify_and_extremal(self, monkeypatch, tmp_path, point):
+        # sample's members stay farther from d2 lower than 1e-12 (see the
+        # README's detection floor), so only the exact checks can see it.
+        self.shift(monkeypatch, "bound_d2", lower=-1e-12)
+        codes = self.codes(point, tmp_path)
+        assert (codes["verify"], codes["extremal"]) == (1, 1)
 
 
 class TestSweep:
@@ -278,8 +326,8 @@ class TestUsageErrors:
         assert info.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--tol", "-1"],
-        ["verify", "--tol", "nan"],
+        ["sweep", "--lambdas", "0.1,1"],
+        ["bounds", "--family", "ozaki", "--lambda", "one"],
         ["verify", "--grid", "101,51,64"],
         ["sample", "--seed", "-1"],
         ["sample", "--order", "3"],
@@ -308,6 +356,10 @@ class TestUsageErrors:
         ["sample", "--tol", "1e-9"],
         ["verify", "--order", "16"],
         ["extremal", "--order", "16"],
+        ["verify", "--tol", "1e-9"],
+        ["sweep", "--tol", "1e-9"],
+        ["verify", "--tol", "-1"],
+        ["verify", "--tol", "nan"],
     ])
     def test_flag_the_command_does_not_read(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
@@ -316,8 +368,8 @@ class TestUsageErrors:
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--tol", "1e-9"],
-        ["sweep", "--tol", "1e-9"],
+        ["verify", "--family", "ozaki", "--lambda", "0.3"],
+        ["sweep", "--alphas", "0,0.5,2"],
         ["sample", "--order", "16", "--seed", "3"],
         ["sample", "--samples", "20", "--atoms-max", "2"],
     ])
@@ -353,13 +405,13 @@ class TestConfigFile:
 
     def test_bad_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        for line in ("volume=11", "help=1", "config=other.cfg"):
+        for line in ("volume=11", "help=1", "config=other.cfg", "tol=1e-9"):
             cfg.write_text(line + "\n", encoding="utf-8")
             assert main(["bounds", "--config", str(cfg)]) == 2
             assert "unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
-        "format=xml", "family=elliptic", "seed=-1", "order=2", "tol=-1",
+        "format=xml", "family=elliptic", "seed=-1", "order=2", "lambdas=0.1,1",
         "samples=0", "atoms_max=0", f"atoms_max={config.MAX_ATOMS + 1}",
         "gamma=pi/0",
     ])
@@ -397,6 +449,22 @@ def test_readme_examples(tmp_path, monkeypatch, capsys):
     assert snippets
     for code in snippets:
         exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_detection_floor(capsys):
+    # The README's table of sample's worst margins is what its commands print.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Detection floor of `sample`")[1].split("\n## ")[0].splitlines()
+    commands = [shlex.split(line)[1:] for line in section if line.startswith("succoeff sample")]
+    table = [[cell.strip() for cell in line.strip("|").split("|")]
+             for line in section if line.startswith("| ") and not line.startswith("| point")]
+    assert len(commands) == len(table) == 3
+    sides = ("d1_low_margin", "d1_high_margin", "d2_low_margin", "d2_high_margin")
+    for argv, cells in zip(commands, table):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert cells[1:] == [f"{float(row[side]):.1e}" for side in sides], cells[0]
 
 
 def test_module_entry_point():
@@ -472,6 +540,9 @@ def test_commands_load_only_what_they_run(command, fmt, tmp_path):
             assert not {"pathlib", "typing"} & loaded
         if command in ("bounds", "extremal"):
             assert "succoeff.verify" not in loaded
+        if flags:
+            # Only sample draws random numbers.
+            assert ("random" in loaded) == (command == "sample")
         if fmt == "json":
             assert len(json.loads(out.read_text(encoding="utf-8"))) >= 1
         else:

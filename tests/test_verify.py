@@ -20,6 +20,7 @@ from succoeff import (
     coeffs_from_c,
     construct_member,
     coeffs_from_series,
+    config,
     functional_value,
     grid_optimize,
     lz_c2,
@@ -198,11 +199,15 @@ class TestGridOptimize:
         assert report.numeric_max <= report.analytic.upper + 1e-12 * scale
 
     def test_report_passed_semantics(self):
-        report = grid_optimize(FunctionalSpec(SPIRAL_00, Which.D2))
-        assert report.passed == (
-            report.residual_min <= report.tol and report.residual_max <= report.tol
-        )
-        assert report.passed
+        # Each endpoint passes within the gate of its own analytic value.
+        for params in SANE_PARAMS:
+            for which in Which:
+                report = grid_optimize(FunctionalSpec(params, which))
+                assert report.passed == (
+                    report.residual_min <= config.gate(report.analytic.lower)
+                    and report.residual_max <= config.gate(report.analytic.upper)
+                )
+                assert report.passed
 
     @pytest.mark.parametrize("params", SANE_PARAMS)
     def test_extremal_parametrization_agreement(self, params):
