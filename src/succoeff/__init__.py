@@ -15,7 +15,8 @@ from importlib import import_module
 _EXPORTS = {
     "bounds": (
         "BoundInterval", "ExtremalDescriptor", "ExtremalName", "Which", "attainment",
-        "bound_d1", "bound_d2", "extremal_coeffs", "extremal_series", "extremal_targets",
+        "bound_d1", "bound_d2", "extremal_coeffs", "extremal_measure", "extremal_series",
+        "extremal_targets",
         "t_factor", "two_atom_parameters",
     ),
     "caratheodory": (

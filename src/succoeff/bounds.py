@@ -27,6 +27,7 @@ __all__ = [
     "two_atom_parameters",
     "bound_d1",
     "bound_d2",
+    "extremal_measure",
     "extremal_coeffs",
     "extremal_series",
     "attainment",
@@ -58,7 +59,8 @@ _POINT_AT_MINUS_1 = AtomicHerglotzRep((1.0,), (-1.0 + 0j,))
 _PAIR_AT_PM_1 = AtomicHerglotzRep((0.5, 0.5), (1.0 + 0j, -1.0 + 0j))
 
 # Each extremal is the member of its family generated by one Carathéodory
-# measure; None marks the boundary two-atom measure the descriptor carries.
+# measure; None marks the boundary two-atom measure that the class's c*
+# fixes (see extremal_measure).
 _CATALOG = {
     ExtremalName.K: (Family.SPIRALLIKE, _POINT_AT_1),
     ExtremalName.H: (Family.SPIRALLIKE, _PAIR_AT_PM_1),
@@ -72,20 +74,17 @@ _CATALOG = {
 }
 
 
-class ExtremalDescriptor(namedtuple("ExtremalDescriptor", "name params rep")):
+class ExtremalDescriptor(namedtuple("ExtremalDescriptor", "name params")):
+    """A catalog extremal: its name and the class it is the extremal of."""
+
     __slots__ = ()
 
-    def __new__(cls, name: ExtremalName, params: ClassParams,
-                rep: AtomicHerglotzRep | None = None):
-        family, measure = _CATALOG[name]
+    def __new__(cls, name: ExtremalName, params: ClassParams):
+        family = _CATALOG[name][0]
         if params.family is not family:
             raise DomainError(f"extremal {name.value} belongs to the {family.value} family, "
                               f"not {params.family.value}")
-        two_atom = measure is None
-        if (rep is not None) != two_atom:
-            raise DomainError(f"extremal {name.value} "
-                              f"{'requires' if two_atom else 'does not take'} a rep")
-        return super().__new__(cls, name, params, rep)
+        return super().__new__(cls, name, params)
 
     # _replace builds through _make; route it through the checks above.
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -128,14 +127,6 @@ def two_atom_parameters(params: ClassParams) -> tuple[float, complex]:
         c = 2.0 / math.sqrt(t + 1.0)
     x = -(1.0 + 2.0 * (1.0 - a) * math.cos(g) ** 2 + 1j * (1.0 - a) * math.sin(2.0 * g)) / t
     return c, x
-
-
-def _lower_rep(params: ClassParams) -> AtomicHerglotzRep:
-    c, x = two_atom_parameters(params)
-    if c >= 2.0 - config.DEGENERATE_C_TOL:
-        # Measure degenerates to the point mass at 1 (Koebe-type kernel).
-        return _POINT_AT_1
-    return solve_two_atom(c, x)
 
 
 def bound_d1(params: ClassParams) -> BoundInterval:
@@ -203,20 +194,27 @@ def bound_d2(params: ClassParams) -> BoundInterval:
     return BoundInterval(
         lower=lower,
         upper=upper,
-        lower_extremal=ExtremalDescriptor(lo, params, rep=_lower_rep(params)),
+        lower_extremal=ExtremalDescriptor(lo, params),
         upper_extremal=ExtremalDescriptor(hi, params),
     )
 
 
-def _measure(desc: ExtremalDescriptor) -> AtomicHerglotzRep:
+def extremal_measure(desc: ExtremalDescriptor) -> AtomicHerglotzRep:
     """The generating measure of a catalog extremal.
 
     The point mass at 1 (K, L) or at -1 (G_OZAKI), the pair at +-1 with
-    weights 1/2 (H, Q, H_OZAKI), or the two-atom ``desc.rep`` (F_SPIRAL,
-    G_CONVEX, F_OZAKI).
+    weights 1/2 (H, Q, H_OZAKI), or the two-atom measure at the class's
+    (c*, x*) of :func:`two_atom_parameters` (F_SPIRAL, G_CONVEX, F_OZAKI),
+    which is the point mass at 1 where c* = 2.
     """
     measure = _CATALOG[desc.name][1]
-    return desc.rep if measure is None else measure
+    if measure is not None:
+        return measure
+    c, x = two_atom_parameters(desc.params)
+    if c >= 2.0 - config.DEGENERATE_C_TOL:
+        # Measure degenerates to the point mass at 1 (Koebe-type kernel).
+        return _POINT_AT_1
+    return solve_two_atom(c, x)
 
 
 def extremal_coeffs(desc: ExtremalDescriptor) -> CoeffTriple:
@@ -225,7 +223,7 @@ def extremal_coeffs(desc: ExtremalDescriptor) -> CoeffTriple:
     The way ``sample`` reads its members; bitwise equal to
     ``coeffs_from_series(extremal_series(desc, order))`` at every order.
     """
-    return CoeffTriple(*_initial_coeffs(desc.params, [_measure(desc)])[0])
+    return CoeffTriple(*_initial_coeffs(desc.params, [extremal_measure(desc)])[0])
 
 
 def extremal_series(desc: ExtremalDescriptor, order: int) -> TruncatedSeries:
@@ -238,7 +236,7 @@ def extremal_series(desc: ExtremalDescriptor, order: int) -> TruncatedSeries:
     """
     if order < 4:
         raise DomainError("order must be >= 4 to expose a2 and a3")
-    return construct_member(desc.params, _measure(desc), order)
+    return construct_member(desc.params, extremal_measure(desc), order)
 
 
 def attainment(desc: ExtremalDescriptor, which: Which) -> float:

@@ -214,7 +214,7 @@ def _verify_row(params: ClassParams, which: Which) -> dict:
                        and res_hi <= config.gate(interval.upper)),
     }
     if which is Which.D2:
-        case = case_boundary_check(spec)
+        case = case_boundary_check(params)
         row["case_check"] = "pass" if case.passed else "fail"
         row["passed"] = bool(row["passed"] and case.passed)
     return row

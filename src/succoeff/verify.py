@@ -268,11 +268,11 @@ def sample_no_violation(
     )
 
 
-class CaseBoundaryReport(namedtuple("CaseBoundaryReport", "spec c_star argmin_c passed")):
+class CaseBoundaryReport(namedtuple("CaseBoundaryReport", "params c_star argmin_c passed")):
     __slots__ = ()
 
 
-def case_boundary_check(spec: FunctionalSpec) -> CaseBoundaryReport:
+def case_boundary_check(params: ClassParams) -> CaseBoundaryReport:
     """Check where the d2 case analysis puts the minimum over c.
 
     The proof's pieces are monotone by construction: the inner
@@ -281,12 +281,10 @@ def case_boundary_check(spec: FunctionalSpec) -> CaseBoundaryReport:
     fail is the location, so this compares the analytic c* of the lower
     extremal with the exact minimizing c within ``config.gate(c*)``.
     """
-    if spec.which is not Which.D2:
-        raise DomainError("case boundary analysis applies to the d2 functional only")
-    c_star = two_atom_parameters(spec.params)[0]
-    argmin_c = _d2_argmin(spec.params)[0]
+    c_star = two_atom_parameters(params)[0]
+    argmin_c = _d2_argmin(params)[0]
     return CaseBoundaryReport(
-        spec=spec,
+        params=params,
         c_star=c_star,
         argmin_c=argmin_c,
         passed=bool(abs(argmin_c - c_star) <= config.gate(c_star)),

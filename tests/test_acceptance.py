@@ -269,6 +269,6 @@ def test_criterion_9_case_boundary():
     ]
     ok = True
     for params, c_star in cases:
-        rep = case_boundary_check(FunctionalSpec(params, Which.D2))
+        rep = case_boundary_check(params)
         ok = ok and rep.passed and rep.c_star == pytest.approx(c_star, abs=1e-12)
     assert report(9, "case analysis: c* against the exact argmin", ok)

@@ -18,8 +18,11 @@ from succoeff import (
     bound_d2,
     coeffs_from_series,
     extremal_coeffs,
+    extremal_measure,
     extremal_series,
     extremal_targets,
+    lz_c2,
+    moments,
     mu,
     solve_two_atom,
     t_factor,
@@ -90,8 +93,7 @@ class TestIntervals:
         b = bound_d2(SPIRAL_00)
         assert b.lower == pytest.approx(-1.0)
         assert b.upper == pytest.approx(1.0)
-        assert b.lower_extremal.name is ExtremalName.F_SPIRAL
-        assert b.lower_extremal.rep is not None
+        assert b.lower_extremal == ExtremalDescriptor(ExtremalName.F_SPIRAL, SPIRAL_00)
 
     def test_d2_convex_li_sugawa_case(self):
         b = bound_d2(CONVEX_00)
@@ -121,12 +123,14 @@ class TestIntervals:
 
 
 class TestDescriptors:
-    def test_rep_required_for_two_atom_names(self):
-        with pytest.raises(DomainError):
-            ExtremalDescriptor(ExtremalName.F_SPIRAL, SPIRAL_00)
-        rep = AtomicHerglotzRep(np.array([1.0]), np.array([1.0 + 0j]))
-        with pytest.raises(DomainError):
-            ExtremalDescriptor(ExtremalName.K, SPIRAL_00, rep=rep)
+    def test_descriptor_is_name_and_class(self):
+        # The d2 lower extremal carries no measure: its class fixes it.
+        assert ExtremalDescriptor._fields == ("name", "params")
+        p = ClassParams.spirallike(0.25, 0.5)
+        assert bound_d2(p).lower_extremal == ExtremalDescriptor(ExtremalName.F_SPIRAL, p)
+        for params, name in ((CONVEX_00, ExtremalName.G_CONVEX),
+                             (ClassParams.ozaki(0.25), ExtremalName.F_OZAKI)):
+            assert bound_d2(params).lower_extremal == ExtremalDescriptor(name, params)
 
     def test_order_floor(self):
         with pytest.raises(DomainError):
@@ -139,6 +143,40 @@ class TestDescriptors:
             ExtremalDescriptor(ExtremalName.L, ClassParams.spirallike(0.3, 0.2))
         with pytest.raises(DomainError, match="K belongs to the spirallike family, not ozaki"):
             ExtremalDescriptor(ExtremalName.K, ClassParams.ozaki(0.5))
+
+    @pytest.mark.parametrize("name, params, weights, points", [
+        (ExtremalName.K, SPIRAL_00, (1.0,), (1,)),
+        (ExtremalName.L, CONVEX_00, (1.0,), (1,)),
+        (ExtremalName.G_OZAKI, ClassParams.ozaki(0.3), (1.0,), (-1,)),
+        (ExtremalName.H, SPIRAL_00, (0.5, 0.5), (1, -1)),
+        (ExtremalName.Q, CONVEX_00, (0.5, 0.5), (1, -1)),
+        (ExtremalName.H_OZAKI, ClassParams.ozaki(0.3), (0.5, 0.5), (1, -1)),
+        # c* = 2 at lam >= 1/2: the two-atom measure collapses to the point mass at 1.
+        (ExtremalName.F_OZAKI, ClassParams.ozaki(0.5), (1.0,), (1,)),
+        (ExtremalName.F_OZAKI, ClassParams.ozaki(0.75), (1.0,), (1,)),
+    ], ids=["K", "L", "G_OZAKI", "H", "Q", "H_OZAKI", "F_OZAKI-0.5", "F_OZAKI-0.75"])
+    def test_fixed_measures(self, name, params, weights, points):
+        desc = ExtremalDescriptor(name, params)
+        assert extremal_measure(desc) == AtomicHerglotzRep(weights, points)
+
+    @pytest.mark.parametrize("name, params", [
+        (ExtremalName.F_SPIRAL, SPIRAL_00),
+        (ExtremalName.F_SPIRAL, ClassParams.spirallike(0.25, 0.5)),
+        (ExtremalName.G_CONVEX, ClassParams.convex(0.25, -0.5)),
+        (ExtremalName.G_CONVEX, ClassParams.convex(0.5, 1.4)),  # T < 5/4: c* = 3/(T+1)
+        (ExtremalName.F_OZAKI, ClassParams.ozaki(0.25)),
+    ], ids=["F_SPIRAL-0-0", "F_SPIRAL-0.25-0.5", "G_CONVEX-0.25--0.5", "G_CONVEX-0.5-1.4",
+            "F_OZAKI-0.25"])
+    def test_two_atom_measures(self, name, params):
+        # The measure solved at the class's (c*, x*): its c1 and c2 are c*
+        # and lz_c2(c*, x*).
+        c, x = two_atom_parameters(params)
+        rep = extremal_measure(ExtremalDescriptor(name, params))
+        assert rep == solve_two_atom(c, x)
+        assert rep.n_atoms == 2
+        c1, c2 = moments(rep, 2)
+        assert c1 == pytest.approx(c, abs=1e-14)
+        assert c2 == pytest.approx(lz_c2(c, x), abs=1e-14)
 
 
 class TestExtremalSeries:
@@ -196,23 +234,26 @@ class TestExtremalSeries:
         # f = z prod_j (1 - eps_j z)^(-2(1-a) mu g_j) over the two atoms.
         params = ClassParams.spirallike(0.25, 0.5)
         desc = bound_d2(params).lower_extremal
-        assert desc.rep.n_atoms == 2
-        product = atom_product(desc.rep, -2 * (1 - 0.25) * mu(0.5), 10).shift_up()
+        rep = extremal_measure(desc)
+        assert rep.n_atoms == 2
+        product = atom_product(rep, -2 * (1 - 0.25) * mu(0.5), 10).shift_up()
         assert_series_close(extremal_series(desc, 10), product.coeffs, atol=1e-12)
 
     def test_g_convex_matches_atom_product(self):
         # z g' = f, so g' is the spirallike atom product itself.
         params = ClassParams.convex(0.25, 0.5)
         desc = bound_d2(params).lower_extremal
-        assert desc.rep.n_atoms == 2
-        product = atom_product(desc.rep, -2 * (1 - 0.25) * mu(0.5), 10).antiderivative()
+        rep = extremal_measure(desc)
+        assert rep.n_atoms == 2
+        product = atom_product(rep, -2 * (1 - 0.25) * mu(0.5), 10).antiderivative()
         assert_series_close(extremal_series(desc, 10), product.coeffs, atol=1e-12)
 
     def test_f_ozaki_two_atom_matches_atom_product(self):
         # lam < 1/2 keeps both atoms: F' = prod_j (1 - eps_j z)^(lam g_j).
         desc = bound_d2(ClassParams.ozaki(0.25)).lower_extremal
-        assert desc.rep.n_atoms == 2
-        product = atom_product(desc.rep, 0.25, 10).antiderivative()
+        rep = extremal_measure(desc)
+        assert rep.n_atoms == 2
+        product = atom_product(rep, 0.25, 10).antiderivative()
         assert_series_close(extremal_series(desc, 10), product.coeffs, atol=1e-12)
 
     def test_f_spiral_proof_coefficients(self):
@@ -239,7 +280,7 @@ class TestExtremalSeries:
         # lam >= 1/2 uses c = 2: a single atom at 1, so F is the
         # antiderivative of (1-z)^lam.
         desc = bound_d2(ClassParams.ozaki(0.75)).lower_extremal
-        assert desc.rep.n_atoms == 1
+        assert extremal_measure(desc).n_atoms == 1
         f = extremal_series(desc, 8)
         closed = cpow(one(8) + monomial(1, 8, -1.0), 0.75).antiderivative()
         assert_series_close(f, closed.coeffs, atol=1e-13)

@@ -136,8 +136,7 @@ class TestVerify:
             lines = capsys.readouterr().out.splitlines()
             return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
 
-        spec = verify_module.FunctionalSpec(params, Which.D2)
-        assert verify_module.case_boundary_check(spec).passed
+        assert verify_module.case_boundary_check(params).passed
         before = rows(0)
         assert [r["case_check"] for r in before] == ["", "pass"]
         exact = verify_module.two_atom_parameters
@@ -147,7 +146,7 @@ class TestVerify:
             return c_star + 1e-9, x_star
 
         monkeypatch.setattr(verify_module, "two_atom_parameters", shifted)
-        assert not verify_module.case_boundary_check(spec).passed
+        assert not verify_module.case_boundary_check(params).passed
         after = rows(1)
         assert after[0] == before[0]
         # every endpoint, argmin and attainment cell is unchanged
@@ -308,6 +307,29 @@ class TestExtremalAndSample:
         assert code == 0
         payload = json.loads((tmp_path / "s.json").read_text())
         assert payload[0]["violations"] == 0
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["bounds"], 0),
+    (["sweep", "--alphas", "0,0.5,2"], 0),
+    (["sample", "--samples", "20"], 0),
+    (["extremal"], 1),
+    (["verify"], 1),
+], ids=["bounds", "sweep", "sample", "extremal", "verify"])
+def test_two_atom_solves_per_command(argv, solves, monkeypatch, tmp_path):
+    # The d2 lower extremal's measure is solved only where a command reads
+    # that extremal's coefficients, once per spirallike point.
+    calls = []
+    solve = bounds_module.solve_two_atom
+
+    def counted(c, x):
+        calls.append((c, x))
+        return solve(c, x)
+
+    monkeypatch.setattr(bounds_module, "solve_two_atom", counted)
+    point = ["--family", "spirallike", "--alpha", "0.25", "--gamma", "0.5"]
+    assert main([*argv, *point, "--format", "csv", "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(calls) == solves
 
 
 class TestUsageErrors:

@@ -32,7 +32,7 @@ FACTORIES = {
     VerifyReport: lambda: grid_optimize(SPEC),
     WorstMargin: lambda: sample_no_violation(PARAMS, n_samples=20, seed=3).d2_low,
     SampleReport: lambda: sample_no_violation(PARAMS, n_samples=20, seed=3),
-    CaseBoundaryReport: lambda: case_boundary_check(SPEC),
+    CaseBoundaryReport: lambda: case_boundary_check(PARAMS),
 }
 RECORDS = list(FACTORIES)
 
@@ -72,7 +72,7 @@ def test_defaults_and_keywords():
     assert ClassParams(Family.OZAKI_G, lam=0.5) == ClassParams(Family.OZAKI_G, 0.0, 0.0, 0.5)
     assert ClassParams(family=Family.SPIRALLIKE) == ClassParams.spirallike()
     assert CoeffTriple(a3=2j, a2=1.0) == CoeffTriple(1.0, 2j)
-    assert ExtremalDescriptor(ExtremalName.K, PARAMS).rep is None
+    assert ExtremalDescriptor(params=PARAMS, name=ExtremalName.K) == (ExtremalName.K, PARAMS)
     assert repr(ClassParams.ozaki(0.5)) == (
         "ClassParams(family=<Family.OZAKI_G: 'ozaki'>, alpha=0.0, gamma=0.0, lam=0.5)")
 
@@ -104,9 +104,7 @@ INVALID = [
     (REP, {"weights": (1.0,)}),
     (REP, {"points": (1j, 0.5)}),
     (REP, {"weights": (), "points": ()}),
-    (ExtremalDescriptor(ExtremalName.K, PARAMS), {"rep": REP}),
-    (_F_SPIRAL, {"rep": None}),
-    (_F_SPIRAL, {"name": ExtremalName.H}),
+    (_F_SPIRAL, {"name": ExtremalName.L}),
     (bound_d2(PARAMS), {"lower": 1.0}),
 ]
 

@@ -379,24 +379,20 @@ class TestSampling:
 
 class TestCaseBoundary:
     def test_starlike_argmin(self):
-        report = case_boundary_check(FunctionalSpec(SPIRAL_00, Which.D2))
+        report = case_boundary_check(SPIRAL_00)
         assert report.c_star == pytest.approx(1.0)
         assert abs(report.argmin_c - 1.0) < 1e-6
         assert report.passed
 
     def test_ozaki_low_branch(self):
-        report = case_boundary_check(FunctionalSpec(ClassParams.ozaki(0.25), Which.D2))
+        report = case_boundary_check(ClassParams.ozaki(0.25))
         assert report.c_star == pytest.approx(12 / 7)
         assert report.passed
 
     def test_ozaki_high_branch(self):
-        report = case_boundary_check(FunctionalSpec(ClassParams.ozaki(0.75), Which.D2))
+        report = case_boundary_check(ClassParams.ozaki(0.75))
         assert report.c_star == pytest.approx(2.0)
         assert report.passed
-
-    def test_requires_d2(self):
-        with pytest.raises(DomainError):
-            case_boundary_check(FunctionalSpec(SPIRAL_00, Which.D1))
 
 
 class TestConvexSmallTRegime:
@@ -432,7 +428,7 @@ class TestConvexSmallTRegime:
         assert attainment(desc, Which.D2) == pytest.approx(expected_min, abs=1e-14)
 
     def test_case_check_passes_at_vertex(self):
-        report = case_boundary_check(FunctionalSpec(self.PARAMS, Which.D2))
+        report = case_boundary_check(self.PARAMS)
         # the exact argmin and the analytic c* both sit at the vertex 3/(T+1)
         assert report.argmin_c == pytest.approx(3 / 2.2, abs=1e-15)
         assert report.c_star == pytest.approx(3 / 2.2, abs=1e-15)
@@ -444,7 +440,7 @@ class TestConvexSmallTRegime:
         assert t_factor(alpha, gamma) < 1.25
         report = grid_optimize(FunctionalSpec(params, Which.D2))
         assert report.passed
-        assert case_boundary_check(FunctionalSpec(params, Which.D2)).passed
+        assert case_boundary_check(params).passed
 
     def test_branches_meet_at_five_quarters(self):
         # T = 5/4 exactly at cos^2 g = 9/64 / ((1-a)(2-a)); both branches give -(2/3)(1-a)cos g.
