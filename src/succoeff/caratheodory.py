@@ -92,7 +92,7 @@ def lz_c2(c: float, x: complex) -> complex:
     """
     if not 0.0 <= c <= 2.0:
         raise DomainError(f"c must lie in [0, 2], got {c}")
-    if abs(x) > 1 + config.REP_ATOL:
+    if not abs(x) <= 1 + config.REP_ATOL:
         raise DomainError("|x| must be <= 1")
     return (c * c + (4.0 - c * c) * x) / 2.0
 
@@ -116,6 +116,8 @@ def to_series(rep: AtomicHerglotzRep, order: int) -> TruncatedSeries:
     # The series algebra is library-only; no command builds p's series.
     from .series import TruncatedSeries
 
+    if order < 0:
+        raise DomainError(f"order must be >= 0, got {order}")
     return TruncatedSeries([1 + 0j] + (moments(rep, order) if order >= 1 else []))
 
 
@@ -146,7 +148,7 @@ def solve_two_atom(c: float, x: complex) -> AtomicHerglotzRep:
         raise DomainError(f"c must lie in [0, 2], got {c}")
     if c >= 2.0 - config.DEGENERATE_C_TOL:
         raise DegenerateError("c = 2 collapses the measure to a single atom at 1")
-    if abs(x) > 1.0 + config.REP_ATOL:
+    if not abs(x) <= 1.0 + config.REP_ATOL:
         raise DomainError("|x| must be <= 1")
     if abs(abs(x) - 1.0) > config.REP_ATOL:
         raise InfeasibleError(

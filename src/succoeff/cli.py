@@ -382,7 +382,10 @@ def _load_config_file(path: str, children: Sequence[argparse.ArgumentParser]) ->
                if flag.startswith("--") and action.nargs != 0 and action.dest != "config"}
     values = {}
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -7,8 +7,8 @@ library-only ``membership_check``.  Every verdict of a command goes
 through :func:`gate`, so tightening one means lowering ``GATE_ULPS``.
 """
 
-# Truncation order used when callers do not ask for a specific jet length.
-# a2/a3 only need order >= 4; larger orders support round-trip identities.
+# The default order that `sample --order` (and sample_no_violation's
+# order=) checks and echoes; no verdict depends on it.
 DEFAULT_ORDER = 12
 
 # Largest truncation order `sample --order` accepts.  No command builds a jet

@@ -59,21 +59,25 @@ class ClassParams(namedtuple("ClassParams", "family alpha gamma lam")):
 
     __slots__ = ()
 
-    def __new__(cls, family: Family, alpha: float = 0.0, gamma: float = 0.0, lam: float = 0.0):
-        if family in (Family.SPIRALLIKE, Family.CONVEX_GAMMA):
+    def __new__(cls, family: Family | str, alpha: float = 0.0, gamma: float = 0.0,
+                lam: float = 0.0):
+        # Downstream checks compare families with `is`: store the member.
+        try:
+            family = Family(family)
+        except ValueError:
+            raise DomainError(f"unknown family {family!r}") from None
+        if family is Family.OZAKI_G:
+            if not 0.0 < lam <= 1.0:
+                raise DomainError(f"lam must lie in (0, 1], got {lam}")
+            if alpha != 0.0 or gamma != 0.0:
+                raise DomainError("alpha/gamma are meaningful only for spirallike/convex")
+        else:
             if not 0.0 <= alpha < 1.0:
                 raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
             if not -math.pi / 2 < gamma < math.pi / 2:
                 raise DomainError(f"gamma must lie in (-pi/2, pi/2), got {gamma}")
             if lam != 0.0:
                 raise DomainError("lam is meaningful only for the ozaki family")
-        elif family is Family.OZAKI_G:
-            if not 0.0 < lam <= 1.0:
-                raise DomainError(f"lam must lie in (0, 1], got {lam}")
-            if alpha != 0.0 or gamma != 0.0:
-                raise DomainError("alpha/gamma are meaningful only for spirallike/convex")
-        else:  # pragma: no cover - enum exhausts the cases
-            raise DomainError(f"unknown family {family}")
         return super().__new__(cls, family, alpha, gamma, lam)
 
     # _replace builds through _make; route it through the checks above.
@@ -238,7 +242,7 @@ def coeffs_from_c(params: ClassParams, c1: complex, c2: complex) -> CoeffTriple:
     z g' = v (p - 1) g gives g1 = v c1 and g2 = (v^2 c1^2 + v c2)/2; then
     a2 = g1/n2 and a3 = g2/n3 by the family's coefficient rule.
     """
-    if abs(c1) > 2 + config.REP_ATOL or abs(c2) > 2 + config.REP_ATOL:
+    if not (abs(c1) <= 2 + config.REP_ATOL and abs(c2) <= 2 + config.REP_ATOL):
         raise DomainError("Carathéodory coefficients satisfy |c_k| <= 2")
     v = _exponent(params)
     n2, n3 = _divisors(params)

@@ -2,15 +2,18 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from succoeff import (
     AtomicHerglotzRep,
+    ClassParams,
     DegenerateError,
     DomainError,
     InfeasibleError,
+    coeffs_from_c,
     lz_c2,
     moments,
     random_rep,
@@ -115,6 +118,10 @@ class TestToSeries:
     def test_plus_minus_pair(self):
         rep = AtomicHerglotzRep.from_atoms([(0.5, 1.0 + 0j), (0.5, -1.0 + 0j)])
         assert_series_close(to_series(rep, 6), [1, 0, 2, 0, 2, 0, 2])
+
+    def test_order_zero_is_the_constant(self):
+        rep = AtomicHerglotzRep.from_atoms([(0.5, 1.0 + 0j), (0.5, -1.0 + 0j)])
+        assert to_series(rep, 0).coeffs == (1 + 0j,)
 
     def test_positivity_sampled(self, rng):
         # Herglotz positivity survives truncation once the dropped tail
@@ -282,3 +289,25 @@ class TestRandomRep:
     def test_rejects_zero_atoms(self):
         with pytest.raises(DomainError):
             random_rep(0, seed=1)
+
+
+_NAN = float("nan")
+_REP = AtomicHerglotzRep([0.5, 0.5], [1, -1])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lz_c2(1.0, _NAN), "|x| must be <= 1"),
+    (lambda: lz_c2(1.0, complex(0.5, _NAN)), "|x| must be <= 1"),
+    (lambda: lz_c2(_NAN, 0.5), "c must lie in"),
+    (lambda: coeffs_from_c(ClassParams.spirallike(), _NAN, 0.0), "satisfy |c_k| <= 2"),
+    (lambda: coeffs_from_c(ClassParams.ozaki(0.5), 1.0, complex(_NAN, 1.0)), "satisfy |c_k| <= 2"),
+    (lambda: solve_two_atom(1.0, _NAN), "|x| must be <= 1"),
+    (lambda: solve_two_atom(_NAN, -1.0), "c must lie in"),
+    (lambda: to_series(_REP, -1), "order must be >= 0"),
+    (lambda: to_series(_REP, -3), "order must be >= 0"),
+], ids=["lz_c2-x", "lz_c2-x-imag", "lz_c2-c", "coeffs_from_c-c1", "coeffs_from_c-c2",
+        "solve_two_atom-x", "solve_two_atom-c", "to_series-1", "to_series-3"])
+def test_input_checks_reject_nan_and_negative_order(call, message):
+    # A NaN fails every comparison, so each bound is written `not v <= bound`.
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()

@@ -443,6 +443,12 @@ class TestConfigFile:
         assert main(["bounds", "--config", str(cfg)]) == 2
         assert f"{cfg}:2:" in capsys.readouterr().err
 
+    def test_not_utf8_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"family=convex\n\xff\n")
+        assert main(["bounds", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"succoeff: {cfg}: 'utf-8' codec can't decode")
+
     def test_key_of_another_subcommand_accepted(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("samples=7\n", encoding="utf-8")
@@ -489,11 +495,18 @@ def test_readme_detection_floor(capsys):
         assert cells[1:] == [f"{float(row[side]):.1e}" for side in sides], cells[0]
 
 
+# The directory that holds the package under test.  A child interpreter
+# finds the package only through PYTHONPATH: it is not installed, pytest
+# puts it on sys.path of this process only, and -S skips site-packages.
+_PACKAGE_ROOT = str(Path(succoeff.__file__).resolve().parent.parent)
+_PACKAGE_ENV = {**os.environ, "PYTHONPATH": _PACKAGE_ROOT}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "succoeff.cli", "bounds", "--family", "ozaki",
          "--lambda", "0.5", "--format", "csv"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_PACKAGE_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("family,")
@@ -522,21 +535,17 @@ def test_commands_load_only_the_standard_library():
         "print(sorted(m for m in loaded if m.split('.')[0] not in sys.stdlib_module_names\n"
         "             and m.split('.')[0] != 'succoeff'))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_PACKAGE_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
-
-
-# The directory that holds the package under test: a -S interpreter skips
-# site-packages, so it finds the package only through PYTHONPATH.
-_PACKAGE_ROOT = str(Path(succoeff.__file__).resolve().parent.parent)
 
 
 def _modules_loaded_by(code: str, *flags: str) -> list:
     """The modules that ``code``, run in a fresh interpreter with ``flags``, adds to sys.modules."""
     script = f"import sys\nbefore = set(sys.modules)\n{code}\nprint(sorted(set(sys.modules) - before))\n"
     proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": _PACKAGE_ROOT})
+                          env=_PACKAGE_ENV)
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
@@ -666,7 +675,7 @@ def test_import_does_not_load_scipy():
     # scipy may be installed alongside numpy; the package must not pull it in.
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, succoeff.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_PACKAGE_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -14,6 +14,8 @@ from succoeff import (
     EvaluationError,
     Family,
     TruncatedSeries,
+    bound_d1,
+    bound_d2,
     coeffs_from_c,
     coeffs_from_series,
     construct_member,
@@ -74,6 +76,27 @@ class TestParams:
             ClassParams(Family.OZAKI_G, alpha=0.2, lam=0.5)
         with pytest.raises(DomainError):
             ClassParams(Family.SPIRALLIKE, lam=0.5)
+
+    @pytest.mark.parametrize("family, values", [
+        ("spirallike", {"alpha": 0.2, "gamma": 0.3}),
+        ("convex", {"alpha": 0.2, "gamma": 0.3}),
+        ("ozaki", {"lam": 0.3}),
+    ])
+    def test_family_given_by_value(self, family, values):
+        # The family is stored as the enum member, so the family checks
+        # downstream, which use `is`, see it.
+        by_value, by_enum = ClassParams(family, **values), ClassParams(Family(family), **values)
+        assert by_value.family is by_enum.family is Family(family)
+        rep = random_rep(3, 1)
+        assert construct_member(by_value, rep, 6).coeffs == construct_member(by_enum, rep, 6).coeffs
+        assert coeffs_from_c(by_value, 1.2, 0.5j) == coeffs_from_c(by_enum, 1.2, 0.5j)
+        assert bound_d1(by_value) == bound_d1(by_enum)
+        assert bound_d2(by_value) == bound_d2(by_enum)
+
+    def test_unknown_family_rejected(self):
+        for family in ("elliptic", "SPIRALLIKE", None):
+            with pytest.raises(DomainError, match="unknown family"):
+                ClassParams(family)
 
     def test_coeff_triple_normalization(self):
         # a1 is 1 by normalization, so it is not a field.
