@@ -16,8 +16,7 @@ _EXPORTS = {
     "bounds": (
         "BoundInterval", "ExtremalDescriptor", "ExtremalName", "Which", "attainment",
         "bound_d1", "bound_d2", "extremal_coeffs", "extremal_measure", "extremal_series",
-        "extremal_targets",
-        "t_factor", "two_atom_parameters",
+        "extremal_targets", "t_factor", "two_atom_parameters",
     ),
     "caratheodory": (
         "AtomicHerglotzRep", "lz_c2", "moments", "random_rep", "solve_two_atom", "to_series",

@@ -76,6 +76,9 @@ class TestParams:
             ClassParams(Family.OZAKI_G, alpha=0.2, lam=0.5)
         with pytest.raises(DomainError):
             ClassParams(Family.SPIRALLIKE, lam=0.5)
+        for family in ("elliptic", "SPIRALLIKE", None):
+            with pytest.raises(DomainError, match="unknown family"):
+                ClassParams(family)
 
     @pytest.mark.parametrize("family, values", [
         ("spirallike", {"alpha": 0.2, "gamma": 0.3}),
@@ -92,11 +95,6 @@ class TestParams:
         assert coeffs_from_c(by_value, 1.2, 0.5j) == coeffs_from_c(by_enum, 1.2, 0.5j)
         assert bound_d1(by_value) == bound_d1(by_enum)
         assert bound_d2(by_value) == bound_d2(by_enum)
-
-    def test_unknown_family_rejected(self):
-        for family in ("elliptic", "SPIRALLIKE", None):
-            with pytest.raises(DomainError, match="unknown family"):
-                ClassParams(family)
 
     def test_coeff_triple_normalization(self):
         # a1 is 1 by normalization, so it is not a field.
