@@ -229,10 +229,9 @@ def extremal_coeffs(desc: ExtremalDescriptor) -> CoeffTriple:
 def extremal_series(desc: ExtremalDescriptor, order: int) -> TruncatedSeries:
     """Taylor series (to ``order``) of a catalog extremal function.
 
-    The extremal is ``construct_member`` applied to its generating measure
-    at ``desc.params``, so sampled members and extremals share one
-    construction path.  The series is the library's reference form; the
-    commands read a2 and a3 through :func:`extremal_coeffs`.
+    ``construct_member`` of its generating measure at ``desc.params``, the
+    library's reference form.  The commands read a2 and a3, bitwise the
+    same, through :func:`extremal_coeffs`.
     """
     if order < 4:
         raise DomainError("order must be >= 4 to expose a2 and a3")

@@ -12,25 +12,15 @@ through :func:`gate`, so tightening one means lowering ``GATE_ULPS``.
 DEFAULT_ORDER = 12
 
 # Largest truncation order `sample --order` accepts.  No command builds a jet
-# beyond g_2 (`sample` of each member, `extremal` and `verify` of each
-# extremal), so no command's cost depends on the order: on a 2-vCPU Xeon with
-# Python 3.11, a sampled member (built in a chunk of 256) costs about
-# 0.005 ms with `--atoms-max 1` and 0.015 ms with the default 6, at orders
-# 12, 128 and 1024 alike.  In the library, construct_member and
-# extremal_series build the full order from the atoms, at O(atoms * order)
-# Python work: a lone construct_member
-# (a batch of one) with 1 atom takes about 0.03-0.04 ms at order 12, 0.3-0.4 ms
-# at 128, 2.2-3.3 ms at 1024 and 13 ms at 4096.  The series form,
-# construct_member(params, to_series(rep, N)), runs the O(N^2) exp instead:
-# about 42 ms at 1024 and 0.78 s at 4096.
+# beyond g_2: every command reads a2 and a3 from the atoms in closed form, so
+# no command's cost depends on the order.  The library's construct_member
+# builds the full order, at O(atoms * order) Python work from a measure and
+# O(order^2) from a series.
 MAX_ORDER = 1024
 
-# Largest atom count `sample --atoms-max` accepts.  The running atom sums cost
-# O(atoms) per coefficient: with `--atoms-max 64` a sampled member costs
-# about 0.05 ms at any order on the same machine.  A lone member pays two
-# list passes per atom and coefficient: with 64 atoms about 1.1 ms at order
-# 12, 11-13 ms at 128 and 74-81 ms at 1024 (6 atoms: 0.09-0.14, 0.9-1.4 and
-# 9-11 ms).
+# Largest atom count `sample --atoms-max` accepts.  A sampled member costs
+# O(atoms): on a 2-vCPU Xeon with Python 3.11, in chunks of 256, about
+# 0.007 ms at 1 atom, 0.012 ms at the default 6 and 0.05 ms at 64.
 MAX_ATOMS = 64
 
 # Structural invariants of atomic Herglotz representations, and the slack

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
 from enum import Enum
-from itertools import repeat, zip_longest
+from functools import reduce
+from itertools import repeat
 from operator import add, mul, truediv
 
 from . import config
@@ -137,51 +137,25 @@ def _divisors(params: ClassParams) -> tuple[int, int]:
     return (2, 3) if _f_prime_is_g(params) else (1, 1)
 
 
-def _atom_jets(
-    measures: Sequence[tuple[Sequence[float], Sequence[complex]]], order: int, v: complex
-) -> list[tuple[complex, ...]]:
-    """g_0..g_order of g = exp{v int (p(t)-1)/t dt} for each p, given by its (weights, points).
+def _atom_jet(weights: Sequence[float], points: Sequence[complex], order: int,
+              v: complex) -> list[complex]:
+    """g_0..g_order of g = exp{v int (p(t)-1)/t dt} for p given by its (weights, points).
 
     With p - 1 = sum_i w_i 2 eps_i z/(1 - eps_i z), z g' = v (p-1) g gives
     k g_k = 2 v sum_i w_i S_i(k), where S_i(k) = sum_{j=1}^{k} eps_i^j g_{k-j}
-    obeys S_i(k) = eps_i (S_i(k-1) + g_{k-1}).  That is O(atoms * order)
-    work, against O(order^2) for exp of the series; |eps_i| = 1, so the
-    running sums do not amplify rounding.  g_k is computed by the same
-    operations whatever ``order`` is, so a shorter jet is a bitwise prefix
-    of a longer one: :func:`_initial_coeffs` asks for order 2 only, since
-    a2 and a3 read g_1 and g_2.  The measures are not validated here.
-
-    The measures advance side by side.  Sorted by atom count, largest
-    first, slot i holds atom i of every measure that has one, and those
-    measures form a prefix of the batch, so each coefficient costs two list
-    passes in C per slot, not a Python step per measure.  Each measure gets
-    the operations of a batch of one in the same order (acc from 0j, adding
-    w_i S_i(k) by increasing i), so its jet does not depend on its batch.
+    obeys S_i(k) = eps_i (S_i(k-1) + g_{k-1}); |eps_i| = 1, so the running
+    sums do not amplify rounding.  A shorter jet is a bitwise prefix of a
+    longer one.  The measure is not validated here.
     """
-    by_size = sorted(range(len(measures)), key=lambda m: len(measures[m][0]), reverse=True)
-    sizes = sorted(len(w) for w, _ in measures)
-    # Slot i is column i of the size-sorted batch, cut before the measures
-    # with at most i atoms (zip_longest pads them).
-    weights, points = (
-        [col[: len(sizes) - bisect_right(sizes, i)]
-         for i, col in enumerate(zip_longest(*[measures[m][k] for m in by_size]))]
-        for k in (0, 1))
     two_v = 2.0 * v
-    zeros = [0j] * len(measures)
-    s = [zeros[: len(w)] for w in weights]
-    gk = [1 + 0j] * len(measures)
-    cols = [gk]
+    s = [0j] * len(weights)
+    gk = 1 + 0j
+    jet = [gk]
     for k in range(1, order + 1):
-        acc = zeros.copy()
-        for i, (w, eps) in enumerate(zip(weights, points)):
-            s[i] = si = list(map(mul, eps, map(add, s[i], gk)))
-            acc[: len(si)] = map(add, acc, map(mul, w, si))
-        gk = list(map(mul, repeat(two_v / k), acc))
-        cols.append(gk)
-    jets: list = [None] * len(measures)
-    for m, g in zip(by_size, zip(*cols)):
-        jets[m] = g
-    return jets
+        s = list(map(mul, points, map(add, s, repeat(gk))))
+        gk = two_v / k * reduce(add, map(mul, weights, s), 0j)
+        jet.append(gk)
+    return jet
 
 
 def _initial_coeffs(
@@ -189,12 +163,27 @@ def _initial_coeffs(
 ) -> list[tuple[complex, complex]]:
     """(a2, a3) of the member of params' class generated by each (weights, points).
 
-    a2 = g_1/n2 and a3 = g_2/n3 of order-2 jets: bitwise f[2] and f[3] of
-    ``construct_member(params, rep, order)`` at every order.  The measures
-    are not validated here.
+    a2 = g_1/n2 and a3 = g_2/n3 by the first two steps of :func:`_atom_jet`,
+    S_i(1) = eps_i (0 + g_0) and S_i(2) = eps_i (S_i(1) + g_1), with its
+    operations in its order: bitwise f[2] and f[3] of
+    ``construct_member(params, rep, order)``.  The measures are not
+    validated here.
     """
+    two_v = 2.0 * _exponent(params)
+    # two_v / 1, as _atom_jet divides by k: that can flip a zero's sign.
+    h1, h2 = two_v / 1, two_v / 2
     n2, n3 = _divisors(params)
-    return [(g1 / n2, g2 / n3) for _, g1, g2 in _atom_jets(measures, 2, _exponent(params))]
+    coeffs = []
+    for weights, points in measures:
+        acc = 0j
+        for w, eps in zip(weights, points):
+            acc += w * (eps * (1 + 0j))
+        g1 = h1 * acc
+        acc = 0j
+        for w, eps in zip(weights, points):
+            acc += w * (eps * (eps * (1 + 0j) + g1))
+        coeffs.append((g1 / n2, h2 * acc / n3))
+    return coeffs
 
 
 def _member(params: ClassParams, g: Sequence[complex]) -> TruncatedSeries:
@@ -229,8 +218,7 @@ def construct_member(
     if isinstance(p, AtomicHerglotzRep):
         if order is None or order < 1:
             raise DomainError(f"an atomic measure needs an order >= 1, got {order}")
-        jet = _atom_jets([(p.weights, p.points)], order - 1, _exponent(params))[0]
-        return _member(params, jet)
+        return _member(params, _atom_jet(p.weights, p.points, order - 1, _exponent(params)))
     if order is not None:
         raise DomainError("a series carries its own order; pass order only with a measure")
     return _member(params, (_exponent(params) * p.integrate_kernel()).exp().coeffs[:-1])

@@ -168,8 +168,9 @@ class SampleReport(namedtuple("SampleReport", [
         return self.n_violations == 0 and self.n_constructed > 0
 
 
-# Members drawn and built per kernel call.  Results do not depend on it; it
-# caps the jets held at once, so peak memory does not grow with n_samples.
+# Members drawn, checked and read per chunk.  Results do not depend on it;
+# it caps the measures held at once, so peak memory does not grow with
+# n_samples, and one check of 256 measures costs less than 256 checks.
 _CHUNK = 256
 
 
@@ -192,13 +193,11 @@ def sample_no_violation(
 
     Unlike the exact optimizer this path exercises the unreduced functional:
     members are built from un-normalized random measures, and a value
-    violates an endpoint when it is beyond it by more than
-    ``config.gate`` of that endpoint.  Both functionals read
-    only a2 and a3, which are g_1 and g_2 of the member's exponential factor
-    g (a_n = g_{n-1} for spirallike, g_{n-1}/n otherwise), so each member
-    is built to g_0..g_2 only.  ``order`` (at least 4, as ``extremal_series``
-    asks) is validated and echoed in the report; it changes no other
-    field, since g_1 and g_2 take the same operations at every truncation.
+    violates an endpoint when it is beyond it by more than ``config.gate``
+    of that endpoint.  Both functionals read only a2 and a3, so each
+    member's are read from its atoms in closed form.  ``order`` (at least
+    4, as ``extremal_series`` asks) is validated and echoed in the report;
+    it changes no other field.
 
     A member with a2 or a3 not finite is a construction failure, counted,
     never fatal; dividing g_1 or g_2 by 1, 2 or 3 keeps finiteness.  This
@@ -208,10 +207,11 @@ def sample_no_violation(
     (Duren, *Univalent Functions*, 1983, §2).  A finite v never overflows at
     any order, and a non-finite v already shows at g_1.
 
-    Members are drawn and built in chunks: per chunk, one check of the
-    drawn measures against the invariants of AtomicHerglotzRep and one
-    batch-kernel call.  Ties in a worst margin go to the lowest sample
-    index; only the witnesses become AtomicHerglotzReps.
+    Members are drawn in chunks: per chunk, one check of the drawn
+    measures against the invariants of AtomicHerglotzRep, then a2 and a3
+    of each from its atoms (``families._initial_coeffs``).  Ties in a worst
+    margin go to the lowest sample index; only the witnesses become
+    AtomicHerglotzReps.
 
     Every draw is ``random.Random(seed).random()``: per member an atom
     count ``1 + min(int(r * n_atoms_max), n_atoms_max - 1)``, then weights

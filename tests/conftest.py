@@ -3,8 +3,8 @@
 The oracles here deliberately avoid the code paths they are used to check:
 Taylor coefficients are recovered by contour integration (FFT on a circle),
 the (x, y) disk parameters are inverted directly from raw moments, and
-members are built one at a time by the per-member loop that the batch
-kernel ``families._atom_jets`` must match bit for bit.
+members are built by a per-coefficient loop that ``construct_member`` and
+the order-2 reader ``families._initial_coeffs`` must match bit for bit.
 """
 
 import math

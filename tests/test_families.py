@@ -25,7 +25,7 @@ from succoeff import (
     to_series,
 )
 from conftest import assert_series_close, atom_jet_reference, float_bits
-from succoeff.families import _atom_jets, _exponent, _member
+from succoeff.families import _exponent, _initial_coeffs, _member
 from succoeff.verify import _d1_slope, _d2_constants
 from jets import cpow, monomial, one
 
@@ -304,15 +304,17 @@ class TestAtomPath:
     @pytest.mark.parametrize("params", ATOM_PATH_PARAMS)
     @pytest.mark.parametrize("order", [4, 12, 128, 1024])
     def test_batch_matches_lone_members_bitwise(self, params, order):
-        # Mixed atom counts, with ties, in no particular order: every member
-        # of the batch is bitwise the lone member and the per-member loop.
+        # Mixed atom counts, with ties, in no particular order: the order-2
+        # reader gives bitwise f[2] and f[3] of every lone member, and the
+        # lone member is bitwise the per-member loop.
         counts = (3, 64, 1, 17, 64, 2, 1, 6) if order < 1024 else (3, 64, 1, 6, 1)
         reps = [random_rep(n, seed) for seed, n in enumerate(counts)]
         v = _exponent(params)
-        jets = _atom_jets([(rep.weights, rep.points) for rep in reps], order - 1, v)
-        for rep, g in zip(reps, jets):
-            got = float_bits(_member(params, g).coeffs)
-            assert got == float_bits(construct_member(params, rep, order).coeffs)
+        coeffs = _initial_coeffs(params, [(rep.weights, rep.points) for rep in reps])
+        assert len(coeffs) == len(reps)
+        for rep, a2_a3 in zip(reps, coeffs):
+            got = float_bits(construct_member(params, rep, order).coeffs)
+            assert float_bits(a2_a3) == got[2:4]
             assert got == float_bits(_member(params, atom_jet_reference(rep, order - 1, v)).coeffs)
 
     def test_argument_errors(self):

@@ -40,7 +40,8 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         succoeff.no_such_name
     # A private name of a submodule is not part of the package surface.
-    assert not hasattr(succoeff, "_atom_jets")
+    assert not hasattr(succoeff, "_atom_jet")
+    assert not hasattr(succoeff, "_initial_coeffs")
 
 
 def test_dir_lists_all():

@@ -34,7 +34,7 @@ from conftest import sample_reference
 from jets import functional_values
 from succoeff.caratheodory import _draw_atoms
 from succoeff.cli import main
-from succoeff.families import _atom_jets
+from succoeff.families import _initial_coeffs
 from succoeff.verify import WorstMargin, _atom_count
 
 SPIRAL_00 = ClassParams.spirallike(0.0, 0.0)
@@ -304,23 +304,27 @@ class TestSampling:
 
     @pytest.mark.parametrize("order", [4, 12, 1024])
     def test_verdicts_build_order_two_jets(self, order, monkeypatch, tmp_path):
-        # Whatever --order says, each chunk's jets stop at g_2, and so do
-        # those of the four extremals of each extremal or verify row set.
-        calls = []
+        # Whatever --order says, each chunk is one call of the order-2
+        # reader, and so is each of the four extremals of each extremal or
+        # verify row set.  No command builds a longer jet.
+        calls, jets = [], []
 
-        def spy(measures, jet_order, v):
-            calls.append((len(measures), jet_order))
-            return _atom_jets(measures, jet_order, v)
+        def spy(params, measures):
+            calls.append(len(measures))
+            return _initial_coeffs(params, measures)
 
-        monkeypatch.setattr("succoeff.families._atom_jets", spy)
+        for module in ("verify", "bounds"):
+            monkeypatch.setattr(f"succoeff.{module}._initial_coeffs", spy)
+        monkeypatch.setattr("succoeff.families._atom_jet", lambda *args: jets.append(args))
         assert main(["sample", "--samples", "600", "--order", str(order), "--format", "csv",
                      "--out", str(tmp_path / "s.csv")]) == 0
-        assert calls == [(256, 2), (256, 2), (88, 2)]
+        assert calls == [256, 256, 88]
         calls.clear()
         for command in ("extremal", "verify"):
             assert main([command, "--family", "convex", "--alpha", "0.5", "--gamma", "1.4",
                          "--format", "csv", "--out", str(tmp_path / f"{command}.csv")]) == 0
-        assert calls == [(1, 2)] * 8
+        assert calls == [1] * 8
+        assert jets == []
 
     @pytest.mark.parametrize("order", [12, 128])
     def test_peak_memory_flat_in_n_samples(self, order, monkeypatch):
@@ -332,13 +336,13 @@ class TestSampling:
         # small tuples, which would otherwise grow the traced peak.
         batches = []
 
-        def spy(measures, jet_order, v):
-            batches.append((len(measures), jet_order))
-            return _atom_jets(measures, jet_order, v)
+        def spy(params, measures):
+            batches.append(len(measures))
+            return _initial_coeffs(params, measures)
 
-        monkeypatch.setattr("succoeff.families._atom_jets", spy)
+        monkeypatch.setattr("succoeff.verify._initial_coeffs", spy)
         sample_no_violation(CONVEX_00, 600, n_atoms_max=1, seed=1, order=order)
-        assert batches == [(256, 2), (256, 2), (88, 2)]
+        assert batches == [256, 256, 88]
         monkeypatch.setattr("succoeff.verify._CHUNK", 8)
 
         def peak(n_samples):
