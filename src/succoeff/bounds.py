@@ -41,6 +41,10 @@ class Which(str, Enum):
     D1 = "d1"
     D2 = "d2"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown functional {value!r}")
+
 
 class ExtremalName(str, Enum):
     K = "K"                  # spirallike, upper d1
@@ -52,6 +56,10 @@ class ExtremalName(str, Enum):
     G_OZAKI = "G_OZAKI"      # ozaki, upper d1
     H_OZAKI = "H_OZAKI"      # ozaki, lower d1 / upper d2
     F_OZAKI = "F_OZAKI"      # ozaki, lower d2 (two-atom, single atom at lam >= 1/2)
+
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown extremal {value!r}")
 
 
 _POINT_AT_1 = AtomicHerglotzRep((1.0,), (1.0 + 0j,))
@@ -79,7 +87,8 @@ class ExtremalDescriptor(namedtuple("ExtremalDescriptor", "name params")):
 
     __slots__ = ()
 
-    def __new__(cls, name: ExtremalName, params: ClassParams):
+    def __new__(cls, name: ExtremalName | str, params: ClassParams):
+        name = ExtremalName(name)
         family = _CATALOG[name][0]
         if params.family is not family:
             raise DomainError(f"extremal {name.value} belongs to the {family.value} family, "
@@ -238,8 +247,9 @@ def extremal_series(desc: ExtremalDescriptor, order: int) -> TruncatedSeries:
     return construct_member(desc.params, extremal_measure(desc), order)
 
 
-def attainment(desc: ExtremalDescriptor, which: Which) -> float:
+def attainment(desc: ExtremalDescriptor, which: Which | str) -> float:
     """|a2|-|a1| (resp. |a3|-|a2|) of the catalog extremal."""
+    which = Which(which)
     triple = extremal_coeffs(desc)
     return triple.d1() if which is Which.D1 else triple.d2()
 

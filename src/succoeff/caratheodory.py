@@ -49,8 +49,8 @@ class AtomicHerglotzRep(namedtuple("AtomicHerglotzRep", "weights points")):
 
     @classmethod
     def from_atoms(cls, atoms) -> "AtomicHerglotzRep":
-        w, e = zip(*atoms)
-        return cls(w, e)
+        # No atoms give two empty sequences, which the checks reject.
+        return cls(*(tuple(zip(*atoms)) or ((), ())))
 
     @property
     def n_atoms(self) -> int:

@@ -49,6 +49,10 @@ class Family(str, Enum):
     CONVEX_GAMMA = "convex"
     OZAKI_G = "ozaki"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown family {value!r}")
+
 
 class ClassParams(namedtuple("ClassParams", "family alpha gamma lam")):
     """Identifies one concrete function class.
@@ -62,10 +66,7 @@ class ClassParams(namedtuple("ClassParams", "family alpha gamma lam")):
     def __new__(cls, family: Family | str, alpha: float = 0.0, gamma: float = 0.0,
                 lam: float = 0.0):
         # Downstream checks compare families with `is`: store the member.
-        try:
-            family = Family(family)
-        except ValueError:
-            raise DomainError(f"unknown family {family!r}") from None
+        family = Family(family)
         if family is Family.OZAKI_G:
             if not 0.0 < lam <= 1.0:
                 raise DomainError(f"lam must lie in (0, 1], got {lam}")

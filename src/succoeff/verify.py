@@ -40,6 +40,13 @@ class FunctionalSpec(namedtuple("FunctionalSpec", "params which")):
 
     __slots__ = ()
 
+    def __new__(cls, params: ClassParams, which: Which | str):
+        # Downstream checks compare functionals with `is`: store the member.
+        return super().__new__(cls, params, Which(which))
+
+    # _replace builds through _make; route it through the coercion above.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
 
 def _d2_constants(params: ClassParams) -> tuple[float, complex, float]:
     """(prefactor, quadratic weight u, linear weight K) of the d2 reduction.

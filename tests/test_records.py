@@ -13,7 +13,8 @@ import succoeff
 from succoeff import (AtomicHerglotzRep, BoundInterval, CaseBoundaryReport, ClassParams,
                       CoeffTriple, DomainError, ExtremalDescriptor, ExtremalName, Family,
                       FunctionalSpec, MembershipReport, SampleReport, VerifyReport, Which,
-                      bound_d2, case_boundary_check, grid_optimize, sample_no_violation)
+                      attainment, bound_d1, bound_d2, case_boundary_check, functional_value,
+                      grid_optimize, sample_no_violation)
 from succoeff.verify import WorstMargin
 
 PARAMS = ClassParams.spirallike(0.25, 0.5)
@@ -116,3 +117,37 @@ def test_checks_run_on_construction_and_replace(record, changes):
         type(record)(**{**record._asdict(), **changes})
     with pytest.raises(DomainError):
         record._replace(**changes)
+
+
+def test_enum_fields_store_the_member():
+    # A field given by its value stores the enum member, also through
+    # _replace, so checks that compare with `is` see the functional named.
+    spec = FunctionalSpec(PARAMS, "d1")
+    assert spec.which is Which.D1
+    assert SPEC._replace(which="d1").which is Which.D1
+    assert spec == FunctionalSpec(PARAMS, Which.D1)
+    assert grid_optimize(spec).analytic == bound_d1(PARAMS)
+    assert functional_value(spec, 2.0, 0j) == functional_value(FunctionalSpec(PARAMS, Which.D1),
+                                                               2.0, 0j)
+    desc = ExtremalDescriptor("F_SPIRAL", PARAMS)
+    assert desc.name is ExtremalName.F_SPIRAL
+    assert desc.name.value == "F_SPIRAL"
+    assert _F_SPIRAL._replace(name="F_SPIRAL").name is ExtremalName.F_SPIRAL
+    assert attainment(_F_SPIRAL, "d1") == attainment(_F_SPIRAL, Which.D1)
+    assert attainment(_F_SPIRAL, "d1") != attainment(_F_SPIRAL, Which.D2)
+
+
+UNKNOWN = {
+    "functional": lambda: FunctionalSpec(PARAMS, "d3"),
+    "functional-by-name": lambda: SPEC._replace(which="D1"),
+    "extremal": lambda: ExtremalDescriptor("NOPE", PARAMS),
+    "extremal-replace": lambda: _F_SPIRAL._replace(name="k"),
+    "attainment": lambda: attainment(_F_SPIRAL, "d3"),
+    "no-atoms": lambda: AtomicHerglotzRep.from_atoms([]),
+}
+
+
+@pytest.mark.parametrize("make", UNKNOWN.values(), ids=UNKNOWN)
+def test_unknown_enum_value_and_empty_measure_rejected(make):
+    with pytest.raises(DomainError):
+        make()
