@@ -31,6 +31,7 @@ import math
 import re
 import sys
 from collections.abc import Sequence
+from itertools import product
 
 from . import config
 from .bounds import Which, attainment, bound_d1, bound_d2, extremal_coeffs, extremal_targets
@@ -86,12 +87,30 @@ def parse_range(text: str) -> tuple[float, float, int]:
     return parse_angle(parts[0]), parse_angle(parts[1]), int_range(1)(parts[2])
 
 
+# (dest, flag) of the point flags; sweep's axis of each is dest + "s".
+_POINT_FLAGS = (("alpha", "--alpha"), ("gamma", "--gamma"), ("lam", "--lambda"))
+# Each family's point flags, by dest, with the value an absent one takes.
+_POINTS = {
+    Family.SPIRALLIKE: {"alpha": 0.0, "gamma": 0.0},
+    Family.CONVEX_GAMMA: {"alpha": 0.0, "gamma": 0.0},
+    Family.OZAKI_G: {"lam": 1.0},
+}
+
+
 def _class_params(args: argparse.Namespace) -> ClassParams:
-    """The class named by ``--family``, at the flags' parameter values."""
+    """The class named by ``--family``, at the flags' parameter values.
+
+    A point flag of another family, given or read from ``--config``, is a
+    usage error rather than ignored.
+    """
     family = Family(args.family)
-    if family is Family.OZAKI_G:
-        return ClassParams(family, lam=args.lam)
-    return ClassParams(family, alpha=args.alpha, gamma=args.gamma)
+    point = dict(_POINTS[family])
+    for dest, flag in _POINT_FLAGS:
+        if getattr(args, dest) is not None:
+            if dest not in point:
+                raise DomainError(f"{flag} does not apply to the {family.value} family")
+            point[dest] = getattr(args, dest)
+    return ClassParams(family, **point)
 
 
 # ---------------------------------------------------------------- rendering
@@ -227,26 +246,26 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
 
 
 def _lattice(args: argparse.Namespace) -> list[ClassParams]:
-    def axis(rng, fallback):
-        if rng is None:
-            return [fallback]
-        start, stop, count = rng
+    """The classes over sweep's axes; a foreign axis or a point flag its axis spans is an error."""
+    def axis(start, stop, count):
         if count == 1:
             return [start]
         # start + i*step with the last point exactly stop, as np.linspace.
         step = (stop - start) / (count - 1)
         return sorted([start + i * step for i in range(count - 1)] + [stop])
 
-    family = Family(args.family)
-    foreign = ("alphas", "gammas") if family is Family.OZAKI_G else ("lambdas",)
-    for name in foreign:
-        if getattr(args, name) is not None:
-            raise DomainError(f"--{name} does not apply to the {family.value} family")
-    if family is Family.OZAKI_G:
-        return [ClassParams(family, lam=lam) for lam in axis(args.lambdas, args.lam)]
-    return [ClassParams(family, alpha=alpha, gamma=gamma)
-            for alpha in axis(args.alphas, args.alpha)
-            for gamma in axis(args.gammas, args.gamma)]
+    params = _class_params(args)
+    axes = {}
+    for dest, flag in _POINT_FLAGS:
+        rng = getattr(args, dest + "s")
+        if rng is None:
+            continue
+        if dest not in _POINTS[params.family]:
+            raise DomainError(f"{flag}s does not apply to the {params.family.value} family")
+        if getattr(args, dest) is not None:
+            raise DomainError(f"{flag} does not apply when {flag}s spans it")
+        axes[dest] = axis(*rng)
+    return [params._replace(**dict(zip(axes, values))) for values in product(*axes.values())]
 
 
 def cmd_sweep(args: argparse.Namespace) -> Outcome:
@@ -336,10 +355,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     shared.add_argument("--config", type=str, default=None,
                         help="flat KEY=VALUE file supplying defaults")
     shared.add_argument("--family", choices=[f.value for f in Family], default="spirallike")
-    shared.add_argument("--alpha", type=float, default=0.0)
-    shared.add_argument("--gamma", type=parse_angle, default=0.0,
-                        help="radians; fractions of pi accepted, e.g. pi/4")
-    shared.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    shared.add_argument("--alpha", type=float, help="spirallike, convex (default 0)")
+    shared.add_argument("--gamma", type=parse_angle,
+                        help="spirallike, convex (default 0); radians or pi fractions, e.g. pi/4")
+    shared.add_argument("--lambda", dest="lam", type=float, help="ozaki (default 1)")
     shared.add_argument("--out", type=str, default=None)
     shared.add_argument("--format", choices=sorted(_RENDERERS), default="table")
 
@@ -358,8 +377,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     command("verify", cmd_verify, "optimizer vs analytic endpoints")
     sweep = command("sweep", cmd_sweep, "verify over a parameter lattice")
     # Values starting with a minus need the = form: --gammas=-pi/6,pi/6,3
-    for axis in ("--alphas", "--gammas", "--lambdas"):
-        sweep.add_argument(axis, type=parse_range, default=None, metavar="START,STOP,COUNT")
+    for dest, flag in _POINT_FLAGS:
+        sweep.add_argument(flag + "s", dest=dest + "s", type=parse_range,
+                           metavar="START,STOP,COUNT")
     command("extremal", cmd_extremal, "extremal coefficient table")
     sample = command("sample", cmd_sample, "randomized no-violation check")
     sample.add_argument("--order", type=int_range(4, config.MAX_ORDER), default=config.DEFAULT_ORDER)

@@ -240,14 +240,25 @@ class TestSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["--family", "ozaki", "--alphas", "0,0.5,2"],
-        ["--family", "ozaki", "--gammas=-pi/6,pi/6,3"],
-        ["--family", "spirallike", "--lambdas", "0.1,1,3"],
-        ["--family", "convex", "--lambdas", "0.1,1,3"],
+        ["sweep", "--family", "ozaki", "--alphas", "0,0.5,2"],
+        ["sweep", "--family", "ozaki", "--gammas=-pi/6,pi/6,3"],
+        ["sweep", "--family", "spirallike", "--lambdas", "0.1,1,3"],
+        ["sweep", "--family", "convex", "--lambdas", "0.1,1,3"],
+        ["bounds", "--family", "ozaki", "--alpha", "0.3"],
+        ["bounds", "--family", "spirallike", "--lambda", "1"],
+        ["verify", "--family", "ozaki", "--gamma", "0"],
+        ["extremal", "--family", "convex", "--lambda", "0.5"],
+        ["sample", "--family", "ozaki", "--alpha", "0.3"],
+        ["sweep", "--family", "ozaki", "--alpha", "0.3"],
+        ["sweep", "--alpha", "0.3", "--alphas", "0,0.5,2"],
+        ["sweep", "--family", "convex", "--gamma", "0", "--gammas=-pi/6,pi/6,3"],
+        ["sweep", "--family", "ozaki", "--lambda", "0.5", "--lambdas", "0.1,1,3"],
     ])
     def test_axis_of_another_family_rejected(self, tmp_path, capsys, argv):
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", *argv, "--format", "csv", "--out", str(out)]) == 2
+        # A point flag or axis of another family, and a point flag that its
+        # own axis spans, is a usage error of every command, not ignored.
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--format", "csv", "--out", str(out)]) == 2
         assert "does not apply" in capsys.readouterr().err
         assert not out.exists()
 
@@ -309,12 +320,16 @@ class TestExtremalAndSample:
         assert payload[0]["violations"] == 0
 
 
+_SOLVE_POINT = ["--family", "spirallike", "--alpha", "0.25", "--gamma", "0.5"]
+
+
 @pytest.mark.parametrize("argv, solves", [
-    (["bounds"], 0),
-    (["sweep", "--alphas", "0,0.5,2"], 0),
-    (["sample", "--samples", "20"], 0),
-    (["extremal"], 1),
-    (["verify"], 1),
+    (["bounds", *_SOLVE_POINT], 0),
+    # The axis spans alpha, so the point gives gamma only.
+    (["sweep", "--family", "spirallike", "--alphas", "0,0.5,2", "--gamma", "0.5"], 0),
+    (["sample", "--samples", "20", *_SOLVE_POINT], 0),
+    (["extremal", *_SOLVE_POINT], 1),
+    (["verify", *_SOLVE_POINT], 1),
 ], ids=["bounds", "sweep", "sample", "extremal", "verify"])
 def test_two_atom_solves_per_command(argv, solves, monkeypatch, tmp_path):
     # The d2 lower extremal's measure is solved only where a command reads
@@ -327,8 +342,7 @@ def test_two_atom_solves_per_command(argv, solves, monkeypatch, tmp_path):
         return solve(c, x)
 
     monkeypatch.setattr(bounds_module, "solve_two_atom", counted)
-    point = ["--family", "spirallike", "--alpha", "0.25", "--gamma", "0.5"]
-    assert main([*argv, *point, "--format", "csv", "--out", str(tmp_path / "o.csv")]) == 0
+    assert main([*argv, "--format", "csv", "--out", str(tmp_path / "o.csv")]) == 0
     assert len(calls) == solves
 
 
@@ -448,6 +462,18 @@ class TestConfigFile:
         cfg.write_bytes(b"family=convex\n\xff\n")
         assert main(["bounds", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"succoeff: {cfg}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["bounds"], "lambda=0.5"),
+        (["sample", "--family", "ozaki"], "gamma=0"),
+        (["sweep", "--alphas", "0,0.5,2"], "alpha=0.3"),
+    ])
+    def test_point_key_of_another_family_rejected(self, tmp_path, capsys, argv, line):
+        # A config key is checked like the flag it names.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert "does not apply" in capsys.readouterr().err
 
     def test_key_of_another_subcommand_accepted(self, tmp_path):
         cfg = tmp_path / "run.cfg"
