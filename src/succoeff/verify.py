@@ -201,10 +201,11 @@ def sample_no_violation(
     Unlike the exact optimizer this path exercises the unreduced functional:
     members are built from un-normalized random measures, and a value
     violates an endpoint when it is beyond it by more than ``config.gate``
-    of that endpoint.  Both functionals read only a2 and a3, so each
-    member's are read from its atoms in closed form.  ``order`` (at least
-    4, as ``extremal_series`` asks) is validated and echoed in the report;
-    it changes no other field.
+    of that endpoint.  Both functionals read only a2 = g_1/n2 and
+    a3 = g_2/n3 of the member's exponential factor g, and these are read
+    from its atoms in closed form.  ``order`` (at least 4, as
+    ``extremal_series`` asks) is validated and echoed in the report; it
+    changes no other field.
 
     A member with a2 or a3 not finite is a construction failure, counted,
     never fatal; dividing g_1 or g_2 by 1, 2 or 3 keeps finiteness.  This

@@ -9,8 +9,8 @@ The table was recorded with CPython 3.11 on x86-64 Linux; floats are
 printed to 17 significant digits, so a libm whose cos or exp differs in
 the last bit would change digests.
 
-Re-record with ``python tests/test_outputs.py`` and paste its output over
-``DIGESTS``.
+Re-record with ``PYTHONPATH=src python tests/test_outputs.py`` from the
+root of a checkout, and paste its output over ``DIGESTS``.
 """
 
 import hashlib
