@@ -87,14 +87,10 @@ def parse_range(text: str) -> tuple[float, float, int]:
     return parse_angle(parts[0]), parse_angle(parts[1]), int_range(1)(parts[2])
 
 
-# (dest, flag) of the point flags; sweep's axis of each is dest + "s".
-_POINT_FLAGS = (("alpha", "--alpha"), ("gamma", "--gamma"), ("lam", "--lambda"))
-# Each family's point flags, by dest, with the value an absent one takes.
-_POINTS = {
-    Family.SPIRALLIKE: {"alpha": 0.0, "gamma": 0.0},
-    Family.CONVEX_GAMMA: {"alpha": 0.0, "gamma": 0.0},
-    Family.OZAKI_G: {"lam": 1.0},
-}
+# (dest, flag, whether Ozaki's) of the point flags; sweep's axis of each is
+# dest + "s".  An absent flag takes ClassParams' default, or lam = 1.
+_POINT_FLAGS = (("alpha", "--alpha", False), ("gamma", "--gamma", False),
+                ("lam", "--lambda", True))
 
 
 def _class_params(args: argparse.Namespace) -> ClassParams:
@@ -104,10 +100,10 @@ def _class_params(args: argparse.Namespace) -> ClassParams:
     usage error rather than ignored.
     """
     family = Family(args.family)
-    point = dict(_POINTS[family])
-    for dest, flag in _POINT_FLAGS:
+    point = {"lam": 1.0} if family is Family.OZAKI_G else {}
+    for dest, flag, ozaki in _POINT_FLAGS:
         if getattr(args, dest) is not None:
-            if dest not in point:
+            if ozaki != (family is Family.OZAKI_G):
                 raise DomainError(f"{flag} does not apply to the {family.value} family")
             point[dest] = getattr(args, dest)
     return ClassParams(family, **point)
@@ -256,11 +252,11 @@ def _lattice(args: argparse.Namespace) -> list[ClassParams]:
 
     params = _class_params(args)
     axes = {}
-    for dest, flag in _POINT_FLAGS:
+    for dest, flag, ozaki in _POINT_FLAGS:
         rng = getattr(args, dest + "s")
         if rng is None:
             continue
-        if dest not in _POINTS[params.family]:
+        if ozaki != (params.family is Family.OZAKI_G):
             raise DomainError(f"{flag}s does not apply to the {params.family.value} family")
         if getattr(args, dest) is not None:
             raise DomainError(f"{flag} does not apply when {flag}s spans it")
@@ -377,7 +373,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     command("verify", cmd_verify, "optimizer vs analytic endpoints")
     sweep = command("sweep", cmd_sweep, "verify over a parameter lattice")
     # Values starting with a minus need the = form: --gammas=-pi/6,pi/6,3
-    for dest, flag in _POINT_FLAGS:
+    for dest, flag, _ in _POINT_FLAGS:
         sweep.add_argument(flag + "s", dest=dest + "s", type=parse_range,
                            metavar="START,STOP,COUNT")
     command("extremal", cmd_extremal, "extremal coefficient table")

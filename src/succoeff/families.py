@@ -164,26 +164,27 @@ def _initial_coeffs(
 ) -> list[tuple[complex, complex]]:
     """(a2, a3) of the member of params' class generated by each (weights, points).
 
-    a2 = g_1/n2 and a3 = g_2/n3 by the first two steps of :func:`_atom_jet`,
-    S_i(1) = eps_i (0 + g_0) and S_i(2) = eps_i (S_i(1) + g_1), with its
-    operations in its order: bitwise f[2] and f[3] of
-    ``construct_member(params, rep, order)``.  The measures are not
-    validated here.
+    g_1 = 2v sum_i w_i eps_i and g_2 = v sum_i w_i eps_i (eps_i + g_1) are
+    the first two steps of :func:`_atom_jet`, written out because an
+    order-2 jet per member is slower.  They take the jet's products and
+    sums in its order.  The jet's 2v/1 is 2v, as Re v > 0 or v is real,
+    and its S_i(1) = eps_i (0 + g_0) differs from eps_i at most in the sign
+    of a zero part, which a sum from 0j does not see.  So a2 = g_1/n2 and
+    a3 = g_2/n3 are bitwise f[2] and f[3] of ``construct_member(params,
+    rep, order)``.  The measures are not validated here.
     """
     two_v = 2.0 * _exponent(params)
-    # two_v / 1, as _atom_jet divides by k: that can flip a zero's sign.
-    h1, h2 = two_v / 1, two_v / 2
     n2, n3 = _divisors(params)
     coeffs = []
     for weights, points in measures:
         acc = 0j
         for w, eps in zip(weights, points):
-            acc += w * (eps * (1 + 0j))
-        g1 = h1 * acc
+            acc += w * eps
+        g1 = two_v * acc
         acc = 0j
         for w, eps in zip(weights, points):
-            acc += w * (eps * (eps * (1 + 0j) + g1))
-        coeffs.append((g1 / n2, h2 * acc / n3))
+            acc += w * (eps * (eps + g1))
+        coeffs.append((g1 / n2, two_v / 2 * acc / n3))
     return coeffs
 
 

@@ -1,10 +1,14 @@
 """Shared fixtures and independent oracles for the test suite.
 
-The oracles here deliberately avoid the code paths they are used to check:
-Taylor coefficients are recovered by contour integration (FFT on a circle),
-the (x, y) disk parameters are inverted directly from raw moments, and
-members are built by a per-coefficient loop that ``construct_member`` and
-the order-2 reader ``families._initial_coeffs`` must match bit for bit.
+Most oracles here avoid the code paths they are used to check: Taylor
+coefficients are recovered by contour integration (FFT on a circle), and
+the (x, y) disk parameters are inverted directly from raw moments.  The
+exception is ``atom_jet_reference``, which mirrors ``families._atom_jet``
+step for step: it pins the order of operations that ``construct_member``
+and the order-2 reader ``families._initial_coeffs`` must match bit for
+bit, not the algebra.  ``test_families`` checks the algebra of
+``construct_member`` from atoms independently, against the series
+(``exp``) path and the binomial series of a point mass.
 """
 
 import math

@@ -309,6 +309,11 @@ class TestAtomPath:
         # lone member is bitwise the per-member loop.
         counts = (3, 64, 1, 17, 64, 2, 1, 6) if order < 1024 else (3, 64, 1, 6, 1)
         reps = [random_rep(n, seed) for seed, n in enumerate(counts)]
+        # Zero parts of either sign: the reader's eps_i and the jet's
+        # S_i(1) = eps_i (0 + g_0) may differ in them.
+        reps.append(AtomicHerglotzRep((0.125,) * 8, (
+            1 + 0j, complex(1, -0.0), -1 + 0j, complex(-1, -0.0),
+            1j, -1j, complex(-0.0, 1), complex(0.0, -1))))
         v = _exponent(params)
         coeffs = _initial_coeffs(params, [(rep.weights, rep.points) for rep in reps])
         assert len(coeffs) == len(reps)
