@@ -5,6 +5,12 @@ vs analytic endpoints, extremal attainment, case analysis), ``sweep``
 (verification over a parameter lattice), ``extremal`` (catalog coefficient
 table) and ``sample`` (randomized no-violation check).
 
+``sweep`` checks each lattice point through ``verify``'s two rows: a
+point's ``passed`` includes extremal attainment and the case check, and a
+point whose check raises stops the command as it stops ``verify``, with
+nothing written.  So its ``error`` column is always empty; it is kept so
+the columns stay those of earlier releases.
+
 Output formats: an aligned text table (default), CSV, or JSON.  A command
 builds each row in column order, so the row carries its header: CSV, JSON
 and the table share the first row's keys.  Reals are printed with 17
@@ -16,8 +22,8 @@ takes only the flags it reads; any other flag is a usage error.  A
 ``--config`` file names the long flags of any subcommand, and its values
 pass the same conversions and checks.
 
-Exit status: 0 on success, 1 when a verification fails, 2 on usage errors
-(including an ``--out`` path that cannot be written).
+Exit status: 0 on success, 1 when a verification fails or raises, 2 on
+usage errors (including an ``--out`` path that cannot be written).
 
 A command imports only what it runs: ``verify``, ``sweep`` and ``sample``
 import :mod:`succoeff.verify` when they start, and ``--format json``
@@ -128,12 +134,7 @@ def render_csv(rows: Sequence[dict]) -> str:
 def render_json(rows: Sequence[dict]) -> str:
     import json
 
-    def clean(v):
-        # NaN marks a field missing after a per-row failure; JSON gets null.
-        return None if isinstance(v, float) and math.isnan(v) else v
-
-    payload = [{c: clean(v) for c, v in row.items()} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(list(rows), indent=2) + "\n"
 
 
 def render_table(rows: Sequence[dict]) -> str:
@@ -179,26 +180,6 @@ def cmd_bounds(args: argparse.Namespace) -> Outcome:
     return rows, True
 
 
-def _endpoint_cells(report: VerifyReport, names: Sequence[str]) -> dict:
-    """Lower, upper, min, max and the two residuals of a report, under ``names``."""
-    return dict(zip(names, (
-        report.analytic.lower, report.analytic.upper,
-        report.numeric_min, report.numeric_max,
-        report.residual_min, report.residual_max,
-    )))
-
-
-_VERIFY_ENDPOINTS = [
-    "analytic_lower", "analytic_upper", "numeric_min", "numeric_max",
-    "residual_min", "residual_max",
-]
-_SWEEP_ENDPOINTS = {
-    which: tuple(f"{which.value}_{name}" for name in
-                 ("lower", "upper", "min", "max", "residual_min", "residual_max"))
-    for which in Which
-}
-
-
 def _verify_row(params: ClassParams, which: Which) -> dict:
     from .verify import FunctionalSpec, case_boundary_check, grid_optimize
 
@@ -212,7 +193,12 @@ def _verify_row(params: ClassParams, which: Which) -> dict:
     row = {
         **_param_columns(params),
         "which": which.value,
-        **_endpoint_cells(report, _VERIFY_ENDPOINTS),
+        "analytic_lower": interval.lower,
+        "analytic_upper": interval.upper,
+        "numeric_min": report.numeric_min,
+        "numeric_max": report.numeric_max,
+        "residual_min": report.residual_min,
+        "residual_max": report.residual_max,
         "argmin_c": report.argmin[0],
         "argmin_r": report.argmin[1],
         "argmin_theta": report.argmin[2],
@@ -264,28 +250,27 @@ def _lattice(args: argparse.Namespace) -> list[ClassParams]:
     return [params._replace(**dict(zip(axes, values))) for values in product(*axes.values())]
 
 
-def cmd_sweep(args: argparse.Namespace) -> Outcome:
-    from .verify import FunctionalSpec, grid_optimize
+# sweep's cells of each functional: name suffix -> verify's column.
+_SWEEP_CELLS = {
+    "lower": "analytic_lower", "upper": "analytic_upper",
+    "min": "numeric_min", "max": "numeric_max",
+    "residual_min": "residual_min", "residual_max": "residual_max",
+}
 
+
+def cmd_sweep(args: argparse.Namespace) -> Outcome:
     rows = []
-    all_passed = True
     for params in _lattice(args):
-        # A point that fails keeps NaN in the cells it did not reach.
-        row = {**_param_columns(params),
-               **dict.fromkeys(_SWEEP_ENDPOINTS[Which.D1] + _SWEEP_ENDPOINTS[Which.D2], math.nan),
-               "error": "", "passed": False}
-        try:
-            ok = True
-            for which in (Which.D1, Which.D2):
-                rep = grid_optimize(FunctionalSpec(params, which))
-                row.update(_endpoint_cells(rep, _SWEEP_ENDPOINTS[which]))
-                ok = ok and rep.passed
-            row["passed"] = bool(ok)
-        except SuccoeffError as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        all_passed = all_passed and row["passed"]
-        rows.append(row)
-    return rows, all_passed
+        checks = [_verify_row(params, Which.D1), _verify_row(params, Which.D2)]
+        rows.append({
+            **_param_columns(params),
+            **{f"{check['which']}_{name}": check[column]
+               for check in checks for name, column in _SWEEP_CELLS.items()},
+            # Always empty: an error stops the command (see the module docstring).
+            "error": "",
+            "passed": all(check["passed"] for check in checks),
+        })
+    return rows, all(row["passed"] for row in rows)
 
 
 def cmd_extremal(args: argparse.Namespace) -> Outcome:

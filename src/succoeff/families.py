@@ -67,6 +67,8 @@ class ClassParams(namedtuple("ClassParams", "family alpha gamma lam")):
                 lam: float = 0.0):
         # Downstream checks compare families with `is`: store the member.
         family = Family(family)
+        # -0.0 + 0.0 is 0.0, so a -0 input is stored and printed as 0.
+        alpha, gamma, lam = alpha + 0.0, gamma + 0.0, lam + 0.0
         if family is Family.OZAKI_G:
             if not 0.0 < lam <= 1.0:
                 raise DomainError(f"lam must lie in (0, 1], got {lam}")

@@ -192,6 +192,23 @@ class TestGates:
         assert self.codes(point, tmp_path) == {"verify": 1, "extremal": 1, "sample": 1}
 
     @pytest.mark.parametrize("point", POINTS)
+    def test_c_star_shift_fails_verify_and_sweep(self, monkeypatch, tmp_path, point):
+        # The d2 lower extremal built at a c* moved by 1e-12 misses its
+        # endpoint, and c* misses the exact argmin: both commands see it.
+        exact = bounds_module.two_atom_parameters
+
+        def shifted(params):
+            c_star, x_star = exact(params)
+            return c_star + 1e-12, x_star
+
+        for module in (bounds_module, verify_module):
+            monkeypatch.setattr(module, "two_atom_parameters", shifted)
+        out = tmp_path / "out.csv"
+        for command in ("verify", "sweep"):
+            assert main([command, *point, "--format", "csv", "--out", str(out)]) == 1
+            assert read_csv(out)[1][-1]["passed"] == "false"
+
+    @pytest.mark.parametrize("point", POINTS)
     def test_d2_lower_shift_fails_verify_and_extremal(self, monkeypatch, tmp_path, point):
         # sample's members stay farther from d2 lower than 1e-12 (see the
         # README's detection floor), so only the exact checks can see it.
@@ -326,7 +343,7 @@ _SOLVE_POINT = ["--family", "spirallike", "--alpha", "0.25", "--gamma", "0.5"]
 @pytest.mark.parametrize("argv, solves", [
     (["bounds", *_SOLVE_POINT], 0),
     # The axis spans alpha, so the point gives gamma only.
-    (["sweep", "--family", "spirallike", "--alphas", "0,0.5,2", "--gamma", "0.5"], 0),
+    (["sweep", "--family", "spirallike", "--alphas", "0,0.5,2", "--gamma", "0.5"], 2),
     (["sample", "--samples", "20", *_SOLVE_POINT], 0),
     (["extremal", *_SOLVE_POINT], 1),
     (["verify", *_SOLVE_POINT], 1),
@@ -639,9 +656,10 @@ def test_table_headers(command, tmp_path):
     assert text["table"].splitlines()[0].split() == columns
 
 
-def test_sweep_error_row_keeps_the_columns(tmp_path, monkeypatch):
-    # A point whose d2 optimization fails keeps every column in place: its
-    # d1 cells are filled, its d2 cells NaN (null in JSON), its error named.
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_optimizer_error_stops_the_command(command, tmp_path, monkeypatch, capsys):
+    # A point whose d2 optimization raises stops sweep as it stops verify:
+    # exit 1, the message on stderr and no --out file.
     optimize = verify_module.grid_optimize
 
     def failing(spec, **kwargs):
@@ -650,19 +668,43 @@ def test_sweep_error_row_keeps_the_columns(tmp_path, monkeypatch):
         return optimize(spec, **kwargs)
 
     monkeypatch.setattr(verify_module, "grid_optimize", failing)
-    argv = ["sweep", *_COMMAND_ARGV["sweep"]]
-    csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
-    assert main([*argv, "--format", "csv", "--out", str(csv_out)]) == 1
-    assert main([*argv, "--format", "json", "--out", str(json_out)]) == 1
-    header, rows = read_csv(csv_out)
-    assert ",".join(header) == _HEADERS["sweep"]
-    assert len(rows) == 2
-    for row, record in zip(rows, json.loads(json_out.read_text(encoding="utf-8"))):
-        assert list(record) == header
-        assert row["error"] == record["error"] == "InfeasibleError: no d2 here"
-        assert row["passed"] == "false" and record["passed"] is False
-        assert math.isfinite(float(row["d1_lower"])) and row["d2_lower"] == "nan"
-        assert record["d2_lower"] is None
+    out = tmp_path / "out.csv"
+    assert main([command, *_COMMAND_ARGV[command], "--format", "csv", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "succoeff: no d2 here\n"
+    assert not out.exists()
+
+
+# A -0 spelling of each point flag or axis, and its spelling at 0.
+_SIGNED_ZEROS = {
+    "--alpha=-0": "--alpha=0",
+    "--gamma=-0.0": "--gamma=0",
+    "--gamma=-0*pi": "--gamma=0",
+    "--gammas=-0.0,0,1": "--gammas=0,0,1",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, *_COMMAND_ARGV[command], flag]
+      for command in ("bounds", "extremal", "sample", "verify")
+      for flag in ("--alpha=-0", "--gamma=-0.0", "--gamma=-0*pi")),
+    ["sweep", "--gammas=0,0.5,2", "--alpha=-0"],
+    ["sweep", "--alphas", "0,0.5,2", "--gamma=-0.0"],
+    ["sweep", "--alphas", "0,0.5,2", "--gamma=-0*pi"],
+    ["sweep", "--alphas", "0,0.5,2", "--gammas=-0.0,0,1"],
+], ids=" ".join)
+def test_signed_zero_prints_as_zero(argv, tmp_path):
+    # Outputs do not depend on how a flag is spelled: -0 gives the bytes of 0.
+    def outputs(argv):
+        text = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"out.{fmt}"
+            assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+            text[fmt] = out.read_bytes()
+        return text
+
+    zero = [_SIGNED_ZEROS.get(arg, arg) for arg in argv]
+    assert zero != argv
+    assert outputs(argv) == outputs(zero)
 
 
 def _perfbench_workloads():

@@ -14,6 +14,7 @@ root of a checkout, and paste its output over ``DIGESTS``.
 """
 
 import hashlib
+import json
 import shlex
 import sys
 import tempfile
@@ -126,6 +127,10 @@ def _run(command: str, fmt: str, out: Path) -> tuple[int, str]:
     return code, hashlib.sha256(out.read_bytes()).hexdigest()[:16]
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_table_covers_the_commands():
     assert list(DIGESTS) == COMMANDS
 
@@ -136,6 +141,8 @@ def test_outputs_match_the_recorded_digests(command, tmp_path):
         _run(command, fmt, tmp_path / f"out.{fmt}") for fmt in ("csv", "json"))
     assert code == json_code
     assert (code, csv_digest, json_digest) == DIGESTS[command]
+    # Strict JSON: no NaN, Infinity or -Infinity.
+    json.loads((tmp_path / "out.json").read_text(encoding="utf-8"), parse_constant=_reject_constant)
 
 
 if __name__ == "__main__":
