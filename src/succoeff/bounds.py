@@ -16,7 +16,8 @@ from enum import Enum
 from . import config
 from .caratheodory import AtomicHerglotzRep, solve_two_atom
 from .errors import DomainError
-from .families import ClassParams, CoeffTriple, Family, _initial_coeffs, construct_member
+from .families import (ClassParams, CoeffTriple, Family, _atom_jet, _divisors, _exponent,
+                       construct_member)
 
 __all__ = [
     "Which",
@@ -229,10 +230,13 @@ def extremal_measure(desc: ExtremalDescriptor) -> AtomicHerglotzRep:
 def extremal_coeffs(desc: ExtremalDescriptor) -> CoeffTriple:
     """(a2, a3) of a catalog extremal, read from g_1 and g_2 of its measure.
 
-    The way ``sample`` reads its members; bitwise equal to
+    An order-2 jet, divided by the family's n2 and n3; bitwise equal to
     ``coeffs_from_series(extremal_series(desc, order))`` at every order.
     """
-    return CoeffTriple(*_initial_coeffs(desc.params, [extremal_measure(desc)])[0])
+    rep = extremal_measure(desc)
+    _, g1, g2 = _atom_jet(rep.weights, rep.points, 2, _exponent(desc.params))
+    n2, n3 = _divisors(desc.params)
+    return CoeffTriple(g1 / n2, g2 / n3)
 
 
 def extremal_series(desc: ExtremalDescriptor, order: int) -> TruncatedSeries:

@@ -167,6 +167,17 @@ def solve_two_atom(c: float, x: complex) -> AtomicHerglotzRep:
     return AtomicHerglotzRep(weights, points)
 
 
+def _count(name: str, value: int, least: int) -> int:
+    """``value`` as an int; DomainError if it is no integer or is below ``least``."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _seeded_stream(seed: int) -> random.Random:
     """The pseudo-random stream of ``seed``.
 
@@ -177,10 +188,7 @@ def _seeded_stream(seed: int) -> random.Random:
     """
     import random
 
-    seed = index(seed)
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    return random.Random(seed)
+    return random.Random(_count("seed", seed, 0))
 
 
 def _draw_atoms(rng: random.Random, n_atoms: int) -> tuple[list[float], list[complex]]:

@@ -161,35 +161,6 @@ def _atom_jet(weights: Sequence[float], points: Sequence[complex], order: int,
     return jet
 
 
-def _initial_coeffs(
-    params: ClassParams, measures: Sequence[tuple[Sequence[float], Sequence[complex]]]
-) -> list[tuple[complex, complex]]:
-    """(a2, a3) of the member of params' class generated by each (weights, points).
-
-    g_1 = 2v sum_i w_i eps_i and g_2 = v sum_i w_i eps_i (eps_i + g_1) are
-    the first two steps of :func:`_atom_jet`, written out because an
-    order-2 jet per member is slower.  They take the jet's products and
-    sums in its order.  The jet's 2v/1 is 2v, as Re v > 0 or v is real,
-    and its S_i(1) = eps_i (0 + g_0) differs from eps_i at most in the sign
-    of a zero part, which a sum from 0j does not see.  So a2 = g_1/n2 and
-    a3 = g_2/n3 are bitwise f[2] and f[3] of ``construct_member(params,
-    rep, order)``.  The measures are not validated here.
-    """
-    two_v = 2.0 * _exponent(params)
-    n2, n3 = _divisors(params)
-    coeffs = []
-    for weights, points in measures:
-        acc = 0j
-        for w, eps in zip(weights, points):
-            acc += w * eps
-        g1 = two_v * acc
-        acc = 0j
-        for w, eps in zip(weights, points):
-            acc += w * (eps * (eps + g1))
-        coeffs.append((g1 / n2, two_v / 2 * acc / n3))
-    return coeffs
-
-
 def _member(params: ClassParams, g: Sequence[complex]) -> TruncatedSeries:
     """The member of order len(g) whose exponential factor begins g_0..g_{N-1}.
 

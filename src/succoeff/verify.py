@@ -19,9 +19,9 @@ from collections import namedtuple
 
 from . import config
 from .bounds import Which, bound_d1, bound_d2, two_atom_parameters
-from .caratheodory import AtomicHerglotzRep, _check_atoms, _draw_atoms, _seeded_stream
+from .caratheodory import AtomicHerglotzRep, _check_atoms, _count, _seeded_stream
 from .errors import DomainError
-from .families import ClassParams, _abs_exponent, _divisors, _exponent, _initial_coeffs
+from .families import ClassParams, _abs_exponent, _divisors, _exponent
 
 __all__ = [
     "FunctionalSpec",
@@ -175,7 +175,7 @@ class SampleReport(namedtuple("SampleReport", [
         return self.n_violations == 0 and self.n_constructed > 0
 
 
-# Members drawn, checked and read per chunk.  Results do not depend on it;
+# Members per check of the drawn measures.  Results do not depend on it;
 # it caps the measures held at once, so peak memory does not grow with
 # n_samples, and one check of 256 measures costs less than 256 checks.
 _CHUNK = 256
@@ -202,10 +202,9 @@ def sample_no_violation(
     members are built from un-normalized random measures, and a value
     violates an endpoint when it is beyond it by more than ``config.gate``
     of that endpoint.  Both functionals read only a2 = g_1/n2 and
-    a3 = g_2/n3 of the member's exponential factor g, and these are read
-    from its atoms in closed form.  ``order`` (at least 4, as
-    ``extremal_series`` asks) is validated and echoed in the report; it
-    changes no other field.
+    a3 = g_2/n3 of the member's exponential factor g.  ``order`` (at least
+    4, as ``extremal_series`` asks) is validated and echoed in the report;
+    it changes no other field.
 
     A member with a2 or a3 not finite is a construction failure, counted,
     never fatal; dividing g_1 or g_2 by 1, 2 or 3 keeps finiteness.  This
@@ -215,64 +214,82 @@ def sample_no_violation(
     (Duren, *Univalent Functions*, 1983, §2).  A finite v never overflows at
     any order, and a non-finite v already shows at g_1.
 
-    Members are drawn in chunks: per chunk, one check of the drawn
-    measures against the invariants of AtomicHerglotzRep, then a2 and a3
-    of each from its atoms (``families._initial_coeffs``).  Ties in a worst
-    margin go to the lowest sample index; only the witnesses become
-    AtomicHerglotzReps.
+    One pass per member draws it as ``caratheodory._draw_atoms`` does,
+    takes g_1 and g_2 by the first two steps of ``families._atom_jet``, in
+    its order of operations, and gives its verdicts: the calls would cost
+    more than the arithmetic.  Taking the jet's 2v/1 and S_i(1) =
+    eps_i (0 + g_0) as 2v and eps_i changes at most the sign of a zero
+    part, so |a2| and |a3| are bitwise those of ``construct_member``.  A
+    check per ``_CHUNK`` members tests the drawn measures against the
+    invariants of AtomicHerglotzRep, so a bad measure raises before
+    anything is returned.  Ties in a worst margin go to the lowest sample
+    index; only the witnesses become AtomicHerglotzReps.
 
     Every draw is ``random.Random(seed).random()``: per member an atom
     count ``1 + min(int(r * n_atoms_max), n_atoms_max - 1)``, then weights
     ``0.05 + 0.95 r`` (normalized to sum 1) and angles ``2 pi r``.
     """
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    if n_atoms_max < 1:
-        raise DomainError("n_atoms_max must be >= 1")
-    if order < 4:
-        raise DomainError(f"order must be >= 4 to expose a2 and a3, got {order}")
-    # Each functional's endpoints and the most negative margin each one forgives.
-    sides = [(key, bound.lower, bound.upper, -config.gate(bound.lower), -config.gate(bound.upper))
-             for key, bound in (("d1", bound_d1(params)), ("d2", bound_d2(params)))]
-    rng = _seeded_stream(seed)
-    worst = {
-        ("d1", "low"): (math.inf, -1, None),
-        ("d1", "high"): (math.inf, -1, None),
-        ("d2", "low"): (math.inf, -1, None),
-        ("d2", "high"): (math.inf, -1, None),
-    }
+    n_samples = _count("n_samples", n_samples, 1)
+    n_atoms_max = _count("n_atoms_max", n_atoms_max, 1)
+    order = _count("order", order, 4)
+    d1, d2 = bound_d1(params), bound_d2(params)
+    # The most negative margin each endpoint forgives.
+    d1_lo_floor, d1_hi_floor = -config.gate(d1.lower), -config.gate(d1.upper)
+    d2_lo_floor, d2_hi_floor = -config.gate(d2.lower), -config.gate(d2.upper)
+    two_v = 2.0 * _exponent(params)
+    v = two_v / 2  # the jet's 2v/k at k = 2, bit for bit
+    n2, n3 = _divisors(params)
+    tau = 2.0 * math.pi
+    draw, rect, isfinite = _seeded_stream(seed).random, cmath.rect, cmath.isfinite
+    # (margin, sample index, measure) of each side's worst member.
+    d1_lo = d1_hi = d2_lo = d2_hi = (math.inf, -1, None)
     n_constructed = n_failures = n_violations = 0
     for start in range(0, n_samples, _CHUNK):
-        chunk = [_draw_atoms(rng, _atom_count(rng.random(), n_atoms_max))
-                 for _ in range(min(_CHUNK, n_samples - start))]
-        _check_atoms(chunk)
-        for i, (atoms, (a2, a3)) in enumerate(zip(chunk, _initial_coeffs(params, chunk)), start):
-            if not (cmath.isfinite(a2) and cmath.isfinite(a3)):
+        chunk = []
+        for i in range(start, min(start + _CHUNK, n_samples)):
+            raw = []
+            total = 0.0
+            for _ in range(_atom_count(draw(), n_atoms_max)):
+                w = 0.05 + 0.95 * draw()
+                raw.append(w)
+                total += w
+            weights, points = [], []
+            acc = 0j
+            for w in raw:
+                w /= total
+                eps = rect(1.0, tau * draw())
+                weights.append(w)
+                points.append(eps)
+                acc += w * eps
+            chunk.append(measure := (weights, points))
+            g1 = two_v * acc
+            acc = 0j
+            for w, eps in zip(weights, points):
+                acc += w * (eps * (eps + g1))
+            a2, a3 = g1 / n2, v * acc / n3
+            if not (isfinite(a2) and isfinite(a3)):
                 n_failures += 1
                 continue
             n_constructed += 1
-            for (key, lower, upper, lo_floor, hi_floor), value in zip(
-                    sides, (abs(a2) - 1.0, abs(a3) - abs(a2))):
-                lo_margin = value - lower
-                hi_margin = upper - value
-                if lo_margin < lo_floor or hi_margin < hi_floor:
-                    n_violations += 1
-                if lo_margin < worst[(key, "low")][0]:
-                    worst[(key, "low")] = (lo_margin, i, atoms)
-                if hi_margin < worst[(key, "high")][0]:
-                    worst[(key, "high")] = (hi_margin, i, atoms)
+            value = abs(a2) - 1.0
+            lo, hi = value - d1.lower, d1.upper - value
+            n_violations += lo < d1_lo_floor or hi < d1_hi_floor
+            if lo < d1_lo[0]:
+                d1_lo = (lo, i, measure)
+            if hi < d1_hi[0]:
+                d1_hi = (hi, i, measure)
+            value = abs(a3) - abs(a2)
+            lo, hi = value - d2.lower, d2.upper - value
+            n_violations += lo < d2_lo_floor or hi < d2_hi_floor
+            if lo < d2_lo[0]:
+                d2_lo = (lo, i, measure)
+            if hi < d2_hi[0]:
+                d2_hi = (hi, i, measure)
+        _check_atoms(chunk)
     return SampleReport(
-        params=params,
-        n_samples=n_samples,
-        n_atoms_max=n_atoms_max,
-        seed=seed,
-        order=order,
-        n_constructed=n_constructed,
-        n_failures=n_failures,
-        n_violations=n_violations,
-        **{f"{key}_{side}": WorstMargin(
-            margin, i, None if atoms is None else AtomicHerglotzRep(*atoms))
-           for (key, side), (margin, i, atoms) in worst.items()},
+        params, n_samples, n_atoms_max, seed, order, n_constructed, n_failures, n_violations,
+        *(WorstMargin(margin, i, None if measure is None else AtomicHerglotzRep(*measure))
+          for margin, i, measure in (d1_lo, d1_hi, d2_lo, d2_hi)),
     )
 
 

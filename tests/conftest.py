@@ -5,8 +5,8 @@ coefficients are recovered by contour integration (FFT on a circle), and
 the (x, y) disk parameters are inverted directly from raw moments.  The
 exception is ``atom_jet_reference``, which mirrors ``families._atom_jet``
 step for step: it pins the order of operations that ``construct_member``
-and the order-2 reader ``families._initial_coeffs`` must match bit for
-bit, not the algebra.  ``test_families`` checks the algebra of
+and the sampler's written-out first two steps must match bit for bit,
+not the algebra.  ``test_families`` checks the algebra of
 ``construct_member`` from atoms independently, against the series
 (``exp``) path and the binomial series of a point mass.
 """

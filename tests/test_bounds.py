@@ -28,7 +28,7 @@ from succoeff import (
     t_factor,
     two_atom_parameters,
 )
-from conftest import assert_series_close
+from conftest import assert_series_close, float_bits
 from jets import cpow, monomial, one
 
 SPIRAL_00 = ClassParams.spirallike(0.0, 0.0)
@@ -328,18 +328,20 @@ class TestAttainment:
 
     @pytest.mark.parametrize("params", [
         ClassParams.spirallike(0.25, 0.5), ClassParams.spirallike(0.4, -0.8),
+        SPIRAL_00, ClassParams.convex(0.3, 0.0),                       # real exponents
         ClassParams.convex(0.25, -0.5), ClassParams.convex(0.5, 1.4),  # T >= 5/4 and T < 5/4
         ClassParams.ozaki(0.3), ClassParams.ozaki(0.75),               # two atoms and one
     ])
     def test_coeffs_match_series_reference(self, params):
-        # The commands read a2 and a3 from order-2 jets; the series form
-        # builds the same g_1 and g_2 by the same operations at any order.
-        # repr tells -0.0 from 0.0, which == does not.
+        # The commands read a2 and a3 from order-2 jets; the lone member of
+        # any order builds the same g_1 and g_2 by the same operations and
+        # divides them the same way.  Every bit counts, the sign of a zero
+        # part too.  The points cover all nine catalog extremals.
         for desc, _, _ in extremal_targets(params):
-            got = extremal_coeffs(desc)
-            for order in (4, 12, 128):
+            got = float_bits(extremal_coeffs(desc))
+            for order in (4, 12, 128, 1024):
                 want = coeffs_from_series(extremal_series(desc, order))
-                assert got == want and repr(got) == repr(want), (desc.name, order)
+                assert got == float_bits(want), (desc.name, order)
 
     def test_nine_catalog_names(self):
         names = set()

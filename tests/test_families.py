@@ -25,7 +25,7 @@ from succoeff import (
     to_series,
 )
 from conftest import assert_series_close, atom_jet_reference, float_bits
-from succoeff.families import _exponent, _initial_coeffs, _member
+from succoeff.families import _atom_jet, _exponent, _member
 from succoeff.verify import _d1_slope, _d2_constants
 from jets import cpow, monomial, one
 
@@ -303,24 +303,21 @@ class TestAtomPath:
 
     @pytest.mark.parametrize("params", ATOM_PATH_PARAMS)
     @pytest.mark.parametrize("order", [4, 12, 128, 1024])
-    def test_batch_matches_lone_members_bitwise(self, params, order):
-        # Mixed atom counts, with ties, in no particular order: the order-2
-        # reader gives bitwise f[2] and f[3] of every lone member, and the
-        # lone member is bitwise the per-member loop.
+    def test_jet_matches_per_member_loop_bitwise(self, params, order):
+        # Mixed atom counts, with ties, and a measure with zero parts of
+        # either sign: the jet and each lone member are bitwise the
+        # per-member loop.
         counts = (3, 64, 1, 17, 64, 2, 1, 6) if order < 1024 else (3, 64, 1, 6, 1)
         reps = [random_rep(n, seed) for seed, n in enumerate(counts)]
-        # Zero parts of either sign: the reader's eps_i and the jet's
-        # S_i(1) = eps_i (0 + g_0) may differ in them.
         reps.append(AtomicHerglotzRep((0.125,) * 8, (
             1 + 0j, complex(1, -0.0), -1 + 0j, complex(-1, -0.0),
             1j, -1j, complex(-0.0, 1), complex(0.0, -1))))
         v = _exponent(params)
-        coeffs = _initial_coeffs(params, [(rep.weights, rep.points) for rep in reps])
-        assert len(coeffs) == len(reps)
-        for rep, a2_a3 in zip(reps, coeffs):
+        for rep in reps:
+            want = atom_jet_reference(rep, order - 1, v)
+            assert float_bits(_atom_jet(rep.weights, rep.points, order - 1, v)) == float_bits(want)
             got = float_bits(construct_member(params, rep, order).coeffs)
-            assert float_bits(a2_a3) == got[2:4]
-            assert got == float_bits(_member(params, atom_jet_reference(rep, order - 1, v)).coeffs)
+            assert got == float_bits(_member(params, want).coeffs)
 
     def test_argument_errors(self):
         params = ClassParams.convex(0.25, 0.5)

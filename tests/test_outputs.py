@@ -10,7 +10,12 @@ printed to 17 significant digits, so a libm whose cos or exp differs in
 the last bit would change digests.
 
 Re-record with ``PYTHONPATH=src python tests/test_outputs.py`` from the
-root of a checkout, and paste its output over ``DIGESTS``.
+root of a checkout, and paste its output over ``DIGESTS``.  With
+``--check`` the script compares every row with the table instead and
+exits 0 only when all match.  It needs no pytest, so the table can be
+checked under any interpreter the package runs on; since Python 3.12,
+``sum`` adds floats with compensation, so a ``sum`` where the package
+adds left to right shows there as a moved digest.
 """
 
 import hashlib
@@ -19,8 +24,6 @@ import shlex
 import sys
 import tempfile
 from pathlib import Path
-
-import pytest
 
 from succoeff.cli import main
 
@@ -131,23 +134,47 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 
 
+def _row(command: str, tmp: Path) -> tuple[int, str, str]:
+    """(exit code, csv digest, json digest) of one command line."""
+    (code, csv_digest), (json_code, json_digest) = (
+        _run(command, fmt, tmp / f"out.{fmt}") for fmt in ("csv", "json"))
+    if json_code != code:
+        raise ValueError(f"{command}: csv exits {code}, json exits {json_code}")
+    # Strict JSON: no NaN, Infinity or -Infinity.
+    json.loads((tmp / "out.json").read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    return code, csv_digest, json_digest
+
+
+def pytest_generate_tests(metafunc):
+    # Parametrized here rather than by a mark, so that the script below
+    # runs without pytest.
+    if "command" in metafunc.fixturenames:
+        metafunc.parametrize("command", COMMANDS)
+
+
 def test_table_covers_the_commands():
     assert list(DIGESTS) == COMMANDS
 
 
-@pytest.mark.parametrize("command", COMMANDS)
 def test_outputs_match_the_recorded_digests(command, tmp_path):
-    (code, csv_digest), (json_code, json_digest) = (
-        _run(command, fmt, tmp_path / f"out.{fmt}") for fmt in ("csv", "json"))
-    assert code == json_code
-    assert (code, csv_digest, json_digest) == DIGESTS[command]
-    # Strict JSON: no NaN, Infinity or -Infinity.
-    json.loads((tmp_path / "out.json").read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    assert _row(command, tmp_path) == DIGESTS[command]
 
 
 if __name__ == "__main__":
+    check = sys.argv[1:] == ["--check"]
+    matched = 0
     with tempfile.TemporaryDirectory() as tmp:
         for command in COMMANDS:
-            (code, csv_digest), (_, json_digest) = (
-                _run(command, fmt, Path(tmp) / f"out.{fmt}") for fmt in ("csv", "json"))
-            sys.stdout.write(f'    "{command}":\n        ({code}, "{csv_digest}", "{json_digest}"),\n')
+            code, csv_digest, json_digest = row = _row(command, Path(tmp))
+            if not check:
+                sys.stdout.write(
+                    f'    "{command}":\n        ({code}, "{csv_digest}", "{json_digest}"),\n')
+            elif row == DIGESTS.get(command):
+                matched += 1
+            else:
+                sys.stdout.write(f"moved: {command}: {row} != {DIGESTS.get(command)}\n")
+    if check:
+        complete = list(DIGESTS) == COMMANDS
+        sys.stdout.write(f"{matched} of {len(DIGESTS)} rows match"
+                         f"{'' if complete else '; the table does not cover the commands'}\n")
+        sys.exit(0 if complete and matched == len(DIGESTS) else 1)

@@ -32,10 +32,10 @@ from succoeff import (
 )
 from conftest import sample_reference
 from jets import functional_values
-from succoeff.caratheodory import _draw_atoms
+from succoeff.caratheodory import _check_atoms, _draw_atoms, _seeded_stream
 from succoeff.cli import main
-from succoeff.families import _initial_coeffs
-from succoeff.verify import WorstMargin, _atom_count
+from succoeff.families import _atom_jet
+from succoeff.verify import _CHUNK, WorstMargin, _atom_count
 
 SPIRAL_00 = ClassParams.spirallike(0.0, 0.0)
 CONVEX_00 = ClassParams.convex(0.0, 0.0)
@@ -287,9 +287,9 @@ class TestSampling:
         assert got == sample_reference(params, 257, n_atoms_max, seed=9, order=1024)
 
     def test_no_member_built_does_not_pass(self, monkeypatch, tmp_path):
-        # An infinite exponent makes every jet non-finite: each member is a
+        # An infinite exponent makes every g_1 non-finite: each member is a
         # construction failure, and a run that checked nothing fails.
-        monkeypatch.setattr("succoeff.families._exponent", lambda params: math.inf)
+        monkeypatch.setattr("succoeff.verify._exponent", lambda params: math.inf)
         report = sample_no_violation(ClassParams.convex(0.3, 0.2), n_samples=50)
         assert (report.n_constructed, report.n_failures, report.n_violations) == (0, 50, 0)
         for name in ("d1_low", "d1_high", "d2_low", "d2_high"):
@@ -304,43 +304,47 @@ class TestSampling:
 
     @pytest.mark.parametrize("order", [4, 12, 1024])
     def test_verdicts_build_order_two_jets(self, order, monkeypatch, tmp_path):
-        # Whatever --order says, each chunk is one call of the order-2
-        # reader, and so is each of the four extremals of each extremal or
-        # verify row set.  No command builds a longer jet.
-        calls, jets = [], []
+        # Whatever --order says, sample checks every drawn measure once, a
+        # chunk at a time, and builds no jet: it reads g_1 and g_2 inline.
+        # Each of the four extremals of each extremal or verify row set is
+        # one order-2 jet.  No command builds a longer jet.
+        checked, jets = [], []
 
-        def spy(params, measures):
-            calls.append(len(measures))
-            return _initial_coeffs(params, measures)
+        def check_spy(measures):
+            checked.append(len(measures))
+            return _check_atoms(measures)
 
-        for module in ("verify", "bounds"):
-            monkeypatch.setattr(f"succoeff.{module}._initial_coeffs", spy)
-        monkeypatch.setattr("succoeff.families._atom_jet", lambda *args: jets.append(args))
+        def jet_spy(weights, points, order, v):
+            jets.append(order)
+            return _atom_jet(weights, points, order, v)
+
+        monkeypatch.setattr("succoeff.verify._check_atoms", check_spy)
+        for module in ("families", "bounds"):
+            monkeypatch.setattr(f"succoeff.{module}._atom_jet", jet_spy)
         assert main(["sample", "--samples", "600", "--order", str(order), "--format", "csv",
                      "--out", str(tmp_path / "s.csv")]) == 0
-        assert calls == [256, 256, 88]
-        calls.clear()
+        assert checked == [256, 256, 88]
+        assert jets == []
         for command in ("extremal", "verify"):
             assert main([command, "--family", "convex", "--alpha", "0.5", "--gamma", "1.4",
                          "--format", "csv", "--out", str(tmp_path / f"{command}.csv")]) == 0
-        assert calls == [1] * 8
-        assert jets == []
+        assert jets == [2] * 8
 
     @pytest.mark.parametrize("order", [12, 128])
     def test_peak_memory_flat_in_n_samples(self, order, monkeypatch):
-        # Members are built in chunks of 256, so 32 chunks must peak where 2
-        # do.  Tracing costs microseconds per allocation, so the traced runs
-        # cut the chunk to 8 (512 and 8192 members become 16 and 256).
-        # Unchunked, the 256 members add about 0.2 MB at order 12 and 1.5 MB
-        # at order 128.  The untraced first run also fills the free lists of
-        # small tuples, which would otherwise grow the traced peak.
+        # Members are checked and dropped in chunks of 256, so 32 chunks
+        # must peak where 2 do.  Tracing costs microseconds per allocation,
+        # so the traced runs cut the chunk to 8 (512 and 8192 members become
+        # 16 and 256).  Unchunked, the 256 measures add about 0.2 MB.  The
+        # untraced first run also fills the free lists of small tuples,
+        # which would otherwise grow the traced peak.
         batches = []
 
-        def spy(params, measures):
+        def spy(measures):
             batches.append(len(measures))
-            return _initial_coeffs(params, measures)
+            return _check_atoms(measures)
 
-        monkeypatch.setattr("succoeff.verify._initial_coeffs", spy)
+        monkeypatch.setattr("succoeff.verify._check_atoms", spy)
         sample_no_violation(CONVEX_00, 600, n_atoms_max=1, seed=1, order=order)
         assert batches == [256, 256, 88]
         monkeypatch.setattr("succoeff.verify._CHUNK", 8)
@@ -355,21 +359,54 @@ class TestSampling:
 
         assert peak(256) <= peak(16) + 64 * 1024
 
+    @pytest.mark.parametrize("n_samples", [1, 255, 256, 257, 600])
+    def test_every_drawn_measure_checked_once(self, n_samples, monkeypatch):
+        # The check sees each member's measure once, in sample order, in
+        # full chunks of _CHUNK and one shorter last chunk; the measures
+        # are the draws of _draw_atoms, member by member.
+        checked = []
+        monkeypatch.setattr("succoeff.verify._check_atoms", checked.append)
+        sample_no_violation(CONVEX_00, n_samples, seed=3)
+        assert [len(chunk) for chunk in checked] == [
+            min(_CHUNK, n_samples - start) for start in range(0, n_samples, _CHUNK)]
+        rng = _seeded_stream(3)
+        expected = [_draw_atoms(rng, _atom_count(rng.random(), 6)) for _ in range(n_samples)]
+        assert [measure for chunk in checked for measure in chunk] == expected
+
     def test_drawn_measures_are_checked(self, monkeypatch):
         # Each chunk goes through the invariants of AtomicHerglotzRep
-        # before it is built: a bad draw in the second chunk is an error.
-        draws = []
+        # before anything is returned: a NaN weight draw for the 300th
+        # member, in the second chunk, is an error.  One atom per member
+        # takes three draws: its count, its weight and its angle.
+        class BadWeight300:
+            def __init__(self, seed):
+                self.rng, self.n = random.Random(seed), 0
 
-        def bad_300th(rng, n_atoms):
-            weights, points = _draw_atoms(rng, n_atoms)
-            draws.append(n_atoms)
-            if len(draws) == 300:
-                weights[0] = 0.0
-            return weights, points
+            def random(self):
+                self.n += 1
+                return math.nan if self.n == 3 * 299 + 2 else self.rng.random()
 
-        monkeypatch.setattr("succoeff.verify._draw_atoms", bad_300th)
+        checked = []
+
+        def spy(measures):
+            checked.append(len(measures))
+            return _check_atoms(measures)
+
+        monkeypatch.setattr("succoeff.verify._seeded_stream", BadWeight300)
+        monkeypatch.setattr("succoeff.verify._check_atoms", spy)
         with pytest.raises(DomainError, match=r"weights must lie in \(0, 1\]"):
-            sample_no_violation(CONVEX_00, n_samples=600, seed=2)
+            sample_no_violation(CONVEX_00, n_samples=600, n_atoms_max=1, seed=2)
+        assert checked == [256, 256]
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_samples", 2.5), ("n_samples", "10"), ("n_atoms_max", 2.0), ("order", 4.5),
+        ("seed", 1.0)])
+    def test_counts_must_be_integers(self, name, value):
+        # Before, 2.0 atoms and order 4.5 were echoed into the report, and
+        # 2.5 samples and seed 1.0 escaped as a bare TypeError.
+        kwargs = {"n_samples": 10, name: value}
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            sample_no_violation(SPIRAL_00, **kwargs)
 
     def test_sample_count_validation(self):
         with pytest.raises(DomainError):
