@@ -197,8 +197,7 @@ def _draw_atoms(rng: random.Random, n_atoms: int) -> tuple[list[float], list[com
     Weights ``0.05 + 0.95 r`` are summed left to right and divided by the
     sum; points are ``cmath.rect(1, 2 pi r)``.  The pair is not validated.
     """
-    if n_atoms < 1:
-        raise DomainError("n_atoms must be >= 1")
+    n_atoms = _count("n_atoms", n_atoms, 1)
     # Weights bounded away from zero so invariants hold after normalization.
     w = [0.05 + 0.95 * rng.random() for _ in range(n_atoms)]
     total = 0.0

@@ -514,6 +514,12 @@ class TestStdlibStream:
         assert rep.weights == tuple(v / total for v in raw)
         assert rep.points == tuple(cmath.rect(1.0, 2 * math.pi * r) for r in draws[3:])
 
+    @pytest.mark.parametrize("n_atoms", [2.0, 0])
+    def test_atom_count_rejected(self, n_atoms):
+        # 2.0 atoms raised a bare TypeError before.
+        with pytest.raises(DomainError, match="n_atoms must be"):
+            random_rep(n_atoms, seed=1)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError):
             random_rep(2, seed=-1)
