@@ -232,6 +232,7 @@ def sample_no_violation(
     n_samples = _count("n_samples", n_samples, 1)
     n_atoms_max = _count("n_atoms_max", n_atoms_max, 1)
     order = _count("order", order, 4)
+    seed = _count("seed", seed, 0)
     d1, d2 = bound_d1(params), bound_d2(params)
     # The most negative margin each endpoint forgives.
     d1_lo_floor, d1_hi_floor = -config.gate(d1.lower), -config.gate(d1.upper)

@@ -408,6 +408,13 @@ class TestSampling:
         with pytest.raises(DomainError, match=f"{name} must be an integer"):
             sample_no_violation(SPIRAL_00, **kwargs)
 
+    def test_counts_echoed_as_int(self):
+        # numpy integers are taken through operator.index, not echoed as given.
+        report = sample_no_violation(SPIRAL_00, np.int64(10), np.int64(2), seed=np.int64(3),
+                                     order=np.int64(12))
+        assert [type(x) for x in report[1:5]] == [int] * 4
+        assert report == sample_no_violation(SPIRAL_00, 10, 2, seed=3, order=12)
+
     def test_sample_count_validation(self):
         with pytest.raises(DomainError):
             sample_no_violation(SPIRAL_00, n_samples=0)
