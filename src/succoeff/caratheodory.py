@@ -102,8 +102,7 @@ def moments(rep: AtomicHerglotzRep, k_max: int) -> list[complex]:
 
     eps^k is taken by repeated multiplication, eps^k = eps^(k-1) * eps.
     """
-    if k_max < 1:
-        raise DomainError("k_max must be >= 1")
+    k_max = _count("k_max", k_max, 1)
     out = [0j] * k_max
     for w, e in zip(rep.weights, rep.points):
         powers = accumulate(repeat(e, k_max), mul)
@@ -116,8 +115,7 @@ def to_series(rep: AtomicHerglotzRep, order: int) -> TruncatedSeries:
     # The series algebra is library-only; no command builds p's series.
     from .series import TruncatedSeries
 
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
+    order = _count("order", order, 0)
     return TruncatedSeries([1 + 0j] + (moments(rep, order) if order >= 1 else []))
 
 

@@ -28,7 +28,7 @@ from itertools import repeat
 from operator import add, mul, truediv
 
 from . import config
-from .caratheodory import AtomicHerglotzRep
+from .caratheodory import AtomicHerglotzRep, _count
 from .errors import DomainError, EvaluationError
 
 __all__ = [
@@ -54,6 +54,22 @@ class Family(str, Enum):
         raise DomainError(f"unknown family {value!r}")
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; DomainError unless it is a real number.
+
+    float() would parse a string and would drop the imaginary part of a
+    numpy complex with only a warning, so both are turned away first.
+    """
+    if not (isinstance(value, (str, bytes, bytearray, complex))
+            or getattr(getattr(value, "dtype", None), "kind", "") == "c"):
+        try:
+            # -0.0 + 0.0 is 0.0, so a -0 input is stored and printed as 0.
+            return float(value) + 0.0
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
 class ClassParams(namedtuple("ClassParams", "family alpha gamma lam")):
     """Identifies one concrete function class.
 
@@ -67,8 +83,7 @@ class ClassParams(namedtuple("ClassParams", "family alpha gamma lam")):
                 lam: float = 0.0):
         # Downstream checks compare families with `is`: store the member.
         family = Family(family)
-        # -0.0 + 0.0 is 0.0, so a -0 input is stored and printed as 0.
-        alpha, gamma, lam = alpha + 0.0, gamma + 0.0, lam + 0.0
+        alpha, gamma, lam = _real("alpha", alpha), _real("gamma", gamma), _real("lam", lam)
         if family is Family.OZAKI_G:
             if not 0.0 < lam <= 1.0:
                 raise DomainError(f"lam must lie in (0, 1], got {lam}")
@@ -191,8 +206,7 @@ def construct_member(
     checked when it is made.
     """
     if isinstance(p, AtomicHerglotzRep):
-        if order is None or order < 1:
-            raise DomainError(f"an atomic measure needs an order >= 1, got {order}")
+        order = _count("order", order, 1)
         return _member(params, _atom_jet(p.weights, p.points, order - 1, _exponent(params)))
     if order is not None:
         raise DomainError("a series carries its own order; pass order only with a measure")
@@ -247,8 +261,7 @@ def membership_check(
     """
     if not radii or any(not 0.0 < r < 1.0 for r in radii):
         raise DomainError("radii must lie in (0, 1)")
-    if n_angles < 1:
-        raise DomainError("need at least one angle")
+    n_angles = _count("n_angles", n_angles, 1)
 
     fprime = f.derivative()
     fsecond = None if params.family is Family.SPIRALLIKE else fprime.derivative()

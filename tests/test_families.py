@@ -12,6 +12,7 @@ from succoeff import (
     CoeffTriple,
     DomainError,
     EvaluationError,
+    ExtremalDescriptor,
     Family,
     TruncatedSeries,
     bound_d1,
@@ -19,7 +20,9 @@ from succoeff import (
     coeffs_from_c,
     coeffs_from_series,
     construct_member,
+    extremal_series,
     membership_check,
+    moments,
     mu,
     random_rep,
     to_series,
@@ -79,6 +82,23 @@ class TestParams:
         for family in ("elliptic", "SPIRALLIKE", None):
             with pytest.raises(DomainError, match="unknown family"):
                 ClassParams(family)
+
+    @pytest.mark.parametrize("value, stored", [
+        (np.float32(0.3), float(np.float32(0.3))), (np.float64(0.3), 0.3), (np.int64(1), 1.0),
+        ("0.3", None), (b"0.3", None), (0.3 + 0j, None), (np.complex128(0.3), None),
+        (np.complex64(0.3), None), (None, None), ([0.3], None)],
+        ids=["float32", "float64", "int64", "str", "bytes", "complex", "complex128", "complex64",
+             "None", "list"])
+    def test_parameters_are_stored_as_float(self, value, stored):
+        # A numpy scalar is kept as a Python float, so no result inherits its
+        # type; a string, a complex or a non-number is a DomainError.
+        if stored is None:
+            with pytest.raises(DomainError, match="lam must be a real number"):
+                ClassParams.ozaki(value)
+            return
+        params = ClassParams.ozaki(value)
+        assert type(params.lam) is float and params.lam.hex() == stored.hex()
+        assert type(bound_d2(params).lower) is float
 
     @pytest.mark.parametrize("family, values", [
         ("spirallike", {"alpha": 0.2, "gamma": 0.3}),
@@ -406,3 +426,24 @@ class TestMembership:
             membership_check(f, ClassParams.ozaki(1.0), radii=[1.5])
         with pytest.raises(DomainError):
             membership_check(f, ClassParams.ozaki(1.0), n_angles=0)
+
+
+_SPIRAL = ClassParams.spirallike(0.25, 0.5)
+_REP = AtomicHerglotzRep([0.5, 0.5], [1, -1])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: construct_member(_SPIRAL, _REP, 4.5), "order"),
+    (lambda: construct_member(_SPIRAL, _REP), "order"),
+    (lambda: to_series(_REP, 2.5), "order"),
+    (lambda: moments(_REP, 2.5), "k_max"),
+    (lambda: extremal_series(ExtremalDescriptor("K", _SPIRAL), 4.5), "order"),
+    (lambda: membership_check(construct_member(_SPIRAL, _REP, 8), _SPIRAL, n_angles=2.5),
+     "n_angles"),
+], ids=["construct_member", "construct_member-none", "to_series", "moments", "extremal_series",
+        "membership_check"])
+def test_library_counts_must_be_integers(call, name):
+    # A count that is no integer is a DomainError, not a bare TypeError from
+    # range() or list repetition deep inside the call.
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        call()

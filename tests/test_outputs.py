@@ -36,6 +36,15 @@ _POINTS = [
     "--family ozaki --lambda 0.3",
     "--family ozaki --lambda 0.5",
 ]
+# The branch edges of the |a3|-|a2| lower endpoint: c* = 2 (a point mass),
+# c* within DEGENERATE_C_TOL of 2 on the lam <= 1/2 side, and T = 1.250035
+# and T = 1.249871 on either side of the convex erratum's T = 5/4.
+_EDGE_POINTS = [
+    "--family ozaki --lambda 0.75",
+    "--family ozaki --lambda 0.4999999999999",
+    "--family convex --alpha 0 --gamma 1.3024",
+    "--family convex --alpha 0 --gamma 1.3025",
+]
 _SAMPLE_POINTS = [
     "--family spirallike --alpha 0.25 --gamma 0.5",
     "--family convex --alpha 0.5 --gamma 1.4",
@@ -44,6 +53,8 @@ _SAMPLE_POINTS = [
 
 COMMANDS = [
     *(f"{command} {point}" for command in ("bounds", "extremal", "verify") for point in _POINTS),
+    *(f"{command} {point}" for command in ("bounds", "extremal", "verify")
+      for point in _EDGE_POINTS),
     "sweep --family spirallike --alphas 0,0.5,2 --gammas=-pi/6,pi/6,3",
     "sweep --family convex --alphas 0,0.5,2 --gammas=-pi/6,pi/6,3",
     "sweep --family ozaki --lambdas 0.25,0.75,3",
@@ -96,6 +107,30 @@ DIGESTS = {
         (0, "5da73654f085dc7b", "bb3ee19721e5740c"),
     "verify --family ozaki --lambda 0.5":
         (0, "7090000424b29664", "fa0d1e3d9feb8880"),
+    "bounds --family ozaki --lambda 0.75":
+        (0, "815b3c7737cc0e7b", "daf4aa0c15b2c7b9"),
+    "bounds --family ozaki --lambda 0.4999999999999":
+        (0, "212a5a7e9a80ace2", "d6bc430b06c2629d"),
+    "bounds --family convex --alpha 0 --gamma 1.3024":
+        (0, "221bc0d602ca02e5", "031516ee3dc051af"),
+    "bounds --family convex --alpha 0 --gamma 1.3025":
+        (0, "01d3d78e85bd3133", "4eaf9b5a09ebd17d"),
+    "extremal --family ozaki --lambda 0.75":
+        (0, "b9cecdcdd2e465c4", "1143bc7b472f0c35"),
+    "extremal --family ozaki --lambda 0.4999999999999":
+        (0, "085b2a259b1e1199", "1597d827ec97b07e"),
+    "extremal --family convex --alpha 0 --gamma 1.3024":
+        (0, "b7e9e5a75103bfe6", "ace98826d3bb3e13"),
+    "extremal --family convex --alpha 0 --gamma 1.3025":
+        (0, "c695c2005ca34b73", "f84a13c9421cc41c"),
+    "verify --family ozaki --lambda 0.75":
+        (0, "496a88d2bc7ad36c", "af96e7f9e27161d5"),
+    "verify --family ozaki --lambda 0.4999999999999":
+        (0, "dd978d4382dbec82", "ea7d9dd70c2e7389"),
+    "verify --family convex --alpha 0 --gamma 1.3024":
+        (0, "7ca46a86e33ef0f9", "799063b1ee5b4b37"),
+    "verify --family convex --alpha 0 --gamma 1.3025":
+        (0, "01b898ef71f2ad59", "00bd439c1a3d4c4e"),
     "sweep --family spirallike --alphas 0,0.5,2 --gammas=-pi/6,pi/6,3":
         (0, "836a77fea6c74bea", "272e5235a7eef346"),
     "sweep --family convex --alphas 0,0.5,2 --gammas=-pi/6,pi/6,3":

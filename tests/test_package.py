@@ -1,7 +1,10 @@
 """Package surface: every name a module exports resolves, and only those."""
 
 import importlib
+import importlib.util
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +50,37 @@ def test_unknown_name_raises_attribute_error():
 def test_dir_lists_all():
     assert set(succoeff.__all__) <= set(dir(succoeff))
     assert "__version__" in dir(succoeff)
+
+
+def _load_perfbench(monkeypatch, name):
+    """perfbench/<name>.py as a module, read where it stands; nothing is written."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolves the module's annotations through sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_names_resolve(monkeypatch):
+    # The benchmark traces and times package functions by name; a name it
+    # cannot find is reported absent, and the run then lacks the per-layer
+    # metrics it declares.  Moving one of these is a benchmark change.
+    tracer = _load_perfbench(monkeypatch, "tracer").Tracer()
+    try:
+        tracer.install()
+        assert tracer.absent == set()
+    finally:
+        tracer.uninstall()
+    layers = _load_perfbench(monkeypatch, "layers")
+
+    def once(fn):
+        fn()
+        return 0.0
+
+    monkeypatch.setattr(layers, "_per_call_us", once)
+    timings, absent = layers.microbenchmarks()
+    assert absent == []
+    assert sorted(timings) == sorted(layers.MICROBENCHMARKS)
