@@ -97,6 +97,8 @@ class ExtremalDescriptor(namedtuple("ExtremalDescriptor", "name params")):
     __slots__ = ()
 
     def __new__(cls, name: ExtremalName | str, params: ClassParams):
+        if not isinstance(params, ClassParams):
+            raise DomainError("params must be a ClassParams")
         name = ExtremalName(name)
         family = _FAMILY_OF[name]
         if params.family is not family:

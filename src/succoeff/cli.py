@@ -22,8 +22,9 @@ takes only the flags it reads; any other flag is a usage error.  A
 ``--config`` file names the long flags of any subcommand, and its values
 pass the same conversions and checks.
 
-Exit status: 0 on success, 1 when a verification fails or raises, 2 on
-usage errors (including an ``--out`` path that cannot be written).
+Exit status: 0 on success, 1 when a row's ``passed`` cell is false or a
+verification raises, 2 on usage errors (including an ``--out`` path that
+cannot be written).
 
 A command imports only what it runs: ``verify``, ``sweep`` and ``sample``
 import :mod:`succoeff.verify` when they start, and ``--format json``
@@ -85,12 +86,17 @@ def int_range(low: int, high: int | None = None):
     return parse
 
 
-def parse_range(text: str) -> tuple[float, float, int]:
-    """START,STOP,COUNT lattice axis; START/STOP accept pi fractions."""
+def parse_range(text: str) -> list[float]:
+    """The sorted values of a START,STOP,COUNT lattice axis; START/STOP accept pi fractions."""
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("range must be START,STOP,COUNT")
-    return parse_angle(parts[0]), parse_angle(parts[1]), int_range(1)(parts[2])
+    start, stop, count = parse_angle(parts[0]), parse_angle(parts[1]), int_range(1)(parts[2])
+    if count == 1:
+        return [start]
+    # start + i*step with the last point exactly stop, as np.linspace.
+    step = (stop - start) / (count - 1)
+    return sorted([start + i * step for i in range(count - 1)] + [stop])
 
 
 # (dest, flag, whether Ozaki's) of the point flags; sweep's axis of each is
@@ -99,20 +105,33 @@ _POINT_FLAGS = (("alpha", "--alpha", False), ("gamma", "--gamma", False),
                 ("lam", "--lambda", True))
 
 
-def _class_params(args: argparse.Namespace) -> ClassParams:
-    """The class named by ``--family``, at the flags' parameter values.
+def _classes(args: argparse.Namespace) -> list[ClassParams]:
+    """The classes named by ``--family`` at the point flags, over sweep's axes.
 
-    A point flag of another family, given or read from ``--config``, is a
-    usage error rather than ignored.
+    A point flag or an axis of another family, given or read from
+    ``--config``, is a usage error rather than ignored, and so is a point
+    flag that its own axis spans.  Without an axis there is one class.
     """
     family = Family(args.family)
-    point = {"lam": 1.0} if family is Family.OZAKI_G else {}
+    is_ozaki = family is Family.OZAKI_G
+    point = {"lam": 1.0} if is_ozaki else {}
     for dest, flag, ozaki in _POINT_FLAGS:
         if getattr(args, dest) is not None:
-            if ozaki != (family is Family.OZAKI_G):
+            if ozaki != is_ozaki:
                 raise DomainError(f"{flag} does not apply to the {family.value} family")
             point[dest] = getattr(args, dest)
-    return ClassParams(family, **point)
+    params = ClassParams(family, **point)
+    axes = {}
+    for dest, flag, ozaki in _POINT_FLAGS:
+        values = getattr(args, dest + "s", None)
+        if values is None:
+            continue
+        if ozaki != is_ozaki:
+            raise DomainError(f"{flag}s does not apply to the {family.value} family")
+        if getattr(args, dest) is not None:
+            raise DomainError(f"{flag} does not apply when {flag}s spans it")
+        axes[dest] = values
+    return [params._replace(**dict(zip(axes, values))) for values in product(*axes.values())]
 
 
 # ---------------------------------------------------------------- rendering
@@ -149,10 +168,6 @@ def render_table(rows: Sequence[dict]) -> str:
 
 _RENDERERS = {"csv": render_csv, "json": render_json, "table": render_table}
 
-# What a command hands back for rendering: at least one row, each built in
-# column order, and whether every check passed.
-Outcome = tuple[list[dict], bool]
-
 
 def _param_columns(params: ClassParams) -> dict:
     return {
@@ -164,9 +179,10 @@ def _param_columns(params: ClassParams) -> dict:
 
 
 # ----------------------------------------------------------------- commands
+# A command returns at least one row, each built in column order.
 
-def cmd_bounds(args: argparse.Namespace) -> Outcome:
-    params = _class_params(args)
+def cmd_bounds(args: argparse.Namespace) -> list[dict]:
+    [params] = _classes(args)
     rows = []
     for which, interval in (("d1", bound_d1(params)), ("d2", bound_d2(params))):
         rows.append({
@@ -177,7 +193,7 @@ def cmd_bounds(args: argparse.Namespace) -> Outcome:
             "lower_extremal": interval.lower_extremal.name.value,
             "upper_extremal": interval.upper_extremal.name.value,
         })
-    return rows, True
+    return rows
 
 
 def _verify_row(params: ClassParams, which: Which) -> dict:
@@ -221,33 +237,9 @@ def _verify_row(params: ClassParams, which: Which) -> dict:
     return row
 
 
-def cmd_verify(args: argparse.Namespace) -> Outcome:
-    params = _class_params(args)
-    rows = [_verify_row(params, Which.D1), _verify_row(params, Which.D2)]
-    return rows, all(r["passed"] for r in rows)
-
-
-def _lattice(args: argparse.Namespace) -> list[ClassParams]:
-    """The classes over sweep's axes; a foreign axis or a point flag its axis spans is an error."""
-    def axis(start, stop, count):
-        if count == 1:
-            return [start]
-        # start + i*step with the last point exactly stop, as np.linspace.
-        step = (stop - start) / (count - 1)
-        return sorted([start + i * step for i in range(count - 1)] + [stop])
-
-    params = _class_params(args)
-    axes = {}
-    for dest, flag, ozaki in _POINT_FLAGS:
-        rng = getattr(args, dest + "s")
-        if rng is None:
-            continue
-        if ozaki != (params.family is Family.OZAKI_G):
-            raise DomainError(f"{flag}s does not apply to the {params.family.value} family")
-        if getattr(args, dest) is not None:
-            raise DomainError(f"{flag} does not apply when {flag}s spans it")
-        axes[dest] = axis(*rng)
-    return [params._replace(**dict(zip(axes, values))) for values in product(*axes.values())]
+def cmd_verify(args: argparse.Namespace) -> list[dict]:
+    [params] = _classes(args)
+    return [_verify_row(params, Which.D1), _verify_row(params, Which.D2)]
 
 
 # sweep's cells of each functional: name suffix -> verify's column.
@@ -258,9 +250,9 @@ _SWEEP_CELLS = {
 }
 
 
-def cmd_sweep(args: argparse.Namespace) -> Outcome:
+def cmd_sweep(args: argparse.Namespace) -> list[dict]:
     rows = []
-    for params in _lattice(args):
+    for params in _classes(args):
         checks = [_verify_row(params, Which.D1), _verify_row(params, Which.D2)]
         rows.append({
             **_param_columns(params),
@@ -270,20 +262,17 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
             "error": "",
             "passed": all(check["passed"] for check in checks),
         })
-    return rows, all(row["passed"] for row in rows)
+    return rows
 
 
-def cmd_extremal(args: argparse.Namespace) -> Outcome:
-    params = _class_params(args)
+def cmd_extremal(args: argparse.Namespace) -> list[dict]:
+    [params] = _classes(args)
     rows = []
-    all_passed = True
     for desc, which, target in extremal_targets(params):
         triple = extremal_coeffs(desc)
         a2, a3, d1, d2 = triple.a2, triple.a3, triple.d1(), triple.d2()
         value = d1 if which is Which.D1 else d2
         residual = abs(value - target)
-        passed = residual <= config.gate(target)
-        all_passed = all_passed and passed
         rows.append({
             **_param_columns(params),
             "extremal": desc.name.value,
@@ -293,15 +282,15 @@ def cmd_extremal(args: argparse.Namespace) -> Outcome:
             "d1": d1, "d2": d2,
             "target": target,
             "residual": residual,
-            "passed": passed,
+            "passed": residual <= config.gate(target),
         })
-    return rows, all_passed
+    return rows
 
 
-def cmd_sample(args: argparse.Namespace) -> Outcome:
+def cmd_sample(args: argparse.Namespace) -> list[dict]:
     from .verify import sample_no_violation
 
-    params = _class_params(args)
+    [params] = _classes(args)
     report = sample_no_violation(
         params,
         n_samples=args.samples,
@@ -309,7 +298,7 @@ def cmd_sample(args: argparse.Namespace) -> Outcome:
         seed=args.seed,
         order=args.order,
     )
-    rows = [{
+    return [{
         **_param_columns(params),
         "n_samples": report.n_samples,
         "n_atoms_max": report.n_atoms_max,
@@ -324,7 +313,6 @@ def cmd_sample(args: argparse.Namespace) -> Outcome:
         "d2_high_margin": report.d2_high.margin,
         "passed": report.passed,
     }]
-    return rows, report.passed
 
 
 # ------------------------------------------------------------------ parsing
@@ -382,7 +370,7 @@ def _load_config_file(path: str, children: Sequence[argparse.ArgumentParser]) ->
                for flag in action.option_strings
                if flag.startswith("--") and action.nargs != 0 and action.dest != "config"}
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             lines = fh.read().splitlines()
         except UnicodeDecodeError as exc:
@@ -426,7 +414,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             child.set_defaults(**defaults)
         args = parser.parse_args(argv)
     try:
-        rows, passed = args.run(args)
+        rows = args.run(args)
     except DomainError as exc:
         print(f"succoeff: usage error: {exc}", file=sys.stderr)
         return 2
@@ -443,7 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError as exc:
             print(f"succoeff: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return 2
-    return 0 if passed else 1
+    return 0 if all(row.get("passed", True) for row in rows) else 1
 
 
 if __name__ == "__main__":

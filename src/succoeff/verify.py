@@ -4,8 +4,8 @@ The two functionals |a2|-|a1| and |a3|-|a2| reduce, after rotating the
 generating Carathéodory function so that c1 = c >= 0, to explicit real
 functions of (c, x) with c in [0, 2] and x = r e^{i theta} in the closed
 unit disk.  This module evaluates those reductions, eliminates x exactly
-by the triangle inequality, takes the extremes of the remaining piecewise
-quadratic in c at its candidate points, and cross-checks the result
+by the triangle inequality, reads the extremes of the remaining piecewise
+quadratic in c at their closed-form points, and cross-checks the result
 against the closed-form bounds, the catalog extremals, and randomized
 class members.  :func:`case_boundary_check` compares the c at which the
 lower extremal of |a3|-|a2| sits with the exact minimizing c.
@@ -41,6 +41,8 @@ class FunctionalSpec(namedtuple("FunctionalSpec", "params which")):
     __slots__ = ()
 
     def __new__(cls, params: ClassParams, which: Which | str):
+        if not isinstance(params, ClassParams):
+            raise DomainError("params must be a ClassParams")
         # Downstream checks compare functionals with `is`: store the member.
         return super().__new__(cls, params, Which(which))
 
@@ -82,8 +84,8 @@ class VerifyReport(namedtuple("VerifyReport", [
         "residual_min", "residual_max", "passed", "grid"])):
     """Exact extrema of one functional against its analytic interval.
 
-    ``argmin`` and ``argmax`` are (c, r, theta); ``grid`` is (candidate
-    points evaluated, 1, 1).
+    ``argmin`` and ``argmax`` are (c, r, theta); ``grid`` is (points
+    evaluated, 1, 1).
     """
 
     __slots__ = ()
@@ -107,38 +109,33 @@ def _d2_argmin(params: ClassParams) -> tuple[float, float, float]:
     return (c, 1.0, cmath.phase(-u) % (2.0 * math.pi))
 
 
-def _extreme_points(spec: FunctionalSpec) -> tuple[list, list]:
-    """Candidate points (c, r, theta) for the minimum and the maximum, by increasing c."""
-    if spec.which is Which.D1:
-        # s c - 1 with s > 0 does not depend on x.
-        return [(0.0, 0.0, 0.0)], [(2.0, 0.0, 0.0)]
-    # Over the disk, max |c^2 u + (4 - c^2) x| = c^2 m + 4 - c^2, so the
-    # upper envelope p((m-1) c^2 - K c + 4) is convex (m >= 1) or
-    # decreasing (m < 1) and peaks at an end: c = 0 with any unimodular x,
-    # or c = 2 with any x.
-    return [_d2_argmin(spec.params)], [(0.0, 1.0, 0.0), (2.0, 0.0, 0.0)]
-
-
-def _values(spec: FunctionalSpec, points: list) -> list[float]:
-    return [functional_value(spec, c, r * cmath.exp(1j * theta)) for c, r, theta in points]
-
-
 def grid_optimize(spec: FunctionalSpec) -> VerifyReport:
     """Exact minimum and maximum of the reduced functional over c and x.
 
     The extremes over x for fixed c follow from the triangle inequality,
-    which leaves a piecewise quadratic in c with a few candidate points.
-    Ties go to the lexicographically smallest (c, r, theta).  Never raises
-    on a mathematical mismatch; the report's ``passed`` flag records
-    whether each endpoint matches the analytic one within
-    ``config.gate`` of that endpoint.
+    which leaves a piecewise quadratic in c whose extremes sit at
+    closed-form points.  Ties go to the lexicographically smallest
+    (c, r, theta).  Never raises on a mathematical mismatch; the report's
+    ``passed`` flag records whether each endpoint matches the analytic one
+    within ``config.gate`` of that endpoint.
     """
-    lows, highs = _extreme_points(spec)
-    low_values, high_values = _values(spec, lows), _values(spec, highs)
-    # min and max return the first of equal values.
-    i = min(range(len(lows)), key=low_values.__getitem__)
-    j = max(range(len(highs)), key=high_values.__getitem__)
-    vmin, vmax = low_values[i], high_values[j]
+    if spec.which is Which.D1:
+        # s c - 1 with s > 0 does not depend on x.
+        argmin, highs = (0.0, 0.0, 0.0), [(2.0, 0.0, 0.0)]
+    else:
+        # Over the disk, max |c^2 u + (4 - c^2) x| = c^2 m + 4 - c^2, so the
+        # upper envelope p((m-1) c^2 - K c + 4) is convex (m >= 1) or
+        # decreasing (m < 1) and peaks at an end: c = 0 with any unimodular
+        # x, or c = 2 with any x.
+        argmin, highs = _d2_argmin(spec.params), [(0.0, 1.0, 0.0), (2.0, 0.0, 0.0)]
+
+    def value(point):
+        c, r, theta = point
+        return functional_value(spec, c, r * cmath.exp(1j * theta))
+
+    vmin = value(argmin)
+    # max returns the first of equal values, the one of smaller c.
+    vmax, argmax = max([(value(p), p) for p in highs], key=lambda pair: pair[0])
     analytic = bound_d1(spec.params) if spec.which is Which.D1 else bound_d2(spec.params)
     res_min = abs(vmin - analytic.lower)
     res_max = abs(vmax - analytic.upper)
@@ -147,13 +144,13 @@ def grid_optimize(spec: FunctionalSpec) -> VerifyReport:
         analytic=analytic,
         numeric_min=vmin,
         numeric_max=vmax,
-        argmin=lows[i],
-        argmax=highs[j],
+        argmin=argmin,
+        argmax=argmax,
         residual_min=res_min,
         residual_max=res_max,
         passed=bool(res_min <= config.gate(analytic.lower)
                     and res_max <= config.gate(analytic.upper)),
-        grid=(len(lows) + len(highs), 1, 1),
+        grid=(1 + len(highs), 1, 1),
     )
 
 

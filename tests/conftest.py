@@ -11,11 +11,14 @@ not the algebra.  ``test_families`` checks the algebra of
 (``exp``) path and the binomial series of a point mass.
 """
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 from operator import add, mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,3 +173,18 @@ def float_bits(coeffs) -> list[tuple[str, str]]:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """A loader of perfbench/<name>.py as a module, read where it stands; nothing is written."""
+    def load(name):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses resolves the module's annotations through sys.modules.
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec.loader.exec_module(module)
+        return module
+    return load

@@ -2,7 +2,6 @@
 
 import argparse
 import ast
-import importlib.util
 import json
 import math
 import os
@@ -474,6 +473,17 @@ class TestConfigFile:
         assert main(["bounds", "--config", str(cfg)]) == 2
         assert f"{cfg}:2:" in capsys.readouterr().err
 
+    def test_byte_order_mark_ignored(self, tmp_path, capsys):
+        # Some editors start a UTF-8 file with a byte order mark.
+        text = b"family=convex\nalpha=0.5\nformat=csv\n"
+        outputs = []
+        for name, data in (("plain.cfg", text), ("bom.cfg", b"\xef\xbb\xbf" + text)):
+            cfg = tmp_path / name
+            cfg.write_bytes(data)
+            outputs.append((main(["bounds", "--config", str(cfg)]), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and outputs[0][1].out.startswith("family,")
+
     def test_not_utf8_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"family=convex\n\xff\n")
@@ -707,18 +717,10 @@ def test_signed_zero_prints_as_zero(argv, tmp_path):
     assert outputs(argv) == outputs(zero)
 
 
-def _perfbench_workloads():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_benchmark_command_lines_parse(tmp_path):
+def test_benchmark_command_lines_parse(tmp_path, perfbench):
     # Every command line the benchmark builds (it adds --format csv --out
     # PATH) parses; nothing is run.
-    workloads = _perfbench_workloads()
+    workloads = perfbench("workloads")
     parser, _ = _build_parser()
     out = str(tmp_path / "out.csv")
     argvs = [argv for build in workloads.WORKLOADS.values() for argv in build(7)]
@@ -726,6 +728,32 @@ def test_benchmark_command_lines_parse(tmp_path):
     for argv in argvs:
         args = parser.parse_args([*argv, "--format", "csv", "--out", out])
         assert (args.command, args.format, args.out) == (argv[0], "csv", out)
+
+
+_CONVEX = ["--family", "convex", "--alpha", "0.5", "--gamma", "1.4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", *_CONVEX],
+    ["extremal", *_CONVEX],
+    ["verify", *_CONVEX],
+    ["verify", "--family", "ozaki", "--lambda", "0.3"],
+    ["sweep", "--alphas", "0,0.5,3", "--gammas=-pi/3,pi/3,3"],
+    ["sweep", "--family", "ozaki", "--lambdas", "0.1,1,4"],
+    ["sample", *_CONVEX, "--samples", "200"],
+], ids=" ".join)
+def test_benchmark_oracle_accepts_rows(argv, tmp_path, perfbench):
+    # The benchmark checks every csv row it gets with its oracle, which reads
+    # columns no other test reads (sweep's error, sample's constructed and
+    # failures).
+    oracle = perfbench("oracle")
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--format", "csv", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    res = oracle.CheckResult()
+    oracle.CHECKERS[argv[0]](rows, res)
+    assert res.failed_operations == 0, res.failures + res.known
+    assert res.operations == len(rows)
 
 
 def test_package_import_is_lazy():

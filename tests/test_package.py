@@ -1,10 +1,7 @@
 """Package surface: every name a module exports resolves, and only those."""
 
 import importlib
-import importlib.util
 import pkgutil
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -52,29 +49,17 @@ def test_dir_lists_all():
     assert "__version__" in dir(succoeff)
 
 
-def _load_perfbench(monkeypatch, name):
-    """perfbench/<name>.py as a module, read where it stands; nothing is written."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses resolves the module's annotations through sys.modules.
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_benchmark_names_resolve(monkeypatch):
+def test_benchmark_names_resolve(monkeypatch, perfbench):
     # The benchmark traces and times package functions by name; a name it
     # cannot find is reported absent, and the run then lacks the per-layer
     # metrics it declares.  Moving one of these is a benchmark change.
-    tracer = _load_perfbench(monkeypatch, "tracer").Tracer()
+    tracer = perfbench("tracer").Tracer()
     try:
         tracer.install()
         assert tracer.absent == set()
     finally:
         tracer.uninstall()
-    layers = _load_perfbench(monkeypatch, "layers")
+    layers = perfbench("layers")
 
     def once(fn):
         fn()
@@ -84,3 +69,22 @@ def test_benchmark_names_resolve(monkeypatch):
     timings, absent = layers.microbenchmarks()
     assert absent == []
     assert sorted(timings) == sorted(layers.MICROBENCHMARKS)
+
+
+def test_benchmark_result_hooks(perfbench, tmp_path):
+    # The tracer counts what the reports it sees carry: VerifyReport.grid,
+    # SampleReport.n_samples, and FunctionalSpec.which in a span's name.
+    tracer = perfbench("tracer").Tracer()
+    tracer.install()
+    try:
+        main = importlib.import_module("succoeff.cli").main
+        for argv in (["verify"], ["sweep", "--alphas", "0,0.5,2"], ["sample", "--samples", "20"]):
+            assert main([*argv, "--out", str(tmp_path / "out.txt")]) == 0
+    finally:
+        tracer.uninstall()
+    # Two points for d1 and three for d2 at each of the three classes checked.
+    assert tracer.counters["verify.grid_points"] == 15
+    assert tracer.counters["verify.sample_members"] == 20
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.main", "verify.grid_optimize_d1", "verify.grid_optimize_d2", "verify.functional_value",
+            "verify.case_boundary_check"} <= names

@@ -151,3 +151,21 @@ UNKNOWN = {
 def test_unknown_enum_value_and_empty_measure_rejected(make):
     with pytest.raises(DomainError):
         make()
+
+
+NOT_CLASS_PARAMS = {
+    "functional-str": lambda: FunctionalSpec("spirallike", "d1"),
+    "functional-tuple": lambda: FunctionalSpec(tuple(PARAMS), Which.D1),
+    "functional-replace": lambda: SPEC._replace(params=tuple(PARAMS)),
+    "extremal-str": lambda: ExtremalDescriptor("K", "spirallike"),
+    "extremal-tuple": lambda: ExtremalDescriptor(ExtremalName.F_SPIRAL, tuple(PARAMS)),
+    "extremal-replace": lambda: _F_SPIRAL._replace(params=tuple(PARAMS)),
+}
+
+
+@pytest.mark.parametrize("make", NOT_CLASS_PARAMS.values(), ids=NOT_CLASS_PARAMS)
+def test_params_must_be_class_params(make):
+    # A record that holds a class checks it, as it checks a functional's or
+    # an extremal's name.
+    with pytest.raises(DomainError, match="params must be a ClassParams"):
+        make()
