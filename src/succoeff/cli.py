@@ -19,8 +19,8 @@ identical configurations produce byte-identical files.
 
 Every option is declared once, in :func:`_build_parser`, and a subcommand
 takes only the flags it reads; any other flag is a usage error.  A
-``--config`` file names the long flags of any subcommand, and its values
-pass the same conversions and checks.
+``--config`` file names the long flags of any subcommand; its values pass
+the same conversions and checks, and each subcommand reads only its own.
 
 Exit status: 0 on success, 1 when a row's ``passed`` cell is false or a
 verification raises, 2 on usage errors (including an ``--out`` path that
@@ -86,17 +86,12 @@ def int_range(low: int, high: int | None = None):
     return parse
 
 
-def parse_range(text: str) -> list[float]:
-    """The sorted values of a START,STOP,COUNT lattice axis; START/STOP accept pi fractions."""
+def parse_range(text: str) -> tuple[float, float, int]:
+    """START,STOP,COUNT lattice axis; START/STOP accept pi fractions."""
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("range must be START,STOP,COUNT")
-    start, stop, count = parse_angle(parts[0]), parse_angle(parts[1]), int_range(1)(parts[2])
-    if count == 1:
-        return [start]
-    # start + i*step with the last point exactly stop, as np.linspace.
-    step = (stop - start) / (count - 1)
-    return sorted([start + i * step for i in range(count - 1)] + [stop])
+    return parse_angle(parts[0]), parse_angle(parts[1]), int_range(1)(parts[2])
 
 
 # (dest, flag, whether Ozaki's) of the point flags; sweep's axis of each is
@@ -110,7 +105,8 @@ def _classes(args: argparse.Namespace) -> list[ClassParams]:
 
     A point flag or an axis of another family, given or read from
     ``--config``, is a usage error rather than ignored, and so is a point
-    flag that its own axis spans.  Without an axis there is one class.
+    flag that its own axis spans.  An axis is built only after those
+    checks.  Only ``sweep`` takes axes, so any other command gets one class.
     """
     family = Family(args.family)
     is_ozaki = family is Family.OZAKI_G
@@ -123,14 +119,18 @@ def _classes(args: argparse.Namespace) -> list[ClassParams]:
     params = ClassParams(family, **point)
     axes = {}
     for dest, flag, ozaki in _POINT_FLAGS:
-        values = getattr(args, dest + "s", None)
-        if values is None:
+        rng = getattr(args, dest + "s", None)
+        if rng is None:
             continue
         if ozaki != is_ozaki:
             raise DomainError(f"{flag}s does not apply to the {family.value} family")
         if getattr(args, dest) is not None:
             raise DomainError(f"{flag} does not apply when {flag}s spans it")
-        axes[dest] = values
+        start, stop, count = rng
+        # start + i*step with the last point exactly stop, as np.linspace.
+        step = (stop - start) / max(count - 1, 1)
+        points = [start + i * step for i in range(count - 1)] + [stop]
+        axes[dest] = sorted(points) if count > 1 else [start]
     return [params._replace(**dict(zip(axes, values))) for values in product(*axes.values())]
 
 
@@ -183,17 +183,14 @@ def _param_columns(params: ClassParams) -> dict:
 
 def cmd_bounds(args: argparse.Namespace) -> list[dict]:
     [params] = _classes(args)
-    rows = []
-    for which, interval in (("d1", bound_d1(params)), ("d2", bound_d2(params))):
-        rows.append({
-            **_param_columns(params),
-            "which": which,
-            "lower": interval.lower,
-            "upper": interval.upper,
-            "lower_extremal": interval.lower_extremal.name.value,
-            "upper_extremal": interval.upper_extremal.name.value,
-        })
-    return rows
+    return [{
+        **_param_columns(params),
+        "which": which,
+        "lower": interval.lower,
+        "upper": interval.upper,
+        "lower_extremal": interval.lower_extremal.name.value,
+        "upper_extremal": interval.upper_extremal.name.value,
+    } for which, interval in (("d1", bound_d1(params)), ("d2", bound_d2(params)))]
 
 
 def _verify_row(params: ClassParams, which: Which) -> dict:
@@ -409,9 +406,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (OSError, DomainError) as exc:
             print(f"succoeff: {exc}", file=sys.stderr)
             return 2
-        # Subparsers hold their own defaults, so update every one of them.
+        # Each subparser holds its own defaults; it takes the keys of its own flags only.
         for child in children:
-            child.set_defaults(**defaults)
+            dests = {action.dest for action in child._actions}
+            child.set_defaults(**{dest: v for dest, v in defaults.items() if dest in dests})
         args = parser.parse_args(argv)
     try:
         rows = args.run(args)

@@ -18,7 +18,7 @@ import succoeff.bounds as bounds_module
 import succoeff.cli as cli_module
 import succoeff.verify as verify_module
 from succoeff import ClassParams, Which, bound_d2, config
-from succoeff.cli import _build_parser, main, parse_angle
+from succoeff.cli import _build_parser, main, parse_angle, parse_range
 from succoeff.errors import InfeasibleError
 
 
@@ -38,6 +38,11 @@ class TestParsing:
         for text in ("tau/4", "pi/0", "-2pi/0.0", "pi/.0"):
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_angle(text)
+
+    def test_range_is_parsed_not_built(self):
+        # The axis is built after the family checks, so a usage error on a
+        # long axis is reported at once, and a second parse costs nothing.
+        assert parse_range("0, pi/2, 100000000") == (0.0, math.pi / 2, 100000000)
 
 
 def read_csv(path):
@@ -506,6 +511,24 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("samples=7\n", encoding="utf-8")
         assert main(["bounds", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("command", ["bounds", "verify", "extremal", "sample"])
+    @pytest.mark.parametrize("base, axis", [
+        pytest.param("", "alphas=0,0.25,2", id="alphas"),
+        pytest.param("", "alphas=0.3,0.9,1", id="alphas-count1"),
+        pytest.param("family=convex\nalpha=0.5\n", "alphas=0,0.25,2", id="alpha-alphas"),
+        pytest.param("family=ozaki\n", "gammas=-pi/6,pi/6,3", id="ozaki-gammas"),
+        pytest.param("family=ozaki\nlambda=0.3\n", "lambdas=0.1,1,1", id="lambda-lambdas"),
+    ])
+    def test_axis_key_has_no_effect_elsewhere(self, tmp_path, capsys, command, base, axis):
+        # A file that serves sweep neither moves nor breaks another command.
+        outputs = []
+        for name, text in (("plain.cfg", base), ("axis.cfg", f"{base}{axis}\n")):
+            cfg = tmp_path / name
+            cfg.write_text(f"{text}samples=20\nformat=csv\n", encoding="utf-8")
+            outputs.append((main([command, "--config", str(cfg)]), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and outputs[0][1].out.startswith("family,")
 
     def test_keys_are_long_flags(self, tmp_path):
         cfg = tmp_path / "run.cfg"
