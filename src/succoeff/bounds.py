@@ -13,9 +13,8 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from . import config
 from .caratheodory import AtomicHerglotzRep, _count, solve_two_atom
-from .errors import DomainError
+from .errors import DegenerateError, DomainError
 from .families import (ClassParams, CoeffTriple, Family, _atom_jet, _divisors, _exponent,
                        construct_member)
 
@@ -198,16 +197,16 @@ def extremal_measure(desc: ExtremalDescriptor) -> AtomicHerglotzRep:
 
     Its fixed measure in _CATALOG, or else the two-atom measure at the
     class's (c*, x*) of :func:`two_atom_parameters`, which is the point
-    mass at 1 where c* = 2.
+    mass at 1 where :func:`solve_two_atom` finds c* degenerate (c* = 2).
     """
     measure = _CATALOG.get(desc.name)
     if measure is not None:
         return measure
-    c, x = two_atom_parameters(desc.params)
-    if c >= 2.0 - config.DEGENERATE_C_TOL:
+    try:
+        return solve_two_atom(*two_atom_parameters(desc.params))
+    except DegenerateError:
         # Measure degenerates to the point mass at 1 (Koebe-type kernel).
         return _POINT_AT_1
-    return solve_two_atom(c, x)
 
 
 def extremal_coeffs(desc: ExtremalDescriptor) -> CoeffTriple:

@@ -13,9 +13,10 @@ the columns stay those of earlier releases.
 
 Output formats: an aligned text table (default), CSV, or JSON.  A command
 builds each row in column order, so the row carries its header: CSV, JSON
-and the table share the first row's keys.  Reals are printed with 17
-significant digits and complex quantities as separate re/im columns, so
-identical configurations produce byte-identical files.
+and the table share the first row's keys.  CSV and the table print reals
+with ``%.17g``, JSON with Python's shortest round-trip ``repr``, so each
+format gives back the same float; complex quantities are separate re/im
+columns, and identical configurations produce byte-identical files.
 
 Every option is declared once, in :func:`_build_parser`, and a subcommand
 takes only the flags it reads; any other flag is a usage error.  A
@@ -293,14 +294,14 @@ def cmd_sample(args: argparse.Namespace) -> list[dict]:
         n_samples=args.samples,
         n_atoms_max=args.atoms_max,
         seed=args.seed,
-        order=args.order,
     )
     return [{
         **_param_columns(params),
         "n_samples": report.n_samples,
         "n_atoms_max": report.n_atoms_max,
         "seed": report.seed,
-        "order": report.order,
+        # Checked by its flag and echoed; no other cell depends on it.
+        "order": args.order,
         "constructed": report.n_constructed,
         "failures": report.n_failures,
         "violations": report.n_violations,

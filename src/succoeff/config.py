@@ -7,15 +7,12 @@ library-only ``membership_check``.  Every verdict of a command goes
 through :func:`gate`, so tightening one means lowering ``GATE_ULPS``.
 """
 
-# The default order that `sample --order` (and sample_no_violation's
-# order=) checks and echoes; no verdict depends on it.
+# The default and the largest value of `sample --order`.  They serve only
+# that flag, which the command line checks and echoes in the `order`
+# column: no command builds a jet beyond g_2, so no other output byte and
+# no cost depends on the order.  The library's construct_member takes its
+# own order.
 DEFAULT_ORDER = 12
-
-# Largest truncation order `sample --order` accepts.  No command builds a jet
-# beyond g_2: every command reads a2 and a3 from the atoms in closed form, so
-# no command's cost depends on the order.  The library's construct_member
-# builds the full order, at O(atoms * order) Python work from a measure and
-# O(order^2) from a series.
 MAX_ORDER = 1024
 
 # Largest atom count `sample --atoms-max` accepts.  A sampled member costs

@@ -161,8 +161,7 @@ class WorstMargin(namedtuple("WorstMargin", "margin sample_index rep")):
 
 
 class SampleReport(namedtuple("SampleReport", [
-        "params", "n_samples", "n_atoms_max", "seed", "order",
-        "n_constructed", "n_failures", "n_violations",
+        "params", "n_samples", "n_atoms_max", "seed", "n_constructed", "n_failures", "n_violations",
         "d1_low", "d1_high", "d2_low", "d2_high"])):
     __slots__ = ()
 
@@ -191,7 +190,6 @@ def sample_no_violation(
     n_samples: int,
     n_atoms_max: int = 6,
     seed: int = 0,
-    order: int = config.DEFAULT_ORDER,
 ) -> SampleReport:
     """Draw random members and check both functionals against their intervals.
 
@@ -199,13 +197,12 @@ def sample_no_violation(
     members are built from un-normalized random measures, and a value
     violates an endpoint when it is beyond it by more than ``config.gate``
     of that endpoint.  Both functionals read only a2 = g_1/n2 and
-    a3 = g_2/n3 of the member's exponential factor g.  ``order`` (at least
-    4, as ``extremal_series`` asks) is validated and echoed in the report;
-    it changes no other field.
+    a3 = g_2/n3 of the member's exponential factor g, so no truncation
+    order enters.
 
     A member with a2 or a3 not finite is a construction failure, counted,
     never fatal; dividing g_1 or g_2 by 1, 2 or 3 keeps finiteness.  This
-    is the rule "some coefficient up to ``order`` is not finite":
+    is the rule "some coefficient is not finite" at every order:
     g = prod_i (1 - eps_i z)^{-2 v w_i} is majorized coefficientwise
     by (1 - z)^{-2|v|}, and |v| <= 1 in every family, so |g_k| <= k + 1
     (Duren, *Univalent Functions*, 1983, §2).  A finite v never overflows at
@@ -228,7 +225,6 @@ def sample_no_violation(
     """
     n_samples = _count("n_samples", n_samples, 1)
     n_atoms_max = _count("n_atoms_max", n_atoms_max, 1)
-    order = _count("order", order, 4)
     seed = _count("seed", seed, 0)
     d1, d2 = bound_d1(params), bound_d2(params)
     # The most negative margin each endpoint forgives.
@@ -285,7 +281,7 @@ def sample_no_violation(
                 d2_hi = (hi, i, measure)
         _check_atoms(chunk)
     return SampleReport(
-        params, n_samples, n_atoms_max, seed, order, n_constructed, n_failures, n_violations,
+        params, n_samples, n_atoms_max, seed, n_constructed, n_failures, n_violations,
         *(WorstMargin(margin, i, None if measure is None else AtomicHerglotzRep(*measure))
           for margin, i, measure in (d1_lo, d1_hi, d2_lo, d2_hi)),
     )

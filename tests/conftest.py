@@ -134,7 +134,9 @@ def sample_reference(params: ClassParams, n_samples: int, n_atoms_max: int = 6, 
                      order: int = config.DEFAULT_ORDER) -> SampleReport:
     """sample_no_violation one member at a time: draw, build, check, in sample order.
 
-    A margin violates when it is below minus ``config.gate`` of its endpoint.
+    Each member is built to ``order``, which the report does not carry:
+    the sampler takes none, and must agree at every order.  A margin
+    violates when it is below minus ``config.gate`` of its endpoint.
     """
     d1, d2 = bound_d1(params), bound_d2(params)
     rng = _seeded_stream(seed)
@@ -159,7 +161,7 @@ def sample_reference(params: ClassParams, n_samples: int, n_atoms_max: int = 6, 
             if hi_margin < worst[key + "_high"][0]:
                 worst[key + "_high"] = (hi_margin, i, rep)
     return SampleReport(
-        params=params, n_samples=n_samples, n_atoms_max=n_atoms_max, seed=seed, order=order,
+        params=params, n_samples=n_samples, n_atoms_max=n_atoms_max, seed=seed,
         n_constructed=n_constructed, n_failures=n_failures,
         n_violations=n_violations, **{k: WorstMargin(*t) for k, t in worst.items()},
     )

@@ -17,6 +17,7 @@ from succoeff import (
     bound_d1,
     bound_d2,
     coeffs_from_series,
+    config,
     extremal_coeffs,
     extremal_measure,
     extremal_series,
@@ -276,13 +277,18 @@ class TestExtremalSeries:
         assert abs(f[2]) < 1e-14
         assert f[3] == pytest.approx(-0.15, abs=1e-14)  # signed value; |a3| = lam/6
 
-    def test_f_ozaki_degenerate_atom(self):
-        # lam >= 1/2 uses c = 2: a single atom at 1, so F is the
-        # antiderivative of (1-z)^lam.
-        desc = bound_d2(ClassParams.ozaki(0.75)).lower_extremal
-        assert extremal_measure(desc).n_atoms == 1
+    @pytest.mark.parametrize("lam", [0.75, 0.4999999999999])
+    def test_f_ozaki_degenerate_atom(self, lam):
+        # lam >= 1/2 uses c = 2, and just below 1/2 c* = 3/(2-lam) is within
+        # DEGENERATE_C_TOL of 2: either way solve_two_atom finds c* degenerate,
+        # so the measure is a single atom at 1 and F is the antiderivative of
+        # (1-z)^lam.
+        params = ClassParams.ozaki(lam)
+        assert 2.0 - two_atom_parameters(params)[0] < config.DEGENERATE_C_TOL
+        desc = bound_d2(params).lower_extremal
+        assert extremal_measure(desc) == AtomicHerglotzRep((1.0,), (1.0,))
         f = extremal_series(desc, 8)
-        closed = cpow(one(8) + monomial(1, 8, -1.0), 0.75).antiderivative()
+        closed = cpow(one(8) + monomial(1, 8, -1.0), lam).antiderivative()
         assert_series_close(f, closed.coeffs, atol=1e-13)
 
     def test_f_ozaki_half_branch_agreement(self):

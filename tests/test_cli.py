@@ -331,6 +331,19 @@ class TestExtremalAndSample:
             rows[order] = row
         assert rows["4"] == rows["12"] == rows["1024"]
 
+    def test_sample_config_order_is_only_echoed(self, tmp_path):
+        # A config key reaches the column as the flag does: order=128 prints
+        # 128, and every other cell and the header are those of --order 12.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("order=128\n", encoding="utf-8")
+        argv = ["sample", "--samples", "300", "--seed", "3", "--format", "csv"]
+        got, want = tmp_path / "config.csv", tmp_path / "flag.csv"
+        assert main([*argv, "--config", str(cfg), "--out", str(got)]) == 0
+        assert main([*argv, "--order", "12", "--out", str(want)]) == 0
+        (header, (row,)), (want_header, (want_row,)) = read_csv(got), read_csv(want)
+        assert (row.pop("order"), want_row.pop("order")) == ("128", "12")
+        assert (header, row) == (want_header, want_row)
+
     def test_sample_passes(self, tmp_path):
         code = main([
             "sample", "--family", "ozaki", "--lambda", "1", "--samples", "100",
@@ -351,10 +364,13 @@ _SOLVE_POINT = ["--family", "spirallike", "--alpha", "0.25", "--gamma", "0.5"]
     (["sample", "--samples", "20", *_SOLVE_POINT], 0),
     (["extremal", *_SOLVE_POINT], 1),
     (["verify", *_SOLVE_POINT], 1),
-], ids=["bounds", "sweep", "sample", "extremal", "verify"])
+    # c* = 2: the one solve raises DegenerateError, and the point mass at 1 is read.
+    (["extremal", "--family", "ozaki", "--lambda", "0.75"], 1),
+], ids=["bounds", "sweep", "sample", "extremal", "verify", "extremal-degenerate"])
 def test_two_atom_solves_per_command(argv, solves, monkeypatch, tmp_path):
     # The d2 lower extremal's measure is solved only where a command reads
-    # that extremal's coefficients, once per spirallike point.
+    # that extremal's coefficients, once per point; solve_two_atom alone
+    # decides whether c* is degenerate.
     calls = []
     solve = bounds_module.solve_two_atom
 
@@ -687,6 +703,23 @@ def test_table_headers(command, tmp_path):
     assert text["csv"].splitlines()[0] == _HEADERS[command]
     assert all(list(row) == columns for row in json.loads(text["json"]))
     assert text["table"].splitlines()[0].split() == columns
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGV))
+def test_csv_and_json_print_the_same_reals(command, tmp_path):
+    # CSV prints reals with %.17g and JSON with the shortest round-trip
+    # repr (0.75516512378074552 and 0.7551651237807455): each cell gives
+    # back the same float, -0.0 and 0.0 told apart.
+    argv = [command, *_COMMAND_ARGV[command], "--gamma=0.5"]
+    assert main([*argv, "--format", "csv", "--out", str(tmp_path / "out.csv")]) == 0
+    assert main([*argv, "--format", "json", "--out", str(tmp_path / "out.json")]) == 0
+    _, csv_rows = read_csv(tmp_path / "out.csv")
+    json_rows = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    assert len(csv_rows) == len(json_rows)
+    reals = [(csv_row[key], value) for csv_row, json_row in zip(csv_rows, json_rows)
+             for key, value in json_row.items() if isinstance(value, float)]
+    assert reals
+    assert [float(cell).hex() for cell, _ in reals] == [value.hex() for _, value in reals]
 
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])

@@ -15,16 +15,22 @@ root of a checkout, and paste its output over ``DIGESTS``.  With
 exits 0 only when all match.  It needs no pytest, so the table can be
 checked under any interpreter the package runs on; since Python 3.12,
 ``sum`` adds floats with compensation, so a ``sum`` where the package
-adds left to right shows there as a moved digest.
+adds left to right shows there as a moved digest.  Under pytest,
+:func:`test_digests_match_under_other_interpreters` runs ``--check``
+under each other CPython 3.10-3.13 it finds that starts.
 """
 
 import hashlib
 import json
+import os
 import shlex
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import succoeff
 from succoeff.cli import main
 
 _POINTS = [
@@ -180,11 +186,17 @@ def _row(command: str, tmp: Path) -> tuple[int, str, str]:
     return code, csv_digest, json_digest
 
 
+# The interpreters the table is checked under; pyproject asks for >= 3.10.
+_VERSIONS = ("3.10", "3.11", "3.12", "3.13")
+
+
 def pytest_generate_tests(metafunc):
     # Parametrized here rather than by a mark, so that the script below
     # runs without pytest.
     if "command" in metafunc.fixturenames:
         metafunc.parametrize("command", COMMANDS)
+    if "version" in metafunc.fixturenames:
+        metafunc.parametrize("version", _VERSIONS)
 
 
 def test_table_covers_the_commands():
@@ -193,6 +205,37 @@ def test_table_covers_the_commands():
 
 def test_outputs_match_the_recorded_digests(command, tmp_path):
     assert _row(command, tmp_path) == DIGESTS[command]
+
+
+def _interpreter(version: str) -> str | None:
+    """A CPython ``version`` that starts: ``python<version>`` on PATH, or a sibling install."""
+    siblings = sorted(Path(sys.base_prefix).parent.glob(f"{version}*/bin/python3"))
+    probe = "import sys; print(sys.implementation.name, '%d.%d' % sys.version_info[:2])"
+    for exe in filter(None, [shutil.which(f"python{version}"), *map(str, siblings)]):
+        try:
+            proc = subprocess.run([exe, "-c", probe], capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        # A version manager's shim of an interpreter it does not have exits non-zero.
+        if proc.returncode == 0 and proc.stdout.split() == ["cpython", version]:
+            return exe
+    return None
+
+
+def test_digests_match_under_other_interpreters(version):
+    import pytest  # the script below runs without it
+
+    if version == "%d.%d" % sys.version_info[:2]:
+        pytest.skip("this interpreter checks the table in-process")
+    exe = _interpreter(version)
+    if exe is None:
+        pytest.skip(f"no CPython {version} starts here")
+    package_root = str(Path(succoeff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([exe, str(Path(__file__).resolve()), "--check"],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{len(DIGESTS)} of {len(DIGESTS)} rows match"
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from succoeff import (
     lz_c2,
     random_rep,
     sample_no_violation,
+    SampleReport,
     t_factor,
     to_series,
     two_atom_parameters,
@@ -259,18 +260,6 @@ class TestSampling:
         assert report.d2_low.sample_index >= 0
         assert report.d2_low.rep is not None
 
-    @pytest.mark.parametrize("params", [
-        ClassParams.spirallike(0.25, 0.5), ClassParams.convex(0.25, -0.5), ClassParams.ozaki(0.6),
-    ])
-    def test_independent_of_order(self, params):
-        # a2 and a3 come from g_1 and g_2, which are the only coefficients
-        # built: order is validated and echoed, and changes nothing else.
-        reports = [sample_no_violation(params, n_samples=200, seed=5, order=order)
-                   for order in (4, 12, 128, 1024)]
-        assert [report.order for report in reports] == [4, 12, 128, 1024]
-        for report in reports[1:]:
-            assert report._replace(order=4) == reports[0]
-
     @pytest.mark.parametrize("n_samples", [255, 256, 257, 600])
     @pytest.mark.parametrize("params, n_atoms_max", SAMPLED_POINTS)
     def test_matches_per_member_loop(self, params, n_atoms_max, n_samples):
@@ -283,7 +272,7 @@ class TestSampling:
     def test_matches_full_order_loop_at_order_1024(self, params, n_atoms_max):
         # The reference builds every member to order 1024 and fails it on
         # any non-finite coefficient; the sampler builds g_0..g_2 only.
-        got = sample_no_violation(params, 257, n_atoms_max, seed=9, order=1024)
+        got = sample_no_violation(params, 257, n_atoms_max, seed=9)
         assert got == sample_reference(params, 257, n_atoms_max, seed=9, order=1024)
 
     def test_no_member_built_does_not_pass(self, monkeypatch, tmp_path):
@@ -330,8 +319,7 @@ class TestSampling:
                          "--format", "csv", "--out", str(tmp_path / f"{command}.csv")]) == 0
         assert jets == [2] * 8
 
-    @pytest.mark.parametrize("order", [12, 128])
-    def test_peak_memory_flat_in_n_samples(self, order, monkeypatch):
+    def test_peak_memory_flat_in_n_samples(self, monkeypatch):
         # Members are checked and dropped in chunks of 256, so 32 chunks
         # must peak where 2 do.  Tracing costs microseconds per allocation,
         # so the traced runs cut the chunk to 8 (512 and 8192 members become
@@ -346,14 +334,14 @@ class TestSampling:
             return _check_atoms(measures)
 
         monkeypatch.setattr("succoeff.verify._check_atoms", spy)
-        sample_no_violation(CONVEX_00, 600, n_atoms_max=1, seed=1, order=order)
+        sample_no_violation(CONVEX_00, 600, n_atoms_max=1, seed=1)
         assert batches == [256, 256, 88]
         monkeypatch.setattr("succoeff.verify._CHUNK", 8)
 
         def peak(n_samples):
             tracemalloc.start()
             try:
-                sample_no_violation(CONVEX_00, n_samples, n_atoms_max=1, seed=4, order=order)
+                sample_no_violation(CONVEX_00, n_samples, n_atoms_max=1, seed=4)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -400,8 +388,7 @@ class TestSampling:
         assert checked == [256, 256]
 
     @pytest.mark.parametrize("name, value", [
-        ("n_samples", 2.5), ("n_samples", "10"), ("n_atoms_max", 2.0), ("order", 4.5),
-        ("seed", 1.0)])
+        ("n_samples", 2.5), ("n_samples", "10"), ("n_atoms_max", 2.0), ("seed", 1.0)])
     def test_counts_must_be_integers(self, name, value):
         # A float or a string count is a DomainError: it is neither echoed
         # into the report nor raised as a bare TypeError.
@@ -411,19 +398,23 @@ class TestSampling:
 
     def test_counts_echoed_as_int(self):
         # numpy integers are taken through operator.index, not echoed as given.
-        report = sample_no_violation(SPIRAL_00, np.int64(10), np.int64(2), seed=np.int64(3),
-                                     order=np.int64(12))
-        assert [type(x) for x in report[1:5]] == [int] * 4
-        assert report == sample_no_violation(SPIRAL_00, 10, 2, seed=3, order=12)
+        report = sample_no_violation(SPIRAL_00, np.int64(10), np.int64(2), seed=np.int64(3))
+        assert [type(x) for x in report[1:4]] == [int] * 3
+        assert report == sample_no_violation(SPIRAL_00, 10, 2, seed=3)
 
     def test_sample_count_validation(self):
         with pytest.raises(DomainError):
             sample_no_violation(SPIRAL_00, n_samples=0)
         with pytest.raises(DomainError):
             sample_no_violation(SPIRAL_00, n_samples=10, n_atoms_max=0)
-        for order in (-1, 0, 1, 2, 3):
-            with pytest.raises(DomainError, match="order must be >= 4"):
-                sample_no_violation(SPIRAL_00, n_samples=10, order=order)
+
+    def test_takes_no_order(self):
+        # The order changed no member, margin or count; only `sample
+        # --order` checks and echoes one.
+        with pytest.raises(TypeError, match="order"):
+            sample_no_violation(SPIRAL_00, n_samples=10, order=12)
+        assert "order" not in SampleReport._fields
+        assert len(SampleReport._fields) == 11
 
 
 class TestCaseBoundary:
