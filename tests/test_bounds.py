@@ -1,6 +1,7 @@
 """Closed-form intervals, extremal catalog, attainment, rotation invariance."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -386,3 +387,52 @@ class TestTwoAtomParameters:
         m2 = (w * e**2).sum()
         assert abs(m1 - c / 2) < 1e-14
         assert abs(m2 - (c * c + (4 - c * c) * x) / 4) < 1e-14
+
+
+def _ulp_neighbours(x, steps=3):
+    """x and the `steps` floats on either side of it."""
+    below, above, out = x, x, [x]
+    for _ in range(steps):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+def _closed_form_points():
+    """Seeded 1,000 points per family, then the branch seams and the box edges."""
+    # random.Random, not numpy: its draws do not depend on a library version.
+    rng = random.Random(2107)
+    half_pi = math.pi / 2
+    points = []
+    for make in (ClassParams.spirallike, ClassParams.convex):
+        points += [make(rng.random(), rng.uniform(-half_pi, half_pi)) for _ in range(1000)]
+    points += [ClassParams.ozaki(1.0 - rng.random()) for _ in range(1000)]
+    # Convex T = 5/4 exactly at alpha = 7/8, gamma = 0; Ozaki's seam is lam = 1/2.
+    points += [ClassParams.convex(a, g) for a in _ulp_neighbours(0.875)
+               for g in _ulp_neighbours(0.0, 1)]
+    points += [ClassParams.ozaki(lam) for lam in _ulp_neighbours(0.5)]
+    edges = (0.0, 1.0 - 1e-12)
+    for make in (ClassParams.spirallike, ClassParams.convex):
+        points += [make(a, g) for a in edges for g in (0.0, half_pi - 1e-12, 1e-12 - half_pi)]
+    points += [ClassParams.ozaki(lam) for lam in (1e-12, 1.0)]
+    return points
+
+
+class TestClosedFormBits:
+    # The first 16 hex digits of the SHA-256 of every closed form's repr at
+    # _closed_form_points(), recorded before bounds.py chose each family's
+    # branch in one place; a rewrite of the closed forms must keep every bit.
+    DIGEST = "f7a4264256af303c"
+
+    def test_closed_forms_keep_every_bit(self):
+        import hashlib
+
+        lines = []
+        for params in _closed_form_points():
+            d1, d2 = bound_d1(params), bound_d2(params)
+            lines.append(repr((d1.lower, d1.upper, d2.lower, d2.upper,
+                               two_atom_parameters(params),
+                               [e.name.value for e in (*d1[2:], *d2[2:])])))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        assert len(lines) == 3000 + 7 * 3 + 7 + 12 + 2
+        assert digest == self.DIGEST
