@@ -30,8 +30,6 @@ __all__ = [
     "extremal_measure",
     "extremal_coeffs",
     "extremal_series",
-    "attainment",
-    "extremal_targets",
 ]
 
 
@@ -132,8 +130,8 @@ def t_factor(alpha: float, gamma: float) -> float:
     return _t(alpha, gamma)
 
 
-def _d2_lower(params: ClassParams) -> tuple[float, float, complex]:
-    """(lower endpoint of |a3|-|a2|, c*, x*): each branch of the case analysis, once.
+def _closed_forms(params: ClassParams) -> tuple[float, float, float, float, complex]:
+    """(upper of |a2|-|a1|, lower and upper of |a3|-|a2|, c*, x*): the one family branch.
 
     x* = -1 (ozaki), else -(1 + 2(1-a)cos^2 g + i(1-a)sin 2g)/T.  The convex
     envelope (1-a)cos(g)/12 ((T+1)c^2 - 4 - 6c) on [2/sqrt(T+1), 2] has its
@@ -144,24 +142,28 @@ def _d2_lower(params: ClassParams) -> tuple[float, float, complex]:
     if params.family is Family.OZAKI_G:
         lam = params.lam
         if lam <= 0.5:
-            return lam * (4.0 * lam - 17.0) / (24.0 * (2.0 - lam)), 3.0 / (2.0 - lam), -1.0 + 0j
-        return -lam * (lam + 2.0) / 6.0, 2.0, -1.0 + 0j
+            lower, c = lam * (4.0 * lam - 17.0) / (24.0 * (2.0 - lam)), 3.0 / (2.0 - lam)
+        else:
+            lower, c = -lam * (lam + 2.0) / 6.0, 2.0
+        return lam / 2.0 - 1.0, lower, lam / 6.0, c, -1.0 + 0j
     a, g = params.alpha, params.gamma
     t = _t(a, g)
     cosg = math.cos(g)
     x = -(1.0 + 2.0 * (1.0 - a) * cosg ** 2 + 1j * (1.0 - a) * math.sin(2.0 * g)) / t
     root = math.sqrt(1.0 + t)
-    if params.family is Family.SPIRALLIKE:
-        return -2.0 * (1.0 - a) * cosg / root, 2.0 / root, x
     scale = (1.0 - a) * cosg
+    if params.family is Family.SPIRALLIKE:
+        return 2.0 * scale - 1.0, -2.0 * scale / root, scale, 2.0 / root, x
     if t < 1.25:
-        return -scale * (4.0 * (t + 1.0) + 9.0) / (12.0 * (t + 1.0)), 3.0 / (t + 1.0), x
-    return -scale / root, 2.0 / root, x
+        lower, c = -scale * (4.0 * (t + 1.0) + 9.0) / (12.0 * (t + 1.0)), 3.0 / (t + 1.0)
+    else:
+        lower, c = -scale / root, 2.0 / root
+    return scale - 1.0, lower, scale / 3.0, c, x
 
 
 def two_atom_parameters(params: ClassParams) -> tuple[float, complex]:
-    """(c*, x*) generating the lower-endpoint extremal of |a3|-|a2| (see _d2_lower)."""
-    return _d2_lower(params)[1:]
+    """(c*, x*) generating the lower-endpoint extremal of |a3|-|a2| (see _closed_forms)."""
+    return _closed_forms(params)[3:]
 
 
 def _interval(params: ClassParams, functional: int, lower: float, upper: float) -> BoundInterval:
@@ -172,24 +174,13 @@ def _interval(params: ClassParams, functional: int, lower: float, upper: float) 
 
 def bound_d1(params: ClassParams) -> BoundInterval:
     """Sharp interval for |a2| - |a1|; the lower endpoint is always -1."""
-    if params.family is Family.SPIRALLIKE:
-        upper = 2.0 * (1.0 - params.alpha) * math.cos(params.gamma) - 1.0
-    elif params.family is Family.CONVEX_GAMMA:
-        upper = (1.0 - params.alpha) * math.cos(params.gamma) - 1.0
-    else:
-        upper = params.lam / 2.0 - 1.0
-    return _interval(params, 0, -1.0, upper)
+    return _interval(params, 0, -1.0, _closed_forms(params)[0])
 
 
 def bound_d2(params: ClassParams) -> BoundInterval:
     """Sharp interval for |a3| - |a2|, with two-atom lower extremals."""
-    if params.family is Family.SPIRALLIKE:
-        upper = (1.0 - params.alpha) * math.cos(params.gamma)
-    elif params.family is Family.CONVEX_GAMMA:
-        upper = (1.0 - params.alpha) * math.cos(params.gamma) / 3.0
-    else:
-        upper = params.lam / 6.0
-    return _interval(params, 1, _d2_lower(params)[0], upper)
+    _, lower, upper, _, _ = _closed_forms(params)
+    return _interval(params, 1, lower, upper)
 
 
 def extremal_measure(desc: ExtremalDescriptor) -> AtomicHerglotzRep:
@@ -230,22 +221,3 @@ def extremal_series(desc: ExtremalDescriptor, order: int) -> TruncatedSeries:
     """
     order = _count("order", order, 4)  # a2 and a3 need order >= 4
     return construct_member(desc.params, extremal_measure(desc), order)
-
-
-def attainment(desc: ExtremalDescriptor, which: Which | str) -> float:
-    """|a2|-|a1| (resp. |a3|-|a2|) of the catalog extremal."""
-    which = Which(which)
-    triple = extremal_coeffs(desc)
-    return triple.d1() if which is Which.D1 else triple.d2()
-
-
-def extremal_targets(params: ClassParams) -> list[tuple[ExtremalDescriptor, Which, float]]:
-    """Catalog of (extremal, functional, attained endpoint) for a family."""
-    d1 = bound_d1(params)
-    d2 = bound_d2(params)
-    return [
-        (d1.upper_extremal, Which.D1, d1.upper),
-        (d1.lower_extremal, Which.D1, d1.lower),
-        (d2.upper_extremal, Which.D2, d2.upper),
-        (d2.lower_extremal, Which.D2, d2.lower),
-    ]

@@ -38,11 +38,12 @@ import argparse
 import math
 import re
 import sys
-from collections.abc import Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import product
 
 from . import config
-from .bounds import Which, attainment, bound_d1, bound_d2, extremal_coeffs, extremal_targets
+from .bounds import BoundInterval, Which, bound_d1, bound_d2, extremal_coeffs
 from .errors import DomainError, SuccoeffError
 from .families import ClassParams, Family
 
@@ -105,9 +106,10 @@ def _classes(args: argparse.Namespace) -> list[ClassParams]:
     """The classes named by ``--family`` at the point flags, over sweep's axes.
 
     A point flag or an axis of another family, given or read from
-    ``--config``, is a usage error rather than ignored, and so is a point
-    flag that its own axis spans.  An axis is built only after those
-    checks.  Only ``sweep`` takes axes, so any other command gets one class.
+    ``--config``, is a usage error rather than ignored, as are a point flag
+    that its own axis spans and a lattice of over ``config.MAX_LATTICE``
+    points; no axis is built before those checks.  Only ``sweep`` takes
+    axes, so any other command gets one class.
     """
     family = Family(args.family)
     is_ozaki = family is Family.OZAKI_G
@@ -118,7 +120,7 @@ def _classes(args: argparse.Namespace) -> list[ClassParams]:
                 raise DomainError(f"{flag} does not apply to the {family.value} family")
             point[dest] = getattr(args, dest)
     params = ClassParams(family, **point)
-    axes = {}
+    ranges = {}
     for dest, flag, ozaki in _POINT_FLAGS:
         rng = getattr(args, dest + "s", None)
         if rng is None:
@@ -127,7 +129,12 @@ def _classes(args: argparse.Namespace) -> list[ClassParams]:
             raise DomainError(f"{flag}s does not apply to the {family.value} family")
         if getattr(args, dest) is not None:
             raise DomainError(f"{flag} does not apply when {flag}s spans it")
-        start, stop, count = rng
+        ranges[dest] = rng
+    size = math.prod(count for _, _, count in ranges.values())
+    if size > config.MAX_LATTICE:
+        raise DomainError(f"the lattice has {size} points, more than {config.MAX_LATTICE}")
+    axes = {}
+    for dest, (start, stop, count) in ranges.items():
         # start + i*step with the last point exactly stop, as np.linspace.
         step = (stop - start) / max(count - 1, 1)
         points = [start + i * step for i in range(count - 1)] + [stop]
@@ -194,16 +201,25 @@ def cmd_bounds(args: argparse.Namespace) -> list[dict]:
     } for which, interval in (("d1", bound_d1(params)), ("d2", bound_d2(params)))]
 
 
+_Attained = namedtuple("_Attained", "desc target triple value residual passed")
+
+
+def _attained(interval: BoundInterval, which: Which) -> Iterator[_Attained]:
+    """The upper and then the lower extremal of ``interval``, each read once."""
+    for desc, target in ((interval.upper_extremal, interval.upper),
+                         (interval.lower_extremal, interval.lower)):
+        triple = extremal_coeffs(desc)
+        value = triple.d1() if which is Which.D1 else triple.d2()
+        residual = abs(value - target)
+        yield _Attained(desc, target, triple, value, residual, residual <= config.gate(target))
+
+
 def _verify_row(params: ClassParams, which: Which) -> dict:
     from .verify import FunctionalSpec, case_boundary_check, grid_optimize
 
-    spec = FunctionalSpec(params, which)
-    report = grid_optimize(spec)
+    report = grid_optimize(FunctionalSpec(params, which))
     interval = report.analytic
-    att_lo = attainment(interval.lower_extremal, which)
-    att_hi = attainment(interval.upper_extremal, which)
-    res_lo = abs(att_lo - interval.lower)
-    res_hi = abs(att_hi - interval.upper)
+    upper, lower = _attained(interval, which)
     row = {
         **_param_columns(params),
         "which": which.value,
@@ -219,14 +235,12 @@ def _verify_row(params: ClassParams, which: Which) -> dict:
         "argmax_c": report.argmax[0],
         "argmax_r": report.argmax[1],
         "argmax_theta": report.argmax[2],
-        "lower_attainment": att_lo,
-        "upper_attainment": att_hi,
-        "lower_attainment_residual": res_lo,
-        "upper_attainment_residual": res_hi,
+        "lower_attainment": lower.value,
+        "upper_attainment": upper.value,
+        "lower_attainment_residual": lower.residual,
+        "upper_attainment_residual": upper.residual,
         "case_check": "",
-        "passed": bool(report.passed
-                       and res_lo <= config.gate(interval.lower)
-                       and res_hi <= config.gate(interval.upper)),
+        "passed": bool(report.passed and lower.passed and upper.passed),
     }
     if which is Which.D2:
         case = case_boundary_check(params)
@@ -265,24 +279,18 @@ def cmd_sweep(args: argparse.Namespace) -> list[dict]:
 
 def cmd_extremal(args: argparse.Namespace) -> list[dict]:
     [params] = _classes(args)
-    rows = []
-    for desc, which, target in extremal_targets(params):
-        triple = extremal_coeffs(desc)
-        a2, a3, d1, d2 = triple.a2, triple.a3, triple.d1(), triple.d2()
-        value = d1 if which is Which.D1 else d2
-        residual = abs(value - target)
-        rows.append({
-            **_param_columns(params),
-            "extremal": desc.name.value,
-            "which": which.value,
-            "a2_re": a2.real, "a2_im": a2.imag,
-            "a3_re": a3.real, "a3_im": a3.imag,
-            "d1": d1, "d2": d2,
-            "target": target,
-            "residual": residual,
-            "passed": residual <= config.gate(target),
-        })
-    return rows
+    return [{
+        **_param_columns(params),
+        "extremal": att.desc.name.value,
+        "which": which.value,
+        "a2_re": att.triple.a2.real, "a2_im": att.triple.a2.imag,
+        "a3_re": att.triple.a3.real, "a3_im": att.triple.a3.imag,
+        "d1": att.triple.d1(), "d2": att.triple.d2(),
+        "target": att.target,
+        "residual": att.residual,
+        "passed": att.passed,
+    } for which, interval in ((Which.D1, bound_d1(params)), (Which.D2, bound_d2(params)))
+        for att in _attained(interval, which)]
 
 
 def cmd_sample(args: argparse.Namespace) -> list[dict]:
@@ -352,7 +360,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     sample.add_argument("--order", type=int_range(4, config.MAX_ORDER), default=config.DEFAULT_ORDER)
     sample.add_argument("--seed", type=int_range(0), default=0)
     sample.add_argument("--samples", type=int_range(1), default=500)
-    sample.add_argument("--atoms-max", type=int_range(1, config.MAX_ATOMS), default=6)
+    sample.add_argument("--atoms-max", type=int_range(1, config.MAX_ATOMS),
+                        default=config.DEFAULT_ATOMS)
     return parser, list(sub.choices.values())
 
 

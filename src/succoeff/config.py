@@ -15,10 +15,15 @@ through :func:`gate`, so tightening one means lowering ``GATE_ULPS``.
 DEFAULT_ORDER = 12
 MAX_ORDER = 1024
 
-# Largest atom count `sample --atoms-max` accepts.  A sampled member costs
+# The default and the largest atom count of a sampled member, for
+# `sample --atoms-max` and sample_no_violation.  A sampled member costs
 # O(atoms): on a 2-vCPU Xeon with Python 3.11, in-process, about 0.0019 ms
 # at 1 atom, 0.0032 ms at the default 6 and 0.017 ms at 64.
+DEFAULT_ATOMS = 6
 MAX_ATOMS = 64
+
+# Most points a `sweep` lattice may have: about 25 s and 0.25 GB on a 2-vCPU Xeon.
+MAX_LATTICE = 100_000
 
 # Structural invariants of atomic Herglotz representations, and the slack
 # on the constraints their coefficients and disk parameters meet:

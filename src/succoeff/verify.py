@@ -188,7 +188,7 @@ def _atom_count(r: float, n_max: int) -> int:
 def sample_no_violation(
     params: ClassParams,
     n_samples: int,
-    n_atoms_max: int = 6,
+    n_atoms_max: int = config.DEFAULT_ATOMS,
     seed: int = 0,
 ) -> SampleReport:
     """Draw random members and check both functionals against their intervals.

@@ -24,10 +24,17 @@ import numpy as np
 import pytest
 
 from succoeff import (AtomicHerglotzRep, ClassParams, DomainError, SuccoeffError, TruncatedSeries,
-                      bound_d1, bound_d2, coeffs_from_series, config, moments)
+                      Which, bound_d1, bound_d2, coeffs_from_series, config, moments)
 from succoeff.caratheodory import _random_rep, _seeded_stream
 from succoeff.families import _exponent, _member
 from succoeff.verify import SampleReport, WorstMargin, _atom_count
+
+
+def endpoints(params: ClassParams):
+    """(extremal, functional, endpoint) of each end of bound_d1 and bound_d2, upper first."""
+    for which, interval in ((Which.D1, bound_d1(params)), (Which.D2, bound_d2(params))):
+        yield interval.upper_extremal, which, interval.upper
+        yield interval.lower_extremal, which, interval.lower
 
 
 def assert_series_close(f: TruncatedSeries, expected, atol=1e-12):

@@ -14,7 +14,6 @@ from succoeff import (
     ExtremalName,
     TruncatedSeries,
     Which,
-    attainment,
     bound_d1,
     bound_d2,
     coeffs_from_series,
@@ -22,7 +21,6 @@ from succoeff import (
     extremal_coeffs,
     extremal_measure,
     extremal_series,
-    extremal_targets,
     lz_c2,
     moments,
     mu,
@@ -30,7 +28,7 @@ from succoeff import (
     t_factor,
     two_atom_parameters,
 )
-from conftest import assert_series_close, float_bits
+from conftest import assert_series_close, endpoints, float_bits
 from jets import cpow, monomial, one
 
 SPIRAL_00 = ClassParams.spirallike(0.0, 0.0)
@@ -297,31 +295,33 @@ class TestExtremalSeries:
         lam = 0.5
         assert 3 / (2 - lam) == pytest.approx(2.0)
         desc = bound_d2(ClassParams.ozaki(lam)).lower_extremal
-        assert attainment(desc, Which.D2) == pytest.approx(-5 / 24, abs=1e-12)
+        assert extremal_coeffs(desc).d2() == pytest.approx(-5 / 24, abs=1e-12)
 
 
 class TestAttainment:
     @pytest.mark.parametrize("params", PARAM_GRID)
     def test_all_targets_attained(self, params):
-        for desc, which, target in extremal_targets(params):
-            assert attainment(desc, which) == pytest.approx(target, abs=1e-9), (
+        for desc, which, target in endpoints(params):
+            triple = extremal_coeffs(desc)
+            value = triple.d1() if which is Which.D1 else triple.d2()
+            assert value == pytest.approx(target, abs=1e-9), (
                 f"{desc.name.value} misses its {which.value} endpoint"
             )
 
     def test_named_examples(self):
         params = ClassParams.spirallike(0.3, 0.7)
         h = ExtremalDescriptor(ExtremalName.H, params)
-        assert attainment(h, Which.D2) == pytest.approx(0.7 * math.cos(0.7), abs=1e-12)
+        assert extremal_coeffs(h).d2() == pytest.approx(0.7 * math.cos(0.7), abs=1e-12)
         q = ExtremalDescriptor(ExtremalName.Q, ClassParams.convex(0.3, 0.7))
-        assert attainment(q, Which.D1) == pytest.approx(-1.0, abs=1e-12)
+        assert extremal_coeffs(q).d1() == pytest.approx(-1.0, abs=1e-12)
         desc = bound_d2(ClassParams.ozaki(0.75)).lower_extremal
-        assert attainment(desc, Which.D2) == pytest.approx(-0.34375, abs=1e-12)
+        assert extremal_coeffs(desc).d2() == pytest.approx(-0.34375, abs=1e-12)
 
     def test_rotation_invariance(self, rng):
         # e^{-i theta} f(e^{i theta} z) multiplies a_n by e^{i(n-1)theta};
         # both functionals are unchanged.
         for params in (ClassParams.spirallike(0.25, 0.5), ClassParams.ozaki(0.6)):
-            for desc, which, _ in extremal_targets(params):
+            for desc, _, _ in endpoints(params):
                 f = extremal_series(desc, 8)
                 theta = rng.uniform(0, 2 * math.pi)
                 phases = np.exp(1j * theta * (np.arange(9) - 1))
@@ -344,7 +344,7 @@ class TestAttainment:
         # any order builds the same g_1 and g_2 by the same operations and
         # divides them the same way.  Every bit counts, the sign of a zero
         # part too.  The points cover all nine catalog extremals.
-        for desc, _, _ in extremal_targets(params):
+        for desc, _, _ in endpoints(params):
             got = float_bits(extremal_coeffs(desc))
             for order in (4, 12, 128, 1024):
                 want = coeffs_from_series(extremal_series(desc, order))
@@ -353,7 +353,7 @@ class TestAttainment:
     def test_nine_catalog_names(self):
         names = set()
         for params in (SPIRAL_00, CONVEX_00, ClassParams.ozaki(1.0)):
-            for desc, _, _ in extremal_targets(params):
+            for desc, _, _ in endpoints(params):
                 names.add(desc.name)
         assert len(names) == 9
 

@@ -283,6 +283,32 @@ class TestSweep:
         assert "does not apply" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("as_config", [False, True], ids=["flags", "config"])
+    def test_lattice_cap(self, tmp_path, capsys, monkeypatch, as_config):
+        # A lattice of more than MAX_LATTICE points is a usage error, from
+        # flags or from config keys; one of MAX_LATTICE points runs.
+        monkeypatch.setattr(config, "MAX_LATTICE", 6)
+
+        def run(alphas, gammas):
+            out = tmp_path / "out.csv"
+            argv = ["sweep", "--format", "csv", "--out", str(out)]
+            if as_config:
+                cfg = tmp_path / "lattice.cfg"
+                cfg.write_text(f"alphas={alphas}\ngammas={gammas}\n", encoding="utf-8")
+                argv += ["--config", str(cfg)]
+            else:
+                argv += ["--alphas", alphas, f"--gammas={gammas}"]
+            return main(argv), out
+
+        code, out = run("0,0.25,2", "-pi/6,pi/6,3")
+        assert code == 0
+        assert len(read_csv(out)[1]) == 6
+        out.unlink()
+        code, out = run("0,0.25,7", "0,0,1")
+        assert code == 2
+        assert "the lattice has 7 points, more than 6" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExtremalAndSample:
     def test_extremal_rows_pass(self, tmp_path):
@@ -602,6 +628,15 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("family,")
+
+
+def test_sample_default_atom_count(tmp_path):
+    # The flag and the library default read one constant.
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--samples", "3", "--format", "csv", "--out", str(out)]) == 0
+    assert read_csv(out)[1][0]["n_atoms_max"] == str(config.DEFAULT_ATOMS)
+    assert verify_module.sample_no_violation(ClassParams.spirallike(), 3).n_atoms_max \
+        == config.DEFAULT_ATOMS
 
 
 def test_sample_accepts_the_largest_atom_count(tmp_path):

@@ -13,7 +13,7 @@ import succoeff
 from succoeff import (AtomicHerglotzRep, BoundInterval, CaseBoundaryReport, ClassParams,
                       CoeffTriple, DomainError, ExtremalDescriptor, ExtremalName, Family,
                       FunctionalSpec, MembershipReport, SampleReport, VerifyReport, Which,
-                      attainment, bound_d1, bound_d2, case_boundary_check, functional_value,
+                      bound_d1, bound_d2, case_boundary_check, functional_value,
                       grid_optimize, sample_no_violation)
 from succoeff.verify import WorstMargin
 
@@ -133,8 +133,6 @@ def test_enum_fields_store_the_member():
     assert desc.name is ExtremalName.F_SPIRAL
     assert desc.name.value == "F_SPIRAL"
     assert _F_SPIRAL._replace(name="F_SPIRAL").name is ExtremalName.F_SPIRAL
-    assert attainment(_F_SPIRAL, "d1") == attainment(_F_SPIRAL, Which.D1)
-    assert attainment(_F_SPIRAL, "d1") != attainment(_F_SPIRAL, Which.D2)
 
 
 UNKNOWN = {
@@ -142,7 +140,6 @@ UNKNOWN = {
     "functional-by-name": lambda: SPEC._replace(which="D1"),
     "extremal": lambda: ExtremalDescriptor("NOPE", PARAMS),
     "extremal-replace": lambda: _F_SPIRAL._replace(name="k"),
-    "attainment": lambda: attainment(_F_SPIRAL, "d3"),
     "no-atoms": lambda: AtomicHerglotzRep.from_atoms([]),
 }
 

@@ -14,13 +14,13 @@ from succoeff import (
     DomainError,
     FunctionalSpec,
     Which,
-    attainment,
     bound_d2,
     case_boundary_check,
     coeffs_from_c,
     construct_member,
     coeffs_from_series,
     config,
+    extremal_coeffs,
     functional_value,
     grid_optimize,
     lz_c2,
@@ -217,7 +217,7 @@ class TestGridOptimize:
         c_star, x_star = two_atom_parameters(params)
         value = functional_value(FunctionalSpec(params, Which.D2), c_star, x_star)
         desc = bound_d2(params).lower_extremal
-        assert value == pytest.approx(attainment(desc, Which.D2), abs=1e-10)
+        assert value == pytest.approx(extremal_coeffs(desc).d2(), abs=1e-10)
 
 
 # (params, n_atoms_max): several atoms, one atom (exact d1 ties), the most atoms.
@@ -465,7 +465,7 @@ class TestConvexSmallTRegime:
         c_star, x_star = two_atom_parameters(self.PARAMS)
         assert c_star == pytest.approx(3 / 2.2, abs=1e-15)
         desc = report.analytic.lower_extremal
-        assert attainment(desc, Which.D2) == pytest.approx(expected_min, abs=1e-14)
+        assert extremal_coeffs(desc).d2() == pytest.approx(expected_min, abs=1e-14)
 
     def test_case_check_passes_at_vertex(self):
         report = case_boundary_check(self.PARAMS)
