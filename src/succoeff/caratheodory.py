@@ -13,8 +13,8 @@ import cmath
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import accumulate, chain, repeat
-from operator import add, index, mul, sub
+from itertools import accumulate, repeat
+from operator import add, index, mul
 
 from . import config
 from .errors import DegenerateError, DomainError, InfeasibleError
@@ -33,7 +33,10 @@ class AtomicHerglotzRep(namedtuple("AtomicHerglotzRep", "weights points")):
     """Convex combination sum_j w_j (1+eps_j z)/(1-eps_j z), |eps_j| = 1.
 
     Any sequences are accepted; they are stored as tuples of float and
-    complex.
+    complex.  Raises DomainError unless they match and are nonempty, the
+    weights lie in (0, 1] and sum to 1, and the points are unimodular, each
+    within ``config.REP_ATOL``.  A NaN or an infinity fails the test of the
+    sequence that holds it.
     """
 
     __slots__ = ()
@@ -41,7 +44,15 @@ class AtomicHerglotzRep(namedtuple("AtomicHerglotzRep", "weights points")):
     def __new__(cls, weights: Sequence[float], points: Sequence[complex]):
         w = tuple(map(float, weights))
         e = tuple(map(complex, points))
-        _check_atoms([(w, e)])
+        tol = config.REP_ATOL
+        if not w or len(w) != len(e):
+            raise DomainError("need matching, nonempty weight/point sequences")
+        if not all(0.0 < v <= 1.0 + tol for v in w):
+            raise DomainError("weights must lie in (0, 1]")
+        if abs(math.fsum(w) - 1.0) > tol:
+            raise DomainError("weights must sum to 1")
+        if not all(abs(abs(p) - 1.0) <= tol for p in e):
+            raise DomainError("atom points must lie on the unit circle")
         return super().__new__(cls, w, e)
 
     # _replace builds through _make; route it through the checks above.
@@ -58,31 +69,6 @@ class AtomicHerglotzRep(namedtuple("AtomicHerglotzRep", "weights points")):
 
     def atoms(self):
         return list(zip(self.weights, self.points))
-
-
-def _check_atoms(measures: Sequence[tuple[Sequence[float], Sequence[complex]]]) -> None:
-    """Raise DomainError unless every (weights, points) pair is a valid measure.
-
-    The invariants of :class:`AtomicHerglotzRep`, checked for a whole batch
-    of float weights and complex points in C-level passes: matching
-    nonempty sequences, weights in (0, 1] summing to 1, and unimodular
-    points, each within ``config.REP_ATOL``.  Each predicate is tried over
-    the whole batch before the next, so a batch with one bad measure raises
-    the error that measure raises alone.  A NaN or an infinity is
-    rejected by the predicate of the sequence that holds it.
-    """
-    tol = config.REP_ATOL
-    weights, points = zip(*measures)
-    if not all(map(len, weights)) or list(map(len, weights)) != list(map(len, points)):
-        raise DomainError("need matching, nonempty weight/point sequences")
-    w = list(chain.from_iterable(weights))
-    if not (all(map(math.isfinite, w)) and min(w) > 0.0 and max(w) <= 1.0 + tol):
-        raise DomainError("weights must lie in (0, 1]")
-    if max(map(abs, map(sub, map(math.fsum, weights), repeat(1.0)))) > tol:
-        raise DomainError("weights must sum to 1")
-    r = list(map(abs, chain.from_iterable(points)))
-    if not all(map(math.isfinite, r)) or max(map(abs, map(sub, r, repeat(1.0)))) > tol:
-        raise DomainError("atom points must lie on the unit circle")
 
 
 def lz_c2(c: float, x: complex) -> complex:
@@ -205,10 +191,6 @@ def _draw_atoms(rng: random.Random, n_atoms: int) -> tuple[list[float], list[com
     return [v / total for v in w], [cmath.rect(1.0, a) for a in angles]
 
 
-def _random_rep(rng: random.Random, n_atoms: int) -> AtomicHerglotzRep:
-    return AtomicHerglotzRep(*_draw_atoms(rng, n_atoms))
-
-
 def random_rep(n_atoms: int, seed: int) -> AtomicHerglotzRep:
     """Reproducible pseudo-random atomic representation."""
-    return _random_rep(_seeded_stream(seed), n_atoms)
+    return AtomicHerglotzRep(*_draw_atoms(_seeded_stream(seed), n_atoms))

@@ -17,8 +17,8 @@ MAX_ORDER = 1024
 
 # The default and the largest atom count of a sampled member, for
 # `sample --atoms-max` and sample_no_violation.  A sampled member costs
-# O(atoms): on a 2-vCPU Xeon with Python 3.11, in-process, about 0.0019 ms
-# at 1 atom, 0.0032 ms at the default 6 and 0.017 ms at 64.
+# O(atoms): on a noisy 2-vCPU Xeon with Python 3.11, in-process, 2.9-4.5 us
+# at 1 atom, 5.0-7.0 us at the default 6 and 23-38 us at 64.
 DEFAULT_ATOMS = 6
 MAX_ATOMS = 64
 

@@ -19,7 +19,7 @@ from collections import namedtuple
 
 from . import config
 from .bounds import Which, bound_d1, bound_d2, two_atom_parameters
-from .caratheodory import AtomicHerglotzRep, _check_atoms, _count, _seeded_stream
+from .caratheodory import AtomicHerglotzRep, _count, _seeded_stream
 from .errors import DomainError
 from .families import ClassParams, _abs_exponent, _divisors, _exponent
 
@@ -171,12 +171,6 @@ class SampleReport(namedtuple("SampleReport", [
         return self.n_violations == 0 and self.n_constructed > 0
 
 
-# Members per check of the drawn measures.  Results do not depend on it;
-# it caps the measures held at once, so peak memory does not grow with
-# n_samples, and one check of 256 measures costs less than 256 checks.
-_CHUNK = 256
-
-
 def _atom_count(r: float, n_max: int) -> int:
     """An atom count in [1, n_max] from one draw r in [0, 1).
 
@@ -213,11 +207,10 @@ def sample_no_violation(
     its order of operations, and gives its verdicts: the calls would cost
     more than the arithmetic.  Taking the jet's 2v/1 and S_i(1) =
     eps_i (0 + g_0) as 2v and eps_i changes at most the sign of a zero
-    part, so |a2| and |a3| are bitwise those of ``construct_member``.  A
-    check per ``_CHUNK`` members tests the drawn measures against the
-    invariants of AtomicHerglotzRep, so a bad measure raises before
-    anything is returned.  Ties in a worst margin go to the lowest sample
-    index; only the witnesses become AtomicHerglotzReps.
+    part, so |a2| and |a3| are bitwise those of ``construct_member``.
+    Ties in a worst margin go to the lowest sample index.  Only the four
+    witnesses are validated, when they become AtomicHerglotzReps; the
+    draw gives a valid measure by construction.
 
     Every draw is ``random.Random(seed).random()``: per member an atom
     count ``1 + min(int(r * n_atoms_max), n_atoms_max - 1)``, then weights
@@ -238,48 +231,45 @@ def sample_no_violation(
     # (margin, sample index, measure) of each side's worst member.
     d1_lo = d1_hi = d2_lo = d2_hi = (math.inf, -1, None)
     n_constructed = n_failures = n_violations = 0
-    for start in range(0, n_samples, _CHUNK):
-        chunk = []
-        for i in range(start, min(start + _CHUNK, n_samples)):
-            raw = []
-            total = 0.0
-            for _ in range(_atom_count(draw(), n_atoms_max)):
-                w = 0.05 + 0.95 * draw()
-                raw.append(w)
-                total += w
-            weights, points = [], []
-            acc = 0j
-            for w in raw:
-                w /= total
-                eps = rect(1.0, tau * draw())
-                weights.append(w)
-                points.append(eps)
-                acc += w * eps
-            chunk.append(measure := (weights, points))
-            g1 = two_v * acc
-            acc = 0j
-            for w, eps in zip(weights, points):
-                acc += w * (eps * (eps + g1))
-            a2, a3 = g1 / n2, v * acc / n3
-            if not (isfinite(a2) and isfinite(a3)):
-                n_failures += 1
-                continue
-            n_constructed += 1
-            value = abs(a2) - 1.0
-            lo, hi = value - d1.lower, d1.upper - value
-            n_violations += lo < d1_lo_floor or hi < d1_hi_floor
-            if lo < d1_lo[0]:
-                d1_lo = (lo, i, measure)
-            if hi < d1_hi[0]:
-                d1_hi = (hi, i, measure)
-            value = abs(a3) - abs(a2)
-            lo, hi = value - d2.lower, d2.upper - value
-            n_violations += lo < d2_lo_floor or hi < d2_hi_floor
-            if lo < d2_lo[0]:
-                d2_lo = (lo, i, measure)
-            if hi < d2_hi[0]:
-                d2_hi = (hi, i, measure)
-        _check_atoms(chunk)
+    for i in range(n_samples):
+        raw = []
+        total = 0.0
+        for _ in range(_atom_count(draw(), n_atoms_max)):
+            w = 0.05 + 0.95 * draw()
+            raw.append(w)
+            total += w
+        weights, points = [], []
+        acc = 0j
+        for w in raw:
+            w /= total
+            eps = rect(1.0, tau * draw())
+            weights.append(w)
+            points.append(eps)
+            acc += w * eps
+        measure = (weights, points)
+        g1 = two_v * acc
+        acc = 0j
+        for w, eps in zip(weights, points):
+            acc += w * (eps * (eps + g1))
+        a2, a3 = g1 / n2, v * acc / n3
+        if not (isfinite(a2) and isfinite(a3)):
+            n_failures += 1
+            continue
+        n_constructed += 1
+        value = abs(a2) - 1.0
+        lo, hi = value - d1.lower, d1.upper - value
+        n_violations += lo < d1_lo_floor or hi < d1_hi_floor
+        if lo < d1_lo[0]:
+            d1_lo = (lo, i, measure)
+        if hi < d1_hi[0]:
+            d1_hi = (hi, i, measure)
+        value = abs(a3) - abs(a2)
+        lo, hi = value - d2.lower, d2.upper - value
+        n_violations += lo < d2_lo_floor or hi < d2_hi_floor
+        if lo < d2_lo[0]:
+            d2_lo = (lo, i, measure)
+        if hi < d2_hi[0]:
+            d2_hi = (hi, i, measure)
     return SampleReport(
         params, n_samples, n_atoms_max, seed, n_constructed, n_failures, n_violations,
         *(WorstMargin(margin, i, None if measure is None else AtomicHerglotzRep(*measure))

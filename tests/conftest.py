@@ -25,7 +25,7 @@ import pytest
 
 from succoeff import (AtomicHerglotzRep, ClassParams, DomainError, SuccoeffError, TruncatedSeries,
                       Which, bound_d1, bound_d2, coeffs_from_series, config, moments)
-from succoeff.caratheodory import _random_rep, _seeded_stream
+from succoeff.caratheodory import _draw_atoms, _seeded_stream
 from succoeff.families import _exponent, _member
 from succoeff.verify import SampleReport, WorstMargin, _atom_count
 
@@ -151,7 +151,7 @@ def sample_reference(params: ClassParams, n_samples: int, n_atoms_max: int = 6, 
     worst = {name: (math.inf, -1, None) for name in ("d1_low", "d1_high", "d2_low", "d2_high")}
     n_constructed = n_failures = n_violations = 0
     for i in range(n_samples):
-        rep = _random_rep(rng, _atom_count(rng.random(), n_atoms_max))
+        rep = AtomicHerglotzRep(*_draw_atoms(rng, _atom_count(rng.random(), n_atoms_max)))
         try:
             triple = coeffs_from_series(_member(params, atom_jet_reference(rep, order - 1, v)))
         except SuccoeffError:

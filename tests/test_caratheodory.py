@@ -1,7 +1,6 @@
 """Atomic representations, the (c2, c3) parametrization, two-atom solving."""
 
 import math
-import random
 import re
 
 import numpy as np
@@ -29,7 +28,6 @@ from conftest import (
     lz_invert_y,
     normalize_rotation,
 )
-from succoeff.caratheodory import _check_atoms, _draw_atoms
 
 
 def herglotz_eval(rep, z):
@@ -66,21 +64,12 @@ class TestRepInvariants:
         "empty": ((), (), "need matching, nonempty weight/point sequences"),
     }
 
-    @pytest.mark.parametrize("position", [0, 3, 6])
     @pytest.mark.parametrize("weights, points, message", BAD_MEASURES.values(), ids=BAD_MEASURES)
-    def test_batch_check_raises_what_the_class_raises(self, weights, points, message, position):
-        # One bad measure among valid ones: the batch check of sample's
-        # chunks raises the DomainError of the lone AtomicHerglotzRep.
-        rng = random.Random(17)
-        chunk = [_draw_atoms(rng, n) for n in (1, 6, 2, 3, 64, 1)]
-        _check_atoms(chunk)
-        with pytest.raises(DomainError) as lone:
+    def test_bad_measure_raises_its_message(self, weights, points, message):
+        # The checks run in a fixed order, so each measure names one rule.
+        with pytest.raises(DomainError) as exc:
             AtomicHerglotzRep(weights, points)
-        assert str(lone.value) == message
-        chunk.insert(position, (weights, points))
-        with pytest.raises(DomainError) as batch:
-            _check_atoms(chunk)
-        assert str(batch.value) == message
+        assert str(exc.value) == message
 
 
 class TestMoments:

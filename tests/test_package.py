@@ -41,7 +41,7 @@ def test_unknown_name_raises_attribute_error():
         succoeff.no_such_name
     # A private name of a submodule is not part of the package surface.
     assert not hasattr(succoeff, "_atom_jet")
-    assert not hasattr(succoeff, "_check_atoms")
+    assert not hasattr(succoeff, "_draw_atoms")
 
 
 def test_dir_lists_all():

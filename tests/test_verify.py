@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from succoeff import (
+    AtomicHerglotzRep,
     ClassParams,
     DomainError,
     FunctionalSpec,
@@ -33,10 +34,10 @@ from succoeff import (
 )
 from conftest import sample_reference
 from jets import functional_values
-from succoeff.caratheodory import _check_atoms, _draw_atoms, _seeded_stream
+from succoeff.caratheodory import _draw_atoms, _seeded_stream
 from succoeff.cli import main
 from succoeff.families import _atom_jet
-from succoeff.verify import _CHUNK, WorstMargin, _atom_count
+from succoeff.verify import WorstMargin, _atom_count
 
 SPIRAL_00 = ClassParams.spirallike(0.0, 0.0)
 CONVEX_00 = ClassParams.convex(0.0, 0.0)
@@ -260,11 +261,13 @@ class TestSampling:
         assert report.d2_low.sample_index >= 0
         assert report.d2_low.rep is not None
 
-    @pytest.mark.parametrize("n_samples", [255, 256, 257, 600])
+    @pytest.mark.parametrize("n_samples", [1, 255, 256, 257, 600])
     @pytest.mark.parametrize("params, n_atoms_max", SAMPLED_POINTS)
     def test_matches_per_member_loop(self, params, n_atoms_max, n_samples):
-        # Chunk edges fall inside, at and just past a chunk; one atom gives
-        # exact ties in the d1 upper margin, which go to the lowest index.
+        # The reference draws each member through _draw_atoms and validates
+        # it as an AtomicHerglotzRep, so the sampler's inline draw is pinned
+        # to a checked measure, member by member.  One atom gives exact ties
+        # in the d1 upper margin, which go to the lowest index.
         got = sample_no_violation(params, n_samples, n_atoms_max, seed=9)
         assert got == sample_reference(params, n_samples, n_atoms_max, seed=9)
 
@@ -293,50 +296,31 @@ class TestSampling:
 
     @pytest.mark.parametrize("order", [4, 12, 1024])
     def test_verdicts_build_order_two_jets(self, order, monkeypatch, tmp_path):
-        # Whatever --order says, sample checks every drawn measure once, a
-        # chunk at a time, and builds no jet: it reads g_1 and g_2 inline.
-        # Each of the four extremals of each extremal or verify row set is
-        # one order-2 jet.  No command builds a longer jet.
-        checked, jets = [], []
-
-        def check_spy(measures):
-            checked.append(len(measures))
-            return _check_atoms(measures)
+        # Whatever --order says, sample builds no jet: it reads g_1 and g_2
+        # inline.  Each of the four extremals of each extremal or verify row
+        # set is one order-2 jet.  No command builds a longer jet.
+        jets = []
 
         def jet_spy(weights, points, order, v):
             jets.append(order)
             return _atom_jet(weights, points, order, v)
 
-        monkeypatch.setattr("succoeff.verify._check_atoms", check_spy)
         for module in ("families", "bounds"):
             monkeypatch.setattr(f"succoeff.{module}._atom_jet", jet_spy)
         assert main(["sample", "--samples", "600", "--order", str(order), "--format", "csv",
                      "--out", str(tmp_path / "s.csv")]) == 0
-        assert checked == [256, 256, 88]
         assert jets == []
         for command in ("extremal", "verify"):
             assert main([command, "--family", "convex", "--alpha", "0.5", "--gamma", "1.4",
                          "--format", "csv", "--out", str(tmp_path / f"{command}.csv")]) == 0
         assert jets == [2] * 8
 
-    def test_peak_memory_flat_in_n_samples(self, monkeypatch):
-        # Members are checked and dropped in chunks of 256, so 32 chunks
-        # must peak where 2 do.  Tracing costs microseconds per allocation,
-        # so the traced runs cut the chunk to 8 (512 and 8192 members become
-        # 16 and 256).  Unchunked, the 256 one-atom measures add about
-        # 70 kB, and chunked under 1 kB.  The untraced first run also fills
-        # the free lists of small tuples, which would otherwise grow the
-        # traced peak.
-        batches = []
-
-        def spy(measures):
-            batches.append(len(measures))
-            return _check_atoms(measures)
-
-        monkeypatch.setattr("succoeff.verify._check_atoms", spy)
+    def test_peak_memory_flat_in_n_samples(self):
+        # Each member's lists are dropped as the loop moves on, so 8192
+        # members must peak where 512 do; held, 8192 one-atom measures
+        # would add over 1 MB.  The untraced first run fills the free lists
+        # of small tuples, which would otherwise grow the traced peak.
         sample_no_violation(CONVEX_00, 600, n_atoms_max=1, seed=1)
-        assert batches == [256, 256, 88]
-        monkeypatch.setattr("succoeff.verify._CHUNK", 8)
 
         def peak(n_samples):
             tracemalloc.start()
@@ -346,27 +330,19 @@ class TestSampling:
             finally:
                 tracemalloc.stop()
 
-        assert peak(256) <= peak(16) + 16 * 1024
+        assert peak(8192) <= peak(512) + 16 * 1024
 
-    @pytest.mark.parametrize("n_samples", [1, 255, 256, 257, 600])
-    def test_every_drawn_measure_checked_once(self, n_samples, monkeypatch):
-        # The check sees each member's measure once, in sample order, in
-        # full chunks of _CHUNK and one shorter last chunk; the measures
-        # are the draws of _draw_atoms, member by member.
-        checked = []
-        monkeypatch.setattr("succoeff.verify._check_atoms", checked.append)
-        sample_no_violation(CONVEX_00, n_samples, seed=3)
-        assert [len(chunk) for chunk in checked] == [
-            min(_CHUNK, n_samples - start) for start in range(0, n_samples, _CHUNK)]
-        rng = _seeded_stream(3)
-        expected = [_draw_atoms(rng, _atom_count(rng.random(), 6)) for _ in range(n_samples)]
-        assert [measure for chunk in checked for measure in chunk] == expected
+    @pytest.mark.parametrize("seed", range(50))
+    def test_every_draw_is_a_valid_measure(self, seed):
+        # sample validates only its witnesses, so the draw itself must give
+        # measures that AtomicHerglotzRep accepts, at every atom count.
+        for n_atoms in range(1, 65):
+            AtomicHerglotzRep(*_draw_atoms(_seeded_stream(seed), n_atoms))
 
-    def test_drawn_measures_are_checked(self, monkeypatch):
-        # Each chunk goes through the invariants of AtomicHerglotzRep
-        # before anything is returned: a NaN weight draw for the 300th
-        # member, in the second chunk, is an error.  One atom per member
-        # takes three draws: its count, its weight and its angle.
+    def test_non_finite_draw_is_a_construction_failure(self, monkeypatch):
+        # A NaN weight draw for the 300th member makes its a2 not finite:
+        # one construction failure, and the run goes on.  One atom per
+        # member takes three draws: its count, its weight and its angle.
         class BadWeight300:
             def __init__(self, seed):
                 self.rng, self.n = random.Random(seed), 0
@@ -375,17 +351,10 @@ class TestSampling:
                 self.n += 1
                 return math.nan if self.n == 3 * 299 + 2 else self.rng.random()
 
-        checked = []
-
-        def spy(measures):
-            checked.append(len(measures))
-            return _check_atoms(measures)
-
         monkeypatch.setattr("succoeff.verify._seeded_stream", BadWeight300)
-        monkeypatch.setattr("succoeff.verify._check_atoms", spy)
-        with pytest.raises(DomainError, match=r"weights must lie in \(0, 1\]"):
-            sample_no_violation(CONVEX_00, n_samples=600, n_atoms_max=1, seed=2)
-        assert checked == [256, 256]
+        report = sample_no_violation(CONVEX_00, n_samples=600, n_atoms_max=1, seed=2)
+        assert (report.n_constructed, report.n_failures, report.n_violations) == (599, 1, 0)
+        assert report.passed
 
     @pytest.mark.parametrize("name, value", [
         ("n_samples", 2.5), ("n_samples", "10"), ("n_atoms_max", 2.0), ("seed", 1.0)])
