@@ -54,11 +54,11 @@ MEMBERSHIP_ANGLES = 64
 # So every verdict (optimizer endpoint, extremal attainment, sampled margin,
 # case-analysis c*) compares two computations of one quantity, and the
 # only slack between them is roundoff: GATE_ULPS units of
-# eps * max(1, |scale|), eps = 2**-52.  Over 30,000 random points of the
-# three families and 176 points on the edges of their parameter boxes, the
-# worst gap seen was 5.5 units (an extremal's attainment); 64 leaves more
-# than 10x headroom.  See "Verdict gates" in the README.
-GATE_ULPS = 64
+# eps * max(1, |scale|), eps = 2**-52.  Over 91,230 seeded classes of the
+# three families, their box edges and their branch points, the worst gap
+# was 4.5 units (an extremal's attainment); tests/test_verdict_gates.py
+# holds every gap to 8, half the gate.  See "Verdict gates" in the README.
+GATE_ULPS = 16
 
 
 def gate(scale: float) -> float:

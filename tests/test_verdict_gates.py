@@ -1,0 +1,168 @@
+"""The verdict gate against the gaps it forgives, and verdicts that no libm bit moves.
+
+Every verdict compares two computations of one quantity and forgives
+``config.gate(scale)``, ``GATE_ULPS`` units of ``eps * max(1, |scale|)``
+with ``eps = 2**-52``.  :func:`test_worst_gap_is_at_most_half_the_gate`
+measures each gap in those units over seeded classes of every family, the
+edges of their parameter boxes and the two branch points, and requires the
+worst to be at most half the gate.
+
+The digests of :mod:`test_outputs` depend on the libm: a ``cos`` one ulp
+off moves printed digits.  :func:`test_no_verdict_depends_on_libm` checks
+that no exit code and no ``passed`` cell does, with each of ``math.cos``,
+``math.sin``, ``cmath.rect`` and ``cmath.exp`` moved one ulp either way.
+"""
+
+import cmath
+import json
+import math
+import random
+
+import pytest
+
+from succoeff import (ClassParams, FunctionalSpec, Which, bound_d1, bound_d2, case_boundary_check,
+                      config, grid_optimize, sample_no_violation)
+from succoeff.cli import _attained
+from test_outputs import COMMANDS, CONFIGS, _run
+
+# The worst gap allowed, in units of eps * max(1, |scale|): half the gate.
+MAX_GAP_UNITS = 8
+
+
+def _units(gap: float, scale: float) -> float:
+    return gap / (2.0**-52 * max(1.0, abs(scale)))
+
+
+def _ulps_around(x: float, n: int) -> list[float]:
+    """x and the n floats on either side of it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return [*reversed(below[1:]), *above]
+
+
+def _convex_branch_gamma(alpha: float) -> float:
+    """The gamma where T = sqrt(1 + 4(1-a)(2-a)cos^2 g) is 5/4, the convex branch point."""
+    return math.acos(math.sqrt(9.0 / (64.0 * (1.0 - alpha) * (2.0 - alpha))))
+
+
+def _classes(per_family: int, seed: int) -> list[ClassParams]:
+    rng = random.Random(seed)
+    half_pi = math.nextafter(math.pi / 2, 0.0)
+    classes = []
+    for _ in range(per_family):
+        # gamma = (r - 1/2) pi lies in (-pi/2, pi/2), and 1 - r in (0, 1].
+        classes.append(ClassParams.spirallike(rng.random(), (rng.random() - 0.5) * math.pi))
+        classes.append(ClassParams.convex(rng.random(), (rng.random() - 0.5) * math.pi))
+        classes.append(ClassParams.ozaki(1.0 - rng.random()))
+    # The edges of each box.
+    alphas = [0.0, 1e-12, 0.5, 1.0 - 1e-12, math.nextafter(1.0, 0.0)]
+    gammas = [0.0, 1e-12, math.pi / 4, 1.5, math.nextafter(half_pi, 0.0), half_pi]
+    classes += [ClassParams(family, alpha, sign * gamma) for family in ("spirallike", "convex")
+                for alpha in alphas for gamma in gammas for sign in (1.0, -1.0)]
+    classes += [ClassParams.ozaki(lam) for lam in
+                (5e-324, 1e-12, 0.25, 0.75, math.nextafter(1.0, 0.0), 1.0)]
+    # 40 ulps of gamma either side of T = 5/4, and 20 ulps of lam either side of 1/2.
+    classes += [ClassParams.convex(alpha, gamma) for alpha in (0.0, 0.3, 0.6)
+                for gamma in _ulps_around(_convex_branch_gamma(alpha), 40)]
+    classes += [ClassParams.ozaki(lam) for lam in _ulps_around(0.5, 20)]
+    return classes
+
+
+def _gaps(params: ClassParams) -> dict[str, float]:
+    """The worst gap of each exact verdict at ``params``, in units."""
+    gaps = {"optimizer": 0.0, "attainment": 0.0}
+    for which in (Which.D1, Which.D2):
+        report = grid_optimize(FunctionalSpec(params, which))
+        gaps["optimizer"] = max(gaps["optimizer"],
+                                _units(report.residual_min, report.analytic.lower),
+                                _units(report.residual_max, report.analytic.upper))
+        for att in _attained(report.analytic, which):
+            gaps["attainment"] = max(gaps["attainment"], _units(att.residual, att.target))
+    case = case_boundary_check(params)
+    gaps["case check"] = _units(abs(case.argmin_c - case.c_star), case.c_star)
+    return gaps
+
+
+def test_convex_branch_gamma_is_at_t_five_quarters():
+    for alpha in (0.0, 0.3, 0.6):
+        cosg = math.cos(_convex_branch_gamma(alpha))
+        t = math.sqrt(1.0 + 4.0 * (1.0 - alpha) * (2.0 - alpha) * cosg**2)
+        assert t == pytest.approx(1.25, abs=1e-15)
+
+
+def test_gate_is_twice_the_worst_gap_allowed():
+    assert config.GATE_ULPS == 2 * MAX_GAP_UNITS
+
+
+def test_worst_gap_is_at_most_half_the_gate():
+    worst = {}
+    for params in _classes(per_family=2000, seed=20261019):
+        for name, gap in _gaps(params).items():
+            if gap > worst.get(name, (-1.0,))[0]:
+                worst[name] = (gap, params)
+    assert set(worst) == {"optimizer", "attainment", "case check"}
+    assert all(gap <= MAX_GAP_UNITS for gap, _ in worst.values()), worst
+
+
+def test_worst_sampled_margin_is_at_most_half_the_gate():
+    # A margin below 0 is the only gap sample forgives; each run's four
+    # worst margins are measured against the endpoints they gate.
+    rng = random.Random(20261019)
+    gaps = []
+    for i in range(90):
+        params = (ClassParams.spirallike(rng.random(), (rng.random() - 0.5) * math.pi),
+                  ClassParams.convex(rng.random(), (rng.random() - 0.5) * math.pi),
+                  ClassParams.ozaki(1.0 - rng.random()))[i % 3]
+        report = sample_no_violation(params, 500, n_atoms_max=1 + i % 6, seed=i)
+        assert report.passed
+        d1, d2 = bound_d1(params), bound_d2(params)
+        gaps += [(_units(-side.margin, scale), params)
+                 for side, scale in ((report.d1_low, d1.lower), (report.d1_high, d1.upper),
+                                     (report.d2_low, d2.lower), (report.d2_high, d2.upper))]
+    worst = max(gaps, key=lambda gap: gap[0])
+    assert worst[0] <= MAX_GAP_UNITS, worst
+
+
+# ------------------------------------------------------------------- libm
+
+def _shifted(fn, direction: float):
+    """``fn`` with its result moved one ulp toward ``direction``, both parts of a complex one."""
+    def moved(*args):
+        value = fn(*args)
+        if isinstance(value, complex):
+            return complex(math.nextafter(value.real, direction),
+                           math.nextafter(value.imag, direction))
+        return math.nextafter(value, direction)
+    return moved
+
+
+def _verdicts(tmp) -> dict[str, tuple[int, list, str]]:
+    """command line -> (exit code, its rows' passed cells, json digest)."""
+    for name, text in CONFIGS.items():
+        (tmp / name).write_text(text, encoding="utf-8", newline="\n")
+    verdicts = {}
+    for command in COMMANDS:
+        code, digest = _run(command, "json", tmp)
+        rows = json.loads((tmp / "out.json").read_text(encoding="utf-8"))
+        verdicts[command] = (code, [row.get("passed") for row in rows], digest)
+    return verdicts
+
+
+@pytest.fixture(scope="module")
+def unpatched(tmp_path_factory):
+    return _verdicts(tmp_path_factory.mktemp("unpatched"))
+
+
+@pytest.mark.parametrize("direction", [math.inf, -math.inf], ids=["up", "down"])
+@pytest.mark.parametrize("module, name", [(math, "cos"), (math, "sin"), (cmath, "rect"),
+                                          (cmath, "exp")],
+                         ids=["cos", "sin", "rect", "cexp"])
+def test_no_verdict_depends_on_libm(monkeypatch, tmp_path, unpatched, module, name, direction):
+    monkeypatch.setattr(module, name, _shifted(getattr(module, name), direction))
+    patched = _verdicts(tmp_path)
+    assert {command: cells[:2] for command, cells in patched.items()} == \
+        {command: cells[:2] for command, cells in unpatched.items()}
+    # The shift reaches the printed digits of some row, so the check is not vacuous.
+    assert any(patched[command][2] != unpatched[command][2] for command in COMMANDS)
