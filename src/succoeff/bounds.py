@@ -13,24 +13,12 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .caratheodory import AtomicHerglotzRep, _count, solve_two_atom
-from .errors import DegenerateError, DomainError
+from . import _EXPORTS
+from .errors import DegenerateError, DomainError, _count
 from .families import (ClassParams, CoeffTriple, Family, _atom_jet, _divisors, _exponent,
                        construct_member)
 
-__all__ = [
-    "Which",
-    "ExtremalName",
-    "ExtremalDescriptor",
-    "BoundInterval",
-    "t_factor",
-    "two_atom_parameters",
-    "bound_d1",
-    "bound_d2",
-    "extremal_measure",
-    "extremal_coeffs",
-    "extremal_series",
-]
+__all__ = list(_EXPORTS["bounds"])
 
 
 class Which(str, Enum):
@@ -73,15 +61,16 @@ _EXTREMALS = {
 }
 _FAMILY_OF = {name: family for family, pairs in _EXTREMALS.items() for p in pairs for name in p}
 
-_POINT_AT_1 = AtomicHerglotzRep((1.0,), (1.0 + 0j,))
-_PAIR_AT_PM_1 = AtomicHerglotzRep((0.5, 0.5), (1.0 + 0j, -1.0 + 0j))
+_POINT_AT_1 = ((1.0,), (1.0 + 0j,))
+_PAIR_AT_PM_1 = ((0.5, 0.5), (1.0 + 0j, -1.0 + 0j))
 
-# Each extremal is its family's member generated by this Carathéodory measure,
-# or, if unlisted, by the two-atom measure at the class's c* (extremal_measure).
+# Each extremal is its family's member generated by the Carathéodory measure of
+# these (weights, points), or, if unlisted, by the two-atom measure at the
+# class's c* (extremal_measure).
 _CATALOG = {
     ExtremalName.K: _POINT_AT_1,
     ExtremalName.L: _POINT_AT_1,
-    ExtremalName.G_OZAKI: AtomicHerglotzRep((1.0,), (-1.0 + 0j,)),
+    ExtremalName.G_OZAKI: ((1.0,), (-1.0 + 0j,)),
     ExtremalName.H: _PAIR_AT_PM_1,
     ExtremalName.Q: _PAIR_AT_PM_1,
     ExtremalName.H_OZAKI: _PAIR_AT_PM_1,
@@ -190,14 +179,17 @@ def extremal_measure(desc: ExtremalDescriptor) -> AtomicHerglotzRep:
     class's (c*, x*) of :func:`two_atom_parameters`, which is the point
     mass at 1 where :func:`solve_two_atom` finds c* degenerate (c* = 2).
     """
-    measure = _CATALOG.get(desc.name)
-    if measure is not None:
-        return measure
-    try:
-        return solve_two_atom(*two_atom_parameters(desc.params))
-    except DegenerateError:
-        # Measure degenerates to the point mass at 1 (Koebe-type kernel).
-        return _POINT_AT_1
+    # Only the commands that read an extremal load the measure module.
+    from .caratheodory import AtomicHerglotzRep, solve_two_atom
+
+    atoms = _CATALOG.get(desc.name)
+    if atoms is None:
+        try:
+            return solve_two_atom(*two_atom_parameters(desc.params))
+        except DegenerateError:
+            # Measure degenerates to the point mass at 1 (Koebe-type kernel).
+            atoms = _POINT_AT_1
+    return AtomicHerglotzRep(*atoms)
 
 
 def extremal_coeffs(desc: ExtremalDescriptor) -> CoeffTriple:

@@ -14,19 +14,12 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import accumulate, repeat
-from operator import add, index, mul
+from operator import add, mul
 
-from . import config
-from .errors import DegenerateError, DomainError, InfeasibleError
+from . import _EXPORTS, config
+from .errors import DegenerateError, DomainError, InfeasibleError, _count
 
-__all__ = [
-    "AtomicHerglotzRep",
-    "lz_c2",
-    "moments",
-    "to_series",
-    "solve_two_atom",
-    "random_rep",
-]
+__all__ = list(_EXPORTS["caratheodory"])
 
 
 class AtomicHerglotzRep(namedtuple("AtomicHerglotzRep", "weights points")):
@@ -149,17 +142,6 @@ def solve_two_atom(c: float, x: complex) -> AtomicHerglotzRep:
         weights.reverse()
         points.reverse()
     return AtomicHerglotzRep(weights, points)
-
-
-def _count(name: str, value: int, least: int) -> int:
-    """``value`` as an int; DomainError if it is no integer or is below ``least``."""
-    try:
-        value = index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise DomainError(f"{name} must be >= {least}, got {value}")
-    return value
 
 
 def _seeded_stream(seed: int) -> random.Random:

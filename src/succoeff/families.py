@@ -27,21 +27,10 @@ from functools import reduce
 from itertools import repeat
 from operator import add, mul, truediv
 
-from . import config
-from .caratheodory import AtomicHerglotzRep, _count
-from .errors import DomainError, EvaluationError
+from . import _EXPORTS, config
+from .errors import DomainError, EvaluationError, _count, _real
 
-__all__ = [
-    "Family",
-    "ClassParams",
-    "CoeffTriple",
-    "mu",
-    "construct_member",
-    "coeffs_from_c",
-    "coeffs_from_series",
-    "membership_check",
-    "MembershipReport",
-]
+__all__ = list(_EXPORTS["families"])
 
 
 class Family(str, Enum):
@@ -52,22 +41,6 @@ class Family(str, Enum):
     @classmethod
     def _missing_(cls, value):
         raise DomainError(f"unknown family {value!r}")
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a float; DomainError unless it is a real number.
-
-    float() would parse a string and would drop the imaginary part of a
-    numpy complex with only a warning, so both are turned away first.
-    """
-    if not (isinstance(value, (str, bytes, bytearray, complex))
-            or getattr(getattr(value, "dtype", None), "kind", "") == "c"):
-        try:
-            # -0.0 + 0.0 is 0.0, so a -0 input is stored and printed as 0.
-            return float(value) + 0.0
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise DomainError(f"{name} must be a real number, got {value!r}")
 
 
 class ClassParams(namedtuple("ClassParams", "family alpha gamma lam")):
@@ -205,6 +178,9 @@ def construct_member(
     (O(atoms * order)).  params is not validated again: a ClassParams is
     checked when it is made.
     """
+    # Imported here: bounds, which builds no measure, does not load it.
+    from .caratheodory import AtomicHerglotzRep
+
     if isinstance(p, AtomicHerglotzRep):
         order = _count("order", order, 1)
         return _member(params, _atom_jet(p.weights, p.points, order - 1, _exponent(params)))

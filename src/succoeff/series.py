@@ -21,10 +21,10 @@ from itertools import repeat
 from numbers import Complex
 from operator import add, mul, truediv
 
-from . import config
+from . import _EXPORTS, config
 from .errors import DomainError, OrderMismatchError
 
-__all__ = ["TruncatedSeries"]
+__all__ = list(_EXPORTS["series"])
 
 
 def _dot(a: Iterable[complex], b: Iterable[complex]) -> complex:

@@ -17,22 +17,13 @@ import cmath
 import math
 from collections import namedtuple
 
-from . import config
+from . import _EXPORTS, config
 from .bounds import Which, bound_d1, bound_d2, two_atom_parameters
-from .caratheodory import AtomicHerglotzRep, _count, _seeded_stream
-from .errors import DomainError
+from .caratheodory import AtomicHerglotzRep, _seeded_stream
+from .errors import DomainError, _count
 from .families import ClassParams, _abs_exponent, _divisors, _exponent
 
-__all__ = [
-    "FunctionalSpec",
-    "functional_value",
-    "VerifyReport",
-    "grid_optimize",
-    "SampleReport",
-    "sample_no_violation",
-    "CaseBoundaryReport",
-    "case_boundary_check",
-]
+__all__ = list(_EXPORTS["verify"])
 
 
 class FunctionalSpec(namedtuple("FunctionalSpec", "params which")):

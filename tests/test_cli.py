@@ -15,6 +15,7 @@ import pytest
 
 import succoeff
 import succoeff.bounds as bounds_module
+import succoeff.caratheodory as caratheodory_module
 import succoeff.cli as cli_module
 import succoeff.verify as verify_module
 from succoeff import ClassParams, Which, bound_d2, config
@@ -398,13 +399,13 @@ def test_two_atom_solves_per_command(argv, solves, monkeypatch, tmp_path):
     # that extremal's coefficients, once per point; solve_two_atom alone
     # decides whether c* is degenerate.
     calls = []
-    solve = bounds_module.solve_two_atom
+    solve = caratheodory_module.solve_two_atom
 
     def counted(c, x):
         calls.append((c, x))
         return solve(c, x)
 
-    monkeypatch.setattr(bounds_module, "solve_two_atom", counted)
+    monkeypatch.setattr(caratheodory_module, "solve_two_atom", counted)
     assert main([*argv, "--format", "csv", "--out", str(tmp_path / "o.csv")]) == 0
     assert len(calls) == solves
 
@@ -698,6 +699,8 @@ def test_commands_load_only_what_they_run(command, fmt, tmp_path):
             assert not {"pathlib", "typing"} & loaded
         if command in ("bounds", "extremal"):
             assert "succoeff.verify" not in loaded
+        if command == "bounds":
+            assert "succoeff.caratheodory" not in loaded
         if flags:
             # Only sample draws random numbers.
             assert ("random" in loaded) == (command == "sample")

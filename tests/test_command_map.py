@@ -8,6 +8,12 @@ package that is entered.  The functions never entered must be exactly
 no command runs cannot arrive unnoticed: a change that adds some adds its
 name here, and a change that deletes library-only code shrinks the tuple.
 
+The same lines also test what each subcommand loads: every module of the
+package that a fresh interpreter loads to run a subcommand's lines has a
+function that the subcommand enters, except the modules of
+:data:`LOADED_FOR_NO_CALL`.  So a module-level import that pulls in a
+module only for a name it never calls fails here.
+
 A function is keyed by its file and first line (a decorated ``def``
 starts at its first decorator), which its code object carries on every
 CPython.  Comprehensions are not functions here: CPython 3.12 inlines
@@ -20,7 +26,8 @@ at import, and the result does not depend on what was imported first.
 subcommand, the functions it enters and, for each module it loads, the
 lines compiled against the lines of the functions it enters and of those
 it never enters.  With ``--check`` it prints only the comparison with
-:data:`LIBRARY_ONLY` and exits 0 when they are equal; it needs no pytest,
+:data:`LIBRARY_ONLY` and the modules loaded for no call, and exits 0 when
+the two lists are equal and no such module is loaded; it needs no pytest,
 so the map can be checked under any interpreter the package runs on.
 """
 
@@ -31,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 from collections import namedtuple
+from functools import cache
 from pathlib import Path
 
 import succoeff
@@ -91,6 +99,10 @@ LIBRARY_ONLY = (
     "__init__.__getattr__",
     "__init__.__dir__",
 )
+
+# The modules a subcommand may load without entering any function of theirs:
+# the lazy public surface, and the constants.
+LOADED_FOR_NO_CALL = ("succoeff", "succoeff.config")
 
 Function = namedtuple("Function", "name path first last")
 
@@ -184,8 +196,58 @@ def differences(unentered) -> list[str]:
     return lines
 
 
+def subcommands(commands) -> dict[str, list[str]]:
+    """subcommand -> its command lines, in order."""
+    by_subcommand = {}
+    for command in commands:
+        by_subcommand.setdefault(command.split()[0], []).append(command)
+    return by_subcommand
+
+
+def loaded(commands) -> dict[str, list[str]]:
+    """subcommand -> the package modules a fresh interpreter loads to run its lines."""
+    path = [Path(succoeff.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))}
+    by_subcommand = {}
+    for subcommand, lines in subcommands(commands).items():
+        code = ("import sys, tempfile\nfrom pathlib import Path\nfrom test_outputs import _row\n"
+                "with tempfile.TemporaryDirectory() as tmp:\n"
+                f"    for command in {lines!r}:\n"
+                "        _row(command, Path(tmp))\n"
+                "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'succoeff'))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True, timeout=600)
+        by_subcommand[subcommand] = proc.stdout.split()
+    return by_subcommand
+
+
+def loaded_for_no_call(by_command, modules) -> list[str]:
+    """One line per module that a subcommand loads and enters no function of.
+
+    ``modules`` is what :func:`loaded` gives for the command lines.
+    """
+    lines = []
+    for subcommand, commands in subcommands(by_command).items():
+        files = {path for command in commands for path, _ in by_command[command]}
+        lines += [f"{subcommand} loads {name}, and enters none of its functions"
+                  for name in modules[subcommand] if name not in LOADED_FOR_NO_CALL
+                  and importlib.import_module(name).__file__ not in files]
+    return lines
+
+
+@cache
+def _every_command_entered():
+    """:func:`entered` of every command line, traced once for the tests below."""
+    return entered(COMMANDS)
+
+
 def test_library_only_is_what_no_command_enters():
-    problems = differences(never_entered(entered(COMMANDS)))
+    problems = differences(never_entered(_every_command_entered()))
+    assert not problems, "\n".join(problems)
+
+
+def test_each_loaded_module_has_a_function_the_subcommand_enters():
+    problems = loaded_for_no_call(_every_command_entered(), loaded(COMMANDS))
     assert not problems, "\n".join(problems)
 
 
@@ -204,32 +266,15 @@ def test_the_previous_tracer_is_restored():
 
 # ------------------------------------------------------------------ script
 
-def _loaded(commands) -> list[str]:
-    """The package modules a fresh interpreter loads to run ``commands``."""
-    code = ("import sys, tempfile\nfrom pathlib import Path\nfrom test_outputs import _row\n"
-            "with tempfile.TemporaryDirectory() as tmp:\n"
-            f"    for command in {list(commands)!r}:\n"
-            "        _row(command, Path(tmp))\n"
-            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'succoeff'))\n")
-    path = [Path(succoeff.__file__).resolve().parents[1], Path(__file__).resolve().parent]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True, timeout=600)
-    return proc.stdout.split()
-
-
-def _report(by_command) -> None:
+def _report(by_command, modules) -> None:
     every = functions()
-    subcommands = {}
-    for command in by_command:
-        subcommands.setdefault(command.split()[0], []).append(command)
-    for subcommand, commands in subcommands.items():
+    for subcommand, commands in subcommands(by_command).items():
         hit = set().union(*(by_command[command] for command in commands))
         names = [f.name for f in every if (f.path, f.first) in hit]
         sys.stdout.write(f"{subcommand}: {len(commands)} command lines enter {len(names)} "
                          f"of {len(every)} functions\n    {', '.join(names)}\n")
         sys.stdout.write(f"    {'module':<28} {'compiled':>8} {'entered':>8} {'never':>8}\n")
-        for module_name in _loaded(commands):
+        for module_name in modules[subcommand]:
             path = sys.modules[module_name].__file__
             lines = {was_hit: {line for f in every if f.path == path
                                and ((f.path, f.first) in hit) == was_hit
@@ -243,12 +288,15 @@ def _report(by_command) -> None:
 if __name__ == "__main__":
     check = sys.argv[1:] == ["--check"]
     by_command = entered(COMMANDS)
+    modules = loaded(COMMANDS)
     if not check:
-        _report(by_command)
+        _report(by_command, modules)
     unentered = never_entered(by_command)
     problems = differences(unentered)
-    for line in problems:
+    idle = loaded_for_no_call(by_command, modules)
+    for line in problems + idle:
         sys.stdout.write(line + "\n")
     sys.stdout.write(f"{len(unentered)} functions no command enters; LIBRARY_ONLY declares "
-                     f"{len(LIBRARY_ONLY)}{'' if problems else ', the same'}\n")
-    sys.exit(1 if check and problems else 0)
+                     f"{len(LIBRARY_ONLY)}{'' if problems else ', the same'}\n"
+                     f"modules loaded for no call: {len(idle)}\n")
+    sys.exit(1 if check and (problems or idle) else 0)
