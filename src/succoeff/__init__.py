@@ -15,19 +15,16 @@ from importlib import import_module
 _EXPORTS = {
     "bounds": (
         "BoundInterval", "ExtremalDescriptor", "ExtremalName", "Which", "bound_d1", "bound_d2",
-        "extremal_coeffs", "extremal_measure", "extremal_series", "t_factor",
-        "two_atom_parameters",
+        "extremal_coeffs", "extremal_measure", "extremal_series", "two_atom_parameters",
     ),
-    "caratheodory": (
-        "AtomicHerglotzRep", "lz_c2", "moments", "random_rep", "solve_two_atom", "to_series",
-    ),
+    "caratheodory": ("AtomicHerglotzRep", "moments", "random_rep", "solve_two_atom", "to_series"),
     "errors": (
         "DegenerateError", "DomainError", "EvaluationError", "InfeasibleError",
         "OrderMismatchError", "SuccoeffError",
     ),
     "families": (
-        "ClassParams", "CoeffTriple", "Family", "MembershipReport", "coeffs_from_c",
-        "coeffs_from_series", "construct_member", "membership_check", "mu",
+        "ClassParams", "CoeffTriple", "Family", "MembershipReport", "coeffs_from_series",
+        "construct_member", "membership_check", "mu",
     ),
     "series": ("TruncatedSeries",),
     "verify": (

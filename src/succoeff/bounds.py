@@ -15,8 +15,8 @@ from enum import Enum
 
 from . import _EXPORTS
 from .errors import DegenerateError, DomainError, _count
-from .families import (ClassParams, CoeffTriple, Family, _atom_jet, _divisors, _exponent,
-                       construct_member)
+from .families import (ClassParams, CoeffTriple, Family, _atom_jet, _check_class, _divisors,
+                       _exponent, construct_member)
 
 __all__ = list(_EXPORTS["bounds"])
 
@@ -83,8 +83,7 @@ class ExtremalDescriptor(namedtuple("ExtremalDescriptor", "name params")):
     __slots__ = ()
 
     def __new__(cls, name: ExtremalName | str, params: ClassParams):
-        if not isinstance(params, ClassParams):
-            raise DomainError("params must be a ClassParams")
+        _check_class(params)
         name = ExtremalName(name)
         family = _FAMILY_OF[name]
         if params.family is not family:
@@ -109,14 +108,8 @@ class BoundInterval(namedtuple("BoundInterval", "lower upper lower_extremal uppe
 
 
 def _t(alpha: float, gamma: float) -> float:
-    """:func:`t_factor` of parameters a ClassParams has already checked."""
+    """T = sqrt(1 + 4 (1-alpha)(2-alpha) cos^2 gamma), in (1, 3], of checked parameters."""
     return math.sqrt(1.0 + 4.0 * (1.0 - alpha) * (2.0 - alpha) * math.cos(gamma) ** 2)
-
-
-def t_factor(alpha: float, gamma: float) -> float:
-    """sqrt(1 + 4 (1-alpha)(2-alpha) cos^2 gamma), in (1, 3]."""
-    ClassParams.spirallike(alpha, gamma)
-    return _t(alpha, gamma)
 
 
 def _closed_forms(params: ClassParams) -> tuple[float, float, float, float, complex]:
@@ -128,6 +121,7 @@ def _closed_forms(params: ClassParams) -> tuple[float, float, float, float, comp
     spirallike has.  Ozaki's c* is 3/(2-lam) for lam <= 1/2, else 2.  The
     branches agree at T = 5/4 (-(2/3)(1-a)cos g) and at lam = 1/2 (-5/24).
     """
+    _check_class(params)
     if params.family is Family.OZAKI_G:
         lam = params.lam
         if lam <= 0.5:

@@ -2,9 +2,9 @@
 
 A function p with p(0)=1 and positive real part on the disk is represented
 here as a finite convex combination of Herglotz kernels (1+eps z)/(1-eps z)
-with unimodular eps.  The module provides the parametrization of c2 in
-terms of (c1, x), moment extraction, and the boundary two-atom
-reconstruction used by the extremal functions.
+with unimodular eps.  The module checks the domain of the (c1, x)
+parametrization of c2, extracts moments, and reconstructs the boundary
+two-atom measures used by the extremal functions.
 """
 
 from __future__ import annotations
@@ -51,29 +51,16 @@ class AtomicHerglotzRep(namedtuple("AtomicHerglotzRep", "weights points")):
     # _replace builds through _make; route it through the checks above.
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    @classmethod
-    def from_atoms(cls, atoms) -> "AtomicHerglotzRep":
-        # No atoms give two empty sequences, which the checks reject.
-        return cls(*(tuple(zip(*atoms)) or ((), ())))
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self.weights)
+def _check_disk_point(c: float, x: complex) -> None:
+    """DomainError unless 0 <= c <= 2 exactly and |x| <= 1 + ``config.REP_ATOL``.
 
-    def atoms(self):
-        return list(zip(self.weights, self.points))
-
-
-def lz_c2(c: float, x: complex) -> complex:
-    """c2 of a Carathéodory function with c1 = c >= 0 and disk parameter x.
-
-    2 c2 = c^2 + (4 - c^2) x.
+    c gets no slack: outside [0, 2] the reduced functionals leave the sharp intervals.
     """
     if not 0.0 <= c <= 2.0:
         raise DomainError(f"c must lie in [0, 2], got {c}")
-    if not abs(x) <= 1 + config.REP_ATOL:
+    if not abs(x) <= 1.0 + config.REP_ATOL:
         raise DomainError("|x| must be <= 1")
-    return (c * c + (4.0 - c * c) * x) / 2.0
 
 
 def moments(rep: AtomicHerglotzRep, k_max: int) -> list[complex]:
@@ -121,12 +108,9 @@ def solve_two_atom(c: float, x: complex) -> AtomicHerglotzRep:
     gives w1 = Re((c/2 - eps2) / (eps1 - eps2)).  Atoms are ordered by
     argument in [0, 2pi); at x = 1 they are exactly 1 and -1.
     """
-    if not 0.0 <= c <= 2.0:
-        raise DomainError(f"c must lie in [0, 2], got {c}")
+    _check_disk_point(c, x)
     if c >= 2.0 - config.DEGENERATE_C_TOL:
         raise DegenerateError("c = 2 collapses the measure to a single atom at 1")
-    if not abs(x) <= 1.0 + config.REP_ATOL:
-        raise DomainError("|x| must be <= 1")
     if abs(abs(x) - 1.0) > config.REP_ATOL:
         raise InfeasibleError(
             f"no two-atom measure matches (c={c}, x={x}); the pair must satisfy |x| = 1"

@@ -26,8 +26,7 @@ MAX_ATOMS = 64
 MAX_LATTICE = 100_000
 
 # Structural invariants of atomic Herglotz representations, and the slack
-# on the constraints their coefficients and disk parameters meet:
-# |c_k| <= 2, c in [0, 2] and |x| <= 1.
+# on |x| <= 1 of a disk parameter x; c is held to [0, 2] exactly.
 REP_ATOL = 1e-12
 
 # Normalization f(0) = 0, f'(0) = 1 of a member whose a2, a3 are read off.

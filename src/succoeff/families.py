@@ -13,7 +13,7 @@ Families covered (all normalized f(z) = z + a2 z^2 + a3 z^3 + ...):
 Every member comes from g = exp{v int (p(t)-1)/t dt} of a Carathéodory
 function p, given by its atoms or by its series.  The families differ in
 the exponent v and in the coefficient rule only: f = z g (spirallike) or
-f' = g (convex, Ozaki); :func:`coeffs_from_c` derives a2 and a3 from both.
+f' = g (convex, Ozaki), so a2 = g_1/n2 and a3 = g_2/n3 by :func:`_divisors`.
 """
 
 from __future__ import annotations
@@ -85,6 +85,12 @@ class ClassParams(namedtuple("ClassParams", "family alpha gamma lam")):
     @classmethod
     def ozaki(cls, lam: float) -> "ClassParams":
         return cls(Family.OZAKI_G, lam=lam)
+
+
+def _check_class(params) -> None:
+    """DomainError unless params is a ClassParams, whose fields were checked when made."""
+    if not isinstance(params, ClassParams):
+        raise DomainError("params must be a ClassParams")
 
 
 def mu(gamma: float) -> complex:
@@ -175,31 +181,18 @@ def construct_member(
     share the family wrapping (z g for spirallike, the antiderivative of g
     for convex and Ozaki); they differ only in how they get the exponential
     factor g: exp of the series (O(order^2)), or one running sum per atom
-    (O(atoms * order)).  params is not validated again: a ClassParams is
-    checked when it is made.
+    (O(atoms * order)).  DomainError unless params is a ClassParams.
     """
     # Imported here: bounds, which builds no measure, does not load it.
     from .caratheodory import AtomicHerglotzRep
 
+    _check_class(params)
     if isinstance(p, AtomicHerglotzRep):
         order = _count("order", order, 1)
         return _member(params, _atom_jet(p.weights, p.points, order - 1, _exponent(params)))
     if order is not None:
         raise DomainError("a series carries its own order; pass order only with a measure")
     return _member(params, (_exponent(params) * p.integrate_kernel()).exp().coeffs[:-1])
-
-
-def coeffs_from_c(params: ClassParams, c1: complex, c2: complex) -> CoeffTriple:
-    """Closed-form (a2, a3) of the member generated by p = 1 + c1 z + c2 z^2 + ...
-
-    z g' = v (p - 1) g gives g1 = v c1 and g2 = (v^2 c1^2 + v c2)/2; then
-    a2 = g1/n2 and a3 = g2/n3 by the family's coefficient rule.
-    """
-    if not (abs(c1) <= 2 + config.REP_ATOL and abs(c2) <= 2 + config.REP_ATOL):
-        raise DomainError("Carathéodory coefficients satisfy |c_k| <= 2")
-    v = _exponent(params)
-    n2, n3 = _divisors(params)
-    return CoeffTriple(a2=v * c1 / n2, a3=(v * v * c1 * c1 + v * c2) / 2.0 / n3)
 
 
 def coeffs_from_series(f: TruncatedSeries) -> CoeffTriple:
@@ -235,6 +228,7 @@ def membership_check(
     Raises :class:`EvaluationError` when f (or f') vanishes at a sample
     point, rather than silently skipping it.
     """
+    _check_class(params)
     if not radii or any(not 0.0 < r < 1.0 for r in radii):
         raise DomainError("radii must lie in (0, 1)")
     n_angles = _count("n_angles", n_angles, 1)

@@ -19,9 +19,9 @@ from collections import namedtuple
 
 from . import _EXPORTS, config
 from .bounds import Which, bound_d1, bound_d2, two_atom_parameters
-from .caratheodory import AtomicHerglotzRep, _seeded_stream
-from .errors import DomainError, _count
-from .families import ClassParams, _abs_exponent, _divisors, _exponent
+from .caratheodory import AtomicHerglotzRep, _check_disk_point, _seeded_stream
+from .errors import _count
+from .families import ClassParams, _abs_exponent, _check_class, _divisors, _exponent
 
 __all__ = list(_EXPORTS["verify"])
 
@@ -32,8 +32,7 @@ class FunctionalSpec(namedtuple("FunctionalSpec", "params which")):
     __slots__ = ()
 
     def __new__(cls, params: ClassParams, which: Which | str):
-        if not isinstance(params, ClassParams):
-            raise DomainError("params must be a ClassParams")
+        _check_class(params)
         # Downstream checks compare functionals with `is`: store the member.
         return super().__new__(cls, params, Which(which))
 
@@ -60,10 +59,7 @@ def _d1_slope(params: ClassParams) -> float:
 
 def functional_value(spec: FunctionalSpec, c: float, x: complex) -> float:
     """Value of the reduced functional at one point (c, x)."""
-    if not -config.REP_ATOL <= c <= 2 + config.REP_ATOL:
-        raise DomainError("c must lie in [0, 2]")
-    if not abs(x) <= 1 + config.REP_ATOL:
-        raise DomainError("|x| must be <= 1")
+    _check_disk_point(c, x)
     if spec.which is Which.D1:
         return _d1_slope(spec.params) * c - 1.0
     pref, u, k = _d2_constants(spec.params)

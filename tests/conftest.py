@@ -3,6 +3,10 @@
 Most oracles here avoid the code paths they are used to check: Taylor
 coefficients are recovered by contour integration (FFT on a circle), and
 the (x, y) disk parameters are inverted directly from raw moments.  The
+Libera–Złotkiewicz parametrization lives here whole: ``lz_c2`` and
+``lz_c3`` give c2 and c3 from the disk parameters (c, x, y), and
+``coeffs_from_c`` gives a member's (a2, a3) from c1 and c2, so the
+commands' reductions and extremals can be checked against it.  The
 exception is ``atom_jet_reference``, which mirrors ``families._atom_jet``
 step for step: it pins the order of operations that ``construct_member``
 and the sampler's written-out first two steps must match bit for bit,
@@ -23,10 +27,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from succoeff import (AtomicHerglotzRep, ClassParams, DomainError, SuccoeffError, TruncatedSeries,
-                      Which, bound_d1, bound_d2, coeffs_from_series, config, moments)
+from succoeff import (AtomicHerglotzRep, ClassParams, CoeffTriple, DomainError, SuccoeffError,
+                      TruncatedSeries, Which, bound_d1, bound_d2, coeffs_from_series, config,
+                      moments)
 from succoeff.caratheodory import _draw_atoms, _seeded_stream
-from succoeff.families import _exponent, _member
+from succoeff.families import _divisors, _exponent, _member
 from succoeff.verify import SampleReport, WorstMargin, _atom_count
 
 
@@ -96,6 +101,18 @@ class LZParams:
             raise DomainError("|y| must be <= 1")
 
 
+def lz_c2(c: float, x: complex) -> complex:
+    """c2 of a Carathéodory function with c1 = c >= 0 and disk parameter x.
+
+    2 c2 = c^2 + (4 - c^2) x.
+    """
+    if not 0.0 <= c <= 2.0:
+        raise DomainError(f"c must lie in [0, 2], got {c}")
+    if not abs(x) <= 1 + config.REP_ATOL:
+        raise DomainError("|x| must be <= 1")
+    return (c * c + (4.0 - c * c) * x) / 2.0
+
+
 def lz_c3(c: float, x: complex, y: complex) -> complex:
     """c3 in terms of (c, x, y).
 
@@ -117,6 +134,19 @@ def lz_invert_y(c1: float, x: complex, c3: complex) -> complex:
     b = 4.0 - c1 * c1
     num = 4.0 * c3 - c1**3 - 2.0 * b * c1 * x + b * c1 * x * x
     return num / (2.0 * b * (1.0 - abs(x) ** 2))
+
+
+def coeffs_from_c(params: ClassParams, c1: complex, c2: complex) -> CoeffTriple:
+    """Closed-form (a2, a3) of the member generated by p = 1 + c1 z + c2 z^2 + ...
+
+    z g' = v (p - 1) g gives g1 = v c1 and g2 = (v^2 c1^2 + v c2)/2; then
+    a2 = g1/n2 and a3 = g2/n3 by the family's coefficient rule.
+    """
+    if not (abs(c1) <= 2 + config.REP_ATOL and abs(c2) <= 2 + config.REP_ATOL):
+        raise DomainError("Carathéodory coefficients satisfy |c_k| <= 2")
+    v = _exponent(params)
+    n2, n3 = _divisors(params)
+    return CoeffTriple(a2=v * c1 / n2, a3=(v * v * c1 * c1 + v * c2) / 2.0 / n3)
 
 
 def atom_jet_reference(rep: AtomicHerglotzRep, order: int, v: complex) -> list[complex]:

@@ -19,18 +19,17 @@ from succoeff import (
     construct_member,
     extremal_coeffs,
     grid_optimize,
-    lz_c2,
     membership_check,
     moments,
     random_rep,
     sample_no_violation,
     solve_two_atom,
-    t_factor,
     to_series,
     two_atom_parameters,
 )
-from conftest import endpoints, lz_c3, lz_invert_x, normalize_rotation, random_series
+from conftest import endpoints, lz_c2, lz_c3, lz_invert_x, normalize_rotation, random_series
 from jets import cpow, log, monomial, one
+from succoeff.bounds import _t
 
 LATTICE = [
     (alpha, gamma)
@@ -90,7 +89,7 @@ def test_criterion_4_parameter_sweep():
     start = time.perf_counter()
     worst = 0.0
     for alpha, gamma in LATTICE:
-        t = t_factor(alpha, gamma)
+        t = _t(alpha, gamma)
         cosg = math.cos(gamma)
         for params, lower, upper in (
             (
@@ -261,10 +260,10 @@ def test_criterion_8d_membership():
 
 def test_criterion_9_case_boundary():
     cases = [
-        (ClassParams.spirallike(0.0, 0.0), 2 / math.sqrt(1 + t_factor(0.0, 0.0))),
-        (ClassParams.spirallike(0.25, math.pi / 6), 2 / math.sqrt(1 + t_factor(0.25, math.pi / 6))),
-        (ClassParams.convex(0.0, 0.0), 2 / math.sqrt(1 + t_factor(0.0, 0.0))),
-        (ClassParams.convex(0.5, math.pi / 3), 2 / math.sqrt(1 + t_factor(0.5, math.pi / 3))),
+        (ClassParams.spirallike(0.0, 0.0), 2 / math.sqrt(1 + _t(0.0, 0.0))),
+        (ClassParams.spirallike(0.25, math.pi / 6), 2 / math.sqrt(1 + _t(0.25, math.pi / 6))),
+        (ClassParams.convex(0.0, 0.0), 2 / math.sqrt(1 + _t(0.0, 0.0))),
+        (ClassParams.convex(0.5, math.pi / 3), 2 / math.sqrt(1 + _t(0.5, math.pi / 3))),
         (ClassParams.ozaki(0.25), 3 / (2 - 0.25)),
         (ClassParams.ozaki(0.75), 2.0),
     ]

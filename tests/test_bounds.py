@@ -21,15 +21,14 @@ from succoeff import (
     extremal_coeffs,
     extremal_measure,
     extremal_series,
-    lz_c2,
     moments,
     mu,
     solve_two_atom,
-    t_factor,
     two_atom_parameters,
 )
-from conftest import assert_series_close, endpoints, float_bits
+from conftest import assert_series_close, endpoints, float_bits, lz_c2
 from jets import cpow, monomial, one
+from succoeff.bounds import _t
 
 SPIRAL_00 = ClassParams.spirallike(0.0, 0.0)
 CONVEX_00 = ClassParams.convex(0.0, 0.0)
@@ -51,22 +50,22 @@ PARAM_GRID = [
 def atom_product(rep, w, order):
     """prod_j (1 - eps_j z)^(w g_j), each factor a principal-branch cpow."""
     acc = one(order)
-    for g, eps in rep.atoms():
+    for g, eps in zip(rep.weights, rep.points):
         acc = acc * cpow(one(order) + monomial(1, order, -eps), w * g)
     return acc
 
 
 class TestTFactor:
     def test_known_values(self):
-        assert t_factor(0.0, 0.0) == pytest.approx(3.0)
-        assert t_factor(0.5, 0.0) == pytest.approx(2.0)
-        assert t_factor(0.0, math.pi / 3) == pytest.approx(math.sqrt(3))
+        assert _t(0.0, 0.0) == pytest.approx(3.0)
+        assert _t(0.5, 0.0) == pytest.approx(2.0)
+        assert _t(0.0, math.pi / 3) == pytest.approx(math.sqrt(3))
 
     def test_range_and_monotonicity(self):
         alphas = np.linspace(0.0, 0.999, 50)
         gammas = np.linspace(-1.5, 1.5, 50)
         for g in gammas:
-            values = [t_factor(a, g) for a in alphas]
+            values = [_t(a, g) for a in alphas]
             assert all(1.0 < t <= 3.0 for t in values)
             assert all(b < a + 1e-15 for a, b in zip(values, values[1:]))
 
@@ -173,7 +172,7 @@ class TestDescriptors:
         c, x = two_atom_parameters(params)
         rep = extremal_measure(ExtremalDescriptor(name, params))
         assert rep == solve_two_atom(c, x)
-        assert rep.n_atoms == 2
+        assert len(rep.weights) == 2
         c1, c2 = moments(rep, 2)
         assert c1 == pytest.approx(c, abs=1e-14)
         assert c2 == pytest.approx(lz_c2(c, x), abs=1e-14)
@@ -235,7 +234,7 @@ class TestExtremalSeries:
         params = ClassParams.spirallike(0.25, 0.5)
         desc = bound_d2(params).lower_extremal
         rep = extremal_measure(desc)
-        assert rep.n_atoms == 2
+        assert len(rep.weights) == 2
         product = atom_product(rep, -2 * (1 - 0.25) * mu(0.5), 10).shift_up()
         assert_series_close(extremal_series(desc, 10), product.coeffs, atol=1e-12)
 
@@ -244,7 +243,7 @@ class TestExtremalSeries:
         params = ClassParams.convex(0.25, 0.5)
         desc = bound_d2(params).lower_extremal
         rep = extremal_measure(desc)
-        assert rep.n_atoms == 2
+        assert len(rep.weights) == 2
         product = atom_product(rep, -2 * (1 - 0.25) * mu(0.5), 10).antiderivative()
         assert_series_close(extremal_series(desc, 10), product.coeffs, atol=1e-12)
 
@@ -252,13 +251,13 @@ class TestExtremalSeries:
         # lam < 1/2 keeps both atoms: F' = prod_j (1 - eps_j z)^(lam g_j).
         desc = bound_d2(ClassParams.ozaki(0.25)).lower_extremal
         rep = extremal_measure(desc)
-        assert rep.n_atoms == 2
+        assert len(rep.weights) == 2
         product = atom_product(rep, 0.25, 10).antiderivative()
         assert_series_close(extremal_series(desc, 10), product.coeffs, atol=1e-12)
 
     def test_f_spiral_proof_coefficients(self):
         for params in (SPIRAL_00, ClassParams.spirallike(0.4, -0.8)):
-            t = t_factor(params.alpha, params.gamma)
+            t = _t(params.alpha, params.gamma)
             desc = bound_d2(params).lower_extremal
             f = extremal_series(desc, 8)
             expected_a2 = 2 * (1 - params.alpha) * mu(params.gamma) / math.sqrt(1 + t)

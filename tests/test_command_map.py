@@ -7,6 +7,8 @@ package that is entered.  The functions never entered must be exactly
 :data:`LIBRARY_ONLY`, each listed with the reason it stays.  So code that
 no command runs cannot arrive unnoticed: a change that adds some adds its
 name here, and a change that deletes library-only code shrinks the tuple.
+Its first group, :data:`PERFBENCH_REACHES`, must be exactly what the
+benchmark in ``perfbench/`` reaches and no command enters.
 
 The same lines also test what each subcommand loads: every module of the
 package that a fresh interpreter loads to run a subcommand's lines has a
@@ -44,29 +46,19 @@ from pathlib import Path
 import succoeff
 from test_outputs import COMMANDS, _row
 
-# The functions of src/succoeff that no command line enters, by module and
-# qualified name (a lambda is named by the variable it is assigned to).
-LIBRARY_ONLY = (
-    # perfbench resolves these by name (tracer.TARGETS, COUNTED_INIT,
-    # layers.microbenchmarks), so they stay until its spans are re-declared.
+# The functions that perfbench reaches and no command line enters: those
+# tracer.TARGETS and COUNTED_INIT name, and those layers.microbenchmarks
+# enters.  They stay until perfbench's spans are re-declared;
+# test_perfbench_group_is_what_perfbench_reaches keeps the list exact.
+PERFBENCH_REACHES = (
     "series._dot",
     "series.TruncatedSeries.__init__",
     "series.TruncatedSeries.coeffs",
-    "series.TruncatedSeries.order",
-    "series.TruncatedSeries.__len__",
-    "series.TruncatedSeries.__getitem__",
-    "series.TruncatedSeries.__repr__",
-    "series.TruncatedSeries._check_order",
-    "series.TruncatedSeries.__add__",
-    "series.TruncatedSeries.__sub__",
-    "series.TruncatedSeries.__neg__",
     "series.TruncatedSeries.__mul__",
     "series.TruncatedSeries.__rmul__",
     "series.TruncatedSeries.exp",
     "series.TruncatedSeries.integrate_kernel",
-    "series.TruncatedSeries.antiderivative",
     "series.TruncatedSeries.derivative",
-    "series.TruncatedSeries.shift_up",
     "series.TruncatedSeries.eval",
     "caratheodory.to_series",
     "caratheodory.moments",
@@ -77,16 +69,29 @@ LIBRARY_ONLY = (
     "families.membership_check",
     "families.ClassParams.spirallike",
     "bounds.extremal_series",
-    # The tests use these as references for what the commands compute.
-    "caratheodory.lz_c2",
-    "families.coeffs_from_c",
+    "__init__.__getattr__",  # resolves the public names layers reads
+)
+
+# The functions of src/succoeff that no command line enters, by module and
+# qualified name (a lambda is named by the variable it is assigned to).
+LIBRARY_ONLY = PERFBENCH_REACHES + (
+    # The README quickstart reads a2 and a3 of a member through these.
     "families.coeffs_from_series",
-    "bounds.t_factor",
+    "series.TruncatedSeries.order",
+    "series.TruncatedSeries.__getitem__",
+    # Named constructors beside ClassParams.spirallike, which perfbench resolves.
     "families.ClassParams.convex",
     "families.ClassParams.ozaki",
-    "caratheodory.AtomicHerglotzRep.from_atoms",
-    "caratheodory.AtomicHerglotzRep.n_atoms",
-    "caratheodory.AtomicHerglotzRep.atoms",
+    # The series type's own algebra, used by the tests; it leaves src/ with
+    # the rest of series.py.
+    "series.TruncatedSeries.__len__",
+    "series.TruncatedSeries.__repr__",
+    "series.TruncatedSeries._check_order",
+    "series.TruncatedSeries.__add__",
+    "series.TruncatedSeries.__sub__",
+    "series.TruncatedSeries.__neg__",
+    "series.TruncatedSeries.antiderivative",
+    "series.TruncatedSeries.shift_up",
     # They check what a library caller passes; the command line checks its
     # flags before any of them could be reached.
     "families.Family._missing_",
@@ -96,7 +101,6 @@ LIBRARY_ONLY = (
     "bounds.ExtremalDescriptor._make",
     "bounds.BoundInterval._make",
     "verify.FunctionalSpec._make",
-    "__init__.__getattr__",
     "__init__.__dir__",
 )
 
@@ -146,13 +150,13 @@ def functions() -> list[Function]:
     return found
 
 
-def entered(commands) -> dict[str, set[tuple[str, int]]]:
-    """command line -> (file, first line) of each package function it enters.
+def _entered_by(run) -> set[tuple[str, int]]:
+    """(file, first line) of each package function entered while ``run()`` runs.
 
-    Each line runs through :func:`test_outputs._row`, in csv, json and
-    table.  The tracer that was installed before, if any, is put back.
+    The tracer that was installed before, if any, is put back.
     """
     files = {f.path for f in functions()}
+    keys = set()
 
     def trace(frame, event, arg):
         code = frame.f_code
@@ -162,18 +166,23 @@ def entered(commands) -> dict[str, set[tuple[str, int]]]:
         # No local tracer: only call events are paid for.
         return None
 
-    by_command = {}
     previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return keys
+
+
+def entered(commands) -> dict[str, set[tuple[str, int]]]:
+    """command line -> (file, first line) of each package function it enters.
+
+    Each line runs through :func:`test_outputs._row`, in csv, json and
+    table.
+    """
     with tempfile.TemporaryDirectory() as tmp:
-        for command in commands:
-            keys = set()
-            sys.settrace(trace)
-            try:
-                _row(command, Path(tmp))
-            finally:
-                sys.settrace(previous)
-            by_command[command] = keys
-    return by_command
+        return {command: _entered_by(lambda: _row(command, Path(tmp))) for command in commands}
 
 
 def never_entered(by_command) -> list[str]:
@@ -249,6 +258,28 @@ def test_library_only_is_what_no_command_enters():
 def test_each_loaded_module_has_a_function_the_subcommand_enters():
     problems = loaded_for_no_call(_every_command_entered(), loaded(COMMANDS))
     assert not problems, "\n".join(problems)
+
+
+def test_perfbench_group_is_what_perfbench_reaches(monkeypatch, perfbench):
+    tracer, layers = perfbench("tracer"), perfbench("layers")
+    reached = {f"{target.module.removeprefix('succoeff.')}.{target.attr}"
+               for target in tracer.TARGETS}
+    _, module, cls = tracer.COUNTED_INIT
+    reached.add(f"{module.removeprefix('succoeff.')}.{cls}.__init__")
+    # Each case runs once, as test_benchmark_names_resolve runs it, and every
+    # public name resolves afresh, as in the fresh process perfbench runs.
+    def once(fn):
+        fn()
+        return 0.0
+
+    monkeypatch.setattr(layers, "_per_call_us", once)
+    for name in succoeff.__all__:
+        monkeypatch.delitem(vars(succoeff), name, raising=False)
+    hit = _entered_by(layers.microbenchmarks)
+    by_command = set().union(*_every_command_entered().values())
+    reached |= {f.name for f in functions() if (f.path, f.first) in hit}
+    reached -= {f.name for f in functions() if (f.path, f.first) in by_command}
+    assert sorted(PERFBENCH_REACHES) == sorted(reached)
 
 
 def test_the_previous_tracer_is_restored():

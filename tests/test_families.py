@@ -17,7 +17,6 @@ from succoeff import (
     TruncatedSeries,
     bound_d1,
     bound_d2,
-    coeffs_from_c,
     coeffs_from_series,
     construct_member,
     extremal_series,
@@ -27,7 +26,7 @@ from succoeff import (
     random_rep,
     to_series,
 )
-from conftest import assert_series_close, atom_jet_reference, float_bits
+from conftest import assert_series_close, atom_jet_reference, coeffs_from_c, float_bits
 from succoeff.families import _atom_jet, _exponent, _member
 from succoeff.verify import _d1_slope, _d2_constants
 from jets import cpow, monomial, one

@@ -13,8 +13,9 @@ import succoeff
 from succoeff import (AtomicHerglotzRep, BoundInterval, CaseBoundaryReport, ClassParams,
                       CoeffTriple, DomainError, ExtremalDescriptor, ExtremalName, Family,
                       FunctionalSpec, MembershipReport, SampleReport, VerifyReport, Which,
-                      bound_d1, bound_d2, case_boundary_check, functional_value,
-                      grid_optimize, sample_no_violation)
+                      bound_d1, bound_d2, case_boundary_check, construct_member,
+                      functional_value, grid_optimize, membership_check, sample_no_violation,
+                      two_atom_parameters)
 from succoeff.verify import WorstMargin
 
 PARAMS = ClassParams.spirallike(0.25, 0.5)
@@ -140,7 +141,7 @@ UNKNOWN = {
     "functional-by-name": lambda: SPEC._replace(which="D1"),
     "extremal": lambda: ExtremalDescriptor("NOPE", PARAMS),
     "extremal-replace": lambda: _F_SPIRAL._replace(name="k"),
-    "no-atoms": lambda: AtomicHerglotzRep.from_atoms([]),
+    "no-atoms": lambda: AtomicHerglotzRep([], []),
 }
 
 
@@ -166,3 +167,24 @@ def test_params_must_be_class_params(make):
     # an extremal's name.
     with pytest.raises(DomainError, match="params must be a ClassParams"):
         make()
+
+
+# Every other public function that takes a class, given ``params`` in its place.
+TAKES_CLASS = {
+    "bound_d1": bound_d1,
+    "bound_d2": bound_d2,
+    "two_atom_parameters": two_atom_parameters,
+    "case_boundary_check": case_boundary_check,
+    "sample_no_violation": lambda params: sample_no_violation(params, n_samples=1),
+    "construct_member": lambda params: construct_member(params, REP, 4),
+    "membership_check": lambda params: membership_check(construct_member(PARAMS, REP, 4), params),
+}
+NOT_A_CLASS = {"fields": tuple(PARAMS), "family": "spirallike", "none": None}
+
+
+@pytest.mark.parametrize("params", NOT_A_CLASS.values(), ids=NOT_A_CLASS)
+@pytest.mark.parametrize("call", TAKES_CLASS.values(), ids=TAKES_CLASS)
+def test_functions_that_take_a_class_reject_what_is_not_one(call, params):
+    # The records' check, not an AttributeError from reading params.family.
+    with pytest.raises(DomainError, match="params must be a ClassParams"):
+        call(params)

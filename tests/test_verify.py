@@ -15,25 +15,25 @@ from succoeff import (
     DomainError,
     FunctionalSpec,
     Which,
+    bound_d1,
     bound_d2,
     case_boundary_check,
-    coeffs_from_c,
     construct_member,
     coeffs_from_series,
     config,
     extremal_coeffs,
     functional_value,
     grid_optimize,
-    lz_c2,
     random_rep,
     sample_no_violation,
     SampleReport,
-    t_factor,
+    solve_two_atom,
     to_series,
     two_atom_parameters,
 )
-from conftest import sample_reference
+from conftest import coeffs_from_c, lz_c2, sample_reference
 from jets import functional_values
+from succoeff.bounds import _t
 from succoeff.caratheodory import _draw_atoms, _seeded_stream
 from succoeff.cli import main
 from succoeff.families import _atom_jet
@@ -86,6 +86,26 @@ class TestFunctionalValue:
             functional_value(spec, 1.0, 1.5)
         with pytest.raises(DomainError):
             functional_value(spec, 1.0, 1 + 5e-10)
+
+    @pytest.mark.parametrize("which", list(Which))
+    @pytest.mark.parametrize("c", [-1e-13, 2.0 + 1e-13])
+    def test_c_gets_no_slack(self, which, c):
+        # Just outside [0, 2] the reduction leaves the sharp interval: d1 at
+        # c = -1e-12 fell below -1.  solve_two_atom holds c to [0, 2] alike.
+        spec = FunctionalSpec(ClassParams.spirallike(0.25, 0.5), which)
+        with pytest.raises(DomainError, match=r"c must lie in \[0, 2\]"):
+            functional_value(spec, c, 0j)
+        with pytest.raises(DomainError, match=r"c must lie in \[0, 2\]"):
+            solve_two_atom(c, -1.0)
+
+    def test_c_at_zero_and_two_evaluates(self):
+        params = ClassParams.spirallike(0.25, 0.5)
+        d1, d2 = bound_d1(params), bound_d2(params)
+        assert functional_value(FunctionalSpec(params, Which.D1), 0.0, 0j) == d1.lower
+        assert functional_value(FunctionalSpec(params, Which.D1), 2.0, 0j) == d1.upper
+        assert functional_value(FunctionalSpec(params, Which.D2), 0.0, 1.0) == pytest.approx(
+            d2.upper, abs=1e-15)
+        assert d2.lower <= functional_value(FunctionalSpec(params, Which.D2), 2.0, 0j) <= d2.upper
 
     @pytest.mark.parametrize("params", SANE_PARAMS)
     def test_matches_coefficient_map(self, params, rng):
@@ -417,8 +437,8 @@ class TestConvexSmallTRegime:
     PARAMS = ClassParams.convex(0.9, 0.0)  # T = 1.2 exactly
 
     def test_t_below_threshold(self):
-        assert t_factor(0.9, 0.0) == pytest.approx(1.2, abs=1e-14)
-        assert t_factor(0.9, 0.0) < 1.25
+        assert _t(0.9, 0.0) == pytest.approx(1.2, abs=1e-14)
+        assert _t(0.9, 0.0) < 1.25
 
     def test_closed_form_is_vertex_minimum(self):
         t = 1.2
@@ -446,7 +466,7 @@ class TestConvexSmallTRegime:
     @pytest.mark.parametrize("alpha,gamma", [(0.5, 1.4), (0.9, 0.0), (0.3, 1.3), (0.99, -0.5)])
     def test_branch_matches_exact_minimum(self, alpha, gamma):
         params = ClassParams.convex(alpha, gamma)
-        assert t_factor(alpha, gamma) < 1.25
+        assert _t(alpha, gamma) < 1.25
         report = grid_optimize(FunctionalSpec(params, Which.D2))
         assert report.passed
         assert case_boundary_check(params).passed
@@ -455,7 +475,7 @@ class TestConvexSmallTRegime:
         # T = 5/4 exactly at cos^2 g = 9/64 / ((1-a)(2-a)); both branches give -(2/3)(1-a)cos g.
         alpha = 0.0
         gamma = math.acos(math.sqrt(9 / 128))
-        assert t_factor(alpha, gamma) == pytest.approx(1.25, abs=1e-14)
+        assert _t(alpha, gamma) == pytest.approx(1.25, abs=1e-14)
         for g in (math.nextafter(gamma, 0.0), gamma, math.nextafter(gamma, 2.0)):
             lower = bound_d2(ClassParams.convex(alpha, g)).lower
             assert lower == pytest.approx(-2 / 3 * math.cos(gamma), abs=1e-14)
