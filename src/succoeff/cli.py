@@ -27,11 +27,8 @@ Exit status: 0 on success, 1 when a row's ``passed`` cell is false or a
 verification raises, 2 on usage errors (including an ``--out`` path that
 cannot be written).
 
-A command imports only what it runs: ``bounds`` loads ``cli``, ``bounds``,
-``families``, ``errors`` and ``config``; ``extremal`` also loads the measure
-module :mod:`succoeff.caratheodory` when it reads an extremal; ``verify``,
-``sweep`` and ``sample`` also load it and :mod:`succoeff.verify` when they
-start; and ``--format json`` imports :mod:`json` when it renders.
+A command imports only what it runs: ``LOADS`` in ``tests/test_command_map.py``
+states the modules each subcommand loads.
 """
 
 from __future__ import annotations

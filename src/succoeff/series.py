@@ -86,9 +86,6 @@ class TruncatedSeries:
         self._check_order(other)
         return TruncatedSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-a for a in self._coeffs])
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_order(other)

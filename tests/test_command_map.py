@@ -10,11 +10,15 @@ name here, and a change that deletes library-only code shrinks the tuple.
 Its first group, :data:`PERFBENCH_REACHES`, must be exactly what the
 benchmark in ``perfbench/`` reaches and no command enters.
 
-The same lines also test what each subcommand loads: every module of the
-package that a fresh interpreter loads to run a subcommand's lines has a
-function that the subcommand enters, except the modules of
-:data:`LOADED_FOR_NO_CALL`.  So a module-level import that pulls in a
-module only for a name it never calls fails here.
+The same lines also test what each subcommand loads, in one fresh
+interpreter per subcommand, with ``site`` and under ``-S``: the package
+modules it loads must be exactly its entry of :data:`LOADS`, the one
+statement of that rule, and every other module it loads must come from the
+standard library, within the limits :func:`load_differences` states.  Every
+module of the package that a subcommand loads has a function that the
+subcommand enters, except the modules of :data:`LOADED_FOR_NO_CALL`.  So a
+module-level import that pulls in a module only for a name it never calls
+fails here.
 
 A function is keyed by its file and first line (a decorated ``def``
 starts at its first decorator), which its code object carries on every
@@ -27,10 +31,9 @@ at import, and the result does not depend on what was imported first.
 ``PYTHONPATH=src python tests/test_command_map.py`` prints, for each
 subcommand, the functions it enters and, for each module it loads, the
 lines compiled against the lines of the functions it enters and of those
-it never enters.  With ``--check`` it prints only the comparison with
-:data:`LIBRARY_ONLY` and the modules loaded for no call, and exits 0 when
-the two lists are equal and no such module is loaded; it needs no pytest,
-so the map can be checked under any interpreter the package runs on.
+it never enters.  Then it prints every way the run differs from
+:data:`LIBRARY_ONLY`, :data:`LOADS` and the load rules, one line each, and
+exits 1 when there is one.
 """
 
 import ast
@@ -44,7 +47,7 @@ from functools import cache
 from pathlib import Path
 
 import succoeff
-from test_outputs import COMMANDS, _row
+from test_outputs import COMMANDS, DIGESTS, _argv, _row, _write_configs
 
 # The functions that perfbench reaches and no command line enters: those
 # tracer.TARGETS and COUNTED_INIT name, and those layers.microbenchmarks
@@ -89,7 +92,6 @@ LIBRARY_ONLY = PERFBENCH_REACHES + (
     "series.TruncatedSeries._check_order",
     "series.TruncatedSeries.__add__",
     "series.TruncatedSeries.__sub__",
-    "series.TruncatedSeries.__neg__",
     "series.TruncatedSeries.antiderivative",
     "series.TruncatedSeries.shift_up",
     # They check what a library caller passes; the command line checks its
@@ -107,6 +109,27 @@ LIBRARY_ONLY = PERFBENCH_REACHES + (
 # The modules a subcommand may load without entering any function of theirs:
 # the lazy public surface, and the constants.
 LOADED_FOR_NO_CALL = ("succoeff", "succoeff.config")
+
+# The package modules each subcommand loads.  bounds evaluates the closed
+# forms and builds no measure; extremal reads its extremals' measures from
+# caratheodory; verify, sweep and sample also run verify.py.  No command
+# loads series.py.
+_CLOSED_FORMS = frozenset({"succoeff", "succoeff.bounds", "succoeff.cli", "succoeff.config",
+                           "succoeff.errors", "succoeff.families"})
+_MEASURES = _CLOSED_FORMS | {"succoeff.caratheodory"}
+LOADS = {
+    "bounds": _CLOSED_FORMS,
+    "extremal": _MEASURES,
+    "verify": _MEASURES | {"succoeff.verify"},
+    "sweep": _MEASURES | {"succoeff.verify"},
+    "sample": _MEASURES | {"succoeff.verify"},
+}
+
+# Standard modules no command loads: the records are namedtuples, not
+# dataclasses.  Without site, no command loads pathlib or typing either;
+# with it, a .pth hook may import them, and random, before a command starts.
+NEVER_LOADED = frozenset({"dataclasses", "inspect"})
+NEVER_LOADED_WITHOUT_SITE = frozenset({"pathlib", "typing"})
 
 Function = namedtuple("Function", "name path first last")
 
@@ -213,27 +236,88 @@ def subcommands(commands) -> dict[str, list[str]]:
     return by_subcommand
 
 
-def loaded(commands) -> dict[str, list[str]]:
-    """subcommand -> the package modules a fresh interpreter loads to run its lines."""
-    path = [Path(succoeff.__file__).resolve().parents[1], Path(__file__).resolve().parent]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))}
-    by_subcommand = {}
-    for subcommand, lines in subcommands(commands).items():
-        code = ("import sys, tempfile\nfrom pathlib import Path\nfrom test_outputs import _row\n"
-                "with tempfile.TemporaryDirectory() as tmp:\n"
-                f"    for command in {lines!r}:\n"
-                "        _row(command, Path(tmp))\n"
-                "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'succoeff'))\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True, timeout=600)
-        by_subcommand[subcommand] = proc.stdout.split()
-    return by_subcommand
+def new_modules(code: str, *flags: str) -> list[set[str]]:
+    """The modules a fresh interpreter with ``flags`` has loaded at each ``snapshot()`` of ``code``.
+
+    ``code`` runs after ``before = set(sys.modules)``; ``snapshot()`` prints
+    what has been loaded since.  The child finds the package through
+    PYTHONPATH only: it is not installed, and ``-S`` skips site-packages.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(succoeff.__file__).resolve().parents[1])}
+    script = ("import sys\nbefore = set(sys.modules)\n\n"
+              "def snapshot():\n    print(sorted(set(sys.modules) - before))\n\n" + code)
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=600)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{[sys.executable, *flags]} failed:\n{proc.stderr}")
+    return [set(ast.literal_eval(line)) for line in proc.stdout.splitlines()]
+
+
+def loaded(commands) -> dict[tuple[str, str], list[set[str]]]:
+    """(subcommand, "site" or "-S") -> the modules a fresh interpreter loads to run its lines.
+
+    The first set is what the lines load in csv and table, the second what
+    they have loaded once they have also run in json.  Each line must exit as
+    :data:`test_outputs.DIGESTS` records.  The child imports nothing of the
+    tests, so every module it loads is one the commands load.
+    """
+    by_run = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        _write_configs(tmp)
+        for subcommand, lines in subcommands(commands).items():
+            text = [(_argv(command, fmt, tmp), DIGESTS[command][0])
+                    for command in lines for fmt in ("csv", "table")]
+            json = [(_argv(command, "json", tmp), DIGESTS[command][0]) for command in lines]
+            code = ("from succoeff.cli import main\n"
+                    f"for argv, code in {text!r}:\n    assert main(argv) == code, argv\n"
+                    "snapshot()\n"
+                    f"for argv, code in {json!r}:\n    assert main(argv) == code, argv\n"
+                    "snapshot()\n")
+            for setting, flags in (("site", ()), ("-S", ("-S",))):
+                by_run[subcommand, setting] = new_modules(code, *flags)
+    return by_run
+
+
+def _in_package(name: str) -> bool:
+    return name.partition(".")[0] == "succoeff"
+
+
+def package_modules(loads) -> dict[str, list[str]]:
+    """subcommand -> the package modules it loads with site, from :func:`loaded`."""
+    return {subcommand: sorted(filter(_in_package, every))
+            for (subcommand, setting), (_, every) in loads.items() if setting == "site"}
+
+
+def load_differences(loads) -> list[str]:
+    """One line per way what :func:`loaded` gives breaks :data:`LOADS` or the load rules."""
+    lines = []
+    for (subcommand, setting), (text, every) in loads.items():
+        where = f"{subcommand} ({setting})"
+        package = set(filter(_in_package, every))
+        if package != LOADS[subcommand]:
+            lines.append(f"{where} loads {', '.join(sorted(package))}; "
+                         f"LOADS says {', '.join(sorted(LOADS[subcommand]))}")
+        lines += [f"{where} loads {name}, which is not in the standard library"
+                  for name in sorted(every - package)
+                  if name.partition(".")[0] not in sys.stdlib_module_names]
+        never = NEVER_LOADED | (NEVER_LOADED_WITHOUT_SITE if setting == "-S" else set())
+        lines += [f"{where} loads {name}" for name in sorted(never & every)]
+        # Only sample draws random numbers; with site, a .pth file may load random first.
+        if setting == "-S" and ("random" in every) != (subcommand == "sample"):
+            lines.append(f"{where} {'does not load' if subcommand == 'sample' else 'loads'} random")
+        # Only --format json loads json.
+        if "json" in text:
+            lines.append(f"{where} loads json in csv or table")
+        if "json" not in every:
+            lines.append(f"{where} does not load json in json")
+    return lines
 
 
 def loaded_for_no_call(by_command, modules) -> list[str]:
     """One line per module that a subcommand loads and enters no function of.
 
-    ``modules`` is what :func:`loaded` gives for the command lines.
+    ``modules`` is what :func:`package_modules` gives for the command lines.
     """
     lines = []
     for subcommand, commands in subcommands(by_command).items():
@@ -250,14 +334,47 @@ def _every_command_entered():
     return entered(COMMANDS)
 
 
+@cache
+def _every_command_loaded():
+    """:func:`loaded` of every command line, run once for the tests below."""
+    return loaded(COMMANDS)
+
+
 def test_library_only_is_what_no_command_enters():
     problems = differences(never_entered(_every_command_entered()))
     assert not problems, "\n".join(problems)
 
 
 def test_each_loaded_module_has_a_function_the_subcommand_enters():
-    problems = loaded_for_no_call(_every_command_entered(), loaded(COMMANDS))
+    problems = loaded_for_no_call(_every_command_entered(),
+                                  package_modules(_every_command_loaded()))
     assert not problems, "\n".join(problems)
+
+
+def pytest_generate_tests(metafunc):
+    # Parametrized here rather than by a mark, so that the script below
+    # runs without pytest.
+    if "subcommand" in metafunc.fixturenames:
+        metafunc.parametrize("subcommand", list(subcommands(COMMANDS)))
+
+
+def test_commands_load_only_what_they_run(subcommand):
+    problems = load_differences({run: modules for run, modules in _every_command_loaded().items()
+                                 if run[0] == subcommand})
+    assert not problems, "\n".join(problems)
+
+
+def test_package_import_is_lazy():
+    # `import succoeff` loads no submodule; resolving every public name
+    # loads them all, and still neither dataclasses nor inspect.
+    [bare] = new_modules("import succoeff\nsnapshot()")
+    assert set(filter(_in_package, bare)) == {"succoeff"}
+    [verify] = new_modules("import succoeff\nsuccoeff.verify.grid_optimize\nsnapshot()")
+    assert "succoeff.verify" in verify
+    [every] = new_modules("import succoeff\n"
+                          "for name in succoeff.__all__:\n    getattr(succoeff, name)\nsnapshot()")
+    assert "succoeff.verify" in every
+    assert not NEVER_LOADED & every
 
 
 def test_perfbench_group_is_what_perfbench_reaches(monkeypatch, perfbench):
@@ -317,17 +434,17 @@ def _report(by_command, modules) -> None:
 
 
 if __name__ == "__main__":
-    check = sys.argv[1:] == ["--check"]
     by_command = entered(COMMANDS)
-    modules = loaded(COMMANDS)
-    if not check:
-        _report(by_command, modules)
+    loads = loaded(COMMANDS)
+    _report(by_command, package_modules(loads))
     unentered = never_entered(by_command)
     problems = differences(unentered)
-    idle = loaded_for_no_call(by_command, modules)
-    for line in problems + idle:
+    idle = loaded_for_no_call(by_command, package_modules(loads))
+    misloaded = load_differences(loads)
+    for line in problems + idle + misloaded:
         sys.stdout.write(line + "\n")
     sys.stdout.write(f"{len(unentered)} functions no command enters; LIBRARY_ONLY declares "
                      f"{len(LIBRARY_ONLY)}{'' if problems else ', the same'}\n"
-                     f"modules loaded for no call: {len(idle)}\n")
-    sys.exit(1 if check and (problems or idle) else 0)
+                     f"modules loaded for no call: {len(idle)}\n"
+                     f"load differences from LOADS and the load rules: {len(misloaded)}\n")
+    sys.exit(1 if problems or idle or misloaded else 0)

@@ -225,6 +225,8 @@ class TestCoeffMaps:
     def test_coeffs_from_series_validates(self):
         with pytest.raises(DomainError):
             coeffs_from_series(one(8))
+        with pytest.raises(DomainError, match="need order >= 3"):
+            coeffs_from_series(TruncatedSeries([0, 1, 0.5]))
 
 
 def per_family_formulas(params):

@@ -196,11 +196,21 @@ DIGESTS = {
 }
 
 
-def _run(command: str, fmt: str, tmp: Path) -> tuple[int, str]:
-    out = tmp / f"out.{fmt}"
+def _write_configs(tmp: Path) -> None:
+    """Write every file of :data:`CONFIGS` into ``tmp``."""
+    for name, text in CONFIGS.items():
+        (tmp / name).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _argv(command: str, fmt: str, tmp: Path) -> list[str]:
+    """``command``'s argv in ``fmt``, its config files and ``--out`` file in ``tmp``."""
     argv = [str(tmp / arg) if arg in CONFIGS else arg for arg in shlex.split(command)]
-    code = main([*argv, "--format", fmt, "--out", str(out)])
-    return code, hashlib.sha256(out.read_bytes()).hexdigest()[:16]
+    return [*argv, "--format", fmt, "--out", str(tmp / f"out.{fmt}")]
+
+
+def _run(command: str, fmt: str, tmp: Path) -> tuple[int, str]:
+    code = main(_argv(command, fmt, tmp))
+    return code, hashlib.sha256((tmp / f"out.{fmt}").read_bytes()).hexdigest()[:16]
 
 
 def _reject_constant(name: str):
@@ -209,8 +219,7 @@ def _reject_constant(name: str):
 
 def _row(command: str, tmp: Path) -> tuple[int, str, str, str]:
     """(exit code, csv digest, json digest, table digest) of one command line."""
-    for name, text in CONFIGS.items():
-        (tmp / name).write_text(text, encoding="utf-8", newline="\n")
+    _write_configs(tmp)
     runs = [_run(command, fmt, tmp) for fmt in ("csv", "json", "table")]
     codes = {code for code, _ in runs}
     if len(codes) != 1:

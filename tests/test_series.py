@@ -36,6 +36,10 @@ class TestConstruction:
         with pytest.raises(TypeError):
             f.coeffs[0] = 5.0
 
+    def test_repr(self):
+        f = TruncatedSeries([0, 1 / 3, complex(0, -2.5e-7)])
+        assert repr(f) == "TruncatedSeries(order=2, coeffs=(0+0j, 0.333333+0j, 0-2.5e-07j))"
+
 
 class TestAddMul:
     def test_additive_identity(self):
@@ -49,6 +53,13 @@ class TestAddMul:
     def test_additive_inverse(self):
         f = TruncatedSeries([2, -1, 0.5])
         assert_series_close(f + (-1) * f, [0, 0, 0])
+
+    @pytest.mark.parametrize("operation", [
+        lambda f: f + 1, lambda f: f - 1, lambda f: f * None, lambda f: None * f,
+    ], ids=["add", "sub", "mul", "rmul"])
+    def test_other_operands_raise_type_error(self, operation):
+        with pytest.raises(TypeError):
+            operation(TruncatedSeries([1, 2, 3]))
 
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatchError):

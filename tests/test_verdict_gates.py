@@ -23,7 +23,7 @@ import pytest
 from succoeff import (ClassParams, FunctionalSpec, Which, bound_d1, bound_d2, case_boundary_check,
                       config, grid_optimize, sample_no_violation)
 from succoeff.cli import _attained
-from test_outputs import COMMANDS, CONFIGS, _run
+from test_outputs import COMMANDS, _run, _write_configs
 
 # The worst gap allowed, in units of eps * max(1, |scale|): half the gate.
 MAX_GAP_UNITS = 8
@@ -140,8 +140,7 @@ def _shifted(fn, direction: float):
 
 def _verdicts(tmp) -> dict[str, tuple[int, list, str]]:
     """command line -> (exit code, its rows' passed cells, json digest)."""
-    for name, text in CONFIGS.items():
-        (tmp / name).write_text(text, encoding="utf-8", newline="\n")
+    _write_configs(tmp)
     verdicts = {}
     for command in COMMANDS:
         code, digest = _run(command, "json", tmp)
