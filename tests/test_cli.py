@@ -20,6 +20,7 @@ import succoeff.verify as verify_module
 from succoeff import ClassParams, Which, bound_d2, config
 from succoeff.cli import _build_parser, main, parse_angle, parse_range
 from succoeff.errors import InfeasibleError
+from test_command_map import every_command_loaded, load_differences
 
 
 class TestParsing:
@@ -651,6 +652,16 @@ _COMMAND_ARGV = {
     "bounds": [], "extremal": [], "verify": [],
     "sweep": ["--alphas", "0,0.5,2"], "sample": ["--samples", "20"],
 }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGV))
+def test_commands_load_only_what_they_run(command, fmt):
+    # What the command's digest lines load in a fresh interpreter, with site
+    # and under -S: "csv" after they run in csv and table, "json" after they
+    # also run in json.  All ten cases read test_command_map's one pass.
+    problems = load_differences(every_command_loaded(), command, fmt)
+    assert not problems, "\n".join(problems)
 
 
 # Each table's columns, in order, as its CSV header prints them.

@@ -14,7 +14,9 @@ The same lines also test what each subcommand loads, in one fresh
 interpreter per subcommand, with ``site`` and under ``-S``: the package
 modules it loads must be exactly its entry of :data:`LOADS`, the one
 statement of that rule, and every other module it loads must come from the
-standard library, within the limits :func:`load_differences` states.  Every
+standard library, within the limits :func:`load_differences` states;
+``test_cli.test_commands_load_only_what_they_run`` checks them, per
+subcommand and format, against the one pass of :func:`every_command_loaded`.  Every
 module of the package that a subcommand loads has a function that the
 subcommand enters, except the modules of :data:`LOADED_FOR_NO_CALL`.  So a
 module-level import that pulls in a module only for a name it never calls
@@ -289,28 +291,33 @@ def package_modules(loads) -> dict[str, list[str]]:
             for (subcommand, setting), (_, every) in loads.items() if setting == "site"}
 
 
-def load_differences(loads) -> list[str]:
-    """One line per way what :func:`loaded` gives breaks :data:`LOADS` or the load rules."""
+def load_differences(loads, subcommand: str, fmt: str) -> list[str]:
+    """One line per way ``subcommand``'s runs in ``fmt`` break :data:`LOADS` or the load rules.
+
+    ``loads`` is what :func:`loaded` gives.  For ``"csv"`` the modules are
+    those the lines load in csv and table; for ``"json"``, those they have
+    loaded once they have also run in json.
+    """
     lines = []
-    for (subcommand, setting), (text, every) in loads.items():
-        where = f"{subcommand} ({setting})"
-        package = set(filter(_in_package, every))
+    for setting in ("site", "-S"):
+        text, every = loads[subcommand, setting]
+        modules = text if fmt == "csv" else every
+        where = f"{subcommand} ({setting}, {fmt})"
+        package = set(filter(_in_package, modules))
         if package != LOADS[subcommand]:
             lines.append(f"{where} loads {', '.join(sorted(package))}; "
                          f"LOADS says {', '.join(sorted(LOADS[subcommand]))}")
         lines += [f"{where} loads {name}, which is not in the standard library"
-                  for name in sorted(every - package)
+                  for name in sorted(modules - package)
                   if name.partition(".")[0] not in sys.stdlib_module_names]
         never = NEVER_LOADED | (NEVER_LOADED_WITHOUT_SITE if setting == "-S" else set())
-        lines += [f"{where} loads {name}" for name in sorted(never & every)]
+        lines += [f"{where} loads {name}" for name in sorted(never & modules)]
         # Only sample draws random numbers; with site, a .pth file may load random first.
-        if setting == "-S" and ("random" in every) != (subcommand == "sample"):
+        if setting == "-S" and ("random" in modules) != (subcommand == "sample"):
             lines.append(f"{where} {'does not load' if subcommand == 'sample' else 'loads'} random")
         # Only --format json loads json.
-        if "json" in text:
-            lines.append(f"{where} loads json in csv or table")
-        if "json" not in every:
-            lines.append(f"{where} does not load json in json")
+        if ("json" in modules) != (fmt == "json"):
+            lines.append(f"{where} {'does not load' if fmt == 'json' else 'loads'} json")
     return lines
 
 
@@ -335,8 +342,8 @@ def _every_command_entered():
 
 
 @cache
-def _every_command_loaded():
-    """:func:`loaded` of every command line, run once for the tests below."""
+def every_command_loaded():
+    """:func:`loaded` of every command line, run once for the tests here and in test_cli."""
     return loaded(COMMANDS)
 
 
@@ -347,20 +354,7 @@ def test_library_only_is_what_no_command_enters():
 
 def test_each_loaded_module_has_a_function_the_subcommand_enters():
     problems = loaded_for_no_call(_every_command_entered(),
-                                  package_modules(_every_command_loaded()))
-    assert not problems, "\n".join(problems)
-
-
-def pytest_generate_tests(metafunc):
-    # Parametrized here rather than by a mark, so that the script below
-    # runs without pytest.
-    if "subcommand" in metafunc.fixturenames:
-        metafunc.parametrize("subcommand", list(subcommands(COMMANDS)))
-
-
-def test_commands_load_only_what_they_run(subcommand):
-    problems = load_differences({run: modules for run, modules in _every_command_loaded().items()
-                                 if run[0] == subcommand})
+                                  package_modules(every_command_loaded()))
     assert not problems, "\n".join(problems)
 
 
@@ -440,7 +434,8 @@ if __name__ == "__main__":
     unentered = never_entered(by_command)
     problems = differences(unentered)
     idle = loaded_for_no_call(by_command, package_modules(loads))
-    misloaded = load_differences(loads)
+    misloaded = [line for subcommand in subcommands(COMMANDS) for fmt in ("csv", "json")
+                 for line in load_differences(loads, subcommand, fmt)]
     for line in problems + idle + misloaded:
         sys.stdout.write(line + "\n")
     sys.stdout.write(f"{len(unentered)} functions no command enters; LIBRARY_ONLY declares "
