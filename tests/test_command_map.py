@@ -1,17 +1,21 @@
 """What the commands run: every function of ``src/succoeff`` that no command enters is declared.
 
 Every command line of :mod:`test_outputs` runs in-process through
-``cli.main`` once per format, as the digest table runs it, under a
-``sys.settrace`` hook that records each ``def`` and ``lambda`` of the
-package that is entered.  The functions never entered must be exactly
-:data:`LIBRARY_ONLY`, each listed with the reason it stays.  So code that
+``cli.main`` once per format, under a ``sys.settrace`` hook that records
+each ``def`` and ``lambda`` of the package that is entered.  The same pass
+keeps each line's digest row for
+``test_outputs.test_outputs_match_the_recorded_digests``, so the lines run
+once in-process; tracing moves no byte of them.  The functions never
+entered must be exactly :data:`LIBRARY_ONLY`, each listed with the reason it stays.  So code that
 no command runs cannot arrive unnoticed: a change that adds some adds its
 name here, and a change that deletes library-only code shrinks the tuple.
 Its first group, :data:`PERFBENCH_REACHES`, must be exactly what the
 benchmark in ``perfbench/`` reaches and no command enters.
 
 The same lines also test what each subcommand loads, in one fresh
-interpreter per subcommand, with ``site`` and under ``-S``: the package
+interpreter per subcommand, with ``site`` and under ``-S``; this process
+hashes the files each line wrote there for
+``test_outputs.test_digests_match_in_fresh_interpreters``.  The package
 modules it loads must be exactly its entry of :data:`LOADS`, the one
 statement of that rule, and every other module it loads must come from the
 standard library, within the limits :func:`load_differences` states;
@@ -49,7 +53,7 @@ from functools import cache
 from pathlib import Path
 
 import succoeff
-from test_outputs import COMMANDS, DIGESTS, _argv, _row, _write_configs
+from test_outputs import COMMANDS, DIGESTS, _argv, _digest, _row, _write_configs
 
 # The functions that perfbench reaches and no command line enters: those
 # tracer.TARGETS and COUNTED_INIT name, and those layers.microbenchmarks
@@ -134,6 +138,8 @@ NEVER_LOADED = frozenset({"dataclasses", "inspect"})
 NEVER_LOADED_WITHOUT_SITE = frozenset({"pathlib", "typing"})
 
 Function = namedtuple("Function", "name path first last")
+Traced = namedtuple("Traced", "entered rows")
+FreshRun = namedtuple("FreshRun", "text every digests")
 
 
 def _modules():
@@ -164,23 +170,24 @@ def _defs(node, scope, assigned=None):
             yield from _defs(child, scope, assigned)
 
 
-def functions() -> list[Function]:
-    """Every def and lambda of the package, in module and line order."""
+@cache
+def functions() -> tuple[Function, ...]:
+    """Every def and lambda of the package, in module and line order, parsed once."""
     found = []
     for stem, module in _modules():
         path = module.__file__
         tree = ast.parse(Path(path).read_text(encoding="utf-8"))
         found.extend(Function(name, path, first, last)
                      for name, first, last in _defs(tree, f"{stem}."))
-    return found
+    return tuple(found)
 
 
-def _entered_by(run) -> set[tuple[str, int]]:
-    """(file, first line) of each package function entered while ``run()`` runs.
+def _entered_by(run) -> tuple[set[tuple[str, int]], object]:
+    """(file, first line) of each package function ``run()`` enters, and what it returns.
 
     The tracer that was installed before, if any, is put back.
     """
-    files = {f.path for f in functions()}
+    files = {module.__file__ for _, module in _modules()}
     keys = set()
 
     def trace(frame, event, arg):
@@ -194,20 +201,34 @@ def _entered_by(run) -> set[tuple[str, int]]:
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        run()
+        result = run()
     finally:
         sys.settrace(previous)
-    return keys
+    return keys, result
 
 
-def entered(commands) -> dict[str, set[tuple[str, int]]]:
-    """command line -> (file, first line) of each package function it enters.
+def _row_or_error(command: str, tmp: Path):
+    try:
+        return _row(command, tmp)
+    # argparse exits on a flag it rejects.  The line's own digest test
+    # raises what is kept here, so one line cannot fail the others'.
+    except (Exception, SystemExit) as error:
+        return error
+
+
+def traced(commands) -> Traced:
+    """What each command line enters, and its digest row, from one traced run of each.
 
     Each line runs through :func:`test_outputs._row`, in csv, json and
-    table.
+    table.  ``entered`` maps it to the (file, first line) of each package
+    function it enters, ``rows`` to its row or to what ``_row`` raised.
     """
+    result = Traced({}, {})
     with tempfile.TemporaryDirectory() as tmp:
-        return {command: _entered_by(lambda: _row(command, Path(tmp))) for command in commands}
+        for command in commands:
+            result.entered[command], result.rows[command] = _entered_by(
+                lambda: _row_or_error(command, Path(tmp)))
+    return result
 
 
 def never_entered(by_command) -> list[str]:
@@ -255,29 +276,38 @@ def new_modules(code: str, *flags: str) -> list[set[str]]:
     return [set(ast.literal_eval(line)) for line in proc.stdout.splitlines()]
 
 
-def loaded(commands) -> dict[tuple[str, str], list[set[str]]]:
-    """(subcommand, "site" or "-S") -> the modules a fresh interpreter loads to run its lines.
+def loaded(commands) -> dict[tuple[str, str], FreshRun]:
+    """(subcommand, "site" or "-S") -> what a fresh interpreter loads to run its lines, and digests.
 
-    The first set is what the lines load in csv and table, the second what
-    they have loaded once they have also run in json.  Each line must exit as
-    :data:`test_outputs.DIGESTS` records.  The child imports nothing of the
-    tests, so every module it loads is one the commands load.
+    ``text`` is what the lines load in csv and table, ``every`` what they
+    have loaded once they have also run in json.  Each line must exit as
+    :data:`test_outputs.DIGESTS` records, and writes its own ``--out`` file
+    per format; this process hashes them into ``digests`` (line -> csv, json
+    and table digests) once the child has exited.  The child imports nothing
+    of the tests, nor hashlib, so every module it loads is one the commands load.
     """
     by_run = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         _write_configs(tmp)
+        outs = {(command, fmt): tmp / f"{index}.{fmt}"
+                for index, command in enumerate(commands) for fmt in ("csv", "json", "table")}
         for subcommand, lines in subcommands(commands).items():
-            text = [(_argv(command, fmt, tmp), DIGESTS[command][0])
+            text = [(_argv(command, fmt, tmp, outs[command, fmt]), DIGESTS[command][0])
                     for command in lines for fmt in ("csv", "table")]
-            json = [(_argv(command, "json", tmp), DIGESTS[command][0]) for command in lines]
+            json = [(_argv(command, "json", tmp, outs[command, "json"]), DIGESTS[command][0])
+                    for command in lines]
             code = ("from succoeff.cli import main\n"
                     f"for argv, code in {text!r}:\n    assert main(argv) == code, argv\n"
                     "snapshot()\n"
                     f"for argv, code in {json!r}:\n    assert main(argv) == code, argv\n"
                     "snapshot()\n")
             for setting, flags in (("site", ()), ("-S", ("-S",))):
-                by_run[subcommand, setting] = new_modules(code, *flags)
+                modules = new_modules(code, *flags)
+                digests = {command: tuple(_digest(outs[command, fmt])
+                                          for fmt in ("csv", "json", "table"))
+                           for command in lines}
+                by_run[subcommand, setting] = FreshRun(*modules, digests)
     return by_run
 
 
@@ -287,8 +317,8 @@ def _in_package(name: str) -> bool:
 
 def package_modules(loads) -> dict[str, list[str]]:
     """subcommand -> the package modules it loads with site, from :func:`loaded`."""
-    return {subcommand: sorted(filter(_in_package, every))
-            for (subcommand, setting), (_, every) in loads.items() if setting == "site"}
+    return {subcommand: sorted(filter(_in_package, run.every))
+            for (subcommand, setting), run in loads.items() if setting == "site"}
 
 
 def load_differences(loads, subcommand: str, fmt: str) -> list[str]:
@@ -300,8 +330,8 @@ def load_differences(loads, subcommand: str, fmt: str) -> list[str]:
     """
     lines = []
     for setting in ("site", "-S"):
-        text, every = loads[subcommand, setting]
-        modules = text if fmt == "csv" else every
+        run = loads[subcommand, setting]
+        modules = run.text if fmt == "csv" else run.every
         where = f"{subcommand} ({setting}, {fmt})"
         package = set(filter(_in_package, modules))
         if package != LOADS[subcommand]:
@@ -336,24 +366,24 @@ def loaded_for_no_call(by_command, modules) -> list[str]:
 
 
 @cache
-def _every_command_entered():
-    """:func:`entered` of every command line, traced once for the tests below."""
-    return entered(COMMANDS)
+def every_command_traced():
+    """:func:`traced` of every command line, run once for the tests here and in test_outputs."""
+    return traced(COMMANDS)
 
 
 @cache
 def every_command_loaded():
-    """:func:`loaded` of every command line, run once for the tests here and in test_cli."""
+    """:func:`loaded` of every command line, run once for test_cli, test_outputs and here."""
     return loaded(COMMANDS)
 
 
 def test_library_only_is_what_no_command_enters():
-    problems = differences(never_entered(_every_command_entered()))
+    problems = differences(never_entered(every_command_traced().entered))
     assert not problems, "\n".join(problems)
 
 
 def test_each_loaded_module_has_a_function_the_subcommand_enters():
-    problems = loaded_for_no_call(_every_command_entered(),
+    problems = loaded_for_no_call(every_command_traced().entered,
                                   package_modules(every_command_loaded()))
     assert not problems, "\n".join(problems)
 
@@ -386,8 +416,8 @@ def test_perfbench_group_is_what_perfbench_reaches(monkeypatch, perfbench):
     monkeypatch.setattr(layers, "_per_call_us", once)
     for name in succoeff.__all__:
         monkeypatch.delitem(vars(succoeff), name, raising=False)
-    hit = _entered_by(layers.microbenchmarks)
-    by_command = set().union(*_every_command_entered().values())
+    hit, _ = _entered_by(layers.microbenchmarks)
+    by_command = set().union(*every_command_traced().entered.values())
     reached |= {f.name for f in functions() if (f.path, f.first) in hit}
     reached -= {f.name for f in functions() if (f.path, f.first) in by_command}
     assert sorted(PERFBENCH_REACHES) == sorted(reached)
@@ -400,10 +430,18 @@ def test_the_previous_tracer_is_restored():
     previous = sys.gettrace()
     sys.settrace(sentinel)
     try:
-        entered(COMMANDS[:1])
+        traced(COMMANDS[:1])
         assert sys.gettrace() is sentinel
     finally:
         sys.settrace(previous)
+
+
+def test_tracing_moves_no_byte(tmp_path):
+    # The in-process digest test reads the traced rows: for one line of each
+    # subcommand, the row must be the one an untraced run gives.
+    rows = every_command_traced().rows
+    for command, *_ in subcommands(COMMANDS).values():
+        assert rows[command] == _row(command, tmp_path), command
 
 
 # ------------------------------------------------------------------ script
@@ -428,7 +466,7 @@ def _report(by_command, modules) -> None:
 
 
 if __name__ == "__main__":
-    by_command = entered(COMMANDS)
+    by_command = traced(COMMANDS).entered
     loads = loaded(COMMANDS)
     _report(by_command, package_modules(loads))
     unentered = never_entered(by_command)

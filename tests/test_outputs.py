@@ -1,8 +1,8 @@
 """Byte-identical outputs: every command's csv, json and table bytes and exit code are pinned.
 
-Each command line below runs in-process through ``cli.main`` once per
-format, and the first 16 hex digits of the SHA-256 of its ``--out`` file,
-with its exit code, must match the recorded table.  A ``--config`` row
+Each command line below runs through ``cli.main`` once per format, and
+the first 16 hex digits of the SHA-256 of its ``--out`` file, with its
+exit code, must match the recorded table.  A ``--config`` row
 names a file of :data:`CONFIGS`, written from its fixed text before the
 row runs, so the bytes of the config reader are pinned as well.  A change that is meant
 to keep every output (a refactor, a speed-up) leaves the table alone; one
@@ -10,6 +10,15 @@ that changes outputs on purpose re-records it and says which rows moved.
 The table was recorded with CPython 3.11 on x86-64 Linux; floats are
 printed to 17 significant digits, so a libm whose cos or exp differs in
 the last bit would change digests.
+
+Each interpreter setting runs the lines once.  In-process, the traced
+pass of :mod:`test_command_map` runs each line through :func:`_row`, and
+:func:`test_outputs_match_the_recorded_digests` reads the row it kept.  In
+a fresh interpreter, with ``site`` and under ``-S`` (pyproject declares no
+dependencies, so the package must give every row without
+site-packages), ``test_command_map.loaded`` runs them to record what they
+load and hashes the files they wrote, which
+:func:`test_digests_match_in_fresh_interpreters` checks.
 
 Re-record with ``PYTHONPATH=src python tests/test_outputs.py`` from the
 root of a checkout, and paste its output over ``DIGESTS``.  With
@@ -202,15 +211,19 @@ def _write_configs(tmp: Path) -> None:
         (tmp / name).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _argv(command: str, fmt: str, tmp: Path) -> list[str]:
-    """``command``'s argv in ``fmt``, its config files and ``--out`` file in ``tmp``."""
+def _argv(command: str, fmt: str, tmp: Path, out: Path) -> list[str]:
+    """``command``'s argv in ``fmt``, writing to ``out``, its config files in ``tmp``."""
     argv = [str(tmp / arg) if arg in CONFIGS else arg for arg in shlex.split(command)]
-    return [*argv, "--format", fmt, "--out", str(tmp / f"out.{fmt}")]
+    return [*argv, "--format", fmt, "--out", str(out)]
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
 def _run(command: str, fmt: str, tmp: Path) -> tuple[int, str]:
-    code = main(_argv(command, fmt, tmp))
-    return code, hashlib.sha256((tmp / f"out.{fmt}").read_bytes()).hexdigest()[:16]
+    out = tmp / f"out.{fmt}"
+    return main(_argv(command, fmt, tmp, out)), _digest(out)
 
 
 def _reject_constant(name: str):
@@ -246,8 +259,22 @@ def test_table_covers_the_commands():
     assert list(DIGESTS) == COMMANDS
 
 
-def test_outputs_match_the_recorded_digests(command, tmp_path):
-    assert _row(command, tmp_path) == DIGESTS[command]
+def test_outputs_match_the_recorded_digests(command):
+    from test_command_map import every_command_traced  # it imports this module
+
+    row = every_command_traced().rows[command]
+    if isinstance(row, BaseException):
+        raise row
+    assert row == DIGESTS[command]
+
+
+def test_digests_match_in_fresh_interpreters():
+    from test_command_map import every_command_loaded  # it imports this module
+
+    moved = [f"{command} ({setting}): {digests} != {DIGESTS[command][1:]}"
+             for (_, setting), run in every_command_loaded().items()
+             for command, digests in run.digests.items() if digests != DIGESTS[command][1:]]
+    assert not moved, "\n".join(moved)
 
 
 def _interpreter(version: str) -> str | None:
@@ -273,19 +300,9 @@ def test_digests_match_under_other_interpreters(version):
     exe = _interpreter(version)
     if exe is None:
         pytest.skip(f"no CPython {version} starts here")
-    _check_in_subprocess(exe)
-
-
-def test_digests_match_without_site_packages():
-    # pyproject declares no dependencies: under -S, which adds no
-    # site-packages to the path, the package still gives every row.
-    _check_in_subprocess(sys.executable, "-S")
-
-
-def _check_in_subprocess(exe: str, *flags: str) -> None:
     package_root = str(Path(succoeff.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([exe, *flags, str(Path(__file__).resolve()), "--check"],
+    proc = subprocess.run([exe, str(Path(__file__).resolve()), "--check"],
                           capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{len(DIGESTS)} of {len(DIGESTS)} rows match"
