@@ -23,8 +23,8 @@ _EXPORTS = {
         "OrderMismatchError", "SuccoeffError",
     ),
     "families": (
-        "ClassParams", "CoeffTriple", "Family", "MembershipReport", "coeffs_from_series",
-        "construct_member", "membership_check", "mu",
+        "ClassParams", "CoeffTriple", "Family", "MembershipReport", "construct_member",
+        "membership_check", "mu",
     ),
     "series": ("TruncatedSeries",),
     "verify": (

@@ -171,7 +171,7 @@ def extremal_measure(desc: ExtremalDescriptor) -> AtomicHerglotzRep:
 
     Its fixed measure in _CATALOG, or else the two-atom measure at the
     class's (c*, x*) of :func:`two_atom_parameters`, which is the point
-    mass at 1 where :func:`solve_two_atom` finds c* degenerate (c* = 2).
+    mass at 1 where :func:`solve_two_atom` finds it degenerate (c* = 2).
     """
     # Only the commands that read an extremal load the measure module.
     from .caratheodory import AtomicHerglotzRep, solve_two_atom
@@ -190,7 +190,7 @@ def extremal_coeffs(desc: ExtremalDescriptor) -> CoeffTriple:
     """(a2, a3) of a catalog extremal, read from g_1 and g_2 of its measure.
 
     An order-2 jet, divided by the family's n2 and n3; bitwise equal to
-    ``coeffs_from_series(extremal_series(desc, order))`` at every order.
+    ``CoeffTriple(*extremal_series(desc, order).coeffs[2:4])`` at every order.
     """
     rep = extremal_measure(desc)
     _, g1, g2 = _atom_jet(rep.weights, rep.points, 2, _exponent(desc.params))

@@ -107,9 +107,12 @@ def solve_two_atom(c: float, x: complex) -> AtomicHerglotzRep:
     stops.  The roots are divided by their moduli, and the first moment
     gives w1 = Re((c/2 - eps2) / (eps1 - eps2)).  Atoms are ordered by
     argument in [0, 2pi); at x = 1 they are exactly 1 and -1.
+
+    DegenerateError when c == 2, where the measure is the point mass at 1,
+    or when w rounds to 0 or 1, which only the last floats below 2 do.
     """
     _check_disk_point(c, x)
-    if c >= 2.0 - config.DEGENERATE_C_TOL:
+    if c == 2.0:
         raise DegenerateError("c = 2 collapses the measure to a single atom at 1")
     if abs(abs(x) - 1.0) > config.REP_ATOL:
         raise InfeasibleError(
@@ -121,6 +124,8 @@ def solve_two_atom(c: float, x: complex) -> AtomicHerglotzRep:
     e1, e2 = (s + root) / 2.0, (s - root) / 2.0
     e1, e2 = e1 / abs(e1), e2 / abs(e2)
     w = ((c / 2.0 - e2) / (e1 - e2)).real
+    if not 0.0 < w < 1.0:
+        raise DegenerateError(f"the measure at (c={c}, x={x}) collapses to a single atom")
     weights, points = [w, 1.0 - w], [e1, e2]
     if cmath.phase(e1) % (2.0 * math.pi) > cmath.phase(e2) % (2.0 * math.pi):
         weights.reverse()

@@ -29,17 +29,11 @@ MAX_LATTICE = 100_000
 # on |x| <= 1 of a disk parameter x; c is held to [0, 2] exactly.
 REP_ATOL = 1e-12
 
-# Normalization f(0) = 0, f'(0) = 1 of a member whose a2, a3 are read off.
-NORMALIZATION_ATOL = 1e-12
-
 # The constant term that exp (0) and the kernel integral (1) require.
 CONSTANT_TERM_ATOL = 1e-14
 
 # |f| or |f'| below this at a membership sample point counts as a zero.
 VANISHING_ATOL = 1e-13
-
-# c values within this distance of 2 are treated as the single-atom case.
-DEGENERATE_C_TOL = 1e-12
 
 # Margin below which a sampled membership functional counts as a violation.
 MEMBERSHIP_TOL = -1e-9

@@ -195,16 +195,6 @@ def construct_member(
     return _member(params, (_exponent(params) * p.integrate_kernel()).exp().coeffs[:-1])
 
 
-def coeffs_from_series(f: TruncatedSeries) -> CoeffTriple:
-    """Extract (a2, a3) from a constructed member; validates normalization."""
-    if f.order < 3:
-        raise DomainError("need order >= 3 to read off a2 and a3")
-    tol = config.NORMALIZATION_ATOL
-    if abs(f[0]) > tol or abs(f[1] - 1.0) > tol:
-        raise DomainError("member must be normalized: f(0) = 0, f'(0) = 1")
-    return CoeffTriple(a2=f[2], a3=f[3])
-
-
 class MembershipReport(namedtuple("MembershipReport", "passed worst_margin worst_z")):
     __slots__ = ()
 

@@ -9,6 +9,7 @@ import pytest
 from succoeff import (
     AtomicHerglotzRep,
     ClassParams,
+    CoeffTriple,
     DomainError,
     ExtremalDescriptor,
     ExtremalName,
@@ -16,8 +17,6 @@ from succoeff import (
     Which,
     bound_d1,
     bound_d2,
-    coeffs_from_series,
-    config,
     extremal_coeffs,
     extremal_measure,
     extremal_series,
@@ -277,17 +276,25 @@ class TestExtremalSeries:
 
     @pytest.mark.parametrize("lam", [0.75, 0.4999999999999])
     def test_f_ozaki_degenerate_atom(self, lam):
-        # lam >= 1/2 uses c = 2, and just below 1/2 c* = 3/(2-lam) is within
-        # DEGENERATE_C_TOL of 2: either way solve_two_atom finds c* degenerate,
-        # so the measure is a single atom at 1 and F is the antiderivative of
-        # (1-z)^lam.
+        # lam >= 1/2 uses c* = 2, where solve_two_atom finds the measure
+        # degenerate: a single atom at 1, and F is the antiderivative of
+        # (1-z)^lam.  Just below 1/2, c* = 3/(2-lam) < 2 and F is the two-atom
+        # extremal, however near c* is to 2: equal weights on the atoms
+        # e^{+-it} with 2 cos t = c*, so F' = (1 - c* z + z^2)^(lam/2).
         params = ClassParams.ozaki(lam)
-        assert 2.0 - two_atom_parameters(params)[0] < config.DEGENERATE_C_TOL
+        c, x = two_atom_parameters(params)
         desc = bound_d2(params).lower_extremal
-        assert extremal_measure(desc) == AtomicHerglotzRep((1.0,), (1.0,))
-        f = extremal_series(desc, 8)
-        closed = cpow(one(8) + monomial(1, 8, -1.0), lam).antiderivative()
-        assert_series_close(f, closed.coeffs, atol=1e-13)
+        rep = extremal_measure(desc)
+        if lam > 0.5:
+            assert c == 2.0
+            assert rep == AtomicHerglotzRep((1.0,), (1.0,))
+            closed = cpow(one(8) + monomial(1, 8, -1.0), lam)
+        else:
+            assert c < 2.0 and x == -1.0
+            assert rep == solve_two_atom(c, x)
+            np.testing.assert_allclose(rep.weights, [0.5, 0.5], atol=1e-15)
+            closed = cpow(one(8) + monomial(1, 8, -c) + monomial(2, 8), lam / 2)
+        assert_series_close(extremal_series(desc, 8), closed.antiderivative().coeffs, atol=1e-13)
 
     def test_f_ozaki_half_branch_agreement(self):
         # At lam = 1/2 both stated parameter choices give c = 2.
@@ -346,7 +353,7 @@ class TestAttainment:
         for desc, _, _ in endpoints(params):
             got = float_bits(extremal_coeffs(desc))
             for order in (4, 12, 128, 1024):
-                want = coeffs_from_series(extremal_series(desc, order))
+                want = CoeffTriple(*extremal_series(desc, order).coeffs[2:4])
                 assert got == float_bits(want), (desc.name, order)
 
     def test_nine_catalog_names(self):

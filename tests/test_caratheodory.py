@@ -225,10 +225,20 @@ class TestSolveTwoAtom:
         assert abs(m[1] - (c * c + (4 - c * c) * x) / 4) < 1e-14
 
     def test_roundtrip_random_boundary(self, rng):
-        cs = [rng.uniform(0.0, 1.95) for _ in range(25)] + [2.0 - 1e-11]
-        for c in cs:
-            x = np.exp(2j * np.pi * rng.random())
-            rep = solve_two_atom(c, x)
+        # Every c below 2 gets the two-atom measure, the last floats below 2
+        # too, unless a weight rounds to 0 or 1: that is DegenerateError.
+        last = [2.0]
+        for _ in range(300):
+            last.append(math.nextafter(last[-1], 0.0))
+        cases = [(rng.uniform(0.0, 1.95), np.exp(2j * np.pi * rng.random())) for _ in range(25)]
+        cases += [(2.0 - 1e-11, np.exp(2j * np.pi * rng.random()))]
+        cases += [(c, x) for c in last[1:] for x in (np.exp(2j * np.pi * rng.random()), -1.0)]
+        for c, x in cases:
+            try:
+                rep = solve_two_atom(c, x)
+            except DegenerateError:
+                assert c > 2.0 - 1e-15, (c, x)
+                continue
             m = np.asarray(moments(rep, 2)) / 2.0
             assert abs(m[0] - c / 2) < 1e-14
             assert abs(m[1] - (c * c + (4 - c * c) * x) / 4) < 1e-14

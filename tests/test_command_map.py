@@ -53,7 +53,7 @@ from functools import cache
 from pathlib import Path
 
 import succoeff
-from test_outputs import COMMANDS, DIGESTS, _argv, _digest, _row, _write_configs
+from test_outputs import COMMANDS, DIGESTS, _argv, _digest, _row, _row_or_error, _write_configs
 
 # The functions that perfbench reaches and no command line enters: those
 # tracer.TARGETS and COUNTED_INIT name, and those layers.microbenchmarks
@@ -84,8 +84,7 @@ PERFBENCH_REACHES = (
 # The functions of src/succoeff that no command line enters, by module and
 # qualified name (a lambda is named by the variable it is assigned to).
 LIBRARY_ONLY = PERFBENCH_REACHES + (
-    # The README quickstart reads a2 and a3 of a member through these.
-    "families.coeffs_from_series",
+    # The series type's accessors beside coeffs, used by the tests.
     "series.TruncatedSeries.order",
     "series.TruncatedSeries.__getitem__",
     # Named constructors beside ClassParams.spirallike, which perfbench resolves.
@@ -139,7 +138,7 @@ NEVER_LOADED_WITHOUT_SITE = frozenset({"pathlib", "typing"})
 
 Function = namedtuple("Function", "name path first last")
 Traced = namedtuple("Traced", "entered rows")
-FreshRun = namedtuple("FreshRun", "text every digests")
+FreshRun = namedtuple("FreshRun", "text every failures digests")
 
 
 def _modules():
@@ -207,15 +206,6 @@ def _entered_by(run) -> tuple[set[tuple[str, int]], object]:
     return keys, result
 
 
-def _row_or_error(command: str, tmp: Path):
-    try:
-        return _row(command, tmp)
-    # argparse exits on a flag it rejects.  The line's own digest test
-    # raises what is kept here, so one line cannot fail the others'.
-    except (Exception, SystemExit) as error:
-        return error
-
-
 def traced(commands) -> Traced:
     """What each command line enters, and its digest row, from one traced run of each.
 
@@ -263,7 +253,8 @@ def new_modules(code: str, *flags: str) -> list[set[str]]:
     """The modules a fresh interpreter with ``flags`` has loaded at each ``snapshot()`` of ``code``.
 
     ``code`` runs after ``before = set(sys.modules)``; ``snapshot()`` prints
-    what has been loaded since.  The child finds the package through
+    what has been loaded since.  Each line the child prints is a list of
+    strings, returned as a set.  The child finds the package through
     PYTHONPATH only: it is not installed, and ``-S`` skips site-packages.
     """
     env = {**os.environ, "PYTHONPATH": str(Path(succoeff.__file__).resolve().parents[1])}
@@ -276,15 +267,37 @@ def new_modules(code: str, *flags: str) -> list[set[str]]:
     return [set(ast.literal_eval(line)) for line in proc.stdout.splitlines()]
 
 
+# The child's runner: each line that raises (SystemExit included) or exits
+# with another code than DIGESTS records is kept, as _row_or_error keeps it
+# in-process, and the rest still run.  It imports nothing.
+_RUN_LINES = """\
+from succoeff.cli import main
+failures = []
+
+def run(lines):
+    for line, argv, code in lines:
+        try:
+            got = main(argv)
+        except (Exception, SystemExit) as error:
+            failures.append(f"{line}: raised {error!r}")
+        else:
+            if got != code:
+                failures.append(f"{line}: exited {got!r}, not {code}")
+
+"""
+
+
 def loaded(commands) -> dict[tuple[str, str], FreshRun]:
     """(subcommand, "site" or "-S") -> what a fresh interpreter loads to run its lines, and digests.
 
     ``text`` is what the lines load in csv and table, ``every`` what they
-    have loaded once they have also run in json.  Each line must exit as
-    :data:`test_outputs.DIGESTS` records, and writes its own ``--out`` file
-    per format; this process hashes them into ``digests`` (line -> csv, json
-    and table digests) once the child has exited.  The child imports nothing
-    of the tests, nor hashlib, so every module it loads is one the commands load.
+    have loaded once they have also run in json.  ``failures`` names each
+    line, with its format, that raised or did not exit as
+    :data:`test_outputs.DIGESTS` records.  Each line writes its own
+    ``--out`` file per format; this process hashes them into ``digests``
+    (line -> csv, json and table digests, None for a file not written) once
+    the child has exited.  The child imports nothing of the tests, nor
+    hashlib, so every module it loads is one the commands load.
     """
     by_run = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -292,22 +305,23 @@ def loaded(commands) -> dict[tuple[str, str], FreshRun]:
         _write_configs(tmp)
         outs = {(command, fmt): tmp / f"{index}.{fmt}"
                 for index, command in enumerate(commands) for fmt in ("csv", "json", "table")}
+
+        def lines_in(lines, formats):
+            return [(f"{command} --format {fmt}", _argv(command, fmt, tmp, outs[command, fmt]),
+                     DIGESTS[command][0]) for command in lines for fmt in formats]
+
         for subcommand, lines in subcommands(commands).items():
-            text = [(_argv(command, fmt, tmp, outs[command, fmt]), DIGESTS[command][0])
-                    for command in lines for fmt in ("csv", "table")]
-            json = [(_argv(command, "json", tmp, outs[command, "json"]), DIGESTS[command][0])
-                    for command in lines]
-            code = ("from succoeff.cli import main\n"
-                    f"for argv, code in {text!r}:\n    assert main(argv) == code, argv\n"
-                    "snapshot()\n"
-                    f"for argv, code in {json!r}:\n    assert main(argv) == code, argv\n"
-                    "snapshot()\n")
+            code = (_RUN_LINES + f"run({lines_in(lines, ('csv', 'table'))!r})\nsnapshot()\n"
+                    f"run({lines_in(lines, ('json',))!r})\nsnapshot()\nprint(failures)\n")
             for setting, flags in (("site", ()), ("-S", ("-S",))):
-                modules = new_modules(code, *flags)
+                for out in outs.values():
+                    out.unlink(missing_ok=True)
+                text, every, failures = new_modules(code, *flags)
                 digests = {command: tuple(_digest(outs[command, fmt])
+                                          if outs[command, fmt].exists() else None
                                           for fmt in ("csv", "json", "table"))
                            for command in lines}
-                by_run[subcommand, setting] = FreshRun(*modules, digests)
+                by_run[subcommand, setting] = FreshRun(text, every, failures, digests)
     return by_run
 
 

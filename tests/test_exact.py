@@ -7,7 +7,9 @@ within :data:`CLOSED_FORM_UNITS`; the value each extremal attains
 (``extremal_coeffs(desc).d1()`` and ``.d2()``) and each ``grid_optimize``
 endpoint within :data:`DERIVED_UNITS`.  The classes are those of
 :mod:`test_verdict_gates`: seeded random classes of every family, the edges
-of each box, and the ulps either side of ``T = 5/4`` and ``lam = 1/2``.
+of each box, the ulps either side of ``T = 5/4`` and ``lam = 1/2``, and the
+Ozaki classes down to ``lam = 1/2 - 7.5e-13``, whose ``c*`` lies within
+about 1e-12 of 2.
 """
 
 from functools import cache

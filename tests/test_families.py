@@ -17,7 +17,6 @@ from succoeff import (
     TruncatedSeries,
     bound_d1,
     bound_d2,
-    coeffs_from_series,
     construct_member,
     extremal_series,
     membership_check,
@@ -217,16 +216,10 @@ class TestCoeffMaps:
         for _ in range(20):
             rep = random_rep(int(rng.integers(1, 6)), int(rng.integers(0, 2**31)))
             p = to_series(rep, 8)
-            triple = coeffs_from_series(construct_member(params, p))
+            triple = CoeffTriple(*construct_member(params, p).coeffs[2:4])
             expected = coeffs_from_c(params, p[1], p[2])
             assert triple.a2 == pytest.approx(expected.a2, abs=1e-10)
             assert triple.a3 == pytest.approx(expected.a3, abs=1e-10)
-
-    def test_coeffs_from_series_validates(self):
-        with pytest.raises(DomainError):
-            coeffs_from_series(one(8))
-        with pytest.raises(DomainError, match="need order >= 3"):
-            coeffs_from_series(TruncatedSeries([0, 1, 0.5]))
 
 
 def per_family_formulas(params):

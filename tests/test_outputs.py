@@ -22,11 +22,12 @@ load and hashes the files they wrote, which
 
 Re-record with ``PYTHONPATH=src python tests/test_outputs.py`` from the
 root of a checkout, and paste its output over ``DIGESTS``.  With
-``--check`` the script compares every row with the table instead and
-exits 0 only when all match.  It needs no pytest, so the table can be
-checked under any interpreter the package runs on; since Python 3.12,
-``sum`` adds floats with compensation, so a ``sum`` where the package
-adds left to right shows there as a moved digest.  Under pytest,
+``--check`` the script compares every row with the table instead, names
+each line that raises as moved, and exits 0 only when all match.  It
+needs no pytest, so the table can be checked under any interpreter the
+package runs on; since Python 3.12, ``sum`` adds floats with
+compensation, so a ``sum`` where the package adds left to right shows
+there as a moved digest.  Under pytest,
 :func:`test_digests_match_under_other_interpreters` runs ``--check``
 under each other CPython 3.10-3.13 it finds that starts.
 """
@@ -54,7 +55,7 @@ _POINTS = [
     "--family ozaki --lambda 0.5",
 ]
 # The branch edges of the |a3|-|a2| lower endpoint: c* = 2 (a point mass),
-# c* within DEGENERATE_C_TOL of 2 on the lam <= 1/2 side, and T = 1.250035
+# c* = 2 - 1.3e-13 (two atoms) on the lam <= 1/2 side, and T = 1.250035
 # and T = 1.249871 on either side of the convex erratum's T = 5/4.
 _EDGE_POINTS = [
     "--family ozaki --lambda 0.75",
@@ -153,7 +154,7 @@ DIGESTS = {
     "extremal --family ozaki --lambda 0.75":
         (0, "b9cecdcdd2e465c4", "1143bc7b472f0c35", "e039025ba877f877"),
     "extremal --family ozaki --lambda 0.4999999999999":
-        (0, "085b2a259b1e1199", "1597d827ec97b07e", "c3ba317e6dee1aa8"),
+        (0, "8229072e27143204", "0e17ccde7ec454a9", "5c90f871f9a33dbd"),
     "extremal --family convex --alpha 0 --gamma 1.3024":
         (0, "b7e9e5a75103bfe6", "ace98826d3bb3e13", "da8024fd5395e8f5"),
     "extremal --family convex --alpha 0 --gamma 1.3025":
@@ -242,6 +243,15 @@ def _row(command: str, tmp: Path) -> tuple[int, str, str, str]:
     return (runs[0][0], *(digest for _, digest in runs))
 
 
+def _row_or_error(command: str, tmp: Path):
+    """:func:`_row`, or what it raised, so that one line cannot fail the others."""
+    try:
+        return _row(command, tmp)
+    # argparse exits on a flag it rejects.
+    except (Exception, SystemExit) as error:
+        return error
+
+
 # The interpreters the table is checked under; pyproject asks for >= 3.10.
 _VERSIONS = ("3.10", "3.11", "3.12", "3.13")
 
@@ -271,9 +281,12 @@ def test_outputs_match_the_recorded_digests(command):
 def test_digests_match_in_fresh_interpreters():
     from test_command_map import every_command_loaded  # it imports this module
 
-    moved = [f"{command} ({setting}): {digests} != {DIGESTS[command][1:]}"
-             for (_, setting), run in every_command_loaded().items()
-             for command, digests in run.digests.items() if digests != DIGESTS[command][1:]]
+    runs = every_command_loaded().items()
+    moved = [f"{failure} ({setting})" for (_, setting), run in runs
+             for failure in sorted(run.failures)]
+    moved += [f"{command} ({setting}): {digests} != {DIGESTS[command][1:]}"
+              for (_, setting), run in runs
+              for command, digests in run.digests.items() if digests != DIGESTS[command][1:]]
     assert not moved, "\n".join(moved)
 
 
@@ -313,14 +326,15 @@ if __name__ == "__main__":
     matched = 0
     with tempfile.TemporaryDirectory() as tmp:
         for command in COMMANDS:
-            code, *digests = row = _row(command, Path(tmp))
+            row = (_row_or_error if check else _row)(command, Path(tmp))
             if not check:
+                code, *digests = row
                 cells = ", ".join(f'"{digest}"' for digest in digests)
                 sys.stdout.write(f'    "{command}":\n        ({code}, {cells}),\n')
             elif row == DIGESTS.get(command):
                 matched += 1
             else:
-                sys.stdout.write(f"moved: {command}: {row} != {DIGESTS.get(command)}\n")
+                sys.stdout.write(f"moved: {command}: {row!r} != {DIGESTS.get(command)}\n")
     if check:
         complete = list(DIGESTS) == COMMANDS
         sys.stdout.write(f"{matched} of {len(DIGESTS)} rows match"

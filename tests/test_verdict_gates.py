@@ -4,8 +4,9 @@ Every verdict compares two computations of one quantity and forgives
 ``config.gate(scale)``, ``GATE_ULPS`` units of ``eps * max(1, |scale|)``
 with ``eps = 2**-52``.  :func:`test_worst_gap_is_at_most_half_the_gate`
 measures each gap in those units over seeded classes of every family, the
-edges of their parameter boxes and the two branch points, and requires the
-worst to be at most half the gate.
+edges of their parameter boxes, the two branch points and the Ozaki
+classes just below ``lam = 1/2`` whose ``c*`` lies within about 1e-12 of 2,
+and requires the worst to be at most half the gate.
 
 The digests of :mod:`test_outputs` depend on the libm: a ``cos`` one ulp
 off moves printed digits.  :func:`test_no_verdict_depends_on_libm` checks
@@ -63,6 +64,9 @@ def _classes(per_family: int, seed: int) -> list[ClassParams]:
                 for alpha in alphas for gamma in gammas for sign in (1.0, -1.0)]
     classes += [ClassParams.ozaki(lam) for lam in
                 (5e-324, 1e-12, 0.25, 0.75, math.nextafter(1.0, 0.0), 1.0)]
+    # lam down to 1/2 - 7.5e-13, where c* is within about 1e-12 of 2 and still two atoms.
+    classes += [ClassParams.ozaki(0.5 - k * 1.25e-13) for k in range(1, 7)]
+    classes += [ClassParams.ozaki(0.4999999999999)]
     # 40 ulps of gamma either side of T = 5/4, and 20 ulps of lam either side of 1/2.
     classes += [ClassParams.convex(alpha, gamma) for alpha in (0.0, 0.3, 0.6)
                 for gamma in _ulps_around(_convex_branch_gamma(alpha), 40)]

@@ -12,6 +12,7 @@ import pytest
 from succoeff import (
     AtomicHerglotzRep,
     ClassParams,
+    CoeffTriple,
     DomainError,
     FunctionalSpec,
     Which,
@@ -19,7 +20,6 @@ from succoeff import (
     bound_d2,
     case_boundary_check,
     construct_member,
-    coeffs_from_series,
     config,
     extremal_coeffs,
     functional_value,
@@ -273,7 +273,7 @@ class TestSampling:
     def test_single_atom_exact_value(self):
         params = ClassParams.spirallike(0.3, 0.5)
         rep = random_rep(1, seed=11)
-        triple = coeffs_from_series(construct_member(params, to_series(rep, 8)))
+        triple = CoeffTriple(*construct_member(params, to_series(rep, 8)).coeffs[2:4])
         assert triple.d1() == pytest.approx(2 * 0.7 * math.cos(0.5) - 1, abs=1e-12)
 
     def test_worst_margin_witnesses_recorded(self):
