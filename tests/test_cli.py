@@ -1,7 +1,6 @@
 """CLI behavior: parsing, formats, determinism, exit codes."""
 
 import argparse
-import json
 import math
 import os
 import re
@@ -21,6 +20,7 @@ from succoeff import ClassParams, Which, bound_d2, config
 from succoeff.cli import _build_parser, main, parse_angle, parse_range
 from succoeff.errors import InfeasibleError
 from test_command_map import every_command_loaded, load_differences
+from test_outputs import cli_rows, out_flags, parse_rows, run_cli
 
 
 class TestParsing:
@@ -46,21 +46,11 @@ class TestParsing:
         assert parse_range("0, pi/2, 100000000") == (0.0, math.pi / 2, 100000000)
 
 
-def read_csv(path):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
-
-
 class TestBounds:
     def test_convex_values(self, tmp_path):
-        out = tmp_path / "bounds.csv"
-        code = main([
-            "bounds", "--family", "convex", "--alpha", "0.5", "--gamma", "0",
-            "--format", "csv", "--out", str(out),
-        ])
+        code, rows = cli_rows(["bounds", "--family", "convex", "--alpha", "0.5", "--gamma", "0"],
+                              tmp_path)
         assert code == 0
-        _, rows = read_csv(out)
         d2 = next(r for r in rows if r["which"] == "d2")
         assert float(d2["lower"]) == pytest.approx(-0.5 / math.sqrt(3))
         assert float(d2["upper"]) == pytest.approx(1 / 6)
@@ -69,8 +59,7 @@ class TestBounds:
     def test_ozaki_values(self, capsys):
         code = main(["bounds", "--family", "ozaki", "--lambda", "1", "--format", "csv"])
         assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        row = dict(zip(lines[0].split(","), lines[2].split(",")))
+        row = parse_rows(capsys.readouterr().out, "csv")[1]
         assert float(row["lower"]) == pytest.approx(-0.5)
         assert float(row["upper"]) == pytest.approx(1 / 6)
 
@@ -82,35 +71,22 @@ class TestBounds:
 
 class TestVerify:
     def test_pass_and_determinism(self, tmp_path):
-        args = [
-            "verify", "--family", "spirallike", "--alpha", "0", "--gamma", "pi/3",
-            "--format", "csv",
-        ]
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        argv = ["verify", "--family", "spirallike", "--alpha", "0", "--gamma", "pi/3"]
+        (code1, out1), (code2, out2) = (run_cli(argv, "csv", tmp_path) for _ in range(2))
+        assert (code1, code2) == (0, 0)
+        assert out1 and out1 == out2
 
     def test_json_determinism(self, tmp_path):
-        args = [
-            "verify", "--family", "ozaki", "--lambda", "0.25",
-            "--format", "json",
-        ]
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        payload = json.loads(out1.read_text())
+        argv = ["verify", "--family", "ozaki", "--lambda", "0.25"]
+        (code1, out1), (code2, out2) = (run_cli(argv, "json", tmp_path) for _ in range(2))
+        assert (code1, code2) == (0, 0)
+        assert out1 == out2
+        payload = parse_rows(out1.decode("utf-8"), "json")
         assert len(payload) == 2
         assert payload[1]["case_check"] == "pass"
 
     def test_angle_roundtrip_in_report(self, tmp_path):
-        out = tmp_path / "v.csv"
-        main([
-            "verify", "--family", "spirallike", "--gamma", "pi/6",
-            "--format", "csv", "--out", str(out),
-        ])
-        _, rows = read_csv(out)
+        _, rows = cli_rows(["verify", "--family", "spirallike", "--gamma", "pi/6"], tmp_path)
         assert float(rows[0]["gamma"]) == pytest.approx(math.pi / 6, rel=0, abs=1e-16)
 
     def test_failure_exit_code(self, tmp_path, monkeypatch):
@@ -121,10 +97,8 @@ class TestVerify:
             return interval._replace(lower=interval.lower + 1e-6)
 
         monkeypatch.setattr(verify_module, "bound_d2", shifted)
-        code = main([
-            "verify", "--family", "convex", "--alpha", "0.9", "--gamma", "0",
-            "--format", "csv", "--out", str(tmp_path / "f.csv"),
-        ])
+        code, _ = cli_rows(["verify", "--family", "convex", "--alpha", "0.9", "--gamma", "0"],
+                           tmp_path)
         assert code == 1
 
     @pytest.mark.parametrize("params,point", [
@@ -138,8 +112,7 @@ class TestVerify:
         # A c* 1e-9 off the exact argmin fails the case check and nothing else.
         def rows(code):
             assert main(["verify", *point, "--format", "csv"]) == code
-            lines = capsys.readouterr().out.splitlines()
-            return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+            return parse_rows(capsys.readouterr().out, "csv")
 
         assert verify_module.case_boundary_check(params).passed
         before = rows(0)
@@ -185,8 +158,7 @@ class TestGates:
 
     @staticmethod
     def codes(point, tmp_path):
-        out = str(tmp_path / "out.csv")
-        return {command: main([command, *point, "--format", "csv", "--out", out])
+        return {command: cli_rows([command, *point], tmp_path)[0]
                 for command in ("verify", "extremal", "sample")}
 
     @pytest.mark.parametrize("point", POINTS)
@@ -208,10 +180,10 @@ class TestGates:
 
         for module in (bounds_module, verify_module):
             monkeypatch.setattr(module, "two_atom_parameters", shifted)
-        out = tmp_path / "out.csv"
         for command in ("verify", "sweep"):
-            assert main([command, *point, "--format", "csv", "--out", str(out)]) == 1
-            assert read_csv(out)[1][-1]["passed"] == "false"
+            code, rows = cli_rows([command, *point], tmp_path)
+            assert code == 1
+            assert rows[-1]["passed"] == "false"
 
     @pytest.mark.parametrize("point", POINTS)
     def test_d2_lower_shift_fails_verify_and_extremal(self, monkeypatch, tmp_path, point):
@@ -224,42 +196,28 @@ class TestGates:
 
 class TestSweep:
     def test_small_lattice(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        code = main([
-            "sweep", "--family", "spirallike",
-            "--alphas", "0,0.25,2", "--gammas=-pi/6,pi/6,3",
-            "--format", "csv", "--out", str(out),
-        ])
+        code, rows = cli_rows(["sweep", "--family", "spirallike",
+                               "--alphas", "0,0.25,2", "--gammas=-pi/6,pi/6,3"], tmp_path)
         assert code == 0
-        header, rows = read_csv(out)
         assert len(rows) == 6
-        assert header[-1] == "passed"
+        assert list(rows[0])[-1] == "passed"
         assert all(r["passed"] == "true" for r in rows)
         alphas = [float(r["alpha"]) for r in rows]
         assert alphas == sorted(alphas)
 
     def test_ozaki_lattice_branch_continuity(self, tmp_path):
-        out = tmp_path / "oz.csv"
-        code = main([
-            "sweep", "--family", "ozaki", "--lambdas", "0.1,1.0,10",
-            "--format", "csv", "--out", str(out),
-        ])
+        code, rows = cli_rows(["sweep", "--family", "ozaki", "--lambdas", "0.1,1.0,10"], tmp_path)
         assert code == 0
-        _, rows = read_csv(out)
         assert len(rows) == 10
         lows = [float(r["d2_lower"]) for r in rows]
         jumps = [abs(b - a) for a, b in zip(lows, lows[1:])]
         assert max(jumps) < 0.07  # lower endpoint moves continuously across lam = 1/2
 
     def test_empty_lattice(self, tmp_path):
-        out = tmp_path / "empty.csv"
         with pytest.raises(SystemExit) as info:
-            main([
-                "sweep", "--family", "spirallike", "--alphas", "0,0.5,0",
-                "--format", "csv", "--out", str(out),
-            ])
+            run_cli(["sweep", "--family", "spirallike", "--alphas", "0,0.5,0"], "csv", tmp_path)
         assert info.value.code == 2
-        assert not out.exists()
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--family", "ozaki", "--alphas", "0,0.5,2"],
@@ -279,10 +237,8 @@ class TestSweep:
     def test_axis_of_another_family_rejected(self, tmp_path, capsys, argv):
         # A point flag or axis of another family, and a point flag that its
         # own axis spans, is a usage error of every command, not ignored.
-        out = tmp_path / "out.csv"
-        assert main([*argv, "--format", "csv", "--out", str(out)]) == 2
+        assert cli_rows(argv, tmp_path) == (2, None)
         assert "does not apply" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("as_config", [False, True], ids=["flags", "config"])
     def test_lattice_cap(self, tmp_path, capsys, monkeypatch, as_config):
@@ -290,48 +246,34 @@ class TestSweep:
         # flags or from config keys; one of MAX_LATTICE points runs.
         monkeypatch.setattr(config, "MAX_LATTICE", 6)
 
-        def run(alphas, gammas):
-            out = tmp_path / "out.csv"
-            argv = ["sweep", "--format", "csv", "--out", str(out)]
-            if as_config:
-                cfg = tmp_path / "lattice.cfg"
-                cfg.write_text(f"alphas={alphas}\ngammas={gammas}\n", encoding="utf-8")
-                argv += ["--config", str(cfg)]
-            else:
-                argv += ["--alphas", alphas, f"--gammas={gammas}"]
-            return main(argv), out
+        def rows(alphas, gammas):
+            if not as_config:
+                return cli_rows(["sweep", "--alphas", alphas, f"--gammas={gammas}"], tmp_path)
+            cfg = tmp_path / "lattice.cfg"
+            cfg.write_text(f"alphas={alphas}\ngammas={gammas}\n", encoding="utf-8")
+            return cli_rows(["sweep", "--config", str(cfg)], tmp_path)
 
-        code, out = run("0,0.25,2", "-pi/6,pi/6,3")
+        code, lattice = rows("0,0.25,2", "-pi/6,pi/6,3")
         assert code == 0
-        assert len(read_csv(out)[1]) == 6
-        out.unlink()
-        code, out = run("0,0.25,7", "0,0,1")
-        assert code == 2
+        assert len(lattice) == 6
+        assert rows("0,0.25,7", "0,0,1") == (2, None)
         assert "the lattice has 7 points, more than 6" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestExtremalAndSample:
     def test_extremal_rows_pass(self, tmp_path):
-        out = tmp_path / "ex.csv"
-        code = main([
-            "extremal", "--family", "convex", "--alpha", "0", "--gamma", "0",
-            "--format", "csv", "--out", str(out),
-        ])
+        code, rows = cli_rows(["extremal", "--family", "convex", "--alpha", "0", "--gamma", "0"],
+                              tmp_path)
         assert code == 0
-        _, rows = read_csv(out)
         assert all(r["passed"] == "true" for r in rows)
         assert all(float(r["residual"]) <= 1e-9 for r in rows)
         q = next(r for r in rows if r["extremal"] == "Q" and r["which"] == "d2")
         assert float(q["a3_re"]) == pytest.approx(1 / 3)
 
     def test_extremal_starlike_rows(self, tmp_path):
-        out = tmp_path / "ex.csv"
-        assert main([
-            "extremal", "--family", "spirallike", "--alpha", "0", "--gamma", "0",
-            "--format", "csv", "--out", str(out),
-        ]) == 0
-        _, rows = read_csv(out)
+        code, rows = cli_rows(
+            ["extremal", "--family", "spirallike", "--alpha", "0", "--gamma", "0"], tmp_path)
+        assert code == 0
         k = next(r for r in rows if r["extremal"] == "K")
         assert float(k["a2_re"]) == pytest.approx(2.0)
         assert float(k["a3_re"]) == pytest.approx(3.0)
@@ -350,10 +292,9 @@ class TestExtremalAndSample:
         # The verdicts read a2 and a3 only, so --order changes no other column.
         rows = {}
         for order in ("4", "12", "1024"):
-            out = tmp_path / f"s{order}.csv"
-            assert main(["sample", *point, "--samples", "300", "--seed", "3", "--order", order,
-                         "--format", "csv", "--out", str(out)]) == 0
-            _, (row,) = read_csv(out)
+            code, (row,) = cli_rows(
+                ["sample", *point, "--samples", "300", "--seed", "3", "--order", order], tmp_path)
+            assert code == 0
             assert row.pop("order") == order
             rows[order] = row
         assert rows["4"] == rows["12"] == rows["1024"]
@@ -363,21 +304,19 @@ class TestExtremalAndSample:
         # 128, and every other cell and the header are those of --order 12.
         cfg = tmp_path / "run.cfg"
         cfg.write_text("order=128\n", encoding="utf-8")
-        argv = ["sample", "--samples", "300", "--seed", "3", "--format", "csv"]
-        got, want = tmp_path / "config.csv", tmp_path / "flag.csv"
-        assert main([*argv, "--config", str(cfg), "--out", str(got)]) == 0
-        assert main([*argv, "--order", "12", "--out", str(want)]) == 0
-        (header, (row,)), (want_header, (want_row,)) = read_csv(got), read_csv(want)
+        argv = ["sample", "--samples", "300", "--seed", "3"]
+        (code, (row,)), (want_code, (want_row,)) = (
+            cli_rows([*argv, "--config", str(cfg)], tmp_path),
+            cli_rows([*argv, "--order", "12"], tmp_path))
+        assert (code, want_code) == (0, 0)
+        assert list(row) == list(want_row)  # the header
         assert (row.pop("order"), want_row.pop("order")) == ("128", "12")
-        assert (header, row) == (want_header, want_row)
+        assert row == want_row
 
     def test_sample_passes(self, tmp_path):
-        code = main([
-            "sample", "--family", "ozaki", "--lambda", "1", "--samples", "100",
-            "--seed", "5", "--format", "json", "--out", str(tmp_path / "s.json"),
-        ])
+        code, payload = cli_rows(["sample", "--family", "ozaki", "--lambda", "1", "--samples",
+                                  "100", "--seed", "5"], tmp_path, "json")
         assert code == 0
-        payload = json.loads((tmp_path / "s.json").read_text())
         assert payload[0]["violations"] == 0
 
 
@@ -406,7 +345,7 @@ def test_two_atom_solves_per_command(argv, solves, monkeypatch, tmp_path):
         return solve(c, x)
 
     monkeypatch.setattr(caratheodory_module, "solve_two_atom", counted)
-    assert main([*argv, "--format", "csv", "--out", str(tmp_path / "o.csv")]) == 0
+    assert cli_rows(argv, tmp_path)[0] == 0
     assert len(calls) == solves
 
 
@@ -475,11 +414,10 @@ class TestUsageErrors:
         ["sample", "--samples", "20", "--atoms-max", "2"],
     ])
     def test_flags_the_command_reads(self, argv, tmp_path):
-        assert main([*argv, "--format", "csv", "--out", str(tmp_path / "out.csv")]) == 0
+        assert cli_rows(argv, tmp_path)[0] == 0
 
     def test_unwritable_out(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "bounds.csv"
-        assert main(["bounds", "--format", "csv", "--out", str(out)]) == 2
+        assert cli_rows(["bounds"], tmp_path / "missing") == (2, None)
         assert "succoeff: cannot write" in capsys.readouterr().err
 
 
@@ -498,8 +436,7 @@ class TestConfigFile:
         # --gamma on the command line beats the file; family comes from it.
         flag = ["--config", str(cfg)] if spelling == "space" else [f"--config={cfg}"]
         assert main(["bounds", *flag, "--gamma", "0"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        row = parse_rows(capsys.readouterr().out, "csv")[0]
         assert row["family"] == "convex"
         assert float(row["alpha"]) == 0.5
         assert float(row["gamma"]) == 0.0
@@ -577,9 +514,8 @@ class TestConfigFile:
     def test_keys_are_long_flags(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alphas=0,0.25,2\ngammas=-pi/6,pi/6,3\natoms_max=3\n", encoding="utf-8")
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--config", str(cfg), "--format", "csv", "--out", str(out)]) == 0
-        _, rows = read_csv(out)
+        code, rows = cli_rows(["sweep", "--config", str(cfg)], tmp_path)
+        assert code == 0
         assert len(rows) == 6
 
 
@@ -610,8 +546,7 @@ def test_readme_detection_floor(capsys):
     sides = ("d1_low_margin", "d1_high_margin", "d2_low_margin", "d2_high_margin")
     for argv, cells in zip(commands, table):
         assert main(argv) == 0
-        lines = capsys.readouterr().out.splitlines()
-        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        row = parse_rows(capsys.readouterr().out, "csv")[0]
         assert cells[1:] == [f"{float(row[side]):.1e}" for side in sides], cells[0]
 
 
@@ -634,18 +569,18 @@ def test_module_entry_point():
 
 def test_sample_default_atom_count(tmp_path):
     # The flag and the library default read one constant.
-    out = tmp_path / "s.csv"
-    assert main(["sample", "--samples", "3", "--format", "csv", "--out", str(out)]) == 0
-    assert read_csv(out)[1][0]["n_atoms_max"] == str(config.DEFAULT_ATOMS)
+    code, (row,) = cli_rows(["sample", "--samples", "3"], tmp_path)
+    assert code == 0
+    assert row["n_atoms_max"] == str(config.DEFAULT_ATOMS)
     assert verify_module.sample_no_violation(ClassParams.spirallike(), 3).n_atoms_max \
         == config.DEFAULT_ATOMS
 
 
 def test_sample_accepts_the_largest_atom_count(tmp_path):
-    out = tmp_path / "s.csv"
-    argv = ["sample", "--samples", "3", "--atoms-max", str(config.MAX_ATOMS)]
-    assert main([*argv, "--format", "csv", "--out", str(out)]) == 0
-    assert read_csv(out)[1][0]["n_atoms_max"] == str(config.MAX_ATOMS)
+    code, (row,) = cli_rows(["sample", "--samples", "3", "--atoms-max", str(config.MAX_ATOMS)],
+                            tmp_path)
+    assert code == 0
+    assert row["n_atoms_max"] == str(config.MAX_ATOMS)
 
 
 _COMMAND_ARGV = {
@@ -689,11 +624,11 @@ def test_table_headers(command, tmp_path):
     columns = _HEADERS[command].split(",")
     text = {}
     for fmt in ("csv", "json", "table"):
-        out = tmp_path / f"out.{fmt}"
-        assert main([command, *_COMMAND_ARGV[command], "--format", fmt, "--out", str(out)]) == 0
-        text[fmt] = out.read_text(encoding="utf-8")
+        code, data = run_cli([command, *_COMMAND_ARGV[command]], fmt, tmp_path)
+        assert code == 0
+        text[fmt] = data.decode("utf-8")
     assert text["csv"].splitlines()[0] == _HEADERS[command]
-    assert all(list(row) == columns for row in json.loads(text["json"]))
+    assert all(list(row) == columns for row in parse_rows(text["json"], "json"))
     assert text["table"].splitlines()[0].split() == columns
 
 
@@ -703,10 +638,9 @@ def test_csv_and_json_print_the_same_reals(command, tmp_path):
     # repr (0.75516512378074552 and 0.7551651237807455): each cell gives
     # back the same float, -0.0 and 0.0 told apart.
     argv = [command, *_COMMAND_ARGV[command], "--gamma=0.5"]
-    assert main([*argv, "--format", "csv", "--out", str(tmp_path / "out.csv")]) == 0
-    assert main([*argv, "--format", "json", "--out", str(tmp_path / "out.json")]) == 0
-    _, csv_rows = read_csv(tmp_path / "out.csv")
-    json_rows = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    (csv_code, csv_rows), (json_code, json_rows) = (cli_rows(argv, tmp_path, fmt)
+                                                    for fmt in ("csv", "json"))
+    assert (csv_code, json_code) == (0, 0)
     assert len(csv_rows) == len(json_rows)
     reals = [(csv_row[key], value) for csv_row, json_row in zip(csv_rows, json_rows)
              for key, value in json_row.items() if isinstance(value, float)]
@@ -726,10 +660,8 @@ def test_optimizer_error_stops_the_command(command, tmp_path, monkeypatch, capsy
         return optimize(spec, **kwargs)
 
     monkeypatch.setattr(verify_module, "grid_optimize", failing)
-    out = tmp_path / "out.csv"
-    assert main([command, *_COMMAND_ARGV[command], "--format", "csv", "--out", str(out)]) == 1
+    assert cli_rows([command, *_COMMAND_ARGV[command]], tmp_path) == (1, None)
     assert capsys.readouterr().err == "succoeff: no d2 here\n"
-    assert not out.exists()
 
 
 # A -0 spelling of each point flag or axis, and its spelling at 0.
@@ -752,17 +684,12 @@ _SIGNED_ZEROS = {
 ], ids=" ".join)
 def test_signed_zero_prints_as_zero(argv, tmp_path):
     # Outputs do not depend on how a flag is spelled: -0 gives the bytes of 0.
-    def outputs(argv):
-        text = {}
-        for fmt in ("csv", "json"):
-            out = tmp_path / f"out.{fmt}"
-            assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
-            text[fmt] = out.read_bytes()
-        return text
-
     zero = [_SIGNED_ZEROS.get(arg, arg) for arg in argv]
     assert zero != argv
-    assert outputs(argv) == outputs(zero)
+    for fmt in ("csv", "json"):
+        (code, data), (zero_code, zero_data) = (run_cli(a, fmt, tmp_path) for a in (argv, zero))
+        assert (code, zero_code) == (0, 0)
+        assert data and data == zero_data
 
 
 def test_benchmark_command_lines_parse(tmp_path, perfbench):
@@ -774,7 +701,7 @@ def test_benchmark_command_lines_parse(tmp_path, perfbench):
     argvs = [argv for build in workloads.WORKLOADS.values() for argv in build(7)]
     assert {argv[0] for argv in argvs} == set(_HEADERS)
     for argv in argvs:
-        args = parser.parse_args([*argv, "--format", "csv", "--out", out])
+        args = parser.parse_args([*argv, *out_flags("csv", out)])
         assert (args.command, args.format, args.out) == (argv[0], "csv", out)
 
 
@@ -795,9 +722,8 @@ def test_benchmark_oracle_accepts_rows(argv, tmp_path, perfbench):
     # columns no other test reads (sweep's error, sample's constructed and
     # failures).
     oracle = perfbench("oracle")
-    out = tmp_path / "out.csv"
-    assert main([*argv, "--format", "csv", "--out", str(out)]) == 0
-    _, rows = read_csv(out)
+    code, rows = cli_rows(argv, tmp_path)
+    assert code == 0
     res = oracle.CheckResult()
     oracle.CHECKERS[argv[0]](rows, res)
     assert res.failed_operations == 0, res.failures + res.known

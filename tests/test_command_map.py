@@ -3,9 +3,10 @@
 Every command line of :mod:`test_outputs` runs in-process through
 ``cli.main`` once per format, under a ``sys.settrace`` hook that records
 each ``def`` and ``lambda`` of the package that is entered.  The same pass
-keeps each line's digest row for
-``test_outputs.test_outputs_match_the_recorded_digests``, so the lines run
-once in-process; tracing moves no byte of them.  The functions never
+keeps each line's digest row, with its json rows' ``passed`` cells, for
+``test_outputs.test_outputs_match_the_recorded_digests`` and the unpatched
+side of ``test_verdict_gates.test_no_verdict_depends_on_libm``, so the lines
+run once in-process unpatched; tracing moves no byte of them.  The functions never
 entered must be exactly :data:`LIBRARY_ONLY`, each listed with the reason it stays.  So code that
 no command runs cannot arrive unnoticed: a change that adds some adds its
 name here, and a change that deletes library-only code shrinks the tuple.
@@ -53,7 +54,7 @@ from functools import cache
 from pathlib import Path
 
 import succoeff
-from test_outputs import COMMANDS, DIGESTS, _argv, _digest, _row, _row_or_error, _write_configs
+from test_outputs import COMMANDS, DIGESTS, _argv, _digest, _row, _row_or_error, out_flags
 
 # The functions that perfbench reaches and no command line enters: those
 # tracer.TARGETS and COUNTED_INIT name, and those layers.microbenchmarks
@@ -211,7 +212,8 @@ def traced(commands) -> Traced:
 
     Each line runs through :func:`test_outputs._row`, in csv, json and
     table.  ``entered`` maps it to the (file, first line) of each package
-    function it enters, ``rows`` to its row or to what ``_row`` raised.
+    function it enters, ``rows`` to its row (digests, then the json rows'
+    ``passed`` cells) or to what ``_row`` raised.
     """
     result = Traced({}, {})
     with tempfile.TemporaryDirectory() as tmp:
@@ -302,12 +304,12 @@ def loaded(commands) -> dict[tuple[str, str], FreshRun]:
     by_run = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        _write_configs(tmp)
         outs = {(command, fmt): tmp / f"{index}.{fmt}"
                 for index, command in enumerate(commands) for fmt in ("csv", "json", "table")}
 
         def lines_in(lines, formats):
-            return [(f"{command} --format {fmt}", _argv(command, fmt, tmp, outs[command, fmt]),
+            return [(f"{command} --format {fmt}",
+                     [*_argv(command, tmp), *out_flags(fmt, outs[command, fmt])],
                      DIGESTS[command][0]) for command in lines for fmt in formats]
 
         for subcommand, lines in subcommands(commands).items():
@@ -317,7 +319,7 @@ def loaded(commands) -> dict[tuple[str, str], FreshRun]:
                 for out in outs.values():
                     out.unlink(missing_ok=True)
                 text, every, failures = new_modules(code, *flags)
-                digests = {command: tuple(_digest(outs[command, fmt])
+                digests = {command: tuple(_digest(outs[command, fmt].read_bytes())
                                           if outs[command, fmt].exists() else None
                                           for fmt in ("csv", "json", "table"))
                            for command in lines}
@@ -404,13 +406,13 @@ def test_each_loaded_module_has_a_function_the_subcommand_enters():
 
 def test_package_import_is_lazy():
     # `import succoeff` loads no submodule; resolving every public name
-    # loads them all, and still neither dataclasses nor inspect.
-    [bare] = new_modules("import succoeff\nsnapshot()")
+    # loads them all, and still neither dataclasses nor inspect.  One
+    # interpreter takes the three snapshots, each of what it has loaded so far.
+    bare, verify, every = new_modules(
+        "import succoeff\nsnapshot()\nsuccoeff.verify.grid_optimize\nsnapshot()\n"
+        "for name in succoeff.__all__:\n    getattr(succoeff, name)\nsnapshot()")
     assert set(filter(_in_package, bare)) == {"succoeff"}
-    [verify] = new_modules("import succoeff\nsuccoeff.verify.grid_optimize\nsnapshot()")
     assert "succoeff.verify" in verify
-    [every] = new_modules("import succoeff\n"
-                          "for name in succoeff.__all__:\n    getattr(succoeff, name)\nsnapshot()")
     assert "succoeff.verify" in every
     assert not NEVER_LOADED & every
 

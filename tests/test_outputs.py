@@ -1,8 +1,8 @@
 """Byte-identical outputs: every command's csv, json and table bytes and exit code are pinned.
 
 Each command line below runs through ``cli.main`` once per format, and
-the first 16 hex digits of the SHA-256 of its ``--out`` file, with its
-exit code, must match the recorded table.  A ``--config`` row
+the first 16 hex digits of the SHA-256 of what it wrote to ``--out``, with
+its exit code, must match the recorded table.  A ``--config`` row
 names a file of :data:`CONFIGS`, written from its fixed text before the
 row runs, so the bytes of the config reader are pinned as well.  A change that is meant
 to keep every output (a refactor, a speed-up) leaves the table alone; one
@@ -11,9 +11,22 @@ The table was recorded with CPython 3.11 on x86-64 Linux; floats are
 printed to 17 significant digits, so a libm whose cos or exp differs in
 the last bit would change digests.
 
+:func:`run_cli` is the one way a test runs a command line in-process.  It
+appends ``--format F --out P``, removes ``P`` before the run, and returns
+the exit code with the bytes the line wrote, or ``None`` when it wrote
+nothing, so no line can show another's output.  :func:`cli_rows` parses
+those bytes into rows with :func:`parse_rows`, the parser that the tests
+which check stdout use too.  :func:`_row` is one line's row of the table,
+from its three runs, followed by the ``passed`` cells of its json rows; a
+digest is ``None`` for a format the line wrote nothing in.
+:func:`_row_or_error` returns what a line raised instead, so that one line
+cannot fail the others.  This module imports neither pytest nor numpy, so
+the script below runs without them.
+
 Each interpreter setting runs the lines once.  In-process, the traced
-pass of :mod:`test_command_map` runs each line through :func:`_row`, and
-:func:`test_outputs_match_the_recorded_digests` reads the row it kept.  In
+pass of :mod:`test_command_map` runs each line through :func:`_row`;
+:func:`test_outputs_match_the_recorded_digests` reads the digests of the
+row it kept, and ``test_verdict_gates`` its ``passed`` cells.  In
 a fresh interpreter, with ``site`` and under ``-S`` (pyproject declares no
 dependencies, so the package must give every row without
 site-packages), ``test_command_map.loaded`` runs them to record what they
@@ -43,7 +56,7 @@ import tempfile
 from pathlib import Path
 
 import succoeff
-from succoeff.cli import main
+import succoeff.cli as cli
 
 _POINTS = [
     "--family spirallike --alpha 0.25 --gamma 0.5",
@@ -206,47 +219,86 @@ DIGESTS = {
 }
 
 
-def _write_configs(tmp: Path) -> None:
-    """Write every file of :data:`CONFIGS` into ``tmp``."""
-    for name, text in CONFIGS.items():
-        (tmp / name).write_text(text, encoding="utf-8", newline="\n")
+FORMATS = ("csv", "json", "table")
 
 
-def _argv(command: str, fmt: str, tmp: Path, out: Path) -> list[str]:
-    """``command``'s argv in ``fmt``, writing to ``out``, its config files in ``tmp``."""
-    argv = [str(tmp / arg) if arg in CONFIGS else arg for arg in shlex.split(command)]
-    return [*argv, "--format", fmt, "--out", str(out)]
+def _argv(command: str, tmp: Path) -> list[str]:
+    """``command``'s argv; each file of :data:`CONFIGS` it names is written into ``tmp``."""
+    argv = shlex.split(command)
+    for index, arg in enumerate(argv):
+        if arg in CONFIGS:
+            argv[index] = str(tmp / arg)
+            (tmp / arg).write_text(CONFIGS[arg], encoding="utf-8", newline="\n")
+    return argv
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+def out_flags(fmt: str, out) -> list[str]:
+    """The flags that send a command line's output to the file ``out`` in ``fmt``."""
+    return ["--format", fmt, "--out", str(out)]
 
 
-def _run(command: str, fmt: str, tmp: Path) -> tuple[int, str]:
+def run_cli(argv: list[str], fmt: str, tmp: Path) -> tuple[int, bytes | None]:
+    """(exit code, bytes written) of ``argv`` run in-process with ``--format fmt``.
+
+    The line writes to ``tmp / "out.<fmt>"``, removed before the run, so the
+    bytes are None when the line wrote nothing.  ``cli.main`` is looked up
+    at each call, so a wrapper set on it runs.
+    """
     out = tmp / f"out.{fmt}"
-    return main(_argv(command, fmt, tmp, out)), _digest(out)
+    out.unlink(missing_ok=True)
+    code = cli.main([*argv, *out_flags(fmt, out)])
+    return code, out.read_bytes() if out.exists() else None
 
 
 def _reject_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 
 
-def _row(command: str, tmp: Path) -> tuple[int, str, str, str]:
-    """(exit code, csv digest, json digest, table digest) of one command line."""
-    _write_configs(tmp)
-    runs = [_run(command, fmt, tmp) for fmt in ("csv", "json", "table")]
-    codes = {code for code, _ in runs}
-    if len(codes) != 1:
-        raise ValueError(f"{command}: csv, json and table exit {[code for code, _ in runs]}")
-    # Strict JSON: no NaN, Infinity or -Infinity.
-    json.loads((tmp / "out.json").read_text(encoding="utf-8"), parse_constant=_reject_constant)
-    return (runs[0][0], *(digest for _, digest in runs))
+def parse_rows(text: str, fmt: str) -> list[dict]:
+    """The rows of a command's csv or json output, each a dict in column order.
+
+    CSV cells stay strings.  JSON must be strict: no NaN, Infinity or -Infinity.
+    """
+    if fmt == "json":
+        return json.loads(text, parse_constant=_reject_constant)
+    header, *lines = text.splitlines()
+    columns = header.split(",")
+    return [dict(zip(columns, line.split(","))) for line in lines]
 
 
-def _row_or_error(command: str, tmp: Path):
+def cli_rows(argv: list[str], tmp: Path, fmt: str = "csv") -> tuple[int, list[dict] | None]:
+    """(exit code, rows written) of :func:`run_cli`; the rows are None when it wrote nothing."""
+    code, data = run_cli(argv, fmt, tmp)
+    return code, None if data is None else parse_rows(data.decode("utf-8"), fmt)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _row(command: str, tmp: Path, formats=FORMATS) -> tuple:
+    """One command line's exit code, its digest in each format, and its json rows' passed cells.
+
+    A digest is None where the line wrote nothing, and so are the cells,
+    which are also None when ``formats`` has no json.  With the default
+    ``formats``, the first four fields are the line's row of :data:`DIGESTS`.
+    """
+    argv = _argv(command, tmp)
+    written = {fmt: run_cli(argv, fmt, tmp) for fmt in formats}
+    codes = [code for code, _ in written.values()]
+    if len(set(codes)) != 1:
+        raise ValueError(f"{command}: {', '.join(formats)} exit {codes}")
+    digests = [None if data is None else _digest(data) for _, data in written.values()]
+    _, json_out = written.get("json", (None, None))
+    passed = None if json_out is None else tuple(
+        row.get("passed") for row in parse_rows(json_out.decode("utf-8"), "json"))
+    return (codes[0], *digests, passed)
+
+
+def _row_or_error(command: str, tmp: Path, formats=FORMATS):
     """:func:`_row`, or what it raised, so that one line cannot fail the others."""
     try:
-        return _row(command, tmp)
+        return _row(command, tmp, formats)
     # argparse exits on a flag it rejects.
     except (Exception, SystemExit) as error:
         return error
@@ -275,7 +327,7 @@ def test_outputs_match_the_recorded_digests(command):
     row = every_command_traced().rows[command]
     if isinstance(row, BaseException):
         raise row
-    assert row == DIGESTS[command]
+    assert row[:4] == DIGESTS[command]
 
 
 def test_digests_match_in_fresh_interpreters():
@@ -327,6 +379,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for command in COMMANDS:
             row = (_row_or_error if check else _row)(command, Path(tmp))
+            if not isinstance(row, BaseException):
+                row = row[:4]
             if not check:
                 code, *digests = row
                 cells = ", ".join(f'"{digest}"' for digest in digests)

@@ -6,6 +6,7 @@ import pkgutil
 import pytest
 
 import succoeff
+from test_outputs import run_cli
 
 MODULES = ["succoeff", *(f"succoeff.{m.name}" for m in pkgutil.iter_modules(succoeff.__path__))]
 
@@ -77,9 +78,9 @@ def test_benchmark_result_hooks(perfbench, tmp_path):
     tracer = perfbench("tracer").Tracer()
     tracer.install()
     try:
-        main = importlib.import_module("succoeff.cli").main
+        # run_cli calls cli.main through the module, so the tracer's wrapper runs.
         for argv in (["verify"], ["sweep", "--alphas", "0,0.5,2"], ["sample", "--samples", "20"]):
-            assert main([*argv, "--out", str(tmp_path / "out.txt")]) == 0
+            assert run_cli(argv, "table", tmp_path)[0] == 0
     finally:
         tracer.uninstall()
     # Two points for d1 and three for d2 at each of the three classes checked.

@@ -12,10 +12,14 @@ The digests of :mod:`test_outputs` depend on the libm: a ``cos`` one ulp
 off moves printed digits.  :func:`test_no_verdict_depends_on_libm` checks
 that no exit code and no ``passed`` cell does, with each of ``math.cos``,
 ``math.sin``, ``cmath.rect`` and ``cmath.exp`` moved one ulp either way.
+Its unpatched side is the rows of the traced pass of
+:mod:`test_command_map`, which keep each line's ``passed`` cells.  The
+patched side runs each line in json through ``test_outputs._row_or_error``,
+so through ``test_outputs.run_cli``, the one in-process runner.  A line that
+raises is compared by what it raised, and the digest test names it.
 """
 
 import cmath
-import json
 import math
 import random
 
@@ -24,7 +28,8 @@ import pytest
 from succoeff import (ClassParams, FunctionalSpec, Which, bound_d1, bound_d2, case_boundary_check,
                       config, grid_optimize, sample_no_violation)
 from succoeff.cli import _attained
-from test_outputs import COMMANDS, _run, _write_configs
+from test_command_map import every_command_traced
+from test_outputs import COMMANDS, _row_or_error
 
 # The worst gap allowed, in units of eps * max(1, |scale|): half the gate.
 MAX_GAP_UNITS = 8
@@ -142,30 +147,22 @@ def _shifted(fn, direction: float):
     return moved
 
 
-def _verdicts(tmp) -> dict[str, tuple[int, list, str]]:
-    """command line -> (exit code, its rows' passed cells, json digest)."""
-    _write_configs(tmp)
-    verdicts = {}
-    for command in COMMANDS:
-        code, digest = _run(command, "json", tmp)
-        rows = json.loads((tmp / "out.json").read_text(encoding="utf-8"))
-        verdicts[command] = (code, [row.get("passed") for row in rows], digest)
-    return verdicts
-
-
-@pytest.fixture(scope="module")
-def unpatched(tmp_path_factory):
-    return _verdicts(tmp_path_factory.mktemp("unpatched"))
+def _verdicts(rows) -> dict:
+    """command line -> (exit code, its json rows' passed cells), or the repr of what it raised."""
+    return {command: repr(row) if isinstance(row, BaseException) else (row[0], row[-1])
+            for command, row in rows.items()}
 
 
 @pytest.mark.parametrize("direction", [math.inf, -math.inf], ids=["up", "down"])
 @pytest.mark.parametrize("module, name", [(math, "cos"), (math, "sin"), (cmath, "rect"),
                                           (cmath, "exp")],
                          ids=["cos", "sin", "rect", "cexp"])
-def test_no_verdict_depends_on_libm(monkeypatch, tmp_path, unpatched, module, name, direction):
+def test_no_verdict_depends_on_libm(monkeypatch, tmp_path, module, name, direction):
+    unpatched = every_command_traced().rows  # computed before the patch, once per session
     monkeypatch.setattr(module, name, _shifted(getattr(module, name), direction))
-    patched = _verdicts(tmp_path)
-    assert {command: cells[:2] for command, cells in patched.items()} == \
-        {command: cells[:2] for command, cells in unpatched.items()}
-    # The shift reaches the printed digits of some row, so the check is not vacuous.
-    assert any(patched[command][2] != unpatched[command][2] for command in COMMANDS)
+    patched = {command: _row_or_error(command, tmp_path, ("json",)) for command in COMMANDS}
+    assert _verdicts(patched) == _verdicts(unpatched)
+    # The shift reaches the printed digits of some row, so the check is not
+    # vacuous.  A json-only row holds its json digest second, a full row third.
+    assert any(patched[command][1] != unpatched[command][2] for command in COMMANDS
+               if not isinstance(patched[command], BaseException))

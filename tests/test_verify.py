@@ -1,7 +1,6 @@
 """Reduced functionals, exact optimizer, sampling, case-analysis checks."""
 
 import cmath
-import csv
 import math
 import random
 import tracemalloc
@@ -35,9 +34,9 @@ from conftest import coeffs_from_c, lz_c2, sample_reference
 from jets import functional_values
 from succoeff.bounds import _t
 from succoeff.caratheodory import _draw_atoms, _seeded_stream
-from succoeff.cli import main
 from succoeff.families import _atom_jet
 from succoeff.verify import WorstMargin, _atom_count
+from test_outputs import cli_rows
 
 SPIRAL_00 = ClassParams.spirallike(0.0, 0.0)
 CONVEX_00 = ClassParams.convex(0.0, 0.0)
@@ -307,11 +306,9 @@ class TestSampling:
         for name in ("d1_low", "d1_high", "d2_low", "d2_high"):
             assert getattr(report, name) == WorstMargin(math.inf, -1, None)
         assert not report.passed
-        out = tmp_path / "s.csv"
-        assert main(["sample", "--family", "convex", "--alpha", "0.3", "--gamma", "0.2",
-                     "--samples", "50", "--format", "csv", "--out", str(out)]) == 1
-        with out.open(newline="") as fh:
-            (row,) = csv.DictReader(fh)
+        code, (row,) = cli_rows(["sample", "--family", "convex", "--alpha", "0.3", "--gamma",
+                                 "0.2", "--samples", "50"], tmp_path)
+        assert code == 1
         assert (row["constructed"], row["failures"], row["passed"]) == ("0", "50", "false")
 
     @pytest.mark.parametrize("order", [4, 12, 1024])
@@ -327,12 +324,11 @@ class TestSampling:
 
         for module in ("families", "bounds"):
             monkeypatch.setattr(f"succoeff.{module}._atom_jet", jet_spy)
-        assert main(["sample", "--samples", "600", "--order", str(order), "--format", "csv",
-                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert cli_rows(["sample", "--samples", "600", "--order", str(order)], tmp_path)[0] == 0
         assert jets == []
         for command in ("extremal", "verify"):
-            assert main([command, "--family", "convex", "--alpha", "0.5", "--gamma", "1.4",
-                         "--format", "csv", "--out", str(tmp_path / f"{command}.csv")]) == 0
+            assert cli_rows([command, "--family", "convex", "--alpha", "0.5", "--gamma", "1.4"],
+                            tmp_path)[0] == 0
         assert jets == [2] * 8
 
     def test_peak_memory_flat_in_n_samples(self):
