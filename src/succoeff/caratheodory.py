@@ -27,9 +27,10 @@ class AtomicHerglotzRep(namedtuple("AtomicHerglotzRep", "weights points")):
 
     Any sequences are accepted; they are stored as tuples of float and
     complex.  Raises DomainError unless they match and are nonempty, the
-    weights lie in (0, 1] and sum to 1, and the points are unimodular, each
-    within ``config.REP_ATOL``.  A NaN or an infinity fails the test of the
-    sequence that holds it.
+    weights lie in (0, 1] and the points are unimodular, each within
+    ``config.gate(1.0)``, and the weights sum to 1 within ``len(weights)``
+    gates: normalizing n weights left to right misses 1 by about n/2 ulps.
+    A NaN or an infinity fails the test of the sequence that holds it.
     """
 
     __slots__ = ()
@@ -37,12 +38,12 @@ class AtomicHerglotzRep(namedtuple("AtomicHerglotzRep", "weights points")):
     def __new__(cls, weights: Sequence[float], points: Sequence[complex]):
         w = tuple(map(float, weights))
         e = tuple(map(complex, points))
-        tol = config.REP_ATOL
+        tol = config.gate(1.0)
         if not w or len(w) != len(e):
             raise DomainError("need matching, nonempty weight/point sequences")
         if not all(0.0 < v <= 1.0 + tol for v in w):
             raise DomainError("weights must lie in (0, 1]")
-        if abs(math.fsum(w) - 1.0) > tol:
+        if abs(math.fsum(w) - 1.0) > len(w) * tol:
             raise DomainError("weights must sum to 1")
         if not all(abs(abs(p) - 1.0) <= tol for p in e):
             raise DomainError("atom points must lie on the unit circle")
@@ -53,13 +54,13 @@ class AtomicHerglotzRep(namedtuple("AtomicHerglotzRep", "weights points")):
 
 
 def _check_disk_point(c: float, x: complex) -> None:
-    """DomainError unless 0 <= c <= 2 exactly and |x| <= 1 + ``config.REP_ATOL``.
+    """DomainError unless 0 <= c <= 2 exactly and |x| <= 1 + ``config.gate(1.0)``.
 
     c gets no slack: outside [0, 2] the reduced functionals leave the sharp intervals.
     """
     if not 0.0 <= c <= 2.0:
         raise DomainError(f"c must lie in [0, 2], got {c}")
-    if not abs(x) <= 1.0 + config.REP_ATOL:
+    if not abs(x) <= 1.0 + config.gate(1.0):
         raise DomainError("|x| must be <= 1")
 
 
@@ -95,10 +96,11 @@ def solve_two_atom(c: float, x: complex) -> AtomicHerglotzRep:
         w1 eps1^2 + w2 eps2^2 = m2 = (c^2 + (4 - c^2) x) / 4.
 
     A solution exists exactly on the degenerate boundary |x| = 1 with
-    0 <= c < 2, and it is found in closed form.  With m0 = 1 and
-    m_{-1} = conj(m1) = m1, the moments of a two-atom measure obey the
-    recurrence m_{k+2} = s m_{k+1} - q m_k with s = eps1 + eps2 and
-    q = eps1 eps2.  Its steps k = -1 and k = 0 give q = -x and
+    0 <= c < 2, and it is found in closed form; |x| may miss 1 by
+    ``config.gate(1.0)``, and InfeasibleError is raised beyond that.  With
+    m0 = 1 and m_{-1} = conj(m1) = m1, the moments of a two-atom measure
+    obey the recurrence m_{k+2} = s m_{k+1} - q m_k with s = eps1 + eps2
+    and q = eps1 eps2.  Its steps k = -1 and k = 0 give q = -x and
     s = (c/2)(1 - x), so the atoms are the roots
 
         eps1,2 = (s +- sqrt(s^2 + 4x)) / 2   of   z^2 - s z - x,
@@ -114,7 +116,7 @@ def solve_two_atom(c: float, x: complex) -> AtomicHerglotzRep:
     _check_disk_point(c, x)
     if c == 2.0:
         raise DegenerateError("c = 2 collapses the measure to a single atom at 1")
-    if abs(abs(x) - 1.0) > config.REP_ATOL:
+    if abs(abs(x) - 1.0) > config.gate(1.0):
         raise InfeasibleError(
             f"no two-atom measure matches (c={c}, x={x}); the pair must satisfy |x| = 1"
         )

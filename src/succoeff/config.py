@@ -1,10 +1,11 @@
 """Central numeric defaults and tolerances.
 
 Every tolerance used by the library lives here so that the accuracy
-contract of the package can be audited in one place.  The absolute
-tolerances below check input, apart from ``MEMBERSHIP_TOL`` of the
-library-only ``membership_check``.  Every verdict of a command goes
-through :func:`gate`, so tightening one means lowering ``GATE_ULPS``.
+contract of the package can be audited in one place.  Every roundoff
+check a command makes, on its verdicts and on the measures, disk points
+and series it builds, goes through :func:`gate`, so ``GATE_ULPS`` is the
+one roundoff setting.  The absolute thresholds below serve only the
+library's ``membership_check``.
 """
 
 # The default and the largest value of `sample --order`.  They serve only
@@ -25,13 +26,6 @@ MAX_ATOMS = 64
 # Most points a `sweep` lattice may have: about 25 s and 0.25 GB on a 2-vCPU Xeon.
 MAX_LATTICE = 100_000
 
-# Structural invariants of atomic Herglotz representations, and the slack
-# on |x| <= 1 of a disk parameter x; c is held to [0, 2] exactly.
-REP_ATOL = 1e-12
-
-# The constant term that exp (0) and the kernel integral (1) require.
-CONSTANT_TERM_ATOL = 1e-14
-
 # |f| or |f'| below this at a membership sample point counts as a zero.
 VANISHING_ATOL = 1e-13
 
@@ -50,7 +44,11 @@ MEMBERSHIP_ANGLES = 64
 # eps * max(1, |scale|), eps = 2**-52.  Over 91,230 seeded classes of the
 # three families, their box edges and their branch points, the worst gap
 # was 4.5 units (an extremal's attainment); tests/test_verdict_gates.py
-# holds every gap to 8, half the gate.  See "Verdict gates" in the README.
+# holds every gap to 8, half the gate.  The same gate(1.0) bounds a
+# measure's weights and ||eps| - 1|, |x| <= 1 of a disk point and the
+# constant term that exp (0) and the kernel integral (1) require; a
+# measure of n atoms may miss a weight sum of 1 by n * gate(1.0).  See
+# "Verdict gates" in the README.
 GATE_ULPS = 16
 
 

@@ -104,9 +104,9 @@ class TruncatedSeries:
     # -- analytic operations -----------------------------------------------
 
     def exp(self) -> "TruncatedSeries":
-        """Series of exp(f); requires f(0) = 0."""
+        """Series of exp(f); requires f(0) = 0 within ``config.gate(0.0)``."""
         f = self._coeffs
-        if abs(f[0]) > config.CONSTANT_TERM_ATOL:
+        if abs(f[0]) > config.gate(0.0):
             raise DomainError("exp requires a series with zero constant term")
         # (exp f)' = f' exp f  =>  k g_k = sum_{j=1}^{k} j f_j g_{k-j}
         df = list(map(mul, range(1, len(f)), f[1:]))
@@ -120,10 +120,10 @@ class TruncatedSeries:
 
         For p = 1 + c_1 z + c_2 z^2 + ... this is the antiderivative of
         (p(t) - 1)/t, i.e. sum_k (c_k/k) z^k with zero constant term.
-        Requires p(0) = 1.
+        Requires p(0) = 1 within ``config.gate(1.0)``.
         """
         p = self._coeffs
-        if abs(p[0] - 1.0) > config.CONSTANT_TERM_ATOL:
+        if abs(p[0] - 1.0) > config.gate(1.0):
             raise DomainError("kernel integral requires constant term 1")
         return TruncatedSeries([0j, *map(truediv, p[1:], range(1, len(p)))])
 

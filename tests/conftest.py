@@ -95,9 +95,9 @@ class LZParams:
     def __post_init__(self):
         if not 0.0 <= self.c <= 2.0:
             raise DomainError(f"c must lie in [0, 2], got {self.c}")
-        if abs(self.x) > 1 + config.REP_ATOL:
+        if abs(self.x) > 1 + config.gate(1.0):
             raise DomainError("|x| must be <= 1")
-        if abs(self.y) > 1 + config.REP_ATOL:
+        if abs(self.y) > 1 + config.gate(1.0):
             raise DomainError("|y| must be <= 1")
 
 
@@ -108,7 +108,7 @@ def lz_c2(c: float, x: complex) -> complex:
     """
     if not 0.0 <= c <= 2.0:
         raise DomainError(f"c must lie in [0, 2], got {c}")
-    if not abs(x) <= 1 + config.REP_ATOL:
+    if not abs(x) <= 1 + config.gate(1.0):
         raise DomainError("|x| must be <= 1")
     return (c * c + (4.0 - c * c) * x) / 2.0
 
@@ -142,7 +142,7 @@ def coeffs_from_c(params: ClassParams, c1: complex, c2: complex) -> CoeffTriple:
     z g' = v (p - 1) g gives g1 = v c1 and g2 = (v^2 c1^2 + v c2)/2; then
     a2 = g1/n2 and a3 = g2/n3 by the family's coefficient rule.
     """
-    if not (abs(c1) <= 2 + config.REP_ATOL and abs(c2) <= 2 + config.REP_ATOL):
+    if not (abs(c1) <= 2 + config.gate(2.0) and abs(c2) <= 2 + config.gate(2.0)):
         raise DomainError("Carathéodory coefficients satisfy |c_k| <= 2")
     v = _exponent(params)
     n2, n3 = _divisors(params)

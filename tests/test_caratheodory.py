@@ -11,6 +11,7 @@ from succoeff import (
     DegenerateError,
     DomainError,
     InfeasibleError,
+    config,
     moments,
     random_rep,
     solve_two_atom,
@@ -55,7 +56,10 @@ class TestRepInvariants:
     BAD_MEASURES = {
         "zero-weight": ((0.5, 0.0, 0.5), (1 + 0j, 1j, -1 + 0j), "weights must lie in (0, 1]"),
         "sum-off-1e-9": ((0.5, 0.5 + 1e-9), (1 + 0j, -1 + 0j), "weights must sum to 1"),
+        "sum-off-1e-13": ((0.5, 0.5 + 1e-13), (1 + 0j, -1 + 0j), "weights must sum to 1"),
         "eps-1e-9-out": ((1.0,), (1 + 1e-9 + 0j,), "atom points must lie on the unit circle"),
+        "eps-1e-13-out": ((1.0,), (1 + 1e-13 + 0j,), "atom points must lie on the unit circle"),
+        "eps-1e-13-in": ((1.0,), (1 - 1e-13 + 0j,), "atom points must lie on the unit circle"),
         "nan-weight": ((0.5, math.nan), (1j, -1j), "weights must lie in (0, 1]"),
         "nan-point": ((1.0,), (complex(math.nan, 0.0),), "atom points must lie on the unit circle"),
         "mismatched": ((0.5, 0.5), (1 + 0j,), "need matching, nonempty weight/point sequences"),
@@ -68,6 +72,20 @@ class TestRepInvariants:
         with pytest.raises(DomainError) as exc:
             AtomicHerglotzRep(weights, points)
         assert str(exc.value) == message
+
+    def test_accepts_one_ulp_off(self):
+        # Each check forgives config.gate(1.0), the weight sum one per atom.
+        up, down = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+        AtomicHerglotzRep((up,), (down,))
+        AtomicHerglotzRep((0.5, math.nextafter(0.5, 1.0)), (1j, -1j))
+        AtomicHerglotzRep((0.5, 0.5), (up, complex(0.0, -up)))
+        # At the bounds themselves too, and one ulp of 1 beyond them not.
+        tol = config.gate(1.0)
+        AtomicHerglotzRep((0.5, 0.5 + 2 * tol), (1 + tol, -1 + 0j))
+        with pytest.raises(DomainError, match="sum to 1"):
+            AtomicHerglotzRep((0.5, 0.5 + 2 * tol + 2.0**-52), (1 + 0j, -1 + 0j))
+        with pytest.raises(DomainError, match="unit circle"):
+            AtomicHerglotzRep((1.0,), (math.nextafter(1 + tol, 2.0),))
 
 
 class TestMoments:
@@ -154,6 +172,9 @@ class TestLZFormulas:
             lz_c2(2.5, 0.0)
         with pytest.raises(DomainError):
             lz_c2(1.0, 1.2)
+        with pytest.raises(DomainError):
+            lz_c2(1.0, 1 + 1e-13)
+        assert lz_c2(1.0, math.nextafter(1.0, 2.0)) == pytest.approx(2.0)
         with pytest.raises(DomainError):
             lz_c3(1.0, 0.5, 1.5)
         with pytest.raises(DomainError):
@@ -258,11 +279,16 @@ class TestSolveTwoAtom:
             solve_two_atom(-0.5, 1.0)
         with pytest.raises(DomainError):
             solve_two_atom(2.5, 1.0)
+        with pytest.raises(DomainError):
+            solve_two_atom(1.0, 1 + 1e-13)
 
     def test_interior_x_infeasible(self):
-        for x in (0.5 + 0j, 1.0 - 1e-9):
+        for x in (0.5 + 0j, 1.0 - 1e-9, 1.0 - 1e-13):
             with pytest.raises(InfeasibleError):
                 solve_two_atom(1.0, x)
+        # |x| one ulp off 1 is on the boundary.
+        for x in (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)):
+            assert solve_two_atom(1.0, x).weights == pytest.approx((0.75, 0.25))
 
 
 class TestRandomRep:

@@ -1,7 +1,9 @@
 """Package surface: every name a module exports resolves, and only those."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +50,27 @@ def test_unknown_name_raises_attribute_error():
 def test_dir_lists_all():
     assert set(succoeff.__all__) <= set(dir(succoeff))
     assert "__version__" in dir(succoeff)
+
+
+def test_every_config_setting_is_read():
+    # A setting no code reads is dead: a tolerance left behind would hold
+    # nothing while seeming to.  A reader is ``config.NAME`` in any module of
+    # the package, or ``NAME`` inside a function of config, as gate reads
+    # GATE_ULPS.
+    from succoeff import config
+    read = set()
+    for path in Path(config.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "config"):
+                read.add(node.attr)
+    for node in ast.parse(Path(config.__file__).read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            read |= {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+    settings = {name for name, value in vars(config).items()
+                if not name.startswith("_") and not callable(value)}
+    assert "GATE_ULPS" in settings
+    assert sorted(settings - read) == []
 
 
 def test_benchmark_names_resolve(monkeypatch, perfbench):

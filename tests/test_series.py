@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from succoeff import (ClassParams, DomainError, OrderMismatchError, TruncatedSeries,
+from succoeff import (ClassParams, DomainError, OrderMismatchError, TruncatedSeries, config,
                       construct_member, mu, random_rep, to_series)
 from conftest import assert_series_close, random_series
 from jets import cpow, log, monomial, np_eval, np_exp, np_integrate_kernel, np_product, one, zero
@@ -110,6 +110,12 @@ class TestExpLog:
     def test_exp_requires_zero_constant(self):
         with pytest.raises(DomainError):
             one(4).exp()
+        with pytest.raises(DomainError):
+            TruncatedSeries([5e-15, 1]).exp()
+        with pytest.raises(DomainError):
+            TruncatedSeries([math.nextafter(config.gate(0.0), 1.0), 1]).exp()
+        for c0 in (math.nextafter(0.0, 1.0), 2.0**-52, config.gate(0.0)):
+            assert TruncatedSeries([c0, 1]).exp().coeffs[1] == 1
 
     def test_log_one(self):
         assert_series_close(log(one(5)), np.zeros(6))
@@ -184,6 +190,10 @@ class TestIntegrals:
     def test_kernel_requires_unit_constant(self):
         with pytest.raises(DomainError):
             (2 * one(3)).integrate_kernel()
+        with pytest.raises(DomainError):
+            TruncatedSeries([1 + 5e-15, 0.5]).integrate_kernel()
+        for c0 in (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)):
+            assert TruncatedSeries([c0, 0.5]).integrate_kernel().coeffs[1] == 0.5
 
     def test_kernel_inverse_of_z_ddz(self, rng):
         # z * d/dz of the kernel integral recovers p - 1 at every order.

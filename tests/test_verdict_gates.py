@@ -6,7 +6,10 @@ with ``eps = 2**-52``.  :func:`test_worst_gap_is_at_most_half_the_gate`
 measures each gap in those units over seeded classes of every family, the
 edges of their parameter boxes, the two branch points and the Ozaki
 classes just below ``lam = 1/2`` whose ``c*`` lies within about 1e-12 of 2,
-and requires the worst to be at most half the gate.
+and requires the worst to be at most half the gate.  The same gate bounds
+the measures and disk points a command builds, and
+:func:`test_built_measures_use_at_most_half_their_gates` holds their
+defects to half of it too.
 
 The digests of :mod:`test_outputs` depend on the libm: a ``cos`` one ulp
 off moves printed digits.  :func:`test_no_verdict_depends_on_libm` checks
@@ -25,8 +28,10 @@ import random
 
 import pytest
 
-from succoeff import (ClassParams, FunctionalSpec, Which, bound_d1, bound_d2, case_boundary_check,
-                      config, grid_optimize, sample_no_violation)
+from succoeff import (AtomicHerglotzRep, ClassParams, DegenerateError, FunctionalSpec, Which,
+                      bound_d1, bound_d2, case_boundary_check, config, grid_optimize,
+                      sample_no_violation, solve_two_atom, two_atom_parameters)
+from succoeff.caratheodory import _draw_atoms, _seeded_stream
 from succoeff.cli import _attained
 from test_command_map import every_command_traced
 from test_outputs import COMMANDS, _row_or_error
@@ -130,6 +135,41 @@ def test_worst_sampled_margin_is_at_most_half_the_gate():
         gaps += [(_units(-side.margin, scale), params)
                  for side, scale in ((report.d1_low, d1.lower), (report.d1_high, d1.upper),
                                      (report.d2_low, d2.lower), (report.d2_high, d2.upper))]
+    worst = max(gaps, key=lambda gap: gap[0])
+    assert worst[0] <= MAX_GAP_UNITS, worst
+
+
+def test_built_measures_use_at_most_half_their_gates():
+    # A measure passes AtomicHerglotzRep when each |eps| is within
+    # gate(1.0) of 1 and its weight sum within len(w) gates; a disk point
+    # passes when |x| is within gate(1.0) of 1.  Every measure and point a
+    # command builds must keep half of that: the two-atom extremals'
+    # (c*, x*) and solved measures, whose sum gets only one gate, the
+    # witnesses of sample at 1, 6 and 64 atoms, and 64-atom draws.
+    assert config.MAX_ATOMS * config.gate(1.0) < 1e-12  # the slack all these had before
+    classes = _classes(per_family=2000, seed=20261019)
+    gaps = []
+
+    def measure_gaps(rep, sum_gate_units, source):
+        gaps.append((_units(abs(math.fsum(rep.weights) - 1.0), 1.0) / sum_gate_units,
+                     "weight sum", source))
+        gaps.extend((_units(abs(abs(e) - 1.0), 1.0), "|eps|", source) for e in rep.points)
+
+    for params in classes:
+        c, x = two_atom_parameters(params)
+        gaps.append((_units(abs(abs(x) - 1.0), 1.0), "|x*|", params))
+        try:
+            measure_gaps(solve_two_atom(c, x), 1, params)
+        except DegenerateError:  # c* = 2: the point mass at 1
+            pass
+    for i, params in enumerate(classes[::20]):
+        for n_atoms_max in (1, 6, 64):
+            report = sample_no_violation(params, 100, n_atoms_max=n_atoms_max, seed=i)
+            for side in (report.d1_low, report.d1_high, report.d2_low, report.d2_high):
+                measure_gaps(side.rep, len(side.rep.weights), (params, n_atoms_max, i))
+    rng = _seeded_stream(20261019)
+    for i in range(2000):
+        measure_gaps(AtomicHerglotzRep(*_draw_atoms(rng, config.MAX_ATOMS)), config.MAX_ATOMS, i)
     worst = max(gaps, key=lambda gap: gap[0])
     assert worst[0] <= MAX_GAP_UNITS, worst
 

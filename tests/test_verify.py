@@ -85,6 +85,10 @@ class TestFunctionalValue:
             functional_value(spec, 1.0, 1.5)
         with pytest.raises(DomainError):
             functional_value(spec, 1.0, 1 + 5e-10)
+        with pytest.raises(DomainError):
+            functional_value(spec, 1.0, 1 + 1e-13)
+        assert functional_value(spec, 1.0, math.nextafter(1.0, 2.0)) == pytest.approx(
+            functional_value(spec, 1.0, 1.0), abs=1e-15)
 
     @pytest.mark.parametrize("which", list(Which))
     @pytest.mark.parametrize("c", [-1e-13, 2.0 + 1e-13])
