@@ -10,9 +10,13 @@ commands' reductions and extremals can be checked against it.  The
 exception is ``atom_jet_reference``, which mirrors ``families._atom_jet``
 step for step: it pins the order of operations that ``construct_member``
 and the sampler's written-out first two steps must match bit for bit,
-not the algebra.  ``test_families`` checks the algebra of
-``construct_member`` from atoms independently, against the series
-(``exp``) path and the binomial series of a point mass.
+not the algebra.  ``sample_reference`` reads each member's (a2, a3) from
+an order-2 reference jet, as ``bounds.extremal_coeffs`` does, so it takes
+no order.  ``test_families`` checks the algebra of ``construct_member``
+from atoms independently, against the series (``exp``) path and the
+binomial series of a point mass, and holds the order-1024 reference
+jets to Duren's majorant, the bound behind the sampler's claim that a
+member with finite g_1 and g_2 is finite at every order.
 """
 
 import cmath
@@ -31,7 +35,7 @@ import pytest
 from succoeff import (AtomicHerglotzRep, ClassParams, CoeffTriple, DomainError, TruncatedSeries,
                       Which, bound_d1, bound_d2, config, moments)
 from succoeff.caratheodory import _draw_atoms, _seeded_stream
-from succoeff.families import _divisors, _exponent, _member
+from succoeff.families import _divisors, _exponent
 from succoeff.verify import SampleReport, WorstMargin, _atom_count
 
 
@@ -167,22 +171,25 @@ def atom_jet_reference(rep: AtomicHerglotzRep, order: int, v: complex) -> list[c
     return g
 
 
-def sample_reference(params: ClassParams, n_samples: int, n_atoms_max: int = 6, seed: int = 0,
-                     order: int = config.DEFAULT_ORDER) -> SampleReport:
-    """sample_no_violation one member at a time: draw, build, check, in sample order.
+def sample_reference(params: ClassParams, n_samples: int, n_atoms_max: int = 6,
+                     seed: int = 0) -> SampleReport:
+    """sample_no_violation one member at a time: draw, read, check, in sample order.
 
-    Each member is built to ``order``, which the report does not carry:
-    the sampler takes none, and must agree at every order.  A margin
-    violates when it is below minus ``config.gate`` of its endpoint.
+    Each member's (a2, a3) is g_1/n2, g_2/n3 of its order-2 reference jet,
+    the rule of ``bounds.extremal_coeffs``; a jet is a bitwise prefix of
+    any longer one, so no order enters.  A margin violates when it is
+    below minus ``config.gate`` of its endpoint.
     """
     d1, d2 = bound_d1(params), bound_d2(params)
     rng = _seeded_stream(seed)
     v = _exponent(params)
+    n2, n3 = _divisors(params)
     worst = {name: (math.inf, -1, None) for name in ("d1_low", "d1_high", "d2_low", "d2_high")}
     n_constructed = n_failures = n_violations = 0
     for i in range(n_samples):
         rep = AtomicHerglotzRep(*_draw_atoms(rng, _atom_count(rng.random(), n_atoms_max)))
-        triple = CoeffTriple(*_member(params, atom_jet_reference(rep, order - 1, v)).coeffs[2:4])
+        _, g1, g2 = atom_jet_reference(rep, 2, v)
+        triple = CoeffTriple(g1 / n2, g2 / n3)
         if not (cmath.isfinite(triple.a2) and cmath.isfinite(triple.a3)):
             n_failures += 1
             continue

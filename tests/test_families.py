@@ -17,6 +17,7 @@ from succoeff import (
     TruncatedSeries,
     bound_d1,
     bound_d2,
+    config,
     construct_member,
     extremal_series,
     membership_check,
@@ -320,7 +321,11 @@ class TestAtomPath:
     def test_jet_matches_per_member_loop_bitwise(self, params, order):
         # Mixed atom counts, with ties, and a measure with zero parts of
         # either sign: the jet and each lone member are bitwise the
-        # per-member loop.
+        # per-member loop.  Every g_k is finite and within Duren's
+        # majorant (1 - z)^{-2|v|}, |v| <= 1, plus one gate per recurrence
+        # step: sample_no_violation reads a member from g_1 and g_2 alone
+        # because no later coefficient can fail.  One atom meets the
+        # majorant at |v| = 1.
         counts = (3, 64, 1, 17, 64, 2, 1, 6) if order < 1024 else (3, 64, 1, 6, 1)
         reps = [random_rep(n, seed) for seed, n in enumerate(counts)]
         reps.append(AtomicHerglotzRep((0.125,) * 8, (
@@ -332,6 +337,8 @@ class TestAtomPath:
             assert float_bits(_atom_jet(rep.weights, rep.points, order - 1, v)) == float_bits(want)
             got = float_bits(construct_member(params, rep, order).coeffs)
             assert got == float_bits(_member(params, want).coeffs)
+            assert all(cmath.isfinite(g) for g in want)
+            assert all(abs(g) <= (k + 1) * (1 + k * config.gate(1.0)) for k, g in enumerate(want))
 
     def test_argument_errors(self):
         params = ClassParams.convex(0.25, 0.5)

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from succoeff import (
     construct_member,
     config,
     extremal_coeffs,
+    extremal_measure,
     functional_value,
     grid_optimize,
     random_rep,
@@ -30,7 +32,7 @@ from succoeff import (
     to_series,
     two_atom_parameters,
 )
-from conftest import coeffs_from_c, lz_c2, sample_reference
+from conftest import coeffs_from_c, endpoints, lz_c2, sample_reference
 from jets import functional_values
 from succoeff.bounds import _t
 from succoeff.caratheodory import _draw_atoms, _seeded_stream
@@ -284,7 +286,7 @@ class TestSampling:
         assert report.d2_low.sample_index >= 0
         assert report.d2_low.rep is not None
 
-    @pytest.mark.parametrize("n_samples", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("n_samples", [1, 600])
     @pytest.mark.parametrize("params, n_atoms_max", SAMPLED_POINTS)
     def test_matches_per_member_loop(self, params, n_atoms_max, n_samples):
         # The reference draws each member through _draw_atoms and validates
@@ -294,12 +296,33 @@ class TestSampling:
         got = sample_no_violation(params, n_samples, n_atoms_max, seed=9)
         assert got == sample_reference(params, n_samples, n_atoms_max, seed=9)
 
-    @pytest.mark.parametrize("params, n_atoms_max", SAMPLED_POINTS)
-    def test_matches_full_order_loop_at_order_1024(self, params, n_atoms_max):
-        # The reference builds every member to order 1024 and fails it on
-        # any non-finite coefficient; the sampler builds g_0..g_2 only.
-        got = sample_no_violation(params, 257, n_atoms_max, seed=9)
-        assert got == sample_reference(params, 257, n_atoms_max, seed=9, order=1024)
+    @pytest.mark.parametrize("params", [
+        ClassParams.spirallike(0.25, 0.5), ClassParams.convex(0.5, 1.4),
+        ClassParams.ozaki(0.3), ClassParams.ozaki(0.75)])
+    def test_every_verdict_fails_at_its_extremal(self, params, monkeypatch):
+        # Random draws stay 7e-3 or more inside the upper d2 endpoint, so
+        # the one member of each run here is drawn as a side's catalog
+        # measure: the atom count (0 or 0.5), then weights
+        # r = (w - 0.05)/0.95, whose raw values already sum to 1, then
+        # angles r = phase/2 pi.  Its margin sits on the endpoint, and an
+        # endpoint 1e-12 inward fails.
+        bounds = {Which.D1: bound_d1, Which.D2: bound_d2}
+        sides = (("high", "upper", -1e-12), ("low", "lower", 1e-12)) * 2
+        for (desc, which, endpoint), (side, end, inward) in zip(endpoints(params), sides):
+            rep = extremal_measure(desc)
+            draws = [0.5 * (len(rep.weights) - 1), *((w - 0.05) / 0.95 for w in rep.weights),
+                     *(cmath.phase(eps) / (2 * math.pi) for eps in rep.points)]
+            monkeypatch.setattr("succoeff.verify._seeded_stream",
+                                lambda seed: SimpleNamespace(random=iter(draws).__next__))
+            report = sample_no_violation(params, 1, n_atoms_max=2)
+            assert abs(getattr(report, f"{which.value}_{side}").margin) <= config.gate(endpoint)
+            assert report.passed
+            shifted = bounds[which](params)._replace(**{end: endpoint + inward})
+            with monkeypatch.context() as m:
+                m.setattr(f"succoeff.verify.bound_{which.value}", lambda _: shifted)
+                report = sample_no_violation(params, 1, n_atoms_max=2)
+            assert report.n_violations == 1
+            assert not report.passed
 
     def test_no_member_built_does_not_pass(self, monkeypatch, tmp_path):
         # An infinite exponent makes every g_1 non-finite: each member is a
