@@ -17,6 +17,7 @@ from succoeff import (
     Which,
     bound_d1,
     bound_d2,
+    config,
     extremal_coeffs,
     extremal_measure,
     extremal_series,
@@ -46,6 +47,11 @@ PARAM_GRID = [
 ]
 
 
+def gated(expected):
+    # The closed forms are exact up to roundoff, so they meet the verdict gate.
+    return pytest.approx(expected, abs=config.gate(expected), rel=0)
+
+
 def atom_product(rep, w, order):
     """prod_j (1 - eps_j z)^(w g_j), each factor a principal-branch cpow."""
     acc = one(order)
@@ -56,9 +62,9 @@ def atom_product(rep, w, order):
 
 class TestTFactor:
     def test_known_values(self):
-        assert _t(0.0, 0.0) == pytest.approx(3.0)
-        assert _t(0.5, 0.0) == pytest.approx(2.0)
-        assert _t(0.0, math.pi / 3) == pytest.approx(math.sqrt(3))
+        assert _t(0.0, 0.0) == gated(3.0)
+        assert _t(0.5, 0.0) == gated(2.0)
+        assert _t(0.0, math.pi / 3) == gated(math.sqrt(3))
 
     def test_range_and_monotonicity(self):
         alphas = np.linspace(0.0, 0.999, 50)
@@ -80,7 +86,7 @@ class TestIntervals:
         for alpha in (0.0, 0.3, 0.8):
             b = bound_d1(ClassParams.convex(alpha, 0.0))
             assert b.lower == -1.0
-            assert b.upper == pytest.approx(-alpha)
+            assert b.upper == gated(-alpha)
 
     def test_d1_ozaki(self):
         b = bound_d1(ClassParams.ozaki(1.0))
@@ -89,19 +95,19 @@ class TestIntervals:
 
     def test_d2_spirallike_starlike_case(self):
         b = bound_d2(SPIRAL_00)
-        assert b.lower == pytest.approx(-1.0)
-        assert b.upper == pytest.approx(1.0)
+        assert b.lower == gated(-1.0)
+        assert b.upper == gated(1.0)
         assert b.lower_extremal == ExtremalDescriptor(ExtremalName.F_SPIRAL, SPIRAL_00)
 
     def test_d2_convex_li_sugawa_case(self):
         b = bound_d2(CONVEX_00)
-        assert b.lower == pytest.approx(-0.5)
-        assert b.upper == pytest.approx(1 / 3)
+        assert b.lower == gated(-0.5)
+        assert b.upper == gated(1 / 3)
 
     def test_d2_ozaki_quarter(self):
         b = bound_d2(ClassParams.ozaki(0.25))
-        assert b.lower == pytest.approx(-4 / 42)
-        assert b.upper == pytest.approx(1 / 24)
+        assert b.lower == gated(-4 / 42)
+        assert b.upper == gated(1 / 24)
 
     def test_ozaki_branch_continuity(self):
         left = 0.5 * (4 * 0.5 - 17) / (24 * (2 - 0.5))

@@ -90,11 +90,11 @@ class TestVerify:
         assert float(rows[0]["gamma"]) == pytest.approx(math.pi / 6, rel=0, abs=1e-16)
 
     def test_failure_exit_code(self, tmp_path, monkeypatch):
-        # A closed-form lower endpoint of d2 that sits 1e-6 above the true
+        # A closed-form lower endpoint of d2 that sits 1e-12 above the true
         # minimum must be flagged.
         def shifted(params):
             interval = bound_d2(params)
-            return interval._replace(lower=interval.lower + 1e-6)
+            return interval._replace(lower=interval.lower + 1e-12)
 
         monkeypatch.setattr(verify_module, "bound_d2", shifted)
         code, _ = cli_rows(["verify", "--family", "convex", "--alpha", "0.9", "--gamma", "0"],
@@ -109,7 +109,7 @@ class TestVerify:
         (ClassParams.ozaki(0.75), ["--family", "ozaki", "--lambda", "0.75"]),
     ])
     def test_case_check_failure(self, monkeypatch, capsys, params, point):
-        # A c* 1e-9 off the exact argmin fails the case check and nothing else.
+        # A c* 1e-12 off the exact argmin fails the case check and nothing else.
         def rows(code):
             assert main(["verify", *point, "--format", "csv"]) == code
             return parse_rows(capsys.readouterr().out, "csv")
@@ -121,7 +121,7 @@ class TestVerify:
 
         def shifted(p):
             c_star, x_star = exact(p)
-            return c_star + 1e-9, x_star
+            return c_star + 1e-12, x_star
 
         monkeypatch.setattr(verify_module, "two_atom_parameters", shifted)
         assert not verify_module.case_boundary_check(params).passed

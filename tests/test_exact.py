@@ -46,7 +46,7 @@ def _errors(params: ClassParams) -> dict[str, float]:
 def _worst() -> dict[str, tuple[float, ClassParams]]:
     """The worst error of each kind over the classes, with the class it is at."""
     worst = {}
-    # 667 per family: about 2,000 random classes, and the 410 edge classes.
+    # 667 per family: about 2,000 random classes, and the 417 edge classes.
     for params in _classes(per_family=667, seed=20261019):
         for kind, error in _errors(params).items():
             if error > worst.get(kind, (-1.0,))[0]:
