@@ -19,8 +19,7 @@ _EXPORTS = {
     ),
     "caratheodory": ("AtomicHerglotzRep", "moments", "random_rep", "solve_two_atom", "to_series"),
     "errors": (
-        "DegenerateError", "DomainError", "EvaluationError", "InfeasibleError",
-        "OrderMismatchError", "SuccoeffError",
+        "DegenerateError", "DomainError", "EvaluationError", "InfeasibleError", "SuccoeffError",
     ),
     "families": (
         "ClassParams", "CoeffTriple", "Family", "MembershipReport", "construct_member",

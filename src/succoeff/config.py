@@ -41,7 +41,7 @@ MEMBERSHIP_ANGLES = 64
 # So every verdict (optimizer endpoint, extremal attainment, sampled margin,
 # case-analysis c*) compares two computations of one quantity, and the
 # only slack between them is roundoff: GATE_ULPS units of
-# eps * max(1, |scale|), eps = 2**-52.  Over 91,230 seeded classes of the
+# eps * max(1, |scale|), eps = 2**-52.  Over 91,251 seeded classes of the
 # three families, their box edges and their branch points, the worst gap
 # was 4.5 units (an extremal's attainment); tests/test_verdict_gates.py
 # holds every gap to 8, half the gate.  The same gate(1.0) bounds a

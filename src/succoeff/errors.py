@@ -7,10 +7,6 @@ class SuccoeffError(Exception):
     """Base class for all package errors."""
 
 
-class OrderMismatchError(SuccoeffError, ValueError):
-    """Two truncated series with different truncation orders were combined."""
-
-
 class DomainError(SuccoeffError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 

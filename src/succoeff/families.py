@@ -203,17 +203,16 @@ def membership_check(
     f: TruncatedSeries,
     params: ClassParams,
     radii: Sequence[float] = config.MEMBERSHIP_RADII,
-    n_angles: int = config.MEMBERSHIP_ANGLES,
-    tol: float = config.MEMBERSHIP_TOL,
 ) -> MembershipReport:
     """Sample the defining real-part condition of params' class on a polar grid.
 
-    Returns the worst margin (positive means the strict inequality holds with
-    room to spare) and pass/fail at ``tol``.  The check evaluates the
-    *truncated* series, so it is a necessary-style numeric test: for members
-    whose coefficients grow like the extremal ones, the evaluation is only
-    trustworthy while the dropped tail is small relative to |f| — raise the
-    truncation order before sampling radii near 1.
+    Samples ``config.MEMBERSHIP_ANGLES`` angles on each radius and returns
+    the worst margin (positive means the strict inequality holds with room
+    to spare) and pass/fail at ``config.MEMBERSHIP_TOL``.  The check
+    evaluates the *truncated* series, so it is a necessary-style numeric
+    test: for members whose coefficients grow like the extremal ones, the
+    evaluation is only trustworthy while the dropped tail is small relative
+    to |f| — raise the truncation order before sampling radii near 1.
 
     Raises :class:`EvaluationError` when f (or f') vanishes at a sample
     point, rather than silently skipping it.
@@ -221,12 +220,12 @@ def membership_check(
     _check_class(params)
     if not radii or any(not 0.0 < r < 1.0 for r in radii):
         raise DomainError("radii must lie in (0, 1)")
-    n_angles = _count("n_angles", n_angles, 1)
 
     fprime = f.derivative()
     fsecond = None if params.family is Family.SPIRALLIKE else fprime.derivative()
     tilt = cmath.exp(-1j * params.gamma)
     floor = params.alpha * math.cos(params.gamma)
+    n_angles = config.MEMBERSHIP_ANGLES
     worst_margin, worst_z = math.inf, 0j
     for r in radii:
         for k in range(n_angles):
@@ -247,7 +246,7 @@ def membership_check(
             if margin < worst_margin:
                 worst_margin, worst_z = margin, z
     return MembershipReport(
-        passed=worst_margin >= tol,
+        passed=worst_margin >= config.MEMBERSHIP_TOL,
         worst_margin=worst_margin,
         worst_z=worst_z,
     )

@@ -1,9 +1,8 @@
 """Truncated complex power-series (jet) arithmetic on the unit disk.
 
 A :class:`TruncatedSeries` stores the Taylor coefficients a_0..a_N of an
-analytic function as a tuple of Python complex numbers.  Products are
-Cauchy products truncated at order N (coefficients above N are silently
-dropped — standard jet arithmetic).  exp uses the first-order ODE
+analytic function as a tuple of Python complex numbers.  It takes scalar
+multiples, not sums or products of series.  exp uses the first-order ODE
 recurrence; its precondition f(0) = 0 removes any branch ambiguity.
 
 Every sum of products is accumulated left to right, acc += a*b, so results
@@ -22,7 +21,7 @@ from numbers import Complex
 from operator import add, mul, truediv
 
 from . import _EXPORTS, config
-from .errors import DomainError, OrderMismatchError
+from .errors import DomainError
 
 __all__ = list(_EXPORTS["series"])
 
@@ -52,46 +51,11 @@ class TruncatedSeries:
     def coeffs(self) -> tuple[complex, ...]:
         return self._coeffs
 
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __getitem__(self, k: int) -> complex:
-        return self._coeffs[k]
-
     def __repr__(self) -> str:
         body = ", ".join(f"{c:.6g}" for c in self._coeffs)
-        return f"TruncatedSeries(order={self.order}, coeffs=({body}))"
-
-    # -- ring operations ---------------------------------------------------
-
-    def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise OrderMismatchError(
-                f"truncation orders differ: {self.order} != {other.order}"
-            )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        return TruncatedSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        return TruncatedSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
+        return f"TruncatedSeries(coeffs=({body}))"
 
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_order(other)
-            # Cauchy product truncated at order N.
-            f, g = self._coeffs, other._coeffs
-            return TruncatedSeries([_dot(f, g[k::-1]) for k in range(len(f))])
         if isinstance(other, Complex):
             return TruncatedSeries(map(mul, self._coeffs, repeat(complex(other))))
         return NotImplemented
@@ -127,19 +91,10 @@ class TruncatedSeries:
             raise DomainError("kernel integral requires constant term 1")
         return TruncatedSeries([0j, *map(truediv, p[1:], range(1, len(p)))])
 
-    def antiderivative(self) -> "TruncatedSeries":
-        """Termwise antiderivative with value 0 at the origin (same order)."""
-        c = self._coeffs
-        return TruncatedSeries([0j, *map(truediv, c[:-1], range(1, len(c)))])
-
     def derivative(self) -> "TruncatedSeries":
         """Termwise derivative, zero-padded to keep the order (top is lost)."""
         c = self._coeffs
         return TruncatedSeries([*map(mul, range(1, len(c)), c[1:]), 0j])
-
-    def shift_up(self) -> "TruncatedSeries":
-        """Multiply by z, dropping the overflowing top coefficient."""
-        return TruncatedSeries((0j,) + self._coeffs[:-1])
 
     def eval(self, z):
         """Horner evaluation of the truncated polynomial at z."""

@@ -4,30 +4,20 @@
 the package's construction path, so they serve as the reference for the
 two-atom extremals.  The ``np_*`` functions are the numpy formulas the
 package's plain-Python jet operations replaced; the reference tests in
-``test_series.py`` compare the two.
+``test_series.py`` compare the two, and ``np_product`` stands in for the
+series product the package does not have.
 """
 
 import numpy as np
 
-from succoeff import DomainError, FunctionalSpec, TruncatedSeries, Which
-from succoeff.verify import _d1_slope, _d2_constants
+from succoeff import DomainError, TruncatedSeries
 
 
-def zero(order: int) -> TruncatedSeries:
-    return TruncatedSeries([0j] * (order + 1))
-
-
-def one(order: int) -> TruncatedSeries:
-    return monomial(0, order)
-
-
-def monomial(k: int, order: int, value: complex = 1.0) -> TruncatedSeries:
-    """value * z**k as a truncated series."""
-    if not 0 <= k <= order:
-        raise DomainError(f"monomial degree {k} outside order {order}")
-    c = [0j] * (order + 1)
-    c[k] = complex(value)
-    return TruncatedSeries(c)
+def polynomial(order: int, *coeffs: complex) -> TruncatedSeries:
+    """c_0 + c_1 z + ... as a truncated series of the given order."""
+    if len(coeffs) > order + 1:
+        raise DomainError(f"{len(coeffs)} coefficients exceed order {order}")
+    return TruncatedSeries([*coeffs, *[0j] * (order + 1 - len(coeffs))])
 
 
 def log(f: TruncatedSeries) -> TruncatedSeries:
@@ -76,13 +66,3 @@ def np_integrate_kernel(p) -> np.ndarray:
 
 def np_eval(f, z):
     return np.polyval(np.asarray(f, dtype=complex)[::-1], z)
-
-
-def functional_values(spec: FunctionalSpec, c, x) -> np.ndarray:
-    """The reduced functional on arrays of c and x (broadcast together)."""
-    c = np.asarray(c, dtype=float)
-    x = np.asarray(x, dtype=complex)
-    if spec.which is Which.D1:
-        return np.broadcast_arrays(_d1_slope(spec.params) * c - 1.0, x.real)[0]
-    pref, u, k = _d2_constants(spec.params)
-    return pref * (np.abs(c * c * u + (4.0 - c * c) * x) - k * c)

@@ -16,6 +16,7 @@ from succoeff import (
     TruncatedSeries,
     Which,
     case_boundary_check,
+    config,
     construct_member,
     extremal_coeffs,
     grid_optimize,
@@ -28,7 +29,7 @@ from succoeff import (
     two_atom_parameters,
 )
 from conftest import endpoints, lz_c2, lz_c3, lz_invert_x, normalize_rotation, random_series
-from jets import cpow, log, monomial, one
+from jets import cpow, log, np_product, polynomial
 from succoeff.bounds import _t
 
 LATTICE = [
@@ -123,17 +124,17 @@ def test_criterion_5_extremal_attainment():
         ClassParams.ozaki(1.0),
     ]
     names = set()
-    worst = 0.0
+    worst = 0.0  # in gates of the endpoint
     for params in families:
         for desc, which, target in endpoints(params):
             names.add(desc.name)
             triple = extremal_coeffs(desc)
             value = triple.d1() if which is Which.D1 else triple.d2()
-            worst = max(worst, abs(value - target))
-    ok = worst <= 1e-9 and len(names) == 9
+            worst = max(worst, abs(value - target) / config.gate(target))
+    ok = worst <= 1 and len(names) == 9
     assert report(
         5, "nine extremals attain their endpoints", ok,
-        f"worst residual={worst:.2e}, catalog size={len(names)}",
+        f"worst residual={worst:.3g} gates, catalog size={len(names)}",
     )
 
 
@@ -223,7 +224,8 @@ def test_criterion_8c_series_roundtrips():
             worst = max(worst, float(np.abs(np.subtract(log(f).exp().coeffs, f.coeffs)).max()))
             a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             b = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            diff = np.subtract((cpow(f, a) * cpow(f, b)).coeffs, cpow(f, a + b).coeffs)
+            diff = np.subtract(np_product(cpow(f, a).coeffs, cpow(f, b).coeffs),
+                               cpow(f, a + b).coeffs)
             worst = max(worst, float(np.abs(diff).max()))
     ok = worst <= 1e-11
     assert report(8, "8c: exp/log and power-additivity round trips", ok,
@@ -245,8 +247,8 @@ def test_criterion_8d_membership():
             ok = ok and membership_check(member, params).passed
     # the tilted examples: spirallike/convex at tilt |pi/4| but not at 0
     n = 64
-    spiral_example = cpow(one(n) + monomial(1, n, -1j), 1j - 1).shift_up()
-    convex_example = 1j * cpow(one(n) + monomial(1, n, -1.0), 1j) - 1j * one(n)
+    spiral_example = TruncatedSeries([0, *cpow(polynomial(n - 1, 1, -1j), 1j - 1).coeffs])
+    convex_example = TruncatedSeries(1j * np.r_[0, cpow(polynomial(n, 1, -1), 1j).coeffs[1:]])
     ok = ok and membership_check(spiral_example, ClassParams.spirallike(0.0, -math.pi / 4)).passed
     ok = ok and not membership_check(spiral_example, ClassParams.spirallike(0.0, 0.0)).passed
     ok = ok and membership_check(convex_example, ClassParams.convex(0.0, -math.pi / 4)).passed

@@ -19,6 +19,7 @@ import succoeff.verify as verify_module
 from succoeff import ClassParams, Which, bound_d2, config
 from succoeff.cli import _build_parser, main, parse_angle, parse_range
 from succoeff.errors import InfeasibleError
+from conftest import gated
 from test_command_map import every_command_loaded, load_differences
 from test_outputs import cli_rows, out_flags, parse_rows, run_cli
 
@@ -52,16 +53,16 @@ class TestBounds:
                               tmp_path)
         assert code == 0
         d2 = next(r for r in rows if r["which"] == "d2")
-        assert float(d2["lower"]) == pytest.approx(-0.5 / math.sqrt(3))
-        assert float(d2["upper"]) == pytest.approx(1 / 6)
+        assert float(d2["lower"]) == gated(-0.5 / math.sqrt(3))
+        assert float(d2["upper"]) == gated(1 / 6)
         assert d2["lower_extremal"] == "G_CONVEX"
 
     def test_ozaki_values(self, capsys):
         code = main(["bounds", "--family", "ozaki", "--lambda", "1", "--format", "csv"])
         assert code == 0
         row = parse_rows(capsys.readouterr().out, "csv")[1]
-        assert float(row["lower"]) == pytest.approx(-0.5)
-        assert float(row["upper"]) == pytest.approx(1 / 6)
+        assert float(row["lower"]) == gated(-0.5)
+        assert float(row["upper"]) == gated(1 / 6)
 
     def test_table_format_default(self, capsys):
         assert main(["bounds", "--family", "spirallike"]) == 0
@@ -266,9 +267,9 @@ class TestExtremalAndSample:
                               tmp_path)
         assert code == 0
         assert all(r["passed"] == "true" for r in rows)
-        assert all(float(r["residual"]) <= 1e-9 for r in rows)
+        assert all(float(r["residual"]) <= config.gate(float(r["target"])) for r in rows)
         q = next(r for r in rows if r["extremal"] == "Q" and r["which"] == "d2")
-        assert float(q["a3_re"]) == pytest.approx(1 / 3)
+        assert float(q["a3_re"]) == gated(1 / 3)
 
     def test_extremal_starlike_rows(self, tmp_path):
         code, rows = cli_rows(

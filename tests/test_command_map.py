@@ -85,21 +85,11 @@ PERFBENCH_REACHES = (
 # The functions of src/succoeff that no command line enters, by module and
 # qualified name (a lambda is named by the variable it is assigned to).
 LIBRARY_ONLY = PERFBENCH_REACHES + (
-    # The series type's accessors beside coeffs, used by the tests.
-    "series.TruncatedSeries.order",
-    "series.TruncatedSeries.__getitem__",
     # Named constructors beside ClassParams.spirallike, which perfbench resolves.
     "families.ClassParams.convex",
     "families.ClassParams.ozaki",
-    # The series type's own algebra, used by the tests; it leaves src/ with
-    # the rest of series.py.
-    "series.TruncatedSeries.__len__",
+    # The series type prints its coefficients, not as object does.
     "series.TruncatedSeries.__repr__",
-    "series.TruncatedSeries._check_order",
-    "series.TruncatedSeries.__add__",
-    "series.TruncatedSeries.__sub__",
-    "series.TruncatedSeries.antiderivative",
-    "series.TruncatedSeries.shift_up",
     # They check what a library caller passes; the command line checks its
     # flags before any of them could be reached.
     "families.Family._missing_",

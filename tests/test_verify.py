@@ -32,8 +32,7 @@ from succoeff import (
     to_series,
     two_atom_parameters,
 )
-from conftest import coeffs_from_c, endpoints, lz_c2, sample_reference
-from jets import functional_values
+from conftest import coeffs_from_c, endpoints, gated, lz_c2, sample_reference
 from succoeff.bounds import _t
 from succoeff.caratheodory import _draw_atoms, _seeded_stream
 from succoeff.families import _atom_jet
@@ -142,20 +141,6 @@ class TestFunctionalValue:
                 )
                 assert plus == pytest.approx(minus, abs=1e-12)
 
-    def test_vectorized(self, rng):
-        # The array formula of the tests agrees with the scalar function.
-        for params in SANE_PARAMS:
-            for which in (Which.D1, Which.D2):
-                spec = FunctionalSpec(params, which)
-                c = rng.uniform(0, 2, 50)
-                x = rng.uniform(0, 1, 50) * np.exp(2j * np.pi * rng.random(50))
-                scalar = [functional_value(spec, float(ci), complex(xi)) for ci, xi in zip(c, x)]
-                np.testing.assert_allclose(functional_values(spec, c, x), scalar,
-                                           rtol=0, atol=1e-15)
-        spec = FunctionalSpec(SPIRAL_00, Which.D2)
-        np.testing.assert_allclose(functional_values(spec, [0.0, 1.0], [1.0, -1.0]),
-                                   [1.0, -1.0], atol=1e-14)
-
 
 def naive_scan(spec, n_c, n_r, n_theta):
     """Triple-loop scan of (c, r, theta), ties to the smallest point: a 3-D oracle."""
@@ -243,7 +228,7 @@ class TestGridOptimize:
         c_star, x_star = two_atom_parameters(params)
         value = functional_value(FunctionalSpec(params, Which.D2), c_star, x_star)
         desc = bound_d2(params).lower_extremal
-        assert value == pytest.approx(extremal_coeffs(desc).d2(), abs=1e-10)
+        assert extremal_coeffs(desc).d2() == gated(value)
 
 
 # (params, n_atoms_max): several atoms, one atom (exact d1 ties), the most atoms.
