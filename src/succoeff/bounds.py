@@ -107,41 +107,49 @@ class BoundInterval(namedtuple("BoundInterval", "lower upper lower_extremal uppe
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-def _t(alpha: float, gamma: float) -> float:
-    """T = sqrt(1 + 4 (1-alpha)(2-alpha) cos^2 gamma), in (1, 3], of checked parameters."""
-    return math.sqrt(1.0 + 4.0 * (1.0 - alpha) * (2.0 - alpha) * math.cos(gamma) ** 2)
+def _tilted_forms(alpha, cosg, sin2g, sqrt):
+    """{family: (d1 upper, d2 lower, d2 upper, c*, x*)} of both tilted classes, x* as (re, im).
+
+    In any arithmetic: only + - * /, integer powers and literals, comparison
+    and ``sqrt``.  The convex envelope s/12 ((T+1)c^2 - 4 - 6c), s = (1-a) cos g,
+    is least at its vertex 3/(T+1) when T < 5/4, else at spirallike's 2/sqrt(T+1).
+    """
+    t = sqrt(1 + 4 * (1 - alpha) * (2 - alpha) * cosg ** 2)
+    # 0 - v, not -v: the imaginary part is +0.0, never -0.0, where sin 2g vanishes.
+    x = (-(1 + 2 * (1 - alpha) * cosg ** 2) / t, (0 - (1 - alpha) * sin2g) / t)
+    root = sqrt(1 + t)
+    s = (1 - alpha) * cosg
+    if 4 * t < 5:
+        lower, c = -s * (4 * (t + 1) + 9) / (12 * (t + 1)), 3 / (t + 1)
+    else:
+        lower, c = -s / root, 2 / root
+    return {Family.SPIRALLIKE: (2 * s - 1, -2 * s / root, s, 2 / root, x),
+            Family.CONVEX_GAMMA: (s - 1, lower, s / 3, c, x)}
+
+
+def _ozaki_forms(lam):
+    """The Ozaki class's forms, as :func:`_tilted_forms`; both branches give -5/24 at 1/2."""
+    if 2 * lam <= 1:
+        lower, c = lam * (4 * lam - 17) / (24 * (2 - lam)), 3 / (2 - lam)
+    else:
+        lower, c = -lam * (lam + 2) / 6, 2
+    return lam / 2 - 1, lower, lam / 6, c, (-1, 0)
 
 
 def _closed_forms(params: ClassParams) -> tuple[float, float, float, float, complex]:
     """(upper of |a2|-|a1|, lower and upper of |a3|-|a2|, c*, x*): the one family branch.
 
-    x* = -1 (ozaki), else -(1 + 2(1-a)cos^2 g + i(1-a)sin 2g)/T.  The convex
-    envelope (1-a)cos(g)/12 ((T+1)c^2 - 4 - 6c) on [2/sqrt(T+1), 2] has its
-    minimum at the vertex 3/(T+1) when T < 5/4, else at the left end, as
-    spirallike has.  Ozaki's c* is 3/(2-lam) for lam <= 1/2, else 2.  The
-    branches agree at T = 5/4 (-(2/3)(1-a)cos g) and at lam = 1/2 (-5/24).
+    :func:`_tilted_forms` at (alpha, cos g, sin 2g, math.sqrt) or
+    :func:`_ozaki_forms` at lam, in floats (Ozaki's c* = 2 is an integer).
     """
     _check_class(params)
     if params.family is Family.OZAKI_G:
-        lam = params.lam
-        if lam <= 0.5:
-            lower, c = lam * (4.0 * lam - 17.0) / (24.0 * (2.0 - lam)), 3.0 / (2.0 - lam)
-        else:
-            lower, c = -lam * (lam + 2.0) / 6.0, 2.0
-        return lam / 2.0 - 1.0, lower, lam / 6.0, c, -1.0 + 0j
-    a, g = params.alpha, params.gamma
-    t = _t(a, g)
-    cosg = math.cos(g)
-    x = -(1.0 + 2.0 * (1.0 - a) * cosg ** 2 + 1j * (1.0 - a) * math.sin(2.0 * g)) / t
-    root = math.sqrt(1.0 + t)
-    scale = (1.0 - a) * cosg
-    if params.family is Family.SPIRALLIKE:
-        return 2.0 * scale - 1.0, -2.0 * scale / root, scale, 2.0 / root, x
-    if t < 1.25:
-        lower, c = -scale * (4.0 * (t + 1.0) + 9.0) / (12.0 * (t + 1.0)), 3.0 / (t + 1.0)
+        d1_upper, lower, upper, c, x = _ozaki_forms(params.lam)
     else:
-        lower, c = -scale / root, 2.0 / root
-    return scale - 1.0, lower, scale / 3.0, c, x
+        g = params.gamma
+        forms = _tilted_forms(params.alpha, math.cos(g), math.sin(2.0 * g), math.sqrt)
+        d1_upper, lower, upper, c, x = forms[params.family]
+    return d1_upper, lower, upper, float(c), complex(*x)
 
 
 def two_atom_parameters(params: ClassParams) -> tuple[float, complex]:
@@ -162,8 +170,7 @@ def bound_d1(params: ClassParams) -> BoundInterval:
 
 def bound_d2(params: ClassParams) -> BoundInterval:
     """Sharp interval for |a3| - |a2|, with two-atom lower extremals."""
-    _, lower, upper, _, _ = _closed_forms(params)
-    return _interval(params, 1, lower, upper)
+    return _interval(params, 1, *_closed_forms(params)[1:3])
 
 
 def extremal_measure(desc: ExtremalDescriptor) -> AtomicHerglotzRep:

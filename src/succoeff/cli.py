@@ -15,8 +15,8 @@ Output formats: an aligned text table (default), CSV, or JSON.  A command
 builds each row in column order, so the row carries its header: CSV, JSON
 and the table share the first row's keys.  CSV and the table print reals
 with ``%.17g``, JSON with Python's shortest round-trip ``repr``, so each
-format gives back the same float; complex quantities are separate re/im
-columns, and identical configurations produce byte-identical files.
+gives back the same finite float; JSON writes a non-finite one as ``null``.
+Complex values are re/im columns; identical configurations give identical bytes.
 
 Every option is declared once, in :func:`_build_parser`, and a subcommand
 takes only the flags it reads; any other flag is a usage error.  A
@@ -160,7 +160,10 @@ def render_csv(rows: Sequence[dict]) -> str:
 def render_json(rows: Sequence[dict]) -> str:
     import json
 
-    return json.dumps(list(rows), indent=2) + "\n"
+    # Strict JSON: a non-finite real (a margin of a run that checked nothing) is null.
+    rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in row.items()} for row in rows]
+    return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
 def render_table(rows: Sequence[dict]) -> str:

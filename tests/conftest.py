@@ -46,6 +46,11 @@ def endpoints(params: ClassParams):
         yield interval.lower_extremal, which, interval.lower
 
 
+def t_factor(alpha: float, gamma: float) -> float:
+    """T = sqrt(1 + 4 (1-a)(2-a) cos^2 g), stated apart from bounds' branch functions."""
+    return math.sqrt(1 + 4 * (1 - alpha) * (2 - alpha) * math.cos(gamma) ** 2)
+
+
 def gated(expected):
     # What a command computes is exact up to roundoff, so it meets the verdict gate.
     return pytest.approx(expected, abs=config.gate(expected), rel=0)

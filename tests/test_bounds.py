@@ -25,9 +25,8 @@ from succoeff import (
     solve_two_atom,
     two_atom_parameters,
 )
-from conftest import assert_series_close, endpoints, float_bits, gated, lz_c2
+from conftest import assert_series_close, endpoints, float_bits, gated, lz_c2, t_factor
 from jets import cpow, np_product, polynomial
-from succoeff.bounds import _t
 
 SPIRAL_00 = ClassParams.spirallike(0.0, 0.0)
 CONVEX_00 = ClassParams.convex(0.0, 0.0)
@@ -55,18 +54,19 @@ def atom_product(rep, w, order):
 
 
 class TestTFactor:
+    # bounds states T only inside _tilted_forms; spirallike's c* = 2/sqrt(1+T) reads it.
     def test_known_values(self):
-        assert _t(0.0, 0.0) == gated(3.0)
-        assert _t(0.5, 0.0) == gated(2.0)
-        assert _t(0.0, math.pi / 3) == gated(math.sqrt(3))
+        for params, t in ((SPIRAL_00, 3.0), (ClassParams.spirallike(0.5, 0.0), 2.0),
+                          (ClassParams.spirallike(0.0, math.pi / 3), math.sqrt(3))):
+            assert two_atom_parameters(params)[0] == gated(2 / math.sqrt(1 + t))
 
     def test_range_and_monotonicity(self):
         alphas = np.linspace(0.0, 0.999, 50)
         gammas = np.linspace(-1.5, 1.5, 50)
         for g in gammas:
-            values = [_t(a, g) for a in alphas]
-            assert all(1.0 < t <= 3.0 for t in values)
-            assert all(b < a + 1e-15 for a, b in zip(values, values[1:]))
+            values = [two_atom_parameters(ClassParams.spirallike(a, g))[0] for a in alphas]
+            assert all(1.0 <= c < math.sqrt(2) for c in values)  # T in (1, 3]
+            assert all(b > a - 1e-15 for a, b in zip(values, values[1:]))  # T falls with alpha
 
 
 class TestIntervals:
@@ -104,11 +104,9 @@ class TestIntervals:
         assert b.upper == gated(1 / 24)
 
     def test_ozaki_branch_continuity(self):
-        left = 0.5 * (4 * 0.5 - 17) / (24 * (2 - 0.5))
-        right = -0.5 * (0.5 + 2) / 6
-        assert left == pytest.approx(-5 / 24, abs=1e-14)
-        assert right == pytest.approx(-5 / 24, abs=1e-14)
-        assert bound_d2(ClassParams.ozaki(0.5)).lower == pytest.approx(-5 / 24, abs=1e-14)
+        # The vertex branch runs up to lam = 1/2 and the c* = 2 branch just above it.
+        for lam in (math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)):
+            assert bound_d2(ClassParams.ozaki(lam)).lower == gated(-5 / 24)
 
     def test_d2_contains_zero(self):
         for params in PARAM_GRID:
@@ -256,7 +254,7 @@ class TestExtremalSeries:
 
     def test_f_spiral_proof_coefficients(self):
         for params in (SPIRAL_00, ClassParams.spirallike(0.4, -0.8)):
-            t = _t(params.alpha, params.gamma)
+            t = t_factor(params.alpha, params.gamma)
             desc = bound_d2(params).lower_extremal
             f = extremal_series(desc, 8)
             expected_a2 = 2 * (1 - params.alpha) * mu(params.gamma) / math.sqrt(1 + t)

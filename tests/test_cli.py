@@ -276,13 +276,13 @@ class TestExtremalAndSample:
             ["extremal", "--family", "spirallike", "--alpha", "0", "--gamma", "0"], tmp_path)
         assert code == 0
         k = next(r for r in rows if r["extremal"] == "K")
-        assert float(k["a2_re"]) == pytest.approx(2.0)
-        assert float(k["a3_re"]) == pytest.approx(3.0)
-        assert float(k["d1"]) == pytest.approx(1.0)
+        assert float(k["a2_re"]) == gated(2.0)
+        assert float(k["a3_re"]) == gated(3.0)
+        assert float(k["d1"]) == gated(1.0)
         f = next(r for r in rows if r["extremal"] == "F_SPIRAL")
-        assert float(f["a2_re"]) == pytest.approx(1.0)
-        assert abs(complex(float(f["a3_re"]), float(f["a3_im"]))) < 1e-10
-        assert float(f["d2"]) == pytest.approx(-1.0)
+        assert float(f["a2_re"]) == gated(1.0)
+        assert abs(complex(float(f["a3_re"]), float(f["a3_im"]))) == gated(0.0)
+        assert float(f["d2"]) == gated(-1.0)
 
     @pytest.mark.parametrize("point", [
         ["--family", "convex", "--alpha", "0.5", "--gamma", "1.4"],

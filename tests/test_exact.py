@@ -1,22 +1,24 @@
-"""Every endpoint the package computes, against the exact value at its float inputs.
+"""Every endpoint the package computes, against its closed forms run at 60 digits.
 
-:mod:`exact` gives each class's endpoints, ``c*`` and ``x*`` to 60 digits.
-Errors are in units of ``eps * max(1, |ref|)`` with ``eps = 2**-52``.  The
-closed forms (``bound_d1``, ``bound_d2``, ``two_atom_parameters``) must be
-within :data:`CLOSED_FORM_UNITS`; the value each extremal attains
-(``extremal_coeffs(desc).d1()`` and ``.d2()``) and each ``grid_optimize``
-endpoint within :data:`DERIVED_UNITS`.  The classes are those of
-:mod:`test_verdict_gates`: seeded random classes of every family, the edges
-of each box, the ulps either side of ``T = 5/4`` and ``lam = 1/2``, and the
-Ozaki classes down to ``lam = 1/2 - 7.5e-13``, whose ``c*`` lies within
-about 1e-12 of 2.
+:mod:`exact` runs ``bounds``' branch functions in ``decimal`` on each class's
+float inputs.  Errors are in units of ``eps * max(1, |ref|)``, ``eps = 2**-52``.
+The float closed forms must be within :data:`CLOSED_FORM_UNITS`, which measures
+their rounding.  Each extremal's value and each ``grid_optimize`` endpoint,
+computed apart from the endpoint formulas, must be within :data:`DERIVED_UNITS`;
+these two hold the formulas.  The classes are :mod:`test_verdict_gates`'s:
+seeded random classes, the box edges, the ulps either side of ``T = 5/4`` and
+``lam = 1/2``, and Ozaki classes down to ``lam = 1/2 - 7.5e-13``, whose ``c*``
+is within about 1e-12 of 2.  Over ``Fraction`` the branch functions are exact.
 """
 
+from decimal import Decimal
+from fractions import Fraction
 from functools import cache
 
 from exact import endpoints, units
-from succoeff import (ClassParams, FunctionalSpec, Which, bound_d1, bound_d2, extremal_coeffs,
-                      grid_optimize, two_atom_parameters)
+from succoeff import (ClassParams, Family, FunctionalSpec, Which, bound_d1, bound_d2,
+                      extremal_coeffs, grid_optimize, two_atom_parameters)
+from succoeff.bounds import _ozaki_forms, _tilted_forms
 from test_verdict_gates import _classes
 
 CLOSED_FORM_UNITS = 2
@@ -25,10 +27,11 @@ DERIVED_UNITS = 8
 
 def _errors(params: ClassParams) -> dict[str, float]:
     """The worst error of each kind of computation at ``params``, in units."""
-    ref = endpoints(params.family.value, params.alpha, params.gamma, params.lam)
+    ref = endpoints(params)
     d1, d2 = bound_d1(params), bound_d2(params)
     c, x = two_atom_parameters(params)
-    intervals = ((d1, Which.D1, ref.d1_lower, ref.d1_upper),
+    # |a2| - |a1| >= -1 for every class, with |a1| = 1.
+    intervals = ((d1, Which.D1, -1, ref.d1_upper),
                  (d2, Which.D2, ref.d2_lower, ref.d2_upper))
     closed = [units(c, ref.c_star), units(x.real, ref.x_star[0]), units(x.imag, ref.x_star[1])]
     extremal, optimizer = [], []
@@ -72,8 +75,33 @@ def test_optimizer_endpoints_are_within_eight_units():
 def test_the_uncorrected_convex_endpoint_fails_the_closed_form_check():
     # The paper's convex d2 lower endpoint as printed, -s/sqrt(T+1), is
     # about 6.97e-5 above the true one at (0.5, 1.4), where T < 5/4.
-    ref = endpoints("convex", 0.5, 1.4)
-    printed = float(endpoints("convex", 0.5, 1.4, corrected=False).d2_lower)
+    params = ClassParams.convex(0.5, 1.4)
+    ref = endpoints(params)
+    printed = float(endpoints(params, corrected=False).d2_lower)
     assert abs(float(ref.d2_lower) - printed) > 6.9e-5
     assert units(printed, ref.d2_lower) > CLOSED_FORM_UNITS
-    assert units(bound_d2(ClassParams.convex(0.5, 1.4)).lower, ref.d2_lower) <= CLOSED_FORM_UNITS
+    assert units(bound_d2(params).lower, ref.d2_lower) <= CLOSED_FORM_UNITS
+
+
+def test_branch_functions_are_exact_over_fractions():
+    # gamma = 0 gives T = 3 - 2a.  At a = 7/8, T = 5/4 and q = sqrt(T + 1) = 3/2,
+    # where both convex branches meet; at a = 495/512, T = 273/256 and q = 23/16,
+    # on the convex vertex branch.  Both Ozaki branches meet at lam = 1/2.
+    roots = {Fraction(25, 16): Fraction(5, 4), Fraction(9, 4): Fraction(3, 2),
+             Fraction(273, 256) ** 2: Fraction(273, 256), Fraction(529, 256): Fraction(23, 16)}
+    for params, lower, c in ((ClassParams.spirallike(0.875, 0.0), "-1/6", "4/3"),
+                             (ClassParams.convex(0.875, 0.0), "-1/12", "4/3"),
+                             (ClassParams.convex(495 / 512, 0.0), "-18785/812544", "768/529"),
+                             (ClassParams.ozaki(0.25), "-2/21", "12/7"),
+                             (ClassParams.ozaki(0.5), "-5/24", "2"),
+                             (ClassParams.ozaki(0.75), "-11/32", "2")):
+        if params.family is Family.OZAKI_G:
+            forms = _ozaki_forms(Fraction(params.lam))
+        else:
+            forms = _tilted_forms(Fraction(params.alpha), Fraction(1), Fraction(0),
+                                  roots.__getitem__)[params.family]
+        # A float literal in a branch function would turn these into floats.
+        assert all(type(v) in (Fraction, int) for v in (*forms[:4], *forms[4])), forms
+        assert (forms[1], forms[3]) == (Fraction(lower), Fraction(c)), params
+        ref = Decimal(forms[1].numerator) / forms[1].denominator  # 28 digits: ample for units
+        assert units(bound_d2(params).lower, ref) <= CLOSED_FORM_UNITS, params

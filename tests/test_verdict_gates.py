@@ -31,6 +31,7 @@ import pytest
 from succoeff import (AtomicHerglotzRep, ClassParams, DegenerateError, FunctionalSpec, Which,
                       bound_d1, bound_d2, case_boundary_check, config, grid_optimize,
                       sample_no_violation, solve_two_atom, two_atom_parameters)
+from conftest import t_factor
 from succoeff.caratheodory import _draw_atoms, _seeded_stream
 from succoeff.cli import _attained
 from test_command_map import every_command_traced
@@ -101,9 +102,7 @@ def _gaps(params: ClassParams) -> dict[str, float]:
 
 def test_convex_branch_gamma_is_at_t_five_quarters():
     for alpha in (0.0, 0.3, 0.6):
-        cosg = math.cos(_convex_branch_gamma(alpha))
-        t = math.sqrt(1.0 + 4.0 * (1.0 - alpha) * (2.0 - alpha) * cosg**2)
-        assert t == pytest.approx(1.25, abs=1e-15)
+        assert t_factor(alpha, _convex_branch_gamma(alpha)) == pytest.approx(1.25, abs=1e-15)
 
 
 def test_gate_is_twice_the_worst_gap_allowed():

@@ -32,8 +32,7 @@ from succoeff import (
     to_series,
     two_atom_parameters,
 )
-from conftest import coeffs_from_c, endpoints, gated, lz_c2, sample_reference
-from succoeff.bounds import _t
+from conftest import coeffs_from_c, endpoints, gated, lz_c2, sample_reference, t_factor
 from succoeff.caratheodory import _draw_atoms, _seeded_stream
 from succoeff.families import _atom_jet
 from succoeff.verify import WorstMargin, _atom_count
@@ -319,10 +318,12 @@ class TestSampling:
         for name in ("d1_low", "d1_high", "d2_low", "d2_high"):
             assert getattr(report, name) == WorstMargin(math.inf, -1, None)
         assert not report.passed
-        code, (row,) = cli_rows(["sample", "--family", "convex", "--alpha", "0.3", "--gamma",
-                                 "0.2", "--samples", "50"], tmp_path)
-        assert code == 1
-        assert (row["constructed"], row["failures"], row["passed"]) == ("0", "50", "false")
+        # parse_rows reads json strictly: the infinite margins must be null, not Infinity.
+        for fmt, cells in (("csv", ("0", "50", "false")), ("json", (0, 50, False))):
+            code, (row,) = cli_rows(["sample", "--family", "convex", "--alpha", "0.3", "--gamma",
+                                     "0.2", "--samples", "50"], tmp_path, fmt)
+            assert (code, row["constructed"], row["failures"], row["passed"]) == (1, *cells)
+        assert {v for k, v in row.items() if k.endswith("_margin")} == {None}
 
     @pytest.mark.parametrize("order", [4, 12, 1024])
     def test_verdicts_build_order_two_jets(self, order, monkeypatch, tmp_path):
@@ -446,8 +447,8 @@ class TestConvexSmallTRegime:
     PARAMS = ClassParams.convex(0.9, 0.0)  # T = 1.2 exactly
 
     def test_t_below_threshold(self):
-        assert _t(0.9, 0.0) == pytest.approx(1.2, abs=1e-14)
-        assert _t(0.9, 0.0) < 1.25
+        assert t_factor(0.9, 0.0) == pytest.approx(1.2, abs=1e-14)
+        assert t_factor(0.9, 0.0) < 1.25
 
     def test_closed_form_is_vertex_minimum(self):
         t = 1.2
@@ -475,7 +476,7 @@ class TestConvexSmallTRegime:
     @pytest.mark.parametrize("alpha,gamma", [(0.5, 1.4), (0.9, 0.0), (0.3, 1.3), (0.99, -0.5)])
     def test_branch_matches_exact_minimum(self, alpha, gamma):
         params = ClassParams.convex(alpha, gamma)
-        assert _t(alpha, gamma) < 1.25
+        assert t_factor(alpha, gamma) < 1.25
         report = grid_optimize(FunctionalSpec(params, Which.D2))
         assert report.passed
         assert case_boundary_check(params).passed
@@ -484,7 +485,7 @@ class TestConvexSmallTRegime:
         # T = 5/4 exactly at cos^2 g = 9/64 / ((1-a)(2-a)); both branches give -(2/3)(1-a)cos g.
         alpha = 0.0
         gamma = math.acos(math.sqrt(9 / 128))
-        assert _t(alpha, gamma) == pytest.approx(1.25, abs=1e-14)
+        assert t_factor(alpha, gamma) == pytest.approx(1.25, abs=1e-14)
         for g in (math.nextafter(gamma, 0.0), gamma, math.nextafter(gamma, 2.0)):
             lower = bound_d2(ClassParams.convex(alpha, g)).lower
             assert lower == pytest.approx(-2 / 3 * math.cos(gamma), abs=1e-14)
