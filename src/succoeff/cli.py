@@ -325,7 +325,7 @@ def cmd_sample(args: argparse.Namespace) -> list[dict]:
 
 # ------------------------------------------------------------------ parsing
 
-def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # One -h serves every child: add_help would build a help formatter per child.
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("-h", "--help", action="help", help="show this help message and exit")
@@ -364,10 +364,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     sample.add_argument("--samples", type=int_range(1), default=500)
     sample.add_argument("--atoms-max", type=int_range(1, config.MAX_ATOMS),
                         default=config.DEFAULT_ATOMS)
-    return parser, list(sub.choices.values())
+    return parser, sub.choices
 
 
-def _load_config_file(path: str, children: Sequence[argparse.ArgumentParser]) -> dict:
+def _load_config_file(path: str, children: dict[str, argparse.ArgumentParser]) -> dict:
     """Defaults from a KEY=VALUE file whose keys are the long flags.
 
     ``KEY`` names the flag ``--KEY`` (``_`` read as ``-``) of any subcommand;
@@ -375,7 +375,7 @@ def _load_config_file(path: str, children: Sequence[argparse.ArgumentParser]) ->
     """
     # argparse has no public way to list a parser's actions.  Flags that
     # take no value (--help) and --config itself are not keys.
-    actions = {flag: action for child in children for action in child._actions
+    actions = {flag: action for child in children.values() for action in child._actions
                for flag in action.option_strings
                if flag.startswith("--") and action.nargs != 0 and action.dest != "config"}
     values = {}
@@ -418,10 +418,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (OSError, DomainError) as exc:
             print(f"succoeff: {exc}", file=sys.stderr)
             return 2
-        # Each subparser holds its own defaults; it takes the keys of its own flags only.
-        for child in children:
-            dests = {action.dest for action in child._actions}
-            child.set_defaults(**{dest: v for dest, v in defaults.items() if dest in dests})
+        # The subcommand that runs takes the keys of its own flags, the ones args has.
+        children[args.command].set_defaults(
+            **{dest: v for dest, v in defaults.items() if hasattr(args, dest)})
         args = parser.parse_args(argv)
     try:
         rows = args.run(args)

@@ -199,35 +199,29 @@ class MembershipReport(namedtuple("MembershipReport", "passed worst_margin worst
     __slots__ = ()
 
 
-def membership_check(
-    f: TruncatedSeries,
-    params: ClassParams,
-    radii: Sequence[float] = config.MEMBERSHIP_RADII,
-) -> MembershipReport:
+def membership_check(f: TruncatedSeries, params: ClassParams) -> MembershipReport:
     """Sample the defining real-part condition of params' class on a polar grid.
 
-    Samples ``config.MEMBERSHIP_ANGLES`` angles on each radius and returns
-    the worst margin (positive means the strict inequality holds with room
-    to spare) and pass/fail at ``config.MEMBERSHIP_TOL``.  The check
-    evaluates the *truncated* series, so it is a necessary-style numeric
-    test: for members whose coefficients grow like the extremal ones, the
-    evaluation is only trustworthy while the dropped tail is small relative
-    to |f| — raise the truncation order before sampling radii near 1.
+    Samples ``config.MEMBERSHIP_ANGLES`` angles on each radius of
+    ``config.MEMBERSHIP_RADII`` and returns the worst margin (positive means
+    the strict inequality holds with room to spare) and pass/fail at
+    ``config.MEMBERSHIP_TOL``.  The check evaluates the *truncated* series,
+    so it is a necessary-style numeric test: for members whose coefficients
+    grow like the extremal ones, the evaluation is only trustworthy while
+    the dropped tail is small relative to |f|, and the grid's radius 0.9
+    needs a truncation order around 128.
 
     Raises :class:`EvaluationError` when f (or f') vanishes at a sample
     point, rather than silently skipping it.
     """
     _check_class(params)
-    if not radii or any(not 0.0 < r < 1.0 for r in radii):
-        raise DomainError("radii must lie in (0, 1)")
-
     fprime = f.derivative()
     fsecond = None if params.family is Family.SPIRALLIKE else fprime.derivative()
     tilt = cmath.exp(-1j * params.gamma)
     floor = params.alpha * math.cos(params.gamma)
     n_angles = config.MEMBERSHIP_ANGLES
     worst_margin, worst_z = math.inf, 0j
-    for r in radii:
+    for r in config.MEMBERSHIP_RADII:
         for k in range(n_angles):
             z = r * cmath.exp(1j * (2.0 * math.pi * k / n_angles))
             fz, fpz = f.eval(z), fprime.eval(z)

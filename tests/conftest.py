@@ -56,6 +56,15 @@ def gated(expected):
     return pytest.approx(expected, abs=config.gate(expected), rel=0)
 
 
+def ulps_around(x: float, n: int) -> list[float]:
+    """The n floats below x, x, and the n floats above it, in ascending order."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return [*reversed(below[1:]), *above]
+
+
 def assert_series_close(f: TruncatedSeries, expected, atol=1e-12):
     expected = np.asarray(expected, dtype=complex)
     np.testing.assert_allclose(f.coeffs, expected, atol=atol, rtol=0)

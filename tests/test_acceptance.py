@@ -1,14 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
-criteria execute.  Every tolerance is pinned here, not computed.
+criteria execute.  What a command computes is held to ``config.gate`` of its
+expected value (``conftest.gated``); the other tolerances are pinned here.
 """
 
 import math
 import time
 
 import numpy as np
-import pytest
 
 from succoeff import (
     ClassParams,
@@ -28,8 +28,8 @@ from succoeff import (
     to_series,
     two_atom_parameters,
 )
-from conftest import (endpoints, lz_c2, lz_c3, lz_invert_x, normalize_rotation, random_series,
-                      t_factor)
+from conftest import (endpoints, gated, lz_c2, lz_c3, lz_invert_x, normalize_rotation,
+                      random_series, t_factor)
 from jets import cpow, log, np_product, polynomial
 
 LATTICE = [
@@ -53,7 +53,7 @@ def test_criterion_1_starlike_endpoints():
     runtime = time.perf_counter() - start
     res_max = abs(rep.numeric_max - 1.0)
     res_min = abs(rep.numeric_min + 1.0)
-    ok = res_max <= 1e-12 and res_min <= 1e-12
+    ok = rep.numeric_max == gated(1.0) and rep.numeric_min == gated(-1.0)
     ok = ok and runtime <= 60.0
     assert report(
         1, "starlike endpoint recovery", ok,
@@ -66,7 +66,7 @@ def test_criterion_2_convex_endpoints():
     rep = grid_optimize(spec)
     res_max = abs(rep.numeric_max - 1.0 / 3.0)
     res_min = abs(rep.numeric_min + 0.5)
-    ok = res_max <= 1e-12 and res_min <= 1e-12
+    ok = rep.numeric_max == gated(1.0 / 3.0) and rep.numeric_min == gated(-0.5)
     assert report(
         2, "convex endpoint recovery", ok,
         f"max_res={res_max:.2e}, min_res={res_min:.2e}",
@@ -76,31 +76,32 @@ def test_criterion_2_convex_endpoints():
 def test_criterion_3_ozaki_endpoints():
     checks = []
     rep = grid_optimize(FunctionalSpec(ClassParams.ozaki(1.0), Which.D2))
-    checks.append(abs(rep.numeric_min + 0.5) <= 1e-12)
-    checks.append(abs(rep.numeric_max - 1.0 / 6.0) <= 1e-12)
+    checks.append(rep.numeric_min == gated(-0.5))
+    checks.append(rep.numeric_max == gated(1.0 / 6.0))
     rep = grid_optimize(FunctionalSpec(ClassParams.ozaki(0.5), Which.D2))
-    checks.append(abs(rep.numeric_min + 5.0 / 24.0) <= 1e-12)
+    checks.append(rep.numeric_min == gated(-5.0 / 24.0))
     rep = grid_optimize(FunctionalSpec(ClassParams.ozaki(0.25), Which.D2))
     expected = 0.25 * (4 * 0.25 - 17) / (24 * (2 - 0.25))  # = -4/42
-    checks.append(abs(rep.numeric_min - expected) <= 1e-12)
+    checks.append(rep.numeric_min == gated(expected))
     assert report(3, "ozaki endpoints (lam = 1, 1/2, 1/4)", all(checks))
 
 
 def test_criterion_4_parameter_sweep():
     start = time.perf_counter()
-    worst = 0.0
+    worst = 0.0  # in gates of the endpoint
     for alpha, gamma in LATTICE:
         # The paper's s and q; every lattice point has T >= 5/4.
         s, q = (1 - alpha) * math.cos(gamma), math.sqrt(1 + t_factor(alpha, gamma))
         for params, lower, upper in ((ClassParams.spirallike(alpha, gamma), -2 * s / q, s),
                                      (ClassParams.convex(alpha, gamma), -s / q, s / 3)):
             rep = grid_optimize(FunctionalSpec(params, Which.D2))
-            worst = max(worst, abs(rep.numeric_min - lower), abs(rep.numeric_max - upper))
+            worst = max(worst, abs(rep.numeric_min - lower) / config.gate(lower),
+                        abs(rep.numeric_max - upper) / config.gate(upper))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-12 and elapsed <= 1800.0
+    ok = worst <= 1 and elapsed <= 1800.0
     assert report(
         4, "15-point sweep, spirallike + convex", ok,
-        f"worst residual={worst:.2e}, total={elapsed:.1f}s",
+        f"worst residual={worst:.3g} gates, total={elapsed:.1f}s",
     )
 
 
@@ -129,27 +130,25 @@ def test_criterion_5_extremal_attainment():
 
 
 def test_criterion_6_two_atom_solver():
-    worst = 0.0
+    worst = 0.0  # in gates of the moment; |m1|, |m2| <= 1
     for alpha, gamma in LATTICE:
         c, x = two_atom_parameters(ClassParams.spirallike(alpha, gamma))
         rep = solve_two_atom(c, x)
         w, e = np.asarray(rep.weights), np.asarray(rep.points)
         m1 = (w * e).sum()
         m2 = (w * e**2).sum()
-        worst = max(worst, abs(m1 - c / 2), abs(m2 - (c * c + (4 - c * c) * x) / 4))
+        gap = max(abs(m1 - c / 2), abs(m2 - (c * c + (4 - c * c) * x) / 4))
+        worst = max(worst, gap / config.gate(1.0))
     pair = solve_two_atom(*two_atom_parameters(ClassParams.spirallike(0.0, 0.0)))
     atoms_ok = (
-        np.allclose(pair.weights, [0.5, 0.5], atol=1e-9)
-        and np.allclose(
-            sorted(pair.points, key=lambda e: e.imag),
-            [np.exp(-1j * np.pi / 3), np.exp(1j * np.pi / 3)],
-            atol=1e-9,
-        )
+        pair.weights == (gated(0.5), gated(0.5))
+        and sorted(pair.points, key=lambda e: e.imag)
+        == [gated(np.exp(-1j * np.pi / 3)), gated(np.exp(1j * np.pi / 3))]
     )
-    ok = worst < 1e-14 and atoms_ok
+    ok = worst <= 1 and atoms_ok
     assert report(
         6, "two-atom moment residuals on the lattice", ok,
-        f"worst residual={worst:.2e}",
+        f"worst residual={worst:.3g} gates",
     )
 
 
@@ -217,6 +216,8 @@ def test_criterion_8c_series_roundtrips():
             diff = np.subtract(np_product(cpow(f, a).coeffs, cpow(f, b).coeffs),
                                cpow(f, a + b).coeffs)
             worst = max(worst, float(np.abs(diff).max()))
+    # A library-only series path, not a command quantity: the round trips'
+    # conditioning on the half-polydisk sets 1e-11 (see random_series).
     ok = worst <= 1e-11
     assert report(8, "8c: exp/log and power-additivity round trips", ok,
                   f"worst deviation={worst:.2e}")
@@ -262,5 +263,5 @@ def test_criterion_9_case_boundary():
     ok = True
     for params, c_star in cases:
         rep = case_boundary_check(params)
-        ok = ok and rep.passed and rep.c_star == pytest.approx(c_star, abs=1e-12)
+        ok = ok and rep.passed and rep.c_star == gated(c_star)
     assert report(9, "case analysis: c* against the exact argmin", ok)

@@ -25,7 +25,8 @@ from succoeff import (
     solve_two_atom,
     two_atom_parameters,
 )
-from conftest import assert_series_close, endpoints, float_bits, gated, lz_c2, t_factor
+from conftest import (assert_series_close, endpoints, float_bits, gated, lz_c2, t_factor,
+                      ulps_around)
 from jets import cpow, np_product, polynomial
 
 SPIRAL_00 = ClassParams.spirallike(0.0, 0.0)
@@ -171,8 +172,8 @@ class TestDescriptors:
         assert rep == solve_two_atom(c, x)
         assert len(rep.weights) == 2
         c1, c2 = moments(rep, 2)
-        assert c1 == pytest.approx(c, abs=1e-14)
-        assert c2 == pytest.approx(lz_c2(c, x), abs=1e-14)
+        assert c1 == gated(c)
+        assert c2 == gated(lz_c2(c, x))
 
 
 class TestExtremalSeries:
@@ -297,9 +298,9 @@ class TestExtremalSeries:
     def test_f_ozaki_half_branch_agreement(self):
         # At lam = 1/2 both stated parameter choices give c = 2.
         lam = 0.5
-        assert 3 / (2 - lam) == pytest.approx(2.0)
+        assert 3 / (2 - lam) == 2.0
         desc = bound_d2(ClassParams.ozaki(lam)).lower_extremal
-        assert extremal_coeffs(desc).d2() == pytest.approx(-5 / 24, abs=1e-12)
+        assert extremal_coeffs(desc).d2() == gated(-5 / 24)
 
 
 class TestAttainment:
@@ -315,11 +316,11 @@ class TestAttainment:
     def test_named_examples(self):
         params = ClassParams.spirallike(0.3, 0.7)
         h = ExtremalDescriptor(ExtremalName.H, params)
-        assert extremal_coeffs(h).d2() == pytest.approx(0.7 * math.cos(0.7), abs=1e-12)
+        assert extremal_coeffs(h).d2() == gated(0.7 * math.cos(0.7))
         q = ExtremalDescriptor(ExtremalName.Q, ClassParams.convex(0.3, 0.7))
-        assert extremal_coeffs(q).d1() == pytest.approx(-1.0, abs=1e-12)
+        assert extremal_coeffs(q).d1() == gated(-1.0)
         desc = bound_d2(ClassParams.ozaki(0.75)).lower_extremal
-        assert extremal_coeffs(desc).d2() == pytest.approx(-0.34375, abs=1e-12)
+        assert extremal_coeffs(desc).d2() == gated(-0.34375)
 
     def test_rotation_invariance(self, rng):
         # e^{-i theta} f(e^{i theta} z) multiplies a_n by e^{i(n-1)theta};
@@ -360,12 +361,12 @@ class TestAttainment:
 class TestTwoAtomParameters:
     def test_starlike_values(self):
         c, x = two_atom_parameters(SPIRAL_00)
-        assert c == pytest.approx(1.0)
-        assert x == pytest.approx(-1.0)
+        assert c == gated(1.0)
+        assert x == gated(-1.0)
 
     def test_ozaki_branches(self):
         c, x = two_atom_parameters(ClassParams.ozaki(0.25))
-        assert c == pytest.approx(12 / 7)
+        assert c == gated(12 / 7)
         assert x == -1.0
         c, _ = two_atom_parameters(ClassParams.ozaki(0.75))
         assert c == 2.0
@@ -375,7 +376,7 @@ class TestTwoAtomParameters:
             if params.family.value == "ozaki":
                 continue
             _, x = two_atom_parameters(params)
-            assert abs(abs(x) - 1.0) < 1e-14
+            assert abs(x) == gated(1.0)
 
     def test_solver_agrees_with_moments(self):
         params = ClassParams.convex(0.25, math.pi / 6)
@@ -384,17 +385,8 @@ class TestTwoAtomParameters:
         w, e = np.asarray(rep.weights), np.asarray(rep.points)
         m1 = (w * e).sum()
         m2 = (w * e**2).sum()
-        assert abs(m1 - c / 2) < 1e-14
-        assert abs(m2 - (c * c + (4 - c * c) * x) / 4) < 1e-14
-
-
-def _ulp_neighbours(x, steps=3):
-    """x and the `steps` floats on either side of it."""
-    below, above, out = x, x, [x]
-    for _ in range(steps):
-        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
-        out += [below, above]
-    return out
+        assert m1 == gated(c / 2)
+        assert m2 == gated((c * c + (4 - c * c) * x) / 4)
 
 
 def _closed_form_points():
@@ -407,9 +399,9 @@ def _closed_form_points():
         points += [make(rng.random(), rng.uniform(-half_pi, half_pi)) for _ in range(1000)]
     points += [ClassParams.ozaki(1.0 - rng.random()) for _ in range(1000)]
     # Convex T = 5/4 exactly at alpha = 7/8, gamma = 0; Ozaki's seam is lam = 1/2.
-    points += [ClassParams.convex(a, g) for a in _ulp_neighbours(0.875)
-               for g in _ulp_neighbours(0.0, 1)]
-    points += [ClassParams.ozaki(lam) for lam in _ulp_neighbours(0.5)]
+    points += [ClassParams.convex(a, g) for a in ulps_around(0.875, 3)
+               for g in ulps_around(0.0, 1)]
+    points += [ClassParams.ozaki(lam) for lam in ulps_around(0.5, 3)]
     edges = (0.0, 1.0 - 1e-12)
     for make in (ClassParams.spirallike, ClassParams.convex):
         points += [make(a, g) for a in edges for g in (0.0, half_pi - 1e-12, 1e-12 - half_pi)]
@@ -419,9 +411,11 @@ def _closed_form_points():
 
 class TestClosedFormBits:
     # The first 16 hex digits of the SHA-256 of every closed form's repr at
-    # _closed_form_points(), recorded before bounds.py chose each family's
-    # branch in one place; a rewrite of the closed forms must keep every bit.
-    DIGEST = "f7a4264256af303c"
+    # _closed_form_points(); a rewrite of the closed forms must keep every
+    # bit.  The points were first hashed with each seam's ulps interleaved
+    # (x, x-1, x+1, ...), giving f7a4264256af303c before bounds.py chose each
+    # family's branch in one place; the same list in that order still does.
+    DIGEST = "6834aa6c00fe307b"
 
     def test_closed_forms_keep_every_bit(self):
         import hashlib

@@ -4,11 +4,12 @@
 float inputs.  Errors are in units of ``eps * max(1, |ref|)``, ``eps = 2**-52``.
 The float closed forms must be within :data:`CLOSED_FORM_UNITS`, which measures
 their rounding.  Each extremal's value and each ``grid_optimize`` endpoint,
-computed apart from the endpoint formulas, must be within :data:`DERIVED_UNITS`;
-these two hold the formulas.  The classes are :mod:`test_verdict_gates`'s:
-seeded random classes, the box edges, the ulps either side of ``T = 5/4`` and
-``lam = 1/2``, and Ozaki classes down to ``lam = 1/2 - 7.5e-13``, whose ``c*``
-is within about 1e-12 of 2.  Over ``Fraction`` the branch functions are exact.
+computed apart from the endpoint formulas, must be within half the verdict gate,
+``test_verdict_gates.MAX_GAP_UNITS``; these two hold the formulas.  The classes
+are :mod:`test_verdict_gates`'s: seeded random classes, the box edges, the ulps
+either side of ``T = 5/4`` and ``lam = 1/2``, and Ozaki classes down to
+``lam = 1/2 - 7.5e-13``, whose ``c*`` is within about 1e-12 of 2.  Over
+``Fraction`` the branch functions are exact.
 """
 
 from decimal import Decimal
@@ -19,10 +20,9 @@ from exact import endpoints, units
 from succoeff import (ClassParams, Family, FunctionalSpec, Which, bound_d1, bound_d2,
                       extremal_coeffs, grid_optimize, two_atom_parameters)
 from succoeff.bounds import _ozaki_forms, _tilted_forms
-from test_verdict_gates import _classes
+from test_verdict_gates import MAX_GAP_UNITS, _classes
 
 CLOSED_FORM_UNITS = 2
-DERIVED_UNITS = 8
 
 
 def _errors(params: ClassParams) -> dict[str, float]:
@@ -64,12 +64,12 @@ def test_closed_forms_are_within_two_units():
 
 def test_extremal_values_are_within_eight_units():
     error, params = _worst()["extremal"]
-    assert error <= DERIVED_UNITS, (error, params)
+    assert error <= MAX_GAP_UNITS, (error, params)
 
 
 def test_optimizer_endpoints_are_within_eight_units():
     error, params = _worst()["optimizer"]
-    assert error <= DERIVED_UNITS, (error, params)
+    assert error <= MAX_GAP_UNITS, (error, params)
 
 
 def test_the_uncorrected_convex_endpoint_fails_the_closed_form_check():

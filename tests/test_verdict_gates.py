@@ -22,16 +22,18 @@ so through ``test_outputs.run_cli``, the one in-process runner.  A line that
 raises is compared by what it raised, and the digest test names it.
 """
 
+import ast
 import cmath
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from succoeff import (AtomicHerglotzRep, ClassParams, DegenerateError, FunctionalSpec, Which,
                       bound_d1, bound_d2, case_boundary_check, config, grid_optimize,
                       sample_no_violation, solve_two_atom, two_atom_parameters)
-from conftest import t_factor
+from conftest import t_factor, ulps_around
 from succoeff.caratheodory import _draw_atoms, _seeded_stream
 from succoeff.cli import _attained
 from test_command_map import every_command_traced
@@ -43,15 +45,6 @@ MAX_GAP_UNITS = 8
 
 def _units(gap: float, scale: float) -> float:
     return gap / (2.0**-52 * max(1.0, abs(scale)))
-
-
-def _ulps_around(x: float, n: int) -> list[float]:
-    """x and the n floats on either side of it."""
-    below, above = [x], [x]
-    for _ in range(n):
-        below.append(math.nextafter(below[-1], -math.inf))
-        above.append(math.nextafter(above[-1], math.inf))
-    return [*reversed(below[1:]), *above]
 
 
 def _convex_branch_gamma(alpha: float) -> float:
@@ -80,8 +73,8 @@ def _classes(per_family: int, seed: int) -> list[ClassParams]:
     classes += [ClassParams.ozaki(0.4999999999999)]
     # 40 ulps of gamma either side of T = 5/4, and 20 ulps of lam either side of 1/2.
     classes += [ClassParams.convex(alpha, gamma) for alpha in (0.0, 0.3, 0.6)
-                for gamma in _ulps_around(_convex_branch_gamma(alpha), 40)]
-    classes += [ClassParams.ozaki(lam) for lam in _ulps_around(0.5, 20)]
+                for gamma in ulps_around(_convex_branch_gamma(alpha), 40)]
+    classes += [ClassParams.ozaki(lam) for lam in ulps_around(0.5, 20)]
     return classes
 
 
@@ -98,6 +91,20 @@ def _gaps(params: ClassParams) -> dict[str, float]:
     case = case_boundary_check(params)
     gaps["case check"] = _units(abs(case.argmin_c - case.c_star), case.c_star)
     return gaps
+
+
+def test_every_approx_states_its_bound():
+    # pytest.approx alone forgives rel=1e-6, about 3e8 gates: each call in
+    # the tests names its bound, as gated does with abs=.
+    bare = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "approx"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "pytest"
+                    and not {"abs", "rel"} & {kw.arg for kw in node.keywords}):
+                bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []
 
 
 def test_convex_branch_gamma_is_at_t_five_quarters():

@@ -56,26 +56,26 @@ SANE_PARAMS = [
 class TestFunctionalValue:
     def test_starlike_upper_point(self):
         spec = FunctionalSpec(SPIRAL_00, Which.D2)
-        assert functional_value(spec, 0.0, 1.0) == pytest.approx(1.0)
+        assert functional_value(spec, 0.0, 1.0) == gated(1.0)
 
     def test_starlike_lower_point(self):
         spec = FunctionalSpec(SPIRAL_00, Which.D2)
-        assert functional_value(spec, 1.0, -1.0) == pytest.approx(-1.0)
+        assert functional_value(spec, 1.0, -1.0) == gated(-1.0)
 
     def test_ozaki_lower_point(self):
         spec = FunctionalSpec(ClassParams.ozaki(1.0), Which.D2)
-        assert functional_value(spec, 2.0, -1.0) == pytest.approx(-0.5)
+        assert functional_value(spec, 2.0, -1.0) == gated(-0.5)
 
     def test_d1_forms(self):
         assert functional_value(
             FunctionalSpec(ClassParams.spirallike(0.25, 0.5), Which.D1), 2.0, 0.0
-        ) == pytest.approx(2 * 0.75 * math.cos(0.5) - 1)
+        ) == gated(2 * 0.75 * math.cos(0.5) - 1)
         assert functional_value(
             FunctionalSpec(ClassParams.convex(0.25, 0.5), Which.D1), 2.0, 0.0
-        ) == pytest.approx(0.75 * math.cos(0.5) - 1)
+        ) == gated(0.75 * math.cos(0.5) - 1)
         assert functional_value(
             FunctionalSpec(ClassParams.ozaki(0.8), Which.D1), 1.0, 0.0
-        ) == pytest.approx(-0.8)
+        ) == gated(-0.8)
 
     def test_domain_errors(self):
         spec = FunctionalSpec(SPIRAL_00, Which.D2)
@@ -120,8 +120,8 @@ class TestFunctionalValue:
             triple = coeffs_from_c(params, c, lz_c2(c, x))
             d2 = functional_value(FunctionalSpec(params, Which.D2), c, x)
             d1 = functional_value(FunctionalSpec(params, Which.D1), c, x)
-            assert d2 == pytest.approx(triple.d2(), abs=1e-12)
-            assert d1 == pytest.approx(triple.d1(), abs=1e-12)
+            assert d2 == gated(triple.d2())
+            assert d1 == gated(triple.d1())
 
     def test_conjugation_symmetry(self, rng):
         # theta -> -theta combined with gamma -> -gamma leaves the value.
@@ -138,7 +138,7 @@ class TestFunctionalValue:
                 minus = functional_value(
                     FunctionalSpec(fam(a, -g), Which.D2), c, r * np.exp(-1j * th)
                 )
-                assert plus == pytest.approx(minus, abs=1e-12)
+                assert plus == gated(minus)
 
 
 def naive_scan(spec, n_c, n_r, n_theta):
@@ -181,8 +181,8 @@ class TestGridOptimize:
         report = grid_optimize(FunctionalSpec(SPIRAL_00, Which.D1))
         assert report.argmin == (0.0, 0.0, 0.0)
         assert report.argmax == (2.0, 0.0, 0.0)
-        assert report.numeric_min == pytest.approx(-1.0)
-        assert report.numeric_max == pytest.approx(1.0)
+        assert report.numeric_min == gated(-1.0)
+        assert report.numeric_max == gated(1.0)
 
     def test_d2_argmax_tiebreak_prefers_small_c(self):
         # At alpha = gamma = 0 the maximum value 1 is attained both along
@@ -196,8 +196,8 @@ class TestGridOptimize:
         # theta* and c* are irrational here; the endpoints are still exact.
         spec = FunctionalSpec(ClassParams.spirallike(0.25, math.pi / 6), Which.D2)
         report = grid_optimize(spec)
-        assert report.residual_min < 1e-12
-        assert report.residual_max < 1e-12
+        assert report.residual_min <= config.gate(report.analytic.lower)
+        assert report.residual_max <= config.gate(report.analytic.upper)
         assert report.passed
 
     @pytest.mark.parametrize("params", SANE_PARAMS)
@@ -205,9 +205,8 @@ class TestGridOptimize:
         # The optimizer can never beat a sharp bound (in its regime of
         # validity) by more than roundoff slack.
         report = grid_optimize(FunctionalSpec(params, Which.D2))
-        scale = max(1.0, abs(report.analytic.lower), abs(report.analytic.upper))
-        assert report.numeric_min >= report.analytic.lower - 1e-12 * scale
-        assert report.numeric_max <= report.analytic.upper + 1e-12 * scale
+        assert report.numeric_min >= report.analytic.lower - config.gate(report.analytic.lower)
+        assert report.numeric_max <= report.analytic.upper + config.gate(report.analytic.upper)
 
     def test_report_passed_semantics(self):
         # Each endpoint passes within the gate of its own analytic value.
@@ -419,18 +418,18 @@ class TestSampling:
 class TestCaseBoundary:
     def test_starlike_argmin(self):
         report = case_boundary_check(SPIRAL_00)
-        assert report.c_star == pytest.approx(1.0)
-        assert abs(report.argmin_c - 1.0) < 1e-6
+        assert report.c_star == gated(1.0)
+        assert report.argmin_c == gated(1.0)
         assert report.passed
 
     def test_ozaki_low_branch(self):
         report = case_boundary_check(ClassParams.ozaki(0.25))
-        assert report.c_star == pytest.approx(12 / 7)
+        assert report.c_star == gated(12 / 7)
         assert report.passed
 
     def test_ozaki_high_branch(self):
         report = case_boundary_check(ClassParams.ozaki(0.75))
-        assert report.c_star == pytest.approx(2.0)
+        assert report.c_star == gated(2.0)
         assert report.passed
 
 
@@ -457,14 +456,14 @@ class TestConvexSmallTRegime:
         expected_min = -0.1 / math.sqrt(1 + t) - gap
         assert expected_min == pytest.approx(-0.1 * (4 * (t + 1) + 9) / (12 * (t + 1)), abs=1e-15)
         report = grid_optimize(FunctionalSpec(self.PARAMS, Which.D2))
-        assert report.numeric_min == pytest.approx(expected_min, abs=1e-12)
+        assert report.numeric_min == gated(expected_min)
         assert report.analytic.lower == pytest.approx(expected_min, abs=1e-15)
         assert report.residual_min <= 1e-15
         assert report.passed
         c_star, x_star = two_atom_parameters(self.PARAMS)
         assert c_star == pytest.approx(3 / 2.2, abs=1e-15)
         desc = report.analytic.lower_extremal
-        assert extremal_coeffs(desc).d2() == pytest.approx(expected_min, abs=1e-14)
+        assert extremal_coeffs(desc).d2() == gated(expected_min)
 
     def test_case_check_passes_at_vertex(self):
         report = case_boundary_check(self.PARAMS)
@@ -488,7 +487,7 @@ class TestConvexSmallTRegime:
         assert t_factor(alpha, gamma) == pytest.approx(1.25, abs=1e-14)
         for g in (math.nextafter(gamma, 0.0), gamma, math.nextafter(gamma, 2.0)):
             lower = bound_d2(ClassParams.convex(alpha, g)).lower
-            assert lower == pytest.approx(-2 / 3 * math.cos(gamma), abs=1e-14)
+            assert lower == gated(-2 / 3 * math.cos(gamma))
 
 
 class TestStdlibStream:
