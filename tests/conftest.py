@@ -19,12 +19,13 @@ jets to Duren's majorant, the bound behind the sampler's claim that a
 member with finite g_1 and g_2 is finite at every order.
 """
 
+import ast
 import cmath
 import importlib.util
 import math
 import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import repeat
 from operator import add, mul
 from pathlib import Path
@@ -54,6 +55,15 @@ def t_factor(alpha: float, gamma: float) -> float:
 def gated(expected):
     # What a command computes is exact up to roundoff, so it meets the verdict gate.
     return pytest.approx(expected, abs=config.gate(expected), rel=0)
+
+
+def gap_units(gap: float, scale: float) -> float:
+    """``gap`` in the tests' unit of roundoff, ``eps * max(1, |scale|)`` with ``eps = 2**-52``.
+
+    ``config.gate(scale)`` is ``GATE_ULPS`` of these units; it scales by a
+    power of two, so the quotient is bitwise ``gap / (eps * max(1, |scale|))``.
+    """
+    return config.GATE_ULPS * gap / config.gate(scale)
 
 
 def ulps_around(x: float, n: int) -> list[float]:
@@ -232,6 +242,13 @@ def sample_reference(params: ClassParams, n_samples: int, n_atoms_max: int = 6,
 def float_bits(coeffs) -> list[tuple[str, str]]:
     """Exact bit patterns of complex coefficients (-0.0 differs from 0.0)."""
     return [(complex(c).real.hex(), complex(c).imag.hex()) for c in coeffs]
+
+
+@cache
+def parsed_tests() -> dict[Path, ast.Module]:
+    """Each module of this directory, parsed once for the checks that read the suite."""
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(__file__).parent.glob("*.py"))}
 
 
 @pytest.fixture

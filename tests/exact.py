@@ -11,6 +11,7 @@ The one formula here is the ``corrected=False`` control.
 from collections import namedtuple
 from decimal import Decimal, localcontext
 
+from conftest import gap_units
 from succoeff import ClassParams, Family
 from succoeff.bounds import _ozaki_forms, _tilted_forms
 
@@ -53,9 +54,9 @@ def endpoints(params: ClassParams, corrected: bool = True) -> Endpoints:
 
 
 def units(value: float, ref: Decimal) -> float:
-    """|value - ref| in units of eps * max(1, |ref|), eps = 2**-52.
+    """|value - ref| in ``conftest.gap_units`` of ``ref``.
 
     The difference is taken in decimal, exactly and then rounded; only the
     scaling, which needs no more than a float's precision, is in floats.
     """
-    return float(abs(Decimal(value) - ref)) / (2.0**-52 * max(1.0, abs(float(ref))))
+    return gap_units(float(abs(Decimal(value) - ref)), float(ref))

@@ -378,16 +378,6 @@ class TestTwoAtomParameters:
             _, x = two_atom_parameters(params)
             assert abs(x) == gated(1.0)
 
-    def test_solver_agrees_with_moments(self):
-        params = ClassParams.convex(0.25, math.pi / 6)
-        c, x = two_atom_parameters(params)
-        rep = solve_two_atom(c, x)
-        w, e = np.asarray(rep.weights), np.asarray(rep.points)
-        m1 = (w * e).sum()
-        m2 = (w * e**2).sum()
-        assert m1 == gated(c / 2)
-        assert m2 == gated((c * c + (4 - c * c) * x) / 4)
-
 
 def _closed_form_points():
     """Seeded 1,000 points per family, then the branch seams and the box edges."""

@@ -214,6 +214,25 @@ class TestSweep:
         jumps = [abs(b - a) for a, b in zip(lows, lows[1:])]
         assert max(jumps) < 0.07  # lower endpoint moves continuously across lam = 1/2
 
+    @pytest.mark.parametrize("family, axis, ends", [
+        ("ozaki", "lambdas", ("0.1", "0.9")), ("convex", "gammas", ("-pi/6", "pi/3"))])
+    @pytest.mark.parametrize("as_config", [False, True], ids=["flags", "config"])
+    def test_axis_ends_in_either_order(self, tmp_path, family, axis, ends, as_config):
+        # An axis steps from its smaller end, so START,STOP and STOP,START
+        # print the same bytes.
+        outputs = []
+        for start, stop in (ends, ends[::-1]):
+            value = f"{start},{stop},5"
+            if as_config:
+                cfg = tmp_path / "axis.cfg"
+                cfg.write_text(f"family={family}\n{axis}={value}\n", encoding="utf-8")
+                argv = ["sweep", "--config", str(cfg)]
+            else:
+                argv = ["sweep", "--family", family, f"--{axis}={value}"]
+            outputs.append(run_cli(argv, "csv", tmp_path))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
     def test_empty_lattice(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             run_cli(["sweep", "--family", "spirallike", "--alphas", "0,0.5,0"], "csv", tmp_path)

@@ -1,7 +1,7 @@
 """Every endpoint the package computes, against its closed forms run at 60 digits.
 
 :mod:`exact` runs ``bounds``' branch functions in ``decimal`` on each class's
-float inputs.  Errors are in units of ``eps * max(1, |ref|)``, ``eps = 2**-52``.
+float inputs.  Errors are in ``conftest.gap_units`` of the reference.
 The float closed forms must be within :data:`CLOSED_FORM_UNITS`, which measures
 their rounding.  Each extremal's value and each ``grid_optimize`` endpoint,
 computed apart from the endpoint formulas, must be within half the verdict gate,

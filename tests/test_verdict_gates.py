@@ -1,8 +1,8 @@
 """The verdict gate against the gaps it forgives, and verdicts that no libm bit moves.
 
 Every verdict compares two computations of one quantity and forgives
-``config.gate(scale)``, ``GATE_ULPS`` units of ``eps * max(1, |scale|)``
-with ``eps = 2**-52``.  :func:`test_worst_gap_is_at_most_half_the_gate`
+``config.gate(scale)``, ``GATE_ULPS`` of ``conftest.gap_units``, each
+``eps * max(1, |scale|)``.  :func:`test_worst_gap_is_at_most_half_the_gate`
 measures each gap in those units over seeded classes of every family, the
 edges of their parameter boxes, the two branch points and the Ozaki
 classes just below ``lam = 1/2`` whose ``c*`` lies within about 1e-12 of 2,
@@ -26,25 +26,20 @@ import ast
 import cmath
 import math
 import random
-from pathlib import Path
 
 import pytest
 
 from succoeff import (AtomicHerglotzRep, ClassParams, DegenerateError, FunctionalSpec, Which,
                       bound_d1, bound_d2, case_boundary_check, config, grid_optimize,
                       sample_no_violation, solve_two_atom, two_atom_parameters)
-from conftest import t_factor, ulps_around
+from conftest import gap_units, parsed_tests, t_factor, ulps_around
 from succoeff.caratheodory import _draw_atoms, _seeded_stream
 from succoeff.cli import _attained
 from test_command_map import every_command_traced
 from test_outputs import COMMANDS, _row_or_error
 
-# The worst gap allowed, in units of eps * max(1, |scale|): half the gate.
+# The worst gap allowed, in conftest.gap_units: half the gate.
 MAX_GAP_UNITS = 8
-
-
-def _units(gap: float, scale: float) -> float:
-    return gap / (2.0**-52 * max(1.0, abs(scale)))
 
 
 def _convex_branch_gamma(alpha: float) -> float:
@@ -84,12 +79,12 @@ def _gaps(params: ClassParams) -> dict[str, float]:
     for which in (Which.D1, Which.D2):
         report = grid_optimize(FunctionalSpec(params, which))
         gaps["optimizer"] = max(gaps["optimizer"],
-                                _units(report.residual_min, report.analytic.lower),
-                                _units(report.residual_max, report.analytic.upper))
+                                gap_units(report.residual_min, report.analytic.lower),
+                                gap_units(report.residual_max, report.analytic.upper))
         for att in _attained(report.analytic, which):
-            gaps["attainment"] = max(gaps["attainment"], _units(att.residual, att.target))
+            gaps["attainment"] = max(gaps["attainment"], gap_units(att.residual, att.target))
     case = case_boundary_check(params)
-    gaps["case check"] = _units(abs(case.argmin_c - case.c_star), case.c_star)
+    gaps["case check"] = gap_units(abs(case.argmin_c - case.c_star), case.c_star)
     return gaps
 
 
@@ -97,8 +92,8 @@ def test_every_approx_states_its_bound():
     # pytest.approx alone forgives rel=1e-6, about 3e8 gates: each call in
     # the tests names its bound, as gated does with abs=.
     bare = []
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path, tree in parsed_tests().items():
+        for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "approx"
                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "pytest"
@@ -138,7 +133,7 @@ def test_worst_sampled_margin_is_at_most_half_the_gate():
         report = sample_no_violation(params, 500, n_atoms_max=1 + i % 6, seed=i)
         assert report.passed
         d1, d2 = bound_d1(params), bound_d2(params)
-        gaps += [(_units(-side.margin, scale), params)
+        gaps += [(gap_units(-side.margin, scale), params)
                  for side, scale in ((report.d1_low, d1.lower), (report.d1_high, d1.upper),
                                      (report.d2_low, d2.lower), (report.d2_high, d2.upper))]
     worst = max(gaps, key=lambda gap: gap[0])
@@ -157,13 +152,13 @@ def test_built_measures_use_at_most_half_their_gates():
     gaps = []
 
     def measure_gaps(rep, sum_gate_units, source):
-        gaps.append((_units(abs(math.fsum(rep.weights) - 1.0), 1.0) / sum_gate_units,
+        gaps.append((gap_units(abs(math.fsum(rep.weights) - 1.0), 1.0) / sum_gate_units,
                      "weight sum", source))
-        gaps.extend((_units(abs(abs(e) - 1.0), 1.0), "|eps|", source) for e in rep.points)
+        gaps.extend((gap_units(abs(abs(e) - 1.0), 1.0), "|eps|", source) for e in rep.points)
 
     for params in classes:
         c, x = two_atom_parameters(params)
-        gaps.append((_units(abs(abs(x) - 1.0), 1.0), "|x*|", params))
+        gaps.append((gap_units(abs(abs(x) - 1.0), 1.0), "|x*|", params))
         try:
             measure_gaps(solve_two_atom(c, x), 1, params)
         except DegenerateError:  # c* = 2: the point mass at 1

@@ -236,21 +236,6 @@ SAMPLED_POINTS = [
 
 
 class TestSampling:
-    def test_spirallike_no_violations(self):
-        report = sample_no_violation(SPIRAL_00, n_samples=200, seed=42)
-        assert report.n_violations == 0
-        assert report.n_failures == 0
-        assert report.n_constructed == 200
-        assert report.passed
-
-    def test_ozaki_values_inside_interval(self):
-        report = sample_no_violation(ClassParams.ozaki(1.0), n_samples=200, seed=7)
-        assert report.passed
-        # worst margins are distances to [-1/2, 1/6]; they stay nonnegative
-        # up to the verdict gate of each endpoint
-        assert report.d2_low.margin >= -config.gate(-0.5)
-        assert report.d2_high.margin >= -config.gate(1 / 6)
-
     def test_single_atom_attains_d1_upper(self):
         # Any one-atom measure is a rotation of the full-mass kernel, so
         # |a2|-|a1| sits exactly on the upper endpoint.
@@ -413,24 +398,6 @@ class TestSampling:
             sample_no_violation(SPIRAL_00, n_samples=10, order=12)
         assert "order" not in SampleReport._fields
         assert len(SampleReport._fields) == 11
-
-
-class TestCaseBoundary:
-    def test_starlike_argmin(self):
-        report = case_boundary_check(SPIRAL_00)
-        assert report.c_star == gated(1.0)
-        assert report.argmin_c == gated(1.0)
-        assert report.passed
-
-    def test_ozaki_low_branch(self):
-        report = case_boundary_check(ClassParams.ozaki(0.25))
-        assert report.c_star == gated(12 / 7)
-        assert report.passed
-
-    def test_ozaki_high_branch(self):
-        report = case_boundary_check(ClassParams.ozaki(0.75))
-        assert report.c_star == gated(2.0)
-        assert report.passed
 
 
 class TestConvexSmallTRegime:
