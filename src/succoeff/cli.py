@@ -372,14 +372,15 @@ def _load_config_file(path: str, children: dict[str, argparse.ArgumentParser]) -
     """Defaults from a KEY=VALUE file whose keys are the long flags.
 
     ``KEY`` names the flag ``--KEY`` (``_`` read as ``-``) of any subcommand;
-    the value goes through that flag's own type and choices.
+    the value goes through that flag's own type and choices.  A flag named
+    on two lines is an error, not a silent override.
     """
     # argparse has no public way to list a parser's actions.  Flags that
     # take no value (--help) and --config itself are not keys.
     actions = {flag: action for child in children.values() for action in child._actions
                for flag in action.option_strings
                if flag.startswith("--") and action.nargs != 0 and action.dest != "config"}
-    values = {}
+    values, first_line = {}, {}
     with open(path, encoding="utf-8-sig") as fh:
         try:
             lines = fh.read().splitlines()
@@ -396,6 +397,10 @@ def _load_config_file(path: str, children: dict[str, argparse.ArgumentParser]) -
         action = actions.get("--" + key.replace("_", "-"))
         if action is None:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+        if action.dest in first_line:
+            raise DomainError(f"{path}:{lineno}: {key}: already set on line "
+                              f"{first_line[action.dest]}")
+        first_line[action.dest] = lineno
         text = text.strip()
         try:
             value = text if action.type is None else action.type(text)

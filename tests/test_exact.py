@@ -6,10 +6,10 @@ The float closed forms must be within :data:`CLOSED_FORM_UNITS`, which measures
 their rounding.  Each extremal's value and each ``grid_optimize`` endpoint,
 computed apart from the endpoint formulas, must be within half the verdict gate,
 ``test_verdict_gates.MAX_GAP_UNITS``; these two hold the formulas.  The classes
-are :mod:`test_verdict_gates`'s: seeded random classes, the box edges, the ulps
-either side of ``T = 5/4`` and ``lam = 1/2``, and Ozaki classes down to
-``lam = 1/2 - 7.5e-13``, whose ``c*`` is within about 1e-12 of 2.  Over
-``Fraction`` the branch functions are exact.
+are ``conftest.classes``: seeded random classes, the box edges, the ulps
+either side of ``T = 5/4`` and ``lam = 1/2``, Ozaki classes down to
+``lam = 1/2 - 7.5e-13``, whose ``c*`` is within about 1e-12 of 2, and named
+classes.  Over ``Fraction`` the branch functions are exact.
 """
 
 from decimal import Decimal
@@ -20,7 +20,8 @@ from exact import endpoints, units
 from succoeff import (ClassParams, Family, FunctionalSpec, Which, bound_d1, bound_d2,
                       extremal_coeffs, grid_optimize, two_atom_parameters)
 from succoeff.bounds import _ozaki_forms, _tilted_forms
-from test_verdict_gates import MAX_GAP_UNITS, _classes
+from conftest import classes
+from test_verdict_gates import MAX_GAP_UNITS
 
 CLOSED_FORM_UNITS = 2
 
@@ -49,8 +50,8 @@ def _errors(params: ClassParams) -> dict[str, float]:
 def _worst() -> dict[str, tuple[float, ClassParams]]:
     """The worst error of each kind over the classes, with the class it is at."""
     worst = {}
-    # 667 per family: about 2,000 random classes, and the 417 edge classes.
-    for params in _classes(per_family=667, seed=20261019):
+    # 667 per family: 2,001 random classes, and the 472 others.
+    for params in classes(667):
         for kind, error in _errors(params).items():
             if error > worst.get(kind, (-1.0,))[0]:
                 worst[kind] = (error, params)

@@ -5,7 +5,8 @@ README.  Each row of the table under "Migrating from earlier versions"
 names what is gone and where it was: a Python name must no longer resolve
 from ``succoeff`` or from the row's module, a keyword argument must no
 longer be a parameter of its function, and a flag must exit 2 on each
-subcommand the row names, which runs without it.
+subcommand the row names, which runs without it.  The class counts of
+"Verdict gates" are those of ``conftest.classes``.
 """
 
 import importlib
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import succoeff
+from conftest import BOX_EDGES, CONVEX_SMALL_T, PARAM_GRID, classes
 from succoeff.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -64,6 +66,19 @@ def test_cross_references_name_a_heading_or_lead_in():
     references = set(re.findall(r"\bsee \"([^\"]+)\"", prose, re.IGNORECASE))
     assert references
     assert sorted(references - headings - lead_ins) == []
+
+
+def test_class_counts_come_from_the_class_set():
+    # test_verdict_gates draws 2,000 random classes per family, test_exact
+    # and TestClosedFormBits 667, and the 3-seed columns 10,000 per seed.
+    gates, seeds = len(classes(2000)), 3 * (3 * 10000 + len(classes(0)))
+    counts = [f"tier-1 classes ({gates:,})", f"3 seeds ({seeds:,} classes)", f"over the {seeds:,}",
+              f"{len(BOX_EDGES)} box edges",
+              f"{len(PARAM_GRID) + len(CONVEX_SMALL_T)} named classes",
+              f"{gates:,} classes, 3 x {len(classes(2000)[::20])} `sample` runs",
+              f"{len(classes(667)):,} classes in tier-1 ({3 * 667:,} of them random)"]
+    prose = re.sub(r"\s+", " ", README)
+    assert [count for count in counts if count not in prose] == []
 
 
 def test_migration_table_has_every_kind():

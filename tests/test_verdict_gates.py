@@ -3,13 +3,14 @@
 Every verdict compares two computations of one quantity and forgives
 ``config.gate(scale)``, ``GATE_ULPS`` of ``conftest.gap_units``, each
 ``eps * max(1, |scale|)``.  :func:`test_worst_gap_is_at_most_half_the_gate`
-measures each gap in those units over seeded classes of every family, the
-edges of their parameter boxes, the two branch points and the Ozaki
-classes just below ``lam = 1/2`` whose ``c*`` lies within about 1e-12 of 2,
-and requires the worst to be at most half the gate.  The same gate bounds
-the measures and disk points a command builds, and
-:func:`test_built_measures_use_at_most_half_their_gates` holds their
-defects to half of it too.
+measures each gap in those units over ``conftest.classes``: seeded classes
+of every family, the edges of their parameter boxes, the two branch points,
+the Ozaki classes just below ``lam = 1/2`` whose ``c*`` lies within about
+1e-12 of 2, and named classes, among them convex ones with ``T < 5/4``.  It
+requires the worst to be at most half the gate, so every verdict there
+passes.  The same gate bounds the measures and disk points a command
+builds, and :func:`test_built_measures_use_at_most_half_their_gates` holds
+their defects to half of it too.
 
 The digests of :mod:`test_outputs` depend on the libm: a ``cos`` one ulp
 off moves printed digits.  :func:`test_no_verdict_depends_on_libm` checks
@@ -32,7 +33,7 @@ import pytest
 from succoeff import (AtomicHerglotzRep, ClassParams, DegenerateError, FunctionalSpec, Which,
                       bound_d1, bound_d2, case_boundary_check, config, grid_optimize,
                       sample_no_violation, solve_two_atom, two_atom_parameters)
-from conftest import gap_units, parsed_tests, t_factor, ulps_around
+from conftest import classes, convex_branch_gamma, gap_units, parsed_tests, t_factor
 from succoeff.caratheodory import _draw_atoms, _seeded_stream
 from succoeff.cli import _attained
 from test_command_map import every_command_traced
@@ -40,37 +41,6 @@ from test_outputs import COMMANDS, _row_or_error
 
 # The worst gap allowed, in conftest.gap_units: half the gate.
 MAX_GAP_UNITS = 8
-
-
-def _convex_branch_gamma(alpha: float) -> float:
-    """The gamma where T = sqrt(1 + 4(1-a)(2-a)cos^2 g) is 5/4, the convex branch point."""
-    return math.acos(math.sqrt(9.0 / (64.0 * (1.0 - alpha) * (2.0 - alpha))))
-
-
-def _classes(per_family: int, seed: int) -> list[ClassParams]:
-    rng = random.Random(seed)
-    half_pi = math.nextafter(math.pi / 2, 0.0)
-    classes = []
-    for _ in range(per_family):
-        # gamma = (r - 1/2) pi lies in (-pi/2, pi/2), and 1 - r in (0, 1].
-        classes.append(ClassParams.spirallike(rng.random(), (rng.random() - 0.5) * math.pi))
-        classes.append(ClassParams.convex(rng.random(), (rng.random() - 0.5) * math.pi))
-        classes.append(ClassParams.ozaki(1.0 - rng.random()))
-    # The edges of each box.
-    alphas = [0.0, 1e-12, 0.5, 1.0 - 1e-12, math.nextafter(1.0, 0.0)]
-    gammas = [0.0, 1e-12, math.pi / 4, 1.5, math.nextafter(half_pi, 0.0), half_pi]
-    classes += [ClassParams(family, alpha, sign * gamma) for family in ("spirallike", "convex")
-                for alpha in alphas for gamma in gammas for sign in (1.0, -1.0)]
-    classes += [ClassParams.ozaki(lam) for lam in
-                (5e-324, 1e-12, 0.25, 0.75, math.nextafter(1.0, 0.0), 1.0)]
-    # lam down to 1/2 - 7.5e-13, where c* is within about 1e-12 of 2 and still two atoms.
-    classes += [ClassParams.ozaki(0.5 - k * 1.25e-13) for k in range(1, 7)]
-    classes += [ClassParams.ozaki(0.4999999999999)]
-    # 40 ulps of gamma either side of T = 5/4, and 20 ulps of lam either side of 1/2.
-    classes += [ClassParams.convex(alpha, gamma) for alpha in (0.0, 0.3, 0.6)
-                for gamma in ulps_around(_convex_branch_gamma(alpha), 40)]
-    classes += [ClassParams.ozaki(lam) for lam in ulps_around(0.5, 20)]
-    return classes
 
 
 def _gaps(params: ClassParams) -> dict[str, float]:
@@ -104,7 +74,7 @@ def test_every_approx_states_its_bound():
 
 def test_convex_branch_gamma_is_at_t_five_quarters():
     for alpha in (0.0, 0.3, 0.6):
-        assert t_factor(alpha, _convex_branch_gamma(alpha)) == pytest.approx(1.25, abs=1e-15)
+        assert t_factor(alpha, convex_branch_gamma(alpha)) == pytest.approx(1.25, abs=1e-15)
 
 
 def test_gate_is_twice_the_worst_gap_allowed():
@@ -113,7 +83,7 @@ def test_gate_is_twice_the_worst_gap_allowed():
 
 def test_worst_gap_is_at_most_half_the_gate():
     worst = {}
-    for params in _classes(per_family=2000, seed=20261019):
+    for params in classes(2000):
         for name, gap in _gaps(params).items():
             if gap > worst.get(name, (-1.0,))[0]:
                 worst[name] = (gap, params)
@@ -148,7 +118,6 @@ def test_built_measures_use_at_most_half_their_gates():
     # (c*, x*) and solved measures, whose sum gets only one gate, the
     # witnesses of sample at 1, 6 and 64 atoms, and 64-atom draws.
     assert config.MAX_ATOMS * config.gate(1.0) < 1e-12  # the slack all these had before
-    classes = _classes(per_family=2000, seed=20261019)
     gaps = []
 
     def measure_gaps(rep, sum_gate_units, source):
@@ -156,14 +125,14 @@ def test_built_measures_use_at_most_half_their_gates():
                      "weight sum", source))
         gaps.extend((gap_units(abs(abs(e) - 1.0), 1.0), "|eps|", source) for e in rep.points)
 
-    for params in classes:
+    for params in classes(2000):
         c, x = two_atom_parameters(params)
         gaps.append((gap_units(abs(abs(x) - 1.0), 1.0), "|x*|", params))
         try:
             measure_gaps(solve_two_atom(c, x), 1, params)
         except DegenerateError:  # c* = 2: the point mass at 1
             pass
-    for i, params in enumerate(classes[::20]):
+    for i, params in enumerate(classes(2000)[::20]):
         for n_atoms_max in (1, 6, 64):
             report = sample_no_violation(params, 100, n_atoms_max=n_atoms_max, seed=i)
             for side in (report.d1_low, report.d1_high, report.d2_low, report.d2_high):
