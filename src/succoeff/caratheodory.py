@@ -106,12 +106,12 @@ def solve_two_atom(c: float, x: complex) -> AtomicHerglotzRep:
         eps1,2 = (s +- sqrt(s^2 + 4x)) / 2   of   z^2 - s z - x,
 
     the para-orthogonal polynomial at the step where the Schur algorithm
-    stops.  The roots are divided by their moduli, and the first moment
-    gives w1 = Re((c/2 - eps2) / (eps1 - eps2)).  Atoms are ordered by
-    argument in [0, 2pi); at x = 1 they are exactly 1 and -1.
-
-    DegenerateError when c == 2, where the measure is the point mass at 1,
-    or when w rounds to 0 or 1, which only the last floats below 2 do.
+    stops.  Each s +- sqrt(s^2 + 4x) is divided by its modulus, so the exact halving is
+    left out.  With x = e^{i phi}, |phi| <= pi, the root is e^{i phi/2} |root|, so w1 =
+    Re((c/2 - eps2) / (eps1 - eps2)) = 1/2 + c cos(phi/2) / (2 |root|) >= 1/2.  Atoms are
+    ordered by argument in [0, 2pi); at x = 1 they are exactly 1 and -1.  DegenerateError
+    when c == 2, where the measure is the point mass at 1, or when w1 rounds to 1, which
+    only the last floats below 2 do.
     """
     _check_disk_point(c, x)
     if c == 2.0:
@@ -123,10 +123,10 @@ def solve_two_atom(c: float, x: complex) -> AtomicHerglotzRep:
 
     s = c / 2.0 * (1.0 - x)
     root = cmath.sqrt(s * s + 4.0 * x)
-    e1, e2 = (s + root) / 2.0, (s - root) / 2.0
+    e1, e2 = s + root, s - root
     e1, e2 = e1 / abs(e1), e2 / abs(e2)
     w = ((c / 2.0 - e2) / (e1 - e2)).real
-    if not 0.0 < w < 1.0:
+    if not w < 1.0:
         raise DegenerateError(f"the measure at (c={c}, x={x}) collapses to a single atom")
     weights, points = [w, 1.0 - w], [e1, e2]
     if cmath.phase(e1) % (2.0 * math.pi) > cmath.phase(e2) % (2.0 * math.pi):

@@ -134,11 +134,11 @@ def _classes(args: argparse.Namespace) -> list[ClassParams]:
         raise DomainError(f"the lattice has {size} points, more than {config.MAX_LATTICE}")
     axes = {}
     for dest, (start, stop, count) in ranges.items():
-        # lo + i*step with the last point exactly hi, as np.linspace, stepped
-        # from the smaller end so that either order gives the same points.
-        lo, hi = sorted((start, stop))
-        step = (hi - lo) / max(count - 1, 1)
-        axes[dest] = [lo + i * step for i in range(count - 1)] + [hi] if count > 1 else [start]
+        axes[dest] = [start]
+        if count > 1:  # as np.linspace, from the smaller end: either order gives the same points
+            lo, hi = sorted((start, stop))
+            step = (hi - lo) / (count - 1)
+            axes[dest] = [lo + i * step for i in range(count - 1)] + [hi]
     return [params._replace(**dict(zip(axes, values))) for values in product(*axes.values())]
 
 

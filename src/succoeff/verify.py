@@ -159,11 +159,12 @@ class SampleReport(namedtuple("SampleReport", [
 
 
 def _atom_count(r: float, n_max: int) -> int:
-    """An atom count in [1, n_max] from one draw r in [0, 1).
+    """The atom count ``1 + int(r * n_max)``, in [1, n_max], from one draw r in [0, 1).
 
-    The min guards against r * n_max rounding up to n_max.
+    r <= 1 - 2**-53 gives fl(r m) <= pred(m), the float below m, for every float
+    m > 0, and pred(fl(n)) < n for an integer n however fl(n) rounds: no guard.
     """
-    return 1 + min(int(r * n_max), n_max - 1)
+    return 1 + int(r * n_max)
 
 
 def sample_no_violation(
@@ -201,9 +202,8 @@ def sample_no_violation(
     witnesses are validated, when they become AtomicHerglotzReps; the
     draw gives a valid measure by construction.
 
-    Every draw is ``random.Random(seed).random()``: per member an atom
-    count ``1 + min(int(r * n_atoms_max), n_atoms_max - 1)``, then weights
-    ``0.05 + 0.95 r`` (normalized to sum 1) and angles ``2 pi r``.
+    Every draw is ``random.Random(seed).random()``: per member ``1 + int(r * n_atoms_max)``
+    atoms, then weights ``0.05 + 0.95 r`` (normalized to sum 1) and angles ``2 pi r``.
     """
     n_samples = _count("n_samples", n_samples, 1)
     n_atoms_max = _count("n_atoms_max", n_atoms_max, 1)

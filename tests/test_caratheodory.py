@@ -83,6 +83,9 @@ class TestRepInvariants:
         # At the bounds themselves too, and one ulp of 1 beyond them not.
         tol = config.gate(1.0)
         AtomicHerglotzRep((0.5, 0.5 + 2 * tol), (1 + tol, -1 + 0j))
+        AtomicHerglotzRep((1 + tol,), (1 + 0j,))
+        with pytest.raises(DomainError, match=r"lie in \(0, 1\]"):
+            AtomicHerglotzRep((math.nextafter(1 + tol, 2.0),), (1 + 0j,))
         with pytest.raises(DomainError, match="sum to 1"):
             AtomicHerglotzRep((0.5, 0.5 + 2 * tol + 2.0**-52), (1 + 0j, -1 + 0j))
         with pytest.raises(DomainError, match="unit circle"):
@@ -226,8 +229,8 @@ class TestSolveTwoAtom:
         for x in (0.5 + 0j, 1.0 - 1e-9, 1.0 - 1e-13):
             with pytest.raises(InfeasibleError):
                 solve_two_atom(1.0, x)
-        # |x| one ulp off 1 is on the boundary.
-        for x in (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)):
+        # |x| one ulp off 1, and |x| = 1 + gate(1.0) itself, is on the boundary.
+        for x in (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1 + config.gate(1.0)):
             assert solve_two_atom(1.0, x).weights == (gated(0.75), gated(0.25))
 
 

@@ -210,19 +210,21 @@ class TestSweep:
     @pytest.mark.parametrize("as_config", [False, True], ids=["flags", "config"])
     def test_axis_ends_in_either_order(self, tmp_path, family, axis, ends, as_config):
         # An axis steps from its smaller end, so START,STOP and STOP,START
-        # print the same bytes.
-        outputs = []
-        for start, stop in (ends, ends[::-1]):
-            value = f"{start},{stop},5"
-            if as_config:
-                cfg = tmp_path / "axis.cfg"
-                cfg.write_text(f"family={family}\n{axis}={value}\n", encoding="utf-8")
-                argv = ["sweep", "--config", str(cfg)]
-            else:
-                argv = ["sweep", "--family", family, f"--{axis}={value}"]
-            outputs.append(run_cli(argv, "csv", tmp_path))
+        # print the same bytes; a COUNT of 1 is START alone, either end.
+        def argv(value):
+            if not as_config:
+                return ["sweep", "--family", family, f"--{axis}={value}"]
+            cfg = tmp_path / "axis.cfg"
+            cfg.write_text(f"family={family}\n{axis}={value}\n", encoding="utf-8")
+            return ["sweep", "--config", str(cfg)]
+
+        outputs = [run_cli(argv(f"{start},{stop},5"), "csv", tmp_path)
+                   for start, stop in (ends, ends[::-1])]
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == 0
+        for start, stop in (ends, ends[::-1]):
+            code, (row,) = cli_rows(argv(f"{start},{stop},1"), tmp_path)
+            assert (code, float(row[axis[:-1]])) == (0, parse_angle(start))
 
     def test_empty_lattice(self, tmp_path):
         with pytest.raises(SystemExit) as info:
@@ -254,9 +256,8 @@ class TestSweep:
     @pytest.mark.parametrize("as_config", [False, True], ids=["flags", "config"])
     def test_lattice_cap(self, tmp_path, capsys, monkeypatch, as_config):
         # A lattice of more than MAX_LATTICE points is a usage error, from
-        # flags or from config keys; one of MAX_LATTICE points runs.
-        monkeypatch.setattr(config, "MAX_LATTICE", 6)
-
+        # flags or from config keys, found before any point is built; one of
+        # MAX_LATTICE points runs, at a cap of 6 to keep it quick.
         def rows(alphas, gammas):
             if not as_config:
                 return cli_rows(["sweep", "--alphas", alphas, f"--gammas={gammas}"], tmp_path)
@@ -264,6 +265,9 @@ class TestSweep:
             cfg.write_text(f"alphas={alphas}\ngammas={gammas}\n", encoding="utf-8")
             return cli_rows(["sweep", "--config", str(cfg)], tmp_path)
 
+        assert rows("0,0.5,11", "-1,1,9091") == (2, None)
+        assert "the lattice has 100001 points, more than 100000" in capsys.readouterr().err
+        monkeypatch.setattr(config, "MAX_LATTICE", 6)
         code, lattice = rows("0,0.25,2", "-pi/6,pi/6,3")
         assert code == 0
         assert len(lattice) == 6
@@ -385,7 +389,7 @@ class TestUsageErrors:
         ["sample", "--order", "1025"],
         ["sample", "--samples", "0"],
         ["sample", "--atoms-max", "0"],
-        ["sample", "--atoms-max", str(config.MAX_ATOMS + 1)],
+        ["sample", "--atoms-max", "65"],
         ["bounds", "--gamma", "pi/0"],
         ["sweep", "--gammas=0,pi/0,3"],
         ["sample", "--samples", "2.5"],
@@ -423,6 +427,8 @@ class TestUsageErrors:
         ["sweep", "--alphas", "0,0.5,2"],
         ["sample", "--order", "16", "--seed", "3"],
         ["sample", "--samples", "20", "--atoms-max", "2"],
+        ["sample", "--seed", "0"],
+        ["sample", "--samples", "1"],
     ])
     def test_flags_the_command_reads(self, argv, tmp_path):
         assert cli_rows(argv, tmp_path)[0] == 0
@@ -591,12 +597,14 @@ def test_module_entry_point():
 
 
 def test_sample_default_atom_count(tmp_path):
-    # The flag and the library default read one constant.
-    code, (row,) = cli_rows(["sample", "--samples", "3"], tmp_path)
+    # The flag and the library default read one constant; the README's
+    # other defaults of sample are 500 members and seed 0.
+    code, (row,) = cli_rows(["sample"], tmp_path)
     assert code == 0
-    assert row["n_atoms_max"] == str(config.DEFAULT_ATOMS)
-    assert verify_module.sample_no_violation(ClassParams.spirallike(), 3).n_atoms_max \
-        == config.DEFAULT_ATOMS
+    assert (row["n_atoms_max"], row["n_samples"], row["seed"]) == (str(config.DEFAULT_ATOMS),
+                                                                    "500", "0")
+    report = verify_module.sample_no_violation(ClassParams.spirallike(), 3)
+    assert (report.n_atoms_max, report.seed) == (config.DEFAULT_ATOMS, 0)
 
 
 def test_sample_accepts_the_largest_atom_count(tmp_path):

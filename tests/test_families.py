@@ -71,6 +71,8 @@ class TestParams:
         with pytest.raises(DomainError):
             ClassParams.ozaki(1.5)
         with pytest.raises(DomainError):
+            ClassParams.ozaki(math.nextafter(1.0, 2.0))
+        with pytest.raises(DomainError):
             ClassParams(Family.OZAKI_G, alpha=0.2, lam=0.5)
         with pytest.raises(DomainError):
             ClassParams(Family.SPIRALLIKE, lam=0.5)

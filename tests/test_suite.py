@@ -1,10 +1,11 @@
-"""The suite's own shape: no test is silently shadowed."""
+"""The suite's own shape: no test is silently shadowed, no accepted mutant is stale."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
 from conftest import parsed_tests
+from mutants import EQUIVALENT, all_sites
 
 
 def _defined_twice(body: list[ast.stmt], prefix: str = "") -> list[str]:
@@ -27,3 +28,13 @@ def test_no_name_is_defined_twice():
     twice = {f"{path.parent.name}/{path.name}": names
              for path, tree in trees.items() if (names := _defined_twice(tree.body))}
     assert twice == {}
+
+
+def test_every_accepted_mutant_names_a_site():
+    # mutants.py runs the mutants only in a full audit; between audits an
+    # entry whose line was edited away would excuse nothing, so it fails here.
+    sites = {(site.file, site.text, site.op) for site in all_sites()}
+    keys = [entry[:3] for entry in EQUIVALENT]
+    assert [key for key in keys if key not in sites] == []
+    assert len(set(keys)) == len(keys)
+    assert {entry[3] for entry in EQUIVALENT} <= {"equivalent", "library-only"}

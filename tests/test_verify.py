@@ -271,27 +271,30 @@ class TestSampling:
         ClassParams.ozaki(0.3), ClassParams.ozaki(0.75)])
     def test_every_verdict_fails_at_its_extremal(self, params, monkeypatch):
         # Random draws stay 7e-3 or more inside the upper d2 endpoint, so
-        # the one member of each run here is drawn as a side's catalog
+        # both members of each run here are drawn as a side's catalog
         # measure: the atom count (0 or 0.5), then weights
         # r = (w - 0.05)/0.95, whose raw values already sum to 1, then
         # angles r = phase/2 pi.  Its margin sits on the endpoint, and an
-        # endpoint 1e-12 inward fails.
+        # endpoint 1e-12 inward fails.  The two members tie on every side,
+        # and each tie goes to the lower index, 0.
         bounds = {Which.D1: bound_d1, Which.D2: bound_d2}
         sides = (("high", "upper", -1e-12), ("low", "lower", 1e-12)) * 2
         for (desc, which, endpoint), (side, end, inward) in zip(endpoints(params), sides):
             rep = extremal_measure(desc)
             draws = [0.5 * (len(rep.weights) - 1), *((w - 0.05) / 0.95 for w in rep.weights),
-                     *(cmath.phase(eps) / (2 * math.pi) for eps in rep.points)]
+                     *(cmath.phase(eps) / (2 * math.pi) for eps in rep.points)] * 2
             monkeypatch.setattr("succoeff.verify._seeded_stream",
                                 lambda seed: SimpleNamespace(random=iter(draws).__next__))
-            report = sample_no_violation(params, 1, n_atoms_max=2)
+            report = sample_no_violation(params, 2, n_atoms_max=2)
             assert abs(getattr(report, f"{which.value}_{side}").margin) <= config.gate(endpoint)
             assert report.passed
+            assert [report.d1_low.sample_index, report.d1_high.sample_index,
+                    report.d2_low.sample_index, report.d2_high.sample_index] == [0, 0, 0, 0]
             shifted = bounds[which](params)._replace(**{end: endpoint + inward})
             with monkeypatch.context() as m:
                 m.setattr(f"succoeff.verify.bound_{which.value}", lambda _: shifted)
-                report = sample_no_violation(params, 1, n_atoms_max=2)
-            assert report.n_violations == 1
+                report = sample_no_violation(params, 2, n_atoms_max=2)
+            assert report.n_violations == 2
             assert not report.passed
 
     def test_no_member_built_does_not_pass(self, monkeypatch, tmp_path):
