@@ -45,12 +45,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src", "succoeff")
 
-# The tier-1 command, stopping at the first failure.  -B: a mutant and the
-# original have the same size and may share an mtime second, so a cached
-# .pyc of one could be loaded for the other.  The check that EQUIVALENT names
-# sites is left out: a mutant rewrites the line it mutates, so that check
-# would kill every listed mutant.
-COMMAND = (sys.executable, "-B", "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
+# The tier-1 command, stopping at the first failure.  The check that
+# EQUIVALENT names sites is left out: a mutant rewrites the line it mutates,
+# so that check would kill every listed mutant.
+COMMAND = (sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
            "-p", "no:cacheprovider",
            "--deselect", "tests/test_suite.py::test_every_accepted_mutant_names_a_site")
 
@@ -260,7 +258,11 @@ def all_sites(root: Path = ROOT) -> list[Site]:
 def _run(copy: Path, timeout: float | None) -> tuple[bool, float]:
     """(whether the tier-1 command passed in ``copy``, its wall time)."""
     start = time.perf_counter()
-    env = {**os.environ, "PYTHONPATH": "src"}
+    # No .pyc, neither from the tier-1 command nor from the fresh interpreters
+    # its tests start, which the environment reaches and a -B flag would not:
+    # a mutant and the original have the same size and may share an mtime
+    # second, so a cached .pyc of one could be loaded for the other.
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         code = subprocess.run(COMMAND, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=timeout).returncode

@@ -20,7 +20,7 @@ from succoeff import ClassParams, Which, config
 from succoeff.cli import _build_parser, main, parse_angle, parse_range
 from succoeff.errors import InfeasibleError
 from conftest import gated
-from test_command_map import every_command_loaded, load_differences
+from test_command_map import every_command_run, load_differences
 from test_outputs import cli_rows, out_flags, parse_rows, run_cli
 
 
@@ -626,7 +626,7 @@ def test_commands_load_only_what_they_run(command, fmt):
     # What the command's digest lines load in a fresh interpreter, with site
     # and under -S: "csv" after they run in csv and table, "json" after they
     # also run in json.  All ten cases read test_command_map's one pass.
-    problems = load_differences(every_command_loaded(), command, fmt)
+    problems = load_differences(every_command_run(), command, fmt)
     assert not problems, "\n".join(problems)
 
 

@@ -1,39 +1,42 @@
 """What the commands run: every function of ``src/succoeff`` that no command enters is declared.
 
-Every command line of :mod:`test_outputs` runs in-process through
-``cli.main`` once per format, under a ``sys.settrace`` hook that records
-each ``def`` and ``lambda`` of the package that is entered.  The same pass
+Every command line of :mod:`test_outputs` runs once per format in one pass,
+:func:`every_command_run`: one fresh interpreter per subcommand, under
+``-S`` (pyproject declares no dependencies, so the package must run every
+line without site-packages).  Each line runs through ``cli.main`` under a
+``sys.settrace`` hook that records each ``def`` and ``lambda`` of the package
+that is entered.  The same pass records what each subcommand loads, and
 keeps each line's digest row, with its json rows' ``passed`` cells, for
 ``test_outputs.test_outputs_match_the_recorded_digests`` and the unpatched
-side of ``test_verdict_gates.test_no_verdict_depends_on_libm``, so the lines
-run once in-process unpatched; tracing moves no byte of them.  The functions never
-entered must be exactly :data:`LIBRARY_ONLY`, each listed with the reason it stays.  So code that
+side of ``test_verdict_gates.test_no_verdict_depends_on_libm``; tracing
+moves no byte of them, as :func:`test_tracing_moves_no_byte` checks against
+untraced in-process runs.  The functions never entered must be exactly
+:data:`LIBRARY_ONLY`, each listed with the reason it stays.  So code that
 no command runs cannot arrive unnoticed: a change that adds some adds its
 name here, and a change that deletes library-only code shrinks the tuple.
 Its first group, :data:`PERFBENCH_REACHES`, must be exactly what the
 benchmark in ``perfbench/`` reaches and no command enters.
 
-The same lines also test what each subcommand loads, in one fresh
-interpreter per subcommand, with ``site`` and under ``-S``; this process
-hashes the files each line wrote there for
-``test_outputs.test_digests_match_in_fresh_interpreters``.  The package
-modules it loads must be exactly its entry of :data:`LOADS`, the one
-statement of that rule, and every other module it loads must come from the
-standard library, within the limits :func:`load_differences` states;
-``test_cli.test_commands_load_only_what_they_run`` checks them, per
-subcommand and format, against the one pass of :func:`every_command_loaded`.  Every
-module of the package that a subcommand loads has a function that the
-subcommand enters, except the modules of :data:`LOADED_FOR_NO_CALL`.  So a
-module-level import that pulls in a module only for a name it never calls
-fails here.
+The package modules a subcommand loads must be exactly its entry of
+:data:`LOADS`, the one statement of that rule, and every other module it
+loads must come from the standard library, within the limits
+:func:`load_differences` states; ``test_cli.test_commands_load_only_what_they_run``
+checks them per subcommand and format.  Under ``-S`` no ``.pth`` hook
+preloads a module, so none can hide a load; but a guarded import of a
+third-party package fails silently there, which
+``test_package.test_package_imports_only_the_standard_library`` rules out
+statically.  Every module of the package that a subcommand loads has a
+function that the subcommand enters, except the modules of
+:data:`LOADED_FOR_NO_CALL`.  So a module-level import that pulls in a
+module only for a name it never calls fails here.
 
 A function is keyed by its file and first line (a decorated ``def``
 starts at its first decorator), which its code object carries on every
 CPython.  Comprehensions are not functions here: CPython 3.12 inlines
 them, so whether they have a code object of their own depends on the
-version.  Every module of the package is imported before the hook goes
-in, so only calls made while a command line runs count, not calls made
-at import, and the result does not depend on what was imported first.
+version.  In the child, modules load lazily while a line runs, so a class
+or module body may run under the hook; only keys of a def or lambda of
+:func:`functions` are kept, so a body is no call.
 
 ``PYTHONPATH=src python tests/test_command_map.py`` prints, for each
 subcommand, the functions it enters and, for each module it loads, the
@@ -54,7 +57,7 @@ from functools import cache
 from pathlib import Path
 
 import succoeff
-from test_outputs import COMMANDS, DIGESTS, _argv, _digest, _row, _row_or_error, out_flags
+from test_outputs import COMMANDS, FORMATS, _argv, _row, out_flags, row_of
 
 # The functions that perfbench reaches and no command line enters: those
 # tracer.TARGETS and COUNTED_INIT name, and those layers.microbenchmarks
@@ -122,14 +125,22 @@ LOADS = {
 }
 
 # Standard modules no command loads: the records are namedtuples, not
-# dataclasses.  Without site, no command loads pathlib or typing either;
-# with it, a .pth hook may import them, and random, before a command starts.
-NEVER_LOADED = frozenset({"dataclasses", "inspect"})
-NEVER_LOADED_WITHOUT_SITE = frozenset({"pathlib", "typing"})
+# dataclasses, and no command needs pathlib or typing.
+NEVER_LOADED = frozenset({"dataclasses", "inspect", "pathlib", "typing"})
 
 Function = namedtuple("Function", "name path first last")
-Traced = namedtuple("Traced", "entered rows")
-FreshRun = namedtuple("FreshRun", "text every failures digests")
+# rows: command line -> its row, as test_outputs._row gives it, or what it
+# raised; entered: command line -> the (file, first line) of each package
+# function it enters; text and every: subcommand -> the modules its lines
+# load in csv and table, and once they have also run in json.
+CommandRun = namedtuple("CommandRun", "rows entered text every")
+
+
+class Raised(Exception):
+    """What a command line raised in a fresh interpreter, shown by its repr there."""
+
+    def __repr__(self):
+        return self.args[0]
 
 
 def _modules():
@@ -197,22 +208,6 @@ def _entered_by(run) -> tuple[set[tuple[str, int]], object]:
     return keys, result
 
 
-def traced(commands) -> Traced:
-    """What each command line enters, and its digest row, from one traced run of each.
-
-    Each line runs through :func:`test_outputs._row`, in csv, json and
-    table.  ``entered`` maps it to the (file, first line) of each package
-    function it enters, ``rows`` to its row (digests, then the json rows'
-    ``passed`` cells) or to what ``_row`` raised.
-    """
-    result = Traced({}, {})
-    with tempfile.TemporaryDirectory() as tmp:
-        for command in commands:
-            result.entered[command], result.rows[command] = _entered_by(
-                lambda: _row_or_error(command, Path(tmp)))
-    return result
-
-
 def never_entered(by_command) -> list[str]:
     """Names of the package functions that no command line entered."""
     hit = set().union(*by_command.values())
@@ -241,119 +236,150 @@ def subcommands(commands) -> dict[str, list[str]]:
     return by_subcommand
 
 
-def new_modules(code: str, *flags: str) -> list[set[str]]:
-    """The modules a fresh interpreter with ``flags`` has loaded at each ``snapshot()`` of ``code``.
+def fresh(*codes: str) -> list[list]:
+    """What fresh interpreters under ``-S``, one per code and all started at once, print.
 
-    ``code`` runs after ``before = set(sys.modules)``; ``snapshot()`` prints
-    what has been loaded since.  Each line the child prints is a list of
-    strings, returned as a set.  The child finds the package through
-    PYTHONPATH only: it is not installed, and ``-S`` skips site-packages.
+    Each of ``codes`` runs after ``before = set(sys.modules)``;
+    ``snapshot()`` prints the sorted modules loaded since.  For each, the
+    result is what its interpreter printed, one literal per line.  The child
+    finds the package through PYTHONPATH only: it is not installed, and
+    ``-S`` skips site-packages.  The path is not resolved, so the child's
+    file names are this process's.
     """
-    env = {**os.environ, "PYTHONPATH": str(Path(succoeff.__file__).resolve().parents[1])}
-    script = ("import sys\nbefore = set(sys.modules)\n\n"
-              "def snapshot():\n    print(sorted(set(sys.modules) - before))\n\n" + code)
-    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=600)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{[sys.executable, *flags]} failed:\n{proc.stderr}")
-    return [set(ast.literal_eval(line)) for line in proc.stdout.splitlines()]
+    env = {**os.environ, "PYTHONPATH": str(Path(succoeff.__file__).parents[1])}
+    prelude = ("import sys\nbefore = set(sys.modules)\n\n"
+               "def snapshot():\n    print(sorted(set(sys.modules) - before))\n\n")
+    procs = [subprocess.Popen([sys.executable, "-S", "-c", prelude + code], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) for code in codes]
+    printed = [proc.communicate(timeout=600) for proc in procs]
+    for proc, (_, stderr) in zip(procs, printed):
+        if proc.returncode != 0:
+            raise RuntimeError(f"{sys.executable} -S failed:\n{stderr}")
+    return [[ast.literal_eval(line) for line in stdout.splitlines()] for stdout, _ in printed]
 
 
-# The child's runner: each line that raises (SystemExit included) or exits
-# with another code than DIGESTS records is kept, as _row_or_error keeps it
-# in-process, and the rest still run.  It imports nothing.
+# The child's runner.  run() runs each argv through main under a tracer that,
+# as _entered_by does, keeps the (file, first line) of each frame of the
+# package that is called, and prints, for each argv, its exit code or
+# the repr of what it raised (SystemExit included) with those keys; then
+# snapshot() prints what has been loaded so far.  It imports nothing.
 _RUN_LINES = """\
 from succoeff.cli import main
-failures = []
 
-def run(lines):
-    for line, argv, code in lines:
+def run(lines, package):
+    results = []
+    for argv in lines:
+        keys = set()
+
+        def trace(frame, event, arg):
+            code = frame.f_code
+            if code.co_filename.startswith(package) and (code.co_name == "<lambda>"
+                                                         or not code.co_name.startswith("<")):
+                keys.add((code.co_filename, code.co_firstlineno))
+
+        sys.settrace(trace)
         try:
             got = main(argv)
         except (Exception, SystemExit) as error:
-            failures.append(f"{line}: raised {error!r}")
-        else:
-            if got != code:
-                failures.append(f"{line}: exited {got!r}, not {code}")
+            got = repr(error)
+        finally:
+            sys.settrace(None)
+        results.append((got, sorted(keys)))
+    print(results)
+    snapshot()
 
 """
 
 
-def loaded(commands) -> dict[tuple[str, str], FreshRun]:
-    """(subcommand, "site" or "-S") -> what a fresh interpreter loads to run its lines, and digests.
+def loaded(commands) -> CommandRun:
+    """What each command line enters, loads and writes: one fresh interpreter per subcommand.
 
-    ``text`` is what the lines load in csv and table, ``every`` what they
-    have loaded once they have also run in json.  ``failures`` names each
-    line, with its format, that raised or did not exit as
-    :data:`test_outputs.DIGESTS` records.  Each line writes its own
-    ``--out`` file per format; this process hashes them into ``digests``
-    (line -> csv, json and table digests, None for a file not written) once
-    the child has exited.  The child imports nothing of the tests, nor
-    hashlib, so every module it loads is one the commands load.
+    The interpreters run at once.  Each runs its subcommand's lines in csv
+    and table, takes a snapshot of what it has loaded, runs them in json and
+    takes another.  Each line writes its own ``--out`` file per format; this
+    process reads them once the children have exited, so no child loads
+    hashlib or json for the tests, and builds each line's row with
+    :func:`test_outputs.row_of`.  A line that raised in a format is the
+    :class:`Raised` of the first format it raised in, as
+    :func:`test_outputs._row` raises it.  Of the keys the child records,
+    only those of a def or lambda of :func:`functions` are kept: a class or
+    module body that runs while a module loads lazily is no call.
     """
-    by_run = {}
+    package = os.path.join(os.path.dirname(succoeff.__file__), "")
+    known = {(f.path, f.first) for f in functions()}
+    result = CommandRun({}, {}, {}, {})
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         outs = {(command, fmt): tmp / f"{index}.{fmt}"
-                for index, command in enumerate(commands) for fmt in ("csv", "json", "table")}
+                for index, command in enumerate(commands) for fmt in FORMATS}
 
-        def lines_in(lines, formats):
-            return [(f"{command} --format {fmt}",
-                     [*_argv(command, tmp), *out_flags(fmt, outs[command, fmt])],
-                     DIGESTS[command][0]) for command in lines for fmt in formats]
+        def argv(command, fmt):
+            return [*_argv(command, tmp), *out_flags(fmt, outs[command, fmt])]
 
-        for subcommand, lines in subcommands(commands).items():
-            code = (_RUN_LINES + f"run({lines_in(lines, ('csv', 'table'))!r})\nsnapshot()\n"
-                    f"run({lines_in(lines, ('json',))!r})\nsnapshot()\nprint(failures)\n")
-            for setting, flags in (("site", ()), ("-S", ("-S",))):
-                for out in outs.values():
-                    out.unlink(missing_ok=True)
-                text, every, failures = new_modules(code, *flags)
-                digests = {command: tuple(_digest(outs[command, fmt].read_bytes())
-                                          if outs[command, fmt].exists() else None
-                                          for fmt in ("csv", "json", "table"))
-                           for command in lines}
-                by_run[subcommand, setting] = FreshRun(text, every, failures, digests)
-    return by_run
+        batches = {subcommand: [[(command, fmt) for command in lines for fmt in formats]
+                                for formats in (("csv", "table"), ("json",))]
+                   for subcommand, lines in subcommands(commands).items()}
+        scripts = [_RUN_LINES + "".join(f"run({[argv(*line) for line in batch]!r}, {package!r})\n"
+                                        for batch in pair) for pair in batches.values()]
+        got = {}
+        for (subcommand, (first, second)), (ran, text, ran_json, every) in zip(
+                batches.items(), fresh(*scripts)):
+            result.text[subcommand], result.every[subcommand] = set(text), set(every)
+            got.update(zip(first + second, ran + ran_json))
+        for command in commands:
+            result.entered[command] = {key for fmt in FORMATS
+                                       for key in got[command, fmt][1] if key in known}
+            result.rows[command] = _fresh_row(
+                command, {fmt: (got[command, fmt][0], outs[command, fmt]) for fmt in FORMATS})
+    return result
+
+
+def _fresh_row(command: str, ran: dict):
+    """``command``'s row, or what it raised, from (exit code or repr raised, out file) by format."""
+    raised = [code for code, _ in ran.values() if isinstance(code, str)]
+    if raised:
+        return Raised(raised[0])
+    try:
+        return row_of(command, {fmt: (code, out.read_bytes() if out.exists() else None)
+                                for fmt, (code, out) in ran.items()})
+    except ValueError as error:  # exit codes that differ by format, or json that does not parse
+        return error
 
 
 def _in_package(name: str) -> bool:
     return name.partition(".")[0] == "succoeff"
 
 
-def package_modules(loads) -> dict[str, list[str]]:
-    """subcommand -> the package modules it loads with site, from :func:`loaded`."""
-    return {subcommand: sorted(filter(_in_package, run.every))
-            for (subcommand, setting), run in loads.items() if setting == "site"}
+def package_modules(run: CommandRun) -> dict[str, list[str]]:
+    """subcommand -> the package modules it loads, from :func:`loaded`."""
+    return {subcommand: sorted(filter(_in_package, every))
+            for subcommand, every in run.every.items()}
 
 
-def load_differences(loads, subcommand: str, fmt: str) -> list[str]:
-    """One line per way ``subcommand``'s runs in ``fmt`` break :data:`LOADS` or the load rules.
+def load_differences(run: CommandRun, subcommand: str, fmt: str) -> list[str]:
+    """One line per way ``subcommand``'s lines in ``fmt`` break :data:`LOADS` or the load rules.
 
-    ``loads`` is what :func:`loaded` gives.  For ``"csv"`` the modules are
+    ``run`` is what :func:`loaded` gives.  For ``"csv"`` the modules are
     those the lines load in csv and table; for ``"json"``, those they have
     loaded once they have also run in json.
     """
+    modules = (run.text if fmt == "csv" else run.every)[subcommand]
+    where = f"{subcommand} ({fmt})"
+    package = set(filter(_in_package, modules))
     lines = []
-    for setting in ("site", "-S"):
-        run = loads[subcommand, setting]
-        modules = run.text if fmt == "csv" else run.every
-        where = f"{subcommand} ({setting}, {fmt})"
-        package = set(filter(_in_package, modules))
-        if package != LOADS[subcommand]:
-            lines.append(f"{where} loads {', '.join(sorted(package))}; "
-                         f"LOADS says {', '.join(sorted(LOADS[subcommand]))}")
-        lines += [f"{where} loads {name}, which is not in the standard library"
-                  for name in sorted(modules - package)
-                  if name.partition(".")[0] not in sys.stdlib_module_names]
-        never = NEVER_LOADED | (NEVER_LOADED_WITHOUT_SITE if setting == "-S" else set())
-        lines += [f"{where} loads {name}" for name in sorted(never & modules)]
-        # Only sample draws random numbers; with site, a .pth file may load random first.
-        if setting == "-S" and ("random" in modules) != (subcommand == "sample"):
-            lines.append(f"{where} {'does not load' if subcommand == 'sample' else 'loads'} random")
-        # Only --format json loads json.
-        if ("json" in modules) != (fmt == "json"):
-            lines.append(f"{where} {'does not load' if fmt == 'json' else 'loads'} json")
+    if package != LOADS[subcommand]:
+        lines.append(f"{where} loads {', '.join(sorted(package))}; "
+                     f"LOADS says {', '.join(sorted(LOADS[subcommand]))}")
+    lines += [f"{where} loads {name}, which is not in the standard library"
+              for name in sorted(modules - package)
+              if name.partition(".")[0] not in sys.stdlib_module_names]
+    lines += [f"{where} loads {name}" for name in sorted(NEVER_LOADED & modules)]
+    # Only sample draws random numbers.
+    if ("random" in modules) != (subcommand == "sample"):
+        lines.append(f"{where} {'does not load' if subcommand == 'sample' else 'loads'} random")
+    # Only --format json loads json.
+    if ("json" in modules) != (fmt == "json"):
+        lines.append(f"{where} {'does not load' if fmt == 'json' else 'loads'} json")
     return lines
 
 
@@ -372,35 +398,31 @@ def loaded_for_no_call(by_command, modules) -> list[str]:
 
 
 @cache
-def every_command_traced():
-    """:func:`traced` of every command line, run once for the tests here and in test_outputs."""
-    return traced(COMMANDS)
-
-
-@cache
-def every_command_loaded():
-    """:func:`loaded` of every command line, run once for test_cli, test_outputs and here."""
+def every_command_run() -> CommandRun:
+    """:func:`loaded` of every command line, run once per session for every test that reads it."""
     return loaded(COMMANDS)
 
 
 def test_library_only_is_what_no_command_enters():
-    problems = differences(never_entered(every_command_traced().entered))
+    problems = differences(never_entered(every_command_run().entered))
     assert not problems, "\n".join(problems)
 
 
 def test_each_loaded_module_has_a_function_the_subcommand_enters():
-    problems = loaded_for_no_call(every_command_traced().entered,
-                                  package_modules(every_command_loaded()))
+    run = every_command_run()
+    problems = loaded_for_no_call(run.entered, package_modules(run))
     assert not problems, "\n".join(problems)
 
 
 def test_package_import_is_lazy():
     # `import succoeff` loads no submodule; resolving every public name
-    # loads them all, and still neither dataclasses nor inspect.  One
-    # interpreter takes the three snapshots, each of what it has loaded so far.
-    bare, verify, every = new_modules(
+    # loads them all, and still none of NEVER_LOADED.  One
+    # interpreter takes the three snapshots, each of what it has loaded so
+    # far; under -S, so that no module a .pth hook preloads goes unseen.
+    [printed] = fresh(
         "import succoeff\nsnapshot()\nsuccoeff.verify.grid_optimize\nsnapshot()\n"
         "for name in succoeff.__all__:\n    getattr(succoeff, name)\nsnapshot()")
+    bare, verify, every = map(set, printed)
     assert set(filter(_in_package, bare)) == {"succoeff"}
     assert "succoeff.verify" in verify
     assert "succoeff.verify" in every
@@ -423,7 +445,7 @@ def test_perfbench_group_is_what_perfbench_reaches(monkeypatch, perfbench):
     for name in succoeff.__all__:
         monkeypatch.delitem(vars(succoeff), name, raising=False)
     hit, _ = _entered_by(layers.microbenchmarks)
-    by_command = set().union(*every_command_traced().entered.values())
+    by_command = set().union(*every_command_run().entered.values())
     reached |= {f.name for f in functions() if (f.path, f.first) in hit}
     reached -= {f.name for f in functions() if (f.path, f.first) in by_command}
     assert sorted(PERFBENCH_REACHES) == sorted(reached)
@@ -436,16 +458,17 @@ def test_the_previous_tracer_is_restored():
     previous = sys.gettrace()
     sys.settrace(sentinel)
     try:
-        traced(COMMANDS[:1])
+        _entered_by(lambda: None)
         assert sys.gettrace() is sentinel
     finally:
         sys.settrace(previous)
 
 
 def test_tracing_moves_no_byte(tmp_path):
-    # The in-process digest test reads the traced rows: for one line of each
-    # subcommand, the row must be the one an untraced run gives.
-    rows = every_command_traced().rows
+    # The digest and libm tests read the rows of the traced fresh pass: for
+    # one line of each subcommand, the row must be the one an untraced
+    # in-process run gives.
+    rows = every_command_run().rows
     for command, *_ in subcommands(COMMANDS).values():
         assert rows[command] == _row(command, tmp_path), command
 
@@ -472,14 +495,14 @@ def _report(by_command, modules) -> None:
 
 
 if __name__ == "__main__":
-    by_command = traced(COMMANDS).entered
-    loads = loaded(COMMANDS)
-    _report(by_command, package_modules(loads))
+    run = loaded(COMMANDS)
+    by_command = run.entered
+    _report(by_command, package_modules(run))
     unentered = never_entered(by_command)
     problems = differences(unentered)
-    idle = loaded_for_no_call(by_command, package_modules(loads))
+    idle = loaded_for_no_call(by_command, package_modules(run))
     misloaded = [line for subcommand in subcommands(COMMANDS) for fmt in ("csv", "json")
-                 for line in load_differences(loads, subcommand, fmt)]
+                 for line in load_differences(run, subcommand, fmt)]
     for line in problems + idle + misloaded:
         sys.stdout.write(line + "\n")
     sys.stdout.write(f"{len(unentered)} functions no command enters; LIBRARY_ONLY declares "

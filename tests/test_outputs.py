@@ -23,15 +23,15 @@ digest is ``None`` for a format the line wrote nothing in.
 cannot fail the others.  This module imports neither pytest nor numpy, so
 the script below runs without them.
 
-Each interpreter setting runs the lines once.  In-process, the traced
-pass of :mod:`test_command_map` runs each line through :func:`_row`;
-:func:`test_outputs_match_the_recorded_digests` reads the digests of the
-row it kept, and ``test_verdict_gates`` its ``passed`` cells.  In
-a fresh interpreter, with ``site`` and under ``-S`` (pyproject declares no
-dependencies, so the package must give every row without
-site-packages), ``test_command_map.loaded`` runs them to record what they
-load and hashes the files they wrote, which
-:func:`test_digests_match_in_fresh_interpreters` checks.
+Tier-1 runs the lines once per format, in the one pass of
+:mod:`test_command_map`: a fresh interpreter per subcommand, under ``-S``
+(pyproject declares no dependencies, so the package must give every row
+without site-packages).  That pass records what each line loads and
+enters, and this process builds each line's row with :func:`row_of` from
+the files the line wrote; :func:`test_outputs_match_the_recorded_digests`
+checks its digests, and ``test_verdict_gates`` its ``passed`` cells.
+In-process, the lines run in the ``--check`` script below and in that
+module's patched runs.
 
 Re-record with ``PYTHONPATH=src python tests/test_outputs.py`` from the
 root of a checkout, and paste its output over ``DIGESTS``.  With
@@ -284,10 +284,14 @@ def _row(command: str, tmp: Path, formats=FORMATS) -> tuple:
     ``formats``, the first four fields are the line's row of :data:`DIGESTS`.
     """
     argv = _argv(command, tmp)
-    written = {fmt: run_cli(argv, fmt, tmp) for fmt in formats}
+    return row_of(command, {fmt: run_cli(argv, fmt, tmp) for fmt in formats})
+
+
+def row_of(command: str, written: dict) -> tuple:
+    """:func:`_row` of ``command`` from its (exit code, bytes written) in each format it ran in."""
     codes = [code for code, _ in written.values()]
     if len(set(codes)) != 1:
-        raise ValueError(f"{command}: {', '.join(formats)} exit {codes}")
+        raise ValueError(f"{command}: {', '.join(written)} exit {codes}")
     digests = [None if data is None else _digest(data) for _, data in written.values()]
     _, json_out = written.get("json", (None, None))
     passed = None if json_out is None else tuple(
@@ -322,24 +326,12 @@ def test_table_covers_the_commands():
 
 
 def test_outputs_match_the_recorded_digests(command):
-    from test_command_map import every_command_traced  # it imports this module
+    from test_command_map import every_command_run  # it imports this module
 
-    row = every_command_traced().rows[command]
+    row = every_command_run().rows[command]
     if isinstance(row, BaseException):
         raise row
     assert row[:4] == DIGESTS[command]
-
-
-def test_digests_match_in_fresh_interpreters():
-    from test_command_map import every_command_loaded  # it imports this module
-
-    runs = every_command_loaded().items()
-    moved = [f"{failure} ({setting})" for (_, setting), run in runs
-             for failure in sorted(run.failures)]
-    moved += [f"{command} ({setting}): {digests} != {DIGESTS[command][1:]}"
-              for (_, setting), run in runs
-              for command, digests in run.digests.items() if digests != DIGESTS[command][1:]]
-    assert not moved, "\n".join(moved)
 
 
 def _interpreter(version: str) -> str | None:

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,25 @@ def test_every_config_setting_is_read():
                 if not name.startswith("_") and not callable(value)}
     assert "GATE_ULPS" in settings
     assert sorted(settings - read) == []
+
+
+def test_package_imports_only_the_standard_library():
+    # pyproject declares no dependency.  The load tests run the commands
+    # under -S, where a guarded `try: import numpy` passes without error, so
+    # every absolute import of the package, at module level or in a function,
+    # library-only code included, must name a module of the standard library.
+    outside = []
+    for path in sorted(Path(succoeff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def test_benchmark_names_resolve(monkeypatch, perfbench):

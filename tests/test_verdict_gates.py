@@ -16,11 +16,12 @@ The digests of :mod:`test_outputs` depend on the libm: a ``cos`` one ulp
 off moves printed digits.  :func:`test_no_verdict_depends_on_libm` checks
 that no exit code and no ``passed`` cell does, with each of ``math.cos``,
 ``math.sin``, ``cmath.rect`` and ``cmath.exp`` moved one ulp either way.
-Its unpatched side is the rows of the traced pass of
-:mod:`test_command_map`, which keep each line's ``passed`` cells.  The
-patched side runs each line in json through ``test_outputs._row_or_error``,
-so through ``test_outputs.run_cli``, the one in-process runner.  A line that
-raises is compared by what it raised, and the digest test names it.
+Its unpatched side is the rows of the one pass of
+:mod:`test_command_map`, in fresh interpreters, which keep each line's
+``passed`` cells.  The patched side runs each line in json through
+``test_outputs._row_or_error``, so through ``test_outputs.run_cli``, the one
+in-process runner.  A line that raises is compared by what it raised, and
+the digest test names it.
 """
 
 import ast
@@ -36,7 +37,7 @@ from succoeff import (AtomicHerglotzRep, ClassParams, DegenerateError, Functiona
 from conftest import classes, convex_branch_gamma, gap_units, parsed_tests, t_factor
 from succoeff.caratheodory import _draw_atoms, _seeded_stream
 from succoeff.cli import _attained
-from test_command_map import every_command_traced
+from test_command_map import every_command_run
 from test_outputs import COMMANDS, _row_or_error
 
 # The worst gap allowed, in conftest.gap_units: half the gate.
@@ -168,7 +169,7 @@ def _verdicts(rows) -> dict:
                                           (cmath, "exp")],
                          ids=["cos", "sin", "rect", "cexp"])
 def test_no_verdict_depends_on_libm(monkeypatch, tmp_path, module, name, direction):
-    unpatched = every_command_traced().rows  # computed before the patch, once per session
+    unpatched = every_command_run().rows  # computed before the patch, once per session
     monkeypatch.setattr(module, name, _shifted(getattr(module, name), direction))
     patched = {command: _row_or_error(command, tmp_path, ("json",)) for command in COMMANDS}
     assert _verdicts(patched) == _verdicts(unpatched)
