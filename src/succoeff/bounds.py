@@ -61,8 +61,8 @@ _EXTREMALS = {
 }
 _FAMILY_OF = {name: family for family, pairs in _EXTREMALS.items() for p in pairs for name in p}
 
-_POINT_AT_1 = ((1.0,), (1.0 + 0j,))
-_PAIR_AT_PM_1 = ((0.5, 0.5), (1.0 + 0j, -1.0 + 0j))
+_POINT_AT_1 = ((1.0,), (1.0,))
+_PAIR_AT_PM_1 = ((0.5, 0.5), (1.0, -1.0))
 
 # Each extremal is its family's member generated by the Carathéodory measure of
 # these (weights, points), or, if unlisted, by the two-atom measure at the
@@ -70,7 +70,7 @@ _PAIR_AT_PM_1 = ((0.5, 0.5), (1.0 + 0j, -1.0 + 0j))
 _CATALOG = {
     ExtremalName.K: _POINT_AT_1,
     ExtremalName.L: _POINT_AT_1,
-    ExtremalName.G_OZAKI: ((1.0,), (-1.0 + 0j,)),
+    ExtremalName.G_OZAKI: ((1.0,), (-1.0,)),
     ExtremalName.H: _PAIR_AT_PM_1,
     ExtremalName.Q: _PAIR_AT_PM_1,
     ExtremalName.H_OZAKI: _PAIR_AT_PM_1,

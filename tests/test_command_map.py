@@ -3,10 +3,11 @@
 Every command line of :mod:`test_outputs` runs once per format in one pass,
 :func:`every_command_run`: one fresh interpreter per subcommand, under
 ``-S`` (pyproject declares no dependencies, so the package must run every
-line without site-packages).  Each line runs through ``cli.main`` under a
-``sys.settrace`` hook that records each ``def`` and ``lambda`` of the package
-that is entered.  The same pass records what each subcommand loads, and
-keeps each line's digest row, with its json rows' ``passed`` cells, for
+line without site-packages).  Each line runs through ``cli.main`` under the
+child's one call tracer, ``traced`` in :data:`_RUN_LINES`, which records
+each ``def`` and ``lambda`` of the package that is entered.  The same pass
+records what each subcommand loads, and keeps each line's digest row, with
+its json rows' ``passed`` cells, for
 ``test_outputs.test_outputs_match_the_recorded_digests`` and the unpatched
 side of ``test_verdict_gates.test_no_verdict_depends_on_libm``; tracing
 moves no byte of them, as :func:`test_tracing_moves_no_byte` checks against
@@ -15,7 +16,10 @@ untraced in-process runs.  The functions never entered must be exactly
 no command runs cannot arrive unnoticed: a change that adds some adds its
 name here, and a change that deletes library-only code shrinks the tuple.
 Its first group, :data:`PERFBENCH_REACHES`, must be exactly what the
-benchmark in ``perfbench/`` reaches and no command enters.
+benchmark in ``perfbench/`` reaches and no command enters, as one more
+fresh interpreter, :func:`benchmark_contract`, finds it: perfbench's
+microbenchmarks run there under the same tracer, and perfbench's ``Tracer``
+is installed there, never in the test process, for three command lines.
 
 The package modules a subcommand loads must be exactly its entry of
 :data:`LOADS`, the one statement of that rule, and every other module it
@@ -134,6 +138,16 @@ Function = namedtuple("Function", "name path first last")
 # function it enters; text and every: subcommand -> the modules its lines
 # load in csv and table, and once they have also run in json.
 CommandRun = namedtuple("CommandRun", "rows entered text every")
+# What perfbench finds of the package (benchmark_contract): the (module,
+# attribute) pairs its tracer targets; its microbenchmarks, those timed and
+# those absent, and the (file, first line) of each package frame they call;
+# the tracer's absent spans; three command lines' exit codes, and the
+# tracer's counters and span names.
+BenchmarkContract = namedtuple(
+    "BenchmarkContract", "targets cases timed unmeasured entered absent codes counters spans")
+
+# The package's directory, as the prefix of its files' names.
+_PACKAGE = os.path.join(os.path.dirname(succoeff.__file__), "")
 
 
 class Raised(Exception):
@@ -141,14 +155,6 @@ class Raised(Exception):
 
     def __repr__(self):
         return self.args[0]
-
-
-def _modules():
-    """(name, module) of every module of the package, each imported."""
-    for path in sorted(Path(succoeff.__file__).parent.glob("*.py")):
-        module = succoeff if path.stem == "__init__" else importlib.import_module(
-            f"succoeff.{path.stem}")
-        yield path.stem, module
 
 
 def _defs(node, scope, assigned=None):
@@ -175,37 +181,11 @@ def _defs(node, scope, assigned=None):
 def functions() -> tuple[Function, ...]:
     """Every def and lambda of the package, in module and line order, parsed once."""
     found = []
-    for stem, module in _modules():
-        path = module.__file__
-        tree = ast.parse(Path(path).read_text(encoding="utf-8"))
-        found.extend(Function(name, path, first, last)
-                     for name, first, last in _defs(tree, f"{stem}."))
+    for path in sorted(Path(succoeff.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.extend(Function(name, str(path), first, last)
+                     for name, first, last in _defs(tree, f"{path.stem}."))
     return tuple(found)
-
-
-def _entered_by(run) -> tuple[set[tuple[str, int]], object]:
-    """(file, first line) of each package function ``run()`` enters, and what it returns.
-
-    The tracer that was installed before, if any, is put back.
-    """
-    files = {module.__file__ for _, module in _modules()}
-    keys = set()
-
-    def trace(frame, event, arg):
-        code = frame.f_code
-        if code.co_filename in files and (code.co_name == "<lambda>"
-                                          or not code.co_name.startswith("<")):
-            keys.add((code.co_filename, code.co_firstlineno))
-        # No local tracer: only call events are paid for.
-        return None
-
-    previous = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        result = run()
-    finally:
-        sys.settrace(previous)
-    return keys, result
 
 
 def never_entered(by_command) -> list[str]:
@@ -258,34 +238,35 @@ def fresh(*codes: str) -> list[list]:
     return [[ast.literal_eval(line) for line in stdout.splitlines()] for stdout, _ in printed]
 
 
-# The child's runner.  run() runs each argv through main under a tracer that,
-# as _entered_by does, keeps the (file, first line) of each frame of the
-# package that is called, and prints, for each argv, its exit code or
-# the repr of what it raised (SystemExit included) with those keys; then
-# snapshot() prints what has been loaded so far.  It imports nothing.
+# The child's runner.  traced() calls call() under a tracer that keeps the
+# (file, first line) of each frame of the package that is called, and gives
+# what call() returned, or the repr of what it raised (SystemExit included),
+# with those keys.  run() runs each argv through main under traced(), prints
+# the results, and then snapshot() prints what has been loaded so far.  It
+# imports nothing until run() imports the command line.
 _RUN_LINES = """\
-from succoeff.cli import main
+def traced(call, package):
+    keys = set()
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(package) and (code.co_name == "<lambda>"
+                                                     or not code.co_name.startswith("<")):
+            keys.add((code.co_filename, code.co_firstlineno))
+
+    sys.settrace(trace)
+    try:
+        got = call()
+    except (Exception, SystemExit) as error:
+        got = repr(error)
+    finally:
+        sys.settrace(None)
+    return got, sorted(keys)
 
 def run(lines, package):
-    results = []
-    for argv in lines:
-        keys = set()
+    from succoeff.cli import main
 
-        def trace(frame, event, arg):
-            code = frame.f_code
-            if code.co_filename.startswith(package) and (code.co_name == "<lambda>"
-                                                         or not code.co_name.startswith("<")):
-                keys.add((code.co_filename, code.co_firstlineno))
-
-        sys.settrace(trace)
-        try:
-            got = main(argv)
-        except (Exception, SystemExit) as error:
-            got = repr(error)
-        finally:
-            sys.settrace(None)
-        results.append((got, sorted(keys)))
-    print(results)
+    print([traced(lambda: main(argv), package) for argv in lines])
     snapshot()
 
 """
@@ -305,7 +286,6 @@ def loaded(commands) -> CommandRun:
     only those of a def or lambda of :func:`functions` are kept: a class or
     module body that runs while a module loads lazily is no call.
     """
-    package = os.path.join(os.path.dirname(succoeff.__file__), "")
     known = {(f.path, f.first) for f in functions()}
     result = CommandRun({}, {}, {}, {})
     with tempfile.TemporaryDirectory() as tmp:
@@ -319,7 +299,7 @@ def loaded(commands) -> CommandRun:
         batches = {subcommand: [[(command, fmt) for command in lines for fmt in formats]
                                 for formats in (("csv", "table"), ("json",))]
                    for subcommand, lines in subcommands(commands).items()}
-        scripts = [_RUN_LINES + "".join(f"run({[argv(*line) for line in batch]!r}, {package!r})\n"
+        scripts = [_RUN_LINES + "".join(f"run({[argv(*line) for line in batch]!r}, {_PACKAGE!r})\n"
                                         for batch in pair) for pair in batches.values()]
         got = {}
         for (subcommand, (first, second)), (ran, text, ran_json, every) in zip(
@@ -403,6 +383,40 @@ def every_command_run() -> CommandRun:
     return loaded(COMMANDS)
 
 
+# The contract child, after the runner: each microbenchmark of perfbench's
+# layers runs once under traced(); then perfbench's Tracer is installed and
+# three command lines, whose reports it reads, run through succoeff.cli.main,
+# looked up on the module so that the tracer's wrapper runs.
+_CONTRACT_LINES = """\
+sys.dont_write_bytecode = True
+sys.path.insert(0, {perfbench!r})
+import layers
+import tracer
+
+layers._per_call_us = lambda fn: (fn(), 0.0)[1]  # one call per case
+(timings, unmeasured), keys = traced(layers.microbenchmarks, {package!r})
+hooks = tracer.Tracer()
+hooks.install()
+import succoeff.cli
+codes = [succoeff.cli.main([*argv, "--format", "table", "--out", {out!r}])
+         for argv in (["verify"], ["sweep", "--alphas", "0,0.5,2"], ["sample", "--samples", "20"])]
+hooks.uninstall()
+_, module, cls = tracer.COUNTED_INIT
+print(([(target.module, target.attr) for target in tracer.TARGETS] + [(module, cls + ".__init__")],
+       sorted(layers.MICROBENCHMARKS), sorted(timings), unmeasured, keys, sorted(hooks.absent),
+       codes, dict(hooks.counters), sorted(set(span[0] for span in hooks.spans))))
+"""
+
+
+@cache
+def benchmark_contract() -> BenchmarkContract:
+    """:data:`BenchmarkContract` from one fresh interpreter under ``-S`` that writes no bytecode."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    [[printed]] = fresh(_RUN_LINES + _CONTRACT_LINES.format(
+        perfbench=str(perfbench), package=_PACKAGE, out=os.devnull))
+    return BenchmarkContract(*printed)
+
+
 def test_library_only_is_what_no_command_enters():
     problems = differences(never_entered(every_command_run().entered))
     assert not problems, "\n".join(problems)
@@ -429,39 +443,13 @@ def test_package_import_is_lazy():
     assert not NEVER_LOADED & every
 
 
-def test_perfbench_group_is_what_perfbench_reaches(monkeypatch, perfbench):
-    tracer, layers = perfbench("tracer"), perfbench("layers")
-    reached = {f"{target.module.removeprefix('succoeff.')}.{target.attr}"
-               for target in tracer.TARGETS}
-    _, module, cls = tracer.COUNTED_INIT
-    reached.add(f"{module.removeprefix('succoeff.')}.{cls}.__init__")
-    # Each case runs once, as test_benchmark_names_resolve runs it, and every
-    # public name resolves afresh, as in the fresh process perfbench runs.
-    def once(fn):
-        fn()
-        return 0.0
-
-    monkeypatch.setattr(layers, "_per_call_us", once)
-    for name in succoeff.__all__:
-        monkeypatch.delitem(vars(succoeff), name, raising=False)
-    hit, _ = _entered_by(layers.microbenchmarks)
+def test_perfbench_group_is_what_perfbench_reaches():
+    contract = benchmark_contract()
+    reached = {f"{module.removeprefix('succoeff.')}.{attr}" for module, attr in contract.targets}
     by_command = set().union(*every_command_run().entered.values())
-    reached |= {f.name for f in functions() if (f.path, f.first) in hit}
+    reached |= {f.name for f in functions() if (f.path, f.first) in contract.entered}
     reached -= {f.name for f in functions() if (f.path, f.first) in by_command}
     assert sorted(PERFBENCH_REACHES) == sorted(reached)
-
-
-def test_the_previous_tracer_is_restored():
-    def sentinel(frame, event, arg):
-        return None
-
-    previous = sys.gettrace()
-    sys.settrace(sentinel)
-    try:
-        _entered_by(lambda: None)
-        assert sys.gettrace() is sentinel
-    finally:
-        sys.settrace(previous)
 
 
 def test_tracing_moves_no_byte(tmp_path):
@@ -484,7 +472,7 @@ def _report(by_command, modules) -> None:
                          f"of {len(every)} functions\n    {', '.join(names)}\n")
         sys.stdout.write(f"    {'module':<28} {'compiled':>8} {'entered':>8} {'never':>8}\n")
         for module_name in modules[subcommand]:
-            path = sys.modules[module_name].__file__
+            path = importlib.import_module(module_name).__file__
             lines = {was_hit: {line for f in every if f.path == path
                                and ((f.path, f.first) in hit) == was_hit
                                for line in range(f.first, f.last + 1)}

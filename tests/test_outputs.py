@@ -241,8 +241,7 @@ def run_cli(argv: list[str], fmt: str, tmp: Path) -> tuple[int, bytes | None]:
     """(exit code, bytes written) of ``argv`` run in-process with ``--format fmt``.
 
     The line writes to ``tmp / "out.<fmt>"``, removed before the run, so the
-    bytes are None when the line wrote nothing.  ``cli.main`` is looked up
-    at each call, so a wrapper set on it runs.
+    bytes are None when the line wrote nothing.
     """
     out = tmp / f"out.{fmt}"
     out.unlink(missing_ok=True)

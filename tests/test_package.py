@@ -1,4 +1,9 @@
-"""Package surface: every name a module exports resolves, and only those."""
+"""Package surface: every name a module exports resolves, and only those.
+
+The two ``test_benchmark_*`` tests read the benchmark's contract with the
+package from ``test_command_map.benchmark_contract``, one fresh interpreter
+that runs perfbench's microbenchmarks and tracer, so none rebinds a function.
+"""
 
 import ast
 import importlib
@@ -9,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import succoeff
-from test_outputs import run_cli
+from test_command_map import benchmark_contract
 
 MODULES = ["succoeff", *(f"succoeff.{m.name}" for m in pkgutil.iter_modules(succoeff.__path__))]
 
@@ -93,42 +98,23 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
-def test_benchmark_names_resolve(monkeypatch, perfbench):
+def test_benchmark_names_resolve():
     # The benchmark traces and times package functions by name; a name it
     # cannot find is reported absent, and the run then lacks the per-layer
     # metrics it declares.  Moving one of these is a benchmark change.
-    tracer = perfbench("tracer").Tracer()
-    try:
-        tracer.install()
-        assert tracer.absent == set()
-    finally:
-        tracer.uninstall()
-    layers = perfbench("layers")
-
-    def once(fn):
-        fn()
-        return 0.0
-
-    monkeypatch.setattr(layers, "_per_call_us", once)
-    timings, absent = layers.microbenchmarks()
-    assert absent == []
-    assert sorted(timings) == sorted(layers.MICROBENCHMARKS)
+    contract = benchmark_contract()
+    assert contract.absent == []
+    assert contract.unmeasured == []
+    assert contract.timed == contract.cases
 
 
-def test_benchmark_result_hooks(perfbench, tmp_path):
+def test_benchmark_result_hooks():
     # The tracer counts what the reports it sees carry: VerifyReport.grid,
     # SampleReport.n_samples, and FunctionalSpec.which in a span's name.
-    tracer = perfbench("tracer").Tracer()
-    tracer.install()
-    try:
-        # run_cli calls cli.main through the module, so the tracer's wrapper runs.
-        for argv in (["verify"], ["sweep", "--alphas", "0,0.5,2"], ["sample", "--samples", "20"]):
-            assert run_cli(argv, "table", tmp_path)[0] == 0
-    finally:
-        tracer.uninstall()
+    contract = benchmark_contract()
+    assert contract.codes == [0, 0, 0]  # verify, sweep and sample
     # Two points for d1 and three for d2 at each of the three classes checked.
-    assert tracer.counters["verify.grid_points"] == 15
-    assert tracer.counters["verify.sample_members"] == 20
-    names = {span[0] for span in tracer.spans}
+    assert contract.counters["verify.grid_points"] == 15
+    assert contract.counters["verify.sample_members"] == 20
     assert {"cli.main", "verify.grid_optimize_d1", "verify.grid_optimize_d2", "verify.functional_value",
-            "verify.case_boundary_check"} <= names
+            "verify.case_boundary_check"} <= set(contract.spans)

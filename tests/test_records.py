@@ -99,8 +99,10 @@ INVALID = [
     (ClassParams.convex(0.3), {"alpha": 1.5}),
     (ClassParams.ozaki(0.5), {"lam": 0.0}),
     (ClassParams.ozaki(0.5), {"lam": 1.5}),
+    (ClassParams.ozaki(0.5), {"lam": math.nextafter(1.0, 2.0)}),
     (ClassParams.ozaki(0.5), {"alpha": 0.1}),
     (ClassParams.ozaki(0.5), {"gamma": 0.1}),
+    *((PARAMS, {"family": family}) for family in ("elliptic", "SPIRALLIKE", None)),
     (REP, {"weights": (0.5, 0.6)}),
     (REP, {"weights": (0.0, 1.0)}),
     (REP, {"weights": (1.0,)}),
@@ -114,9 +116,10 @@ INVALID = [
 @pytest.mark.parametrize("record, changes", INVALID,
                          ids=[f"{type(r).__name__}-{sorted(c)}" for r, c in INVALID])
 def test_checks_run_on_construction_and_replace(record, changes):
-    with pytest.raises(DomainError):
+    match = "unknown family" if "family" in changes else None
+    with pytest.raises(DomainError, match=match):
         type(record)(**{**record._asdict(), **changes})
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=match):
         record._replace(**changes)
 
 

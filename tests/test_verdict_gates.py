@@ -10,7 +10,8 @@ the Ozaki classes just below ``lam = 1/2`` whose ``c*`` lies within about
 requires the worst to be at most half the gate, so every verdict there
 passes.  The same gate bounds the measures and disk points a command
 builds, and :func:`test_built_measures_use_at_most_half_their_gates` holds
-their defects to half of it too.
+their defects to half of it too.  A gap of exactly the gate still passes:
+:func:`test_a_gap_of_exactly_the_gate_passes` plants one at each comparison.
 
 The digests of :mod:`test_outputs` depend on the libm: a ``cos`` one ulp
 off moves printed digits.  :func:`test_no_verdict_depends_on_libm` checks
@@ -31,6 +32,7 @@ import random
 
 import pytest
 
+import succoeff.verify as verify_module
 from succoeff import (AtomicHerglotzRep, ClassParams, DegenerateError, FunctionalSpec, Which,
                       bound_d1, bound_d2, case_boundary_check, config, grid_optimize,
                       sample_no_violation, solve_two_atom, two_atom_parameters)
@@ -143,6 +145,68 @@ def test_built_measures_use_at_most_half_their_gates():
         measure_gaps(AtomicHerglotzRep(*_draw_atoms(rng, config.MAX_ATOMS)), config.MAX_ATOMS, i)
     worst = max(gaps, key=lambda gap: gap[0])
     assert worst[0] <= MAX_GAP_UNITS, worst
+
+
+# ------------------------------------------------------------- gate edges
+
+# The starlike class: its d1 endpoints are -1 and 1 and its c* is 1.  An
+# endpoint planted GATE from a value in [-1, 1] is exact, and so is the gap.
+STARLIKE = ClassParams.spirallike(0.0, 0.0)
+GATE = config.gate(1.0)  # the gate of every scale in [-1, 1]
+
+
+def _plant(monkeypatch, bound, **ends):
+    """``bound``, as verify reads it, gives its interval with ``ends`` in place."""
+    exact = getattr(verify_module, bound)
+    monkeypatch.setattr(verify_module, bound, lambda params: exact(params)._replace(**ends))
+
+
+def _attainment(monkeypatch):
+    interval = bound_d1(STARLIKE)
+    value = next(_attained(interval, Which.D1)).value
+    upper = next(_attained(interval._replace(upper=value - GATE), Which.D1))
+    return [(upper.residual, upper.target)], upper.passed
+
+
+def _optimizer(monkeypatch):
+    spec = FunctionalSpec(STARLIKE, Which.D1)
+    exact = grid_optimize(spec)
+    _plant(monkeypatch, "bound_d1", lower=exact.numeric_min + GATE, upper=exact.numeric_max - GATE)
+    report = grid_optimize(spec)
+    return [(report.residual_min, report.analytic.lower),
+            (report.residual_max, report.analytic.upper)], report.passed
+
+
+def _sample(monkeypatch):
+    # Of two members, against endpoints at 0, each lower side's worst margin
+    # is the least value, and each upper side's is minus the greatest.
+    sides = {"d1_low": 1.0, "d1_high": -1.0, "d2_low": 1.0, "d2_high": -1.0}
+    with monkeypatch.context() as zeroed:
+        for bound in ("bound_d1", "bound_d2"):
+            _plant(zeroed, bound, lower=0.0, upper=0.0)
+        zero = sample_no_violation(STARLIKE, 2)
+    # Each least or greatest value lies GATE beyond its planted endpoint.
+    planted = {side: sign * (getattr(zero, side).margin + GATE) for side, sign in sides.items()}
+    for k in (1, 2):
+        _plant(monkeypatch, f"bound_d{k}", lower=planted[f"d{k}_low"], upper=planted[f"d{k}_high"])
+    report = sample_no_violation(STARLIKE, 2)
+    return [(-getattr(report, side).margin, planted[side]) for side in sides], report.passed
+
+
+def _case_check(monkeypatch):
+    c_star, x_star = two_atom_parameters(STARLIKE)
+    monkeypatch.setattr(verify_module, "two_atom_parameters", lambda params: (c_star - GATE, x_star))
+    report = case_boundary_check(STARLIKE)
+    return [(abs(report.argmin_c - report.c_star), report.c_star)], report.passed
+
+
+@pytest.mark.parametrize("plant", [_attainment, _optimizer, _sample, _case_check],
+                         ids=["attainment", "optimizer", "sample", "case check"])
+def test_a_gap_of_exactly_the_gate_passes(monkeypatch, plant):
+    # Each verdict forgives a gap up to and including the gate.
+    gaps, passed = plant(monkeypatch)
+    assert [gap for gap, _ in gaps] == [config.gate(scale) for _, scale in gaps]
+    assert passed
 
 
 # ------------------------------------------------------------------- libm
